@@ -8,6 +8,8 @@ reproducing the accompanying simulation study.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .censoring import (
     SurvivalCurve,
     calibrate_censoring,
@@ -44,7 +46,6 @@ from .estimator import (
     local_objective,
 )
 from .model import (
-    CensoredObservation,
     CoefficientCurves,
     Dataset,
     UnitDirection,
@@ -58,18 +59,14 @@ from .simulate import (
     SimSummary,
     TruthRecord,
     generate_dataset,
-    pointwise_quantile,
     resolve_censor_scale,
     run_monte_carlo,
 )
 from .smoothing import (
     Bandwidths,
     KernelSpec,
-    cv_bandwidth,
-    density_estimate,
-    kernel_weight,
+    kernel_values,
     nw_estimate,
-    profile_smoother,
     rule_of_thumb_bandwidth,
     select_bandwidths,
 )
@@ -84,4 +81,10 @@ from .theory import (
     uniform_censor_sampler,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every name imported above, but not the submodules that importing them
+# binds on the package.
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+]

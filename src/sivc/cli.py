@@ -220,100 +220,102 @@ def read_dataset_csv(path: Path) -> Dataset:
     return validate_dataset(rows)
 
 
-def write_dataset_csv(path: Path, dataset: Dataset) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """Write one CSV table: a header row, then every row of ``rows``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["y", "delta", "t"] + [f"x{j}" for j in range(1, dataset.d + 1)])
-        for i in range(dataset.n):
-            writer.writerow(
-                [_num(dataset.y[i]), str(int(dataset.delta[i])), _num(dataset.t[i])]
-                + [_num(v) for v in dataset.x[i]]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_dataset_csv(path: Path, dataset: Dataset) -> None:
+    _write_table(
+        path,
+        ["y", "delta", "t"] + [f"x{j}" for j in range(1, dataset.d + 1)],
+        (
+            [_num(dataset.y[i]), str(int(dataset.delta[i])), _num(dataset.t[i])]
+            + [_num(v) for v in dataset.x[i]]
+            for i in range(dataset.n)
+        ),
+    )
 
 
 def write_curves_csv(path: Path, fit: ModelFit) -> None:
-    path = Path(path)
     matrix = fit.curves.matrix
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t0"] + [f"beta_{j}" for j in range(1, matrix.shape[1] + 1)])
-        for k, t0 in enumerate(fit.curves.grid):
-            writer.writerow([_num(t0)] + [_num(v) for v in matrix[k]])
+    _write_table(
+        path,
+        ["t0"] + [f"beta_{j}" for j in range(1, matrix.shape[1] + 1)],
+        ([_num(t0)] + [_num(v) for v in matrix[k]] for k, t0 in enumerate(fit.curves.grid)),
+    )
 
 
 def write_link_csv(path: Path, fit: ModelFit) -> None:
-    path = Path(path)
     link = fit.link
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["u", "m_hat", "defined"])
-        for k, u in enumerate(link.u_grid):
-            writer.writerow(
-                [_num(u), _num(link.m_hat[k]), "1" if link.defined[k] else "0"]
-            )
+    _write_table(
+        path,
+        ["u", "m_hat", "defined"],
+        (
+            [_num(u), _num(link.m_hat[k]), "1" if link.defined[k] else "0"]
+            for k, u in enumerate(link.u_grid)
+        ),
+    )
 
 
 def write_summary_csv(path: Path, summary: SimSummary) -> None:
-    path = Path(path)
     d = summary.beta_median.shape[1]
     header = ["t0"]
     for j in range(1, d + 1):
         header += [f"beta_{j}_median", f"beta_{j}_q05", f"beta_{j}_q95"]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for k, t0 in enumerate(summary.t_grid):
-            row = [_num(t0)]
-            for j in range(d):
-                row += [
-                    _num(summary.beta_median[k, j]),
-                    _num(summary.beta_q05[k, j]),
-                    _num(summary.beta_q95[k, j]),
-                ]
-            writer.writerow(row)
+    bands = (summary.beta_median, summary.beta_q05, summary.beta_q95)
+    _write_table(
+        path,
+        header,
+        (
+            [_num(t0)] + [_num(band[k, j]) for j in range(d) for band in bands]
+            for k, t0 in enumerate(summary.t_grid)
+        ),
+    )
 
 
 def write_link_summary_csv(path: Path, summary: SimSummary) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["u", "m_median", "m_q05", "m_q95", "defined_count"])
-        for k, u in enumerate(summary.u_grid):
-            writer.writerow(
-                [
-                    _num(u),
-                    _num(summary.m_median[k]),
-                    _num(summary.m_q05[k]),
-                    _num(summary.m_q95[k]),
-                    str(int(summary.m_defined_counts[k])),
-                ]
-            )
+    _write_table(
+        path,
+        ["u", "m_median", "m_q05", "m_q95", "defined_count"],
+        (
+            [
+                _num(u),
+                _num(summary.m_median[k]),
+                _num(summary.m_q05[k]),
+                _num(summary.m_q95[k]),
+                str(int(summary.m_defined_counts[k])),
+            ]
+            for k, u in enumerate(summary.u_grid)
+        ),
+    )
 
 
 def write_raw_estimates_csv(
     curves_path: Path, link_path: Path, summary: SimSummary
 ) -> None:
-    curves_path, link_path = Path(curves_path), Path(link_path)
     reps, grid, d = summary.beta_reps.shape
-    with curves_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rep", "t0"] + [f"beta_{j}" for j in range(1, d + 1)])
-        for r in range(reps):
-            for k in range(grid):
-                writer.writerow(
-                    [str(r), _num(summary.t_grid[k])]
-                    + [_num(v) for v in summary.beta_reps[r, k]]
-                )
-    with link_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rep", "u", "m_hat", "defined"])
-        for r in range(reps):
-            for k, u in enumerate(summary.u_grid):
-                v = summary.m_reps[r, k]
-                writer.writerow(
-                    [str(r), _num(u), _num(v), "1" if np.isfinite(v) else "0"]
-                )
+    _write_table(
+        curves_path,
+        ["rep", "t0"] + [f"beta_{j}" for j in range(1, d + 1)],
+        (
+            [str(r), _num(summary.t_grid[k])] + [_num(v) for v in summary.beta_reps[r, k]]
+            for r in range(reps)
+            for k in range(grid)
+        ),
+    )
+    _write_table(
+        link_path,
+        ["rep", "u", "m_hat", "defined"],
+        (
+            [str(r), _num(u), _num(v), "1" if np.isfinite(v) else "0"]
+            for r in range(reps)
+            for u, v in zip(summary.u_grid, summary.m_reps[r])
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

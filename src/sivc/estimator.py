@@ -54,7 +54,6 @@ from .smoothing import (
     KernelSpec,
     kernel_values,
     nw_estimate,
-    rule_of_thumb_bandwidth,
     select_bandwidths,
 )
 
@@ -236,12 +235,6 @@ class _LocalObjective:
         return float(np.sum(self.kt[valid] * resid * resid) / self.norm)
 
 
-def _resolve_bandwidths(dataset: Dataset, config: FitConfig) -> Bandwidths:
-    if isinstance(config.bandwidths, Bandwidths):
-        return config.bandwidths
-    return select_bandwidths(dataset, config.kernel)
-
-
 def local_objective(
     dataset: Dataset,
     t0: float,
@@ -277,10 +270,11 @@ def fit_direction_at(
     dataset: Dataset,
     t0: float,
     config: FitConfig,
+    bw: Bandwidths,
     warm_start: Optional[UnitDirection] = None,
-    _bandwidths: Optional[Bandwidths] = None,
 ) -> DirectionFit:
-    """Minimize the local objective over the unit hemisphere at one t0.
+    """Minimize the local objective over the unit hemisphere at one t0,
+    with the resolved bandwidths ``bw``.
 
     Nelder-Mead runs on the spherical angles from the warm start (if
     given) plus ``restarts`` starting points spread across the angle box.
@@ -291,7 +285,6 @@ def fit_direction_at(
     """
     if dataset.n < 10:
         raise ValueError(f"direction fitting needs n >= 10 (got {dataset.n})")
-    bw = _bandwidths if _bandwidths is not None else _resolve_bandwidths(dataset, config)
     obj = _LocalObjective(dataset, t0, bw, config.kernel)
     if dataset.d == 1:
         direction = UnitDirection(components=np.array([1.0]))
@@ -345,50 +338,42 @@ def fit_direction_at(
 def fit_coefficient_curves(
     dataset: Dataset,
     config: FitConfig,
-    warm_sweep: bool = True,
+    bw: Bandwidths,
 ) -> tuple[CoefficientCurves, list[DirectionFit]]:
     """Fit the direction at every grid point of [0, 1].
 
-    The default sweep walks the grid in ascending order warm-starting
-    each point from its left neighbor (the first point is a cold
-    multi-restart); ``warm_sweep=False`` gives independent cold starts,
-    whose grid points could be evaluated concurrently.
+    The sweep walks the grid in ascending order warm-starting each point
+    from its left neighbor (the first point is a cold multi-restart).
     """
-    bw = _resolve_bandwidths(dataset, config)
     grid = config.t_grid
     fits: list[DirectionFit] = []
     warm: Optional[UnitDirection] = None
     for t0 in grid:
         try:
-            fit = fit_direction_at(
-                dataset, float(t0), config, warm_start=warm, _bandwidths=bw
-            )
+            fit = fit_direction_at(dataset, float(t0), config, bw, warm_start=warm)
         except SivcError as exc:
             raise EstimationError(f"direction fit failed at t0={t0:g}: {exc}") from exc
         fits.append(fit)
-        if warm_sweep:
-            warm = fit.direction
+        warm = fit.direction
     curves = CoefficientCurves(grid=grid, directions=tuple(f.direction for f in fits))
     return curves, fits
 
 
 def compute_index(dataset: Dataset, curves: CoefficientCurves) -> np.ndarray:
     """Fitted index u_i = x_i . beta-hat(t_i) for every row."""
-    return np.array(
-        [
-            float(dataset.x[i] @ evaluate_curves(curves, float(dataset.t[i])))
-            for i in range(dataset.n)
-        ]
-    )
+    directions = evaluate_curves(curves, dataset.t)
+    # A batched matmul rounds each row like a 1-D dot product.
+    return (dataset.x[:, None, :] @ directions[:, :, None])[:, 0, 0]
 
 
 def fit_link(
     index: np.ndarray,
     synthetic: np.ndarray,
     config: FitConfig,
-    _bandwidths: Optional[Bandwidths] = None,
+    h_link: float,
 ) -> LinkEstimate:
-    """Nadaraya-Watson estimate of the link from (index, synthetic) pairs.
+    """Nadaraya-Watson estimate of the link from (index, synthetic) pairs
+    with bandwidth ``h_link``.
 
     Grid points with no local data carry a marker instead of a number so
     the harness can see them.
@@ -397,18 +382,12 @@ def fit_link(
     synthetic = np.asarray(synthetic, dtype=float)
     if index.shape != synthetic.shape or index.ndim != 1:
         raise ValueError("index and synthetic must be equal-length vectors")
-    if _bandwidths is not None:
-        h = _bandwidths.h_link
-    elif isinstance(config.bandwidths, Bandwidths):
-        h = config.bandwidths.h_link
-    else:
-        h = rule_of_thumb_bandwidth(index)
     u_grid = config.u_grid
     m_hat = np.full(u_grid.size, np.nan)
     defined = np.zeros(u_grid.size, dtype=bool)
     for k, u0 in enumerate(u_grid):
         try:
-            m_hat[k] = nw_estimate(index, synthetic, float(u0), h, config.kernel)
+            m_hat[k] = nw_estimate(index, synthetic, float(u0), h_link, config.kernel)
             defined[k] = True
         except NoLocalDataError:
             pass
@@ -421,16 +400,18 @@ def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
     Deterministic given (dataset, config): the optimizer restarts are a
     fixed spread, so no randomness enters the fit.
     """
-    bw = _resolve_bandwidths(dataset, config)
+    bw = config.bandwidths
+    if not isinstance(bw, Bandwidths):
+        bw = select_bandwidths(dataset, config.kernel)
     try:
-        curves, fits = fit_coefficient_curves(dataset, config)
+        curves, fits = fit_coefficient_curves(dataset, config, bw)
     except SivcError as exc:
         raise EstimationError(f"stage 1 (direction curves): {exc}") from exc
     try:
         survival = estimate_censoring_survival(dataset)
         tstar = synthetic_responses(dataset, survival)
         index = compute_index(dataset, curves)
-        link = fit_link(index, tstar, config, _bandwidths=bw)
+        link = fit_link(index, tstar, config, bw.h_link)
     except SivcError as exc:
         raise EstimationError(f"stage 2 (synthetic link): {exc}") from exc
     diagnostics = {

@@ -24,7 +24,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CensoredObservation",
     "Dataset",
     "UnitDirection",
     "CoefficientCurves",
@@ -42,50 +41,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class CensoredObservation:
-    """One record: observed response, event indicator, covariates, modifier."""
-
-    y: float
-    delta: int
-    x: tuple[float, ...]
-    t: float
-
-    def __post_init__(self):
-        problems = _row_problems(self.y, self.delta, self.x, self.t)
-        if problems:
-            raise ValidationError([(None, msg) for msg in problems])
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "delta", int(self.delta))
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "t", float(self.t))
+# Rows named per problem in a ValidationError; the rest are counted.
+_NAMED_ROWS = 5
 
 
-def _row_problems(y, delta, x, t) -> list[str]:
-    problems = []
+def _column(value, name: str) -> np.ndarray:
     try:
-        yv = float(y)
-        if not np.isfinite(yv):
-            problems.append(f"response must be finite (got {y!r})")
-    except (TypeError, ValueError):
-        problems.append(f"response must be a real number (got {y!r})")
-    if delta not in (0, 1, 0.0, 1.0):
-        problems.append(f"delta must be 0 or 1 (got {delta!r})")
-    try:
-        tv = float(t)
-        if not np.isfinite(tv) or not 0.0 <= tv <= 1.0:
-            problems.append(f"modifier t must lie in [0, 1] (got {t!r})")
-    except (TypeError, ValueError):
-        problems.append(f"modifier t must be a real number (got {t!r})")
-    try:
-        xv = np.asarray(x, dtype=float)
-        if xv.ndim != 1 or xv.size < 1:
-            problems.append("covariate vector must be one-dimensional and non-empty")
-        elif not np.all(np.isfinite(xv)):
-            problems.append("covariates must be finite")
-    except (TypeError, ValueError):
-        problems.append(f"covariates must be real numbers (got {x!r})")
-    return problems
+        return np.ascontiguousarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError([(None, f"column {name} must be numeric ({exc})")]) from None
+
+
+def _flag_rows(problems: list, bad: np.ndarray, message: str) -> None:
+    rows = np.flatnonzero(bad)
+    problems.extend((int(i), message) for i in rows[:_NAMED_ROWS])
+    if rows.size > _NAMED_ROWS:
+        problems.append((None, f"{message}: {rows.size - _NAMED_ROWS} more rows"))
 
 
 @dataclass(frozen=True)
@@ -93,7 +64,9 @@ class Dataset:
     """Validated sample of censored observations with common dimension d.
 
     Arrays are stored column-wise (``y``, ``delta``, ``x``, ``t``) and are
-    read-only; ``observations`` materializes row objects on demand.
+    read-only. Every violation is collected into one ``ValidationError``
+    that names the first offending rows of each kind; malformed data is
+    never repaired.
     """
 
     y: np.ndarray
@@ -102,33 +75,28 @@ class Dataset:
     t: np.ndarray
 
     def __post_init__(self):
-        y = _frozen(np.ascontiguousarray(self.y, dtype=float))
-        delta = _frozen(np.ascontiguousarray(self.delta, dtype=int))
-        x = _frozen(np.ascontiguousarray(self.x, dtype=float))
-        t = _frozen(np.ascontiguousarray(self.t, dtype=float))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", t)
-        n = y.shape[0]
+        y, delta, x, t = (
+            _column(getattr(self, name), name) for name in ("y", "delta", "x", "t")
+        )
+        n = y.shape[0] if y.ndim else 0
         problems = []
         if n < 2:
             problems.append((None, f"dataset needs at least 2 rows (got {n})"))
-        if x.ndim != 2 or x.shape[0] != n or delta.shape != (n,) or t.shape != (n,):
+        if y.ndim != 1 or x.ndim != 2 or x.shape[0] != n or delta.shape != (n,) or t.shape != (n,):
             problems.append((None, "column arrays must share the same row count"))
         elif x.shape[1] < 1:
             problems.append((None, "covariate dimension d must be at least 1"))
         else:
-            if not np.all(np.isfinite(y)):
-                problems.append((None, "responses must be finite"))
-            if not np.all((delta == 0) | (delta == 1)):
-                problems.append((None, "delta must be 0 or 1"))
-            if not (np.all(np.isfinite(t)) and np.all((t >= 0) & (t <= 1))):
-                problems.append((None, "modifier t must lie in [0, 1]"))
-            if not np.all(np.isfinite(x)):
-                problems.append((None, "covariates must be finite"))
+            _flag_rows(problems, ~np.isfinite(y), "response must be finite")
+            _flag_rows(problems, (delta != 0) & (delta != 1), "delta must be 0 or 1")
+            _flag_rows(problems, ~((t >= 0) & (t <= 1)), "modifier t must lie in [0, 1]")
+            _flag_rows(problems, ~np.all(np.isfinite(x), axis=1), "covariates must be finite")
         if problems:
             raise ValidationError(problems)
+        object.__setattr__(self, "y", _frozen(y))
+        object.__setattr__(self, "delta", _frozen(delta.astype(int)))
+        object.__setattr__(self, "x", _frozen(x))
+        object.__setattr__(self, "t", _frozen(t))
 
     @property
     def n(self) -> int:
@@ -137,18 +105,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def observations(self) -> tuple[CensoredObservation, ...]:
-        return tuple(
-            CensoredObservation(
-                y=float(self.y[i]),
-                delta=int(self.delta[i]),
-                x=tuple(self.x[i]),
-                t=float(self.t[i]),
-            )
-            for i in range(self.n)
-        )
 
 
 @dataclass(frozen=True)
@@ -240,75 +196,60 @@ def normalize_direction(v: Sequence[float] | np.ndarray) -> UnitDirection:
     return UnitDirection(components=unit)
 
 
-def validate_dataset(
-    rows: Iterable[CensoredObservation | Sequence],
-) -> Dataset:
-    """Build a ``Dataset`` from raw rows, rejecting malformed input.
+def validate_dataset(rows: Iterable[Sequence]) -> Dataset:
+    """Build a ``Dataset`` from ``(y, delta, x, t)`` rows.
 
-    Rows may be ``CensoredObservation`` instances or ``(y, delta, x, t)``
-    sequences. All violations are collected into one ``ValidationError``
-    that names each offending row; malformed data is never repaired.
+    Rows that do not unpack into four fields with a covariate sequence,
+    and covariate vectors of unequal length, are reported here; the
+    values themselves are checked by ``Dataset``.
     """
-    ys, deltas, xs, ts = [], [], [], []
+    columns = []
     problems: list[tuple[int | None, str]] = []
     for i, row in enumerate(rows):
-        if isinstance(row, CensoredObservation):
-            y, delta, x, t = row.y, row.delta, row.x, row.t
-        else:
-            try:
-                y, delta, x, t = row
-            except (TypeError, ValueError):
-                problems.append((i, f"expected (y, delta, x, t), got {row!r}"))
-                continue
-        row_problems = _row_problems(y, delta, x, t)
-        if row_problems:
-            problems.extend((i, msg) for msg in row_problems)
-            continue
-        ys.append(float(y))
-        deltas.append(int(delta))
-        xs.append(np.asarray(x, dtype=float))
-        ts.append(float(t))
+        try:
+            y, delta, x, t = row
+            columns.append((y, delta, tuple(x), t))
+        except (TypeError, ValueError):
+            problems.append((i, f"expected (y, delta, x, t), got {row!r}"))
     if not problems:
-        dims = {x.size for x in xs}
+        dims = {len(row[2]) for row in columns}
         if len(dims) > 1:
             problems.append((None, f"ragged covariates: found lengths {sorted(dims)}"))
-        elif len(ys) < 2:
-            problems.append((None, f"dataset needs at least 2 rows (got {len(ys)})"))
     if problems:
         raise ValidationError(problems)
-    return Dataset(
-        y=np.array(ys),
-        delta=np.array(deltas),
-        x=np.vstack(xs),
-        t=np.array(ts),
-    )
+    y, delta, x, t = zip(*columns) if columns else ((), (), (), ())
+    return Dataset(y=y, delta=delta, x=x, t=t)
 
 
-def evaluate_curves(curves: CoefficientCurves, t: float) -> np.ndarray:
-    """Direction at modifier value ``t``.
+def evaluate_curves(curves: CoefficientCurves, t) -> np.ndarray:
+    """Direction at each modifier value in ``t`` (a scalar gives shape
+    ``(d,)``, a vector of m values shape ``(m, d)``).
 
     Exact grid hits return the stored direction. Between grid points the
     two bracketing directions are linearly interpolated and re-normalized,
     which keeps the result on the unit sphere. Outside the grid range the
     nearest end direction is used.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"modifier t must lie in [0, 1] (got {t})")
-    grid = curves.grid
-    idx = int(np.searchsorted(grid, t, side="left"))
-    if idx < grid.size and grid[idx] == t:
-        return curves.directions[idx].components
-    if idx == 0:
-        return curves.directions[0].components
-    if idx == grid.size:
-        return curves.directions[-1].components
-    t_lo, t_hi = grid[idx - 1], grid[idx]
-    w = (t - t_lo) / (t_hi - t_lo)
-    blend = (1.0 - w) * curves.directions[idx - 1].components + w * curves.directions[
-        idx
-    ].components
-    return normalize_direction(blend).components
+    ts = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(ts)
+    outside = ~((flat >= 0.0) & (flat <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"modifier t must lie in [0, 1] (got {flat[outside][0]})")
+    grid, matrix = curves.grid, curves.matrix
+    idx = np.searchsorted(grid, flat, side="left")
+    nearest = np.minimum(idx, grid.size - 1)
+    out = matrix[nearest]
+    inner = (idx > 0) & (idx < grid.size) & (grid[nearest] != flat)
+    if np.any(inner):
+        k = idx[inner]
+        w = ((flat[inner] - grid[k - 1]) / (grid[k] - grid[k - 1]))[:, None]
+        blend = (1.0 - w) * matrix[k - 1] + w * matrix[k]
+        # normalize_direction's steps, row by row. The batched matmul gives
+        # the same squared norm as its 1-D dot to the last bit, which
+        # np.linalg.norm(axis=1) and einsum do not.
+        scaled = blend / np.max(np.abs(blend), axis=1, keepdims=True)
+        out[inner] = scaled / np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0]
+    return out[0] if ts.ndim == 0 else out
 
 
 def censoring_rate(dataset: Dataset) -> float:

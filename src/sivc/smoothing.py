@@ -1,10 +1,9 @@
 """Kernel smoothing primitives.
 
 Provides the kernel families, univariate Nadaraya-Watson regression with
-optional leave-one-out exclusion, the bivariate product-kernel profile
-smoother used by the direction fit, Rosenblatt-Parzen density estimation,
-and bandwidth selection (normal reference rule, optionally refined by
-leave-one-out cross-validation).
+optional leave-one-out exclusion (the link smoother), and bandwidth
+selection by the normal reference rule. The product-kernel profile
+smoother of the direction fit lives in ``sivc.estimator``.
 
 Smoothing on the index side is univariate: the regression target is the
 scalar projection of the covariates, not the covariate vector itself.
@@ -20,17 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePredictorError, NoLocalDataError
-from .model import Dataset, UnitDirection, normalize_direction
+from .model import Dataset, normalize_direction
 
 __all__ = [
     "KernelSpec",
     "Bandwidths",
-    "kernel_weight",
+    "kernel_values",
     "nw_estimate",
-    "profile_smoother",
-    "density_estimate",
     "rule_of_thumb_bandwidth",
-    "cv_bandwidth",
     "select_bandwidths",
 ]
 
@@ -65,11 +61,6 @@ class KernelSpec:
     def gaussian(cls) -> "KernelSpec":
         return cls("gaussian")
 
-    @property
-    def support_radius(self) -> float:
-        """Radius beyond which the kernel is exactly zero (inf for gaussian)."""
-        return 1.0 if self.family == "epanechnikov" else math.inf
-
 
 @dataclass(frozen=True)
 class Bandwidths:
@@ -95,10 +86,6 @@ def kernel_values(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
         return np.where(np.abs(u) <= 1.0, out, 0.0)
     return _INV_SQRT_2PI * np.exp(-0.5 * u * u)
 
-
-def kernel_weight(spec: KernelSpec, u: float) -> float:
-    """Kernel weight at a single point; symmetric, nonnegative, unit mass."""
-    return float(kernel_values(spec, np.asarray(float(u))))
 
 
 def nw_estimate(
@@ -130,47 +117,6 @@ def nw_estimate(
     return float(w @ ys) / total
 
 
-def profile_smoother(
-    dataset: Dataset,
-    theta: UnitDirection,
-    t0: float,
-    u: float,
-    bw: Bandwidths,
-    spec: KernelSpec,
-    exclude: int | None = None,
-) -> float:
-    """Product-kernel local mean of the observed responses.
-
-    Weights row i by K((theta.x_i - u)/h1) * K((t_i - t0)/h2) and returns
-    the weighted mean of y, optionally leaving one row out.
-    """
-    if not 0.0 <= float(t0) <= 1.0:
-        raise ValueError(f"t0 must lie in [0, 1] (got {t0})")
-    proj = dataset.x @ theta.components
-    w = kernel_values(spec, (proj - u) / bw.h1) * kernel_values(
-        spec, (dataset.t - t0) / bw.h2
-    )
-    if exclude is not None:
-        w = w.copy()
-        w[exclude] = 0.0
-    total = float(w.sum())
-    if total < WEIGHT_FLOOR:
-        raise NoLocalDataError((u, t0), f"no local data at (u={u}, t0={t0})")
-    return float(w @ dataset.y) / total
-
-
-def density_estimate(
-    xs: np.ndarray, x0: float, h: float, spec: KernelSpec
-) -> float:
-    """Rosenblatt-Parzen density estimate n^-1 h^-1 sum_i K((x0-x_i)/h)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 1:
-        raise ValueError("xs must be a non-empty vector")
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    return float(kernel_values(spec, (x0 - xs) / h).mean() / h)
-
-
 def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:
     """Normal reference rule 1.06 * sd(xs) * n^(-1/5).
 
@@ -187,68 +133,19 @@ def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:
     return 1.06 * sd * n ** (-0.2)
 
 
-def cv_bandwidth(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    spec: KernelSpec,
-    candidates: np.ndarray,
-) -> float:
-    """Bandwidth minimizing leave-one-out squared prediction error.
-
-    Candidates where some point loses its whole neighborhood score
-    infinity (the bandwidth is too narrow for the design).
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    candidates = np.asarray(candidates, dtype=float)
-    if candidates.ndim != 1 or candidates.size < 1:
-        raise ValueError("candidate grid must be a non-empty vector")
-    if np.any(candidates <= 0):
-        raise ValueError("candidate bandwidths must be positive")
-    n = xs.size
-    diffs = (xs[None, :] - xs[:, None])
-    best_h, best_score = None, math.inf
-    for h in candidates:
-        w = kernel_values(spec, diffs / h)
-        np.fill_diagonal(w, 0.0)
-        totals = w.sum(axis=1)
-        if np.any(totals < WEIGHT_FLOOR):
-            continue
-        preds = (w @ ys) / totals
-        score = float(np.sum((ys - preds) ** 2))
-        if score < best_score:
-            best_h, best_score = float(h), score
-    if best_h is None:
-        raise NoLocalDataError(
-            None, "every candidate bandwidth left some point without neighbors"
-        )
-    return best_h
-
-
-def select_bandwidths(
-    dataset: Dataset,
-    spec: KernelSpec,
-    candidates: np.ndarray | None = None,
-) -> Bandwidths:
+def select_bandwidths(dataset: Dataset, spec: KernelSpec) -> Bandwidths:
     """Bandwidths for the profile fit and the link smoother.
 
-    Defaults to the normal reference rule per smoothing direction: the
-    modifier bandwidth h2 from sd(t), and the index bandwidths h1 and
-    h_link from the projection of x onto an equal-weights pilot direction
-    (the fitted direction is unknown at selection time; for unit-norm
-    directions the projection scale is insensitive to the pilot choice).
-    With a candidate grid, each bandwidth is instead chosen by
-    leave-one-out cross-validation of the corresponding univariate
-    regression of y.
+    The normal reference rule per smoothing direction: the modifier
+    bandwidth h2 from sd(t), and the index bandwidths h1 and h_link from
+    the projection of x onto an equal-weights pilot direction (the fitted
+    direction is unknown at selection time; for unit-norm directions the
+    projection scale is insensitive to the pilot choice). The rule is the
+    same for every kernel family in ``spec``.
     """
     if dataset.n < 10:
         raise ValueError(f"bandwidth selection needs n >= 10 (got {dataset.n})")
     pilot = normalize_direction(np.ones(dataset.d)).components
-    proj = dataset.x @ pilot
-    if candidates is not None:
-        h_index = cv_bandwidth(proj, dataset.y, spec, candidates)
-        h2 = cv_bandwidth(dataset.t, dataset.y, spec, candidates)
-    else:
-        h_index = rule_of_thumb_bandwidth(proj)
-        h2 = rule_of_thumb_bandwidth(dataset.t)
+    h_index = rule_of_thumb_bandwidth(dataset.x @ pilot)
+    h2 = rule_of_thumb_bandwidth(dataset.t)
     return Bandwidths(h1=h_index, h2=h2, h_link=h_index)

@@ -24,9 +24,11 @@ from sivc import (
     fit_direction_at,
     fit_link,
     fit_model,
-    kernel_weight,
+    kernel_values,
     local_objective,
     normalize_direction,
+    rule_of_thumb_bandwidth,
+    select_bandwidths,
 )
 
 EPAN = KernelSpec.epanechnikov()
@@ -36,7 +38,7 @@ def naive_local_objective(dataset, t0, theta, bw, spec):
     """Independent loop oracle for the leave-one-out profile objective."""
     n = dataset.n
     proj = [float(dataset.x[i] @ theta.components) for i in range(n)]
-    kt = [kernel_weight(spec, (dataset.t[i] - t0) / bw.h2) for i in range(n)]
+    kt = [float(kernel_values(spec, (dataset.t[i] - t0) / bw.h2)) for i in range(n)]
     total = 0.0
     for i in range(n):
         if kt[i] == 0.0:
@@ -45,7 +47,7 @@ def naive_local_objective(dataset, t0, theta, bw, spec):
         for j in range(n):
             if j == i:
                 continue
-            w = kernel_weight(spec, (proj[j] - proj[i]) / bw.h1) * kt[j]
+            w = float(kernel_values(spec, (proj[j] - proj[i]) / bw.h1)) * kt[j]
             num += w * dataset.y[j]
             den += w
         if den < 1e-300:
@@ -203,23 +205,22 @@ class TestLocalObjective:
 class TestFitDirectionAt:
     def test_recovers_constant_direction_noise_free(self):
         ds = constant_direction_data(seed=1, n=200, direction=(0.6, 0.8))
-        fit = fit_direction_at(ds, 0.5, FitConfig())
+        fit = fit_direction_at(ds, 0.5, FitConfig(), select_bandwidths(ds, EPAN))
         assert angular_error(fit.direction, (0.6, 0.8)) < 0.05
 
     def test_warm_start_never_hurts(self):
         ds = constant_direction_data(seed=2, n=120, direction=(0.6, 0.8))
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
-        config = FitConfig(bandwidths=bw)
         warm = normalize_direction([0.6, 0.8])
         warm_objective = local_objective(ds, 0.5, warm, bw, EPAN)
-        fit = fit_direction_at(ds, 0.5, config, warm_start=warm)
+        fit = fit_direction_at(ds, 0.5, FitConfig(), bw, warm_start=warm)
         assert fit.objective <= warm_objective + 1e-15
 
     def test_objective_beats_every_restart_start(self):
         ds = constant_direction_data(seed=3, n=120, direction=(0.6, 0.8), noise_sd=0.1)
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
-        config = FitConfig(bandwidths=bw)
-        fit = fit_direction_at(ds, 0.5, config)
+        config = FitConfig()
+        fit = fit_direction_at(ds, 0.5, config, bw)
         k = config.optimizer.restarts
         for i in range(k):
             a0 = -math.pi / 2 + (i + 0.5) * math.pi / k
@@ -245,7 +246,7 @@ class TestFitDirectionAt:
             t=np.concatenate([t, t]),
         )
         bw = Bandwidths(h1=0.5, h2=0.6, h_link=0.5)
-        fit = fit_direction_at(ds, 0.5, FitConfig(bandwidths=bw))
+        fit = fit_direction_at(ds, 0.5, FitConfig(), bw)
         angle = angles_from_direction(fit.direction)[0]
         assert angle < -0.5
         mirrored = normalize_direction(direction_from_angles([-angle]))
@@ -257,9 +258,8 @@ class TestFitDirectionAt:
         ds = constant_direction_data(seed=4, n=100, direction=(0.8, 0.6))
         scaled = Dataset(y=2.0 * ds.y, delta=ds.delta, x=ds.x, t=ds.t)
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
-        config = FitConfig(bandwidths=bw)
-        fit_a = fit_direction_at(ds, 0.5, config)
-        fit_b = fit_direction_at(scaled, 0.5, config)
+        fit_a = fit_direction_at(ds, 0.5, FitConfig(), bw)
+        fit_b = fit_direction_at(scaled, 0.5, FitConfig(), bw)
         assert angular_error(fit_b.direction, fit_a.direction.components) < 1e-4
 
     def test_univariate_covariate_is_trivial(self):
@@ -271,7 +271,7 @@ class TestFitDirectionAt:
             x=rng.normal(size=(n, 1)),
             t=rng.uniform(0, 1, n),
         )
-        fit = fit_direction_at(ds, 0.5, FitConfig(bandwidths=Bandwidths(0.5, 0.5, 0.5)))
+        fit = fit_direction_at(ds, 0.5, FitConfig(), Bandwidths(0.5, 0.5, 0.5))
         assert fit.direction.components.tolist() == [1.0]
 
     def test_unit_norm_and_positive_first_always(self):
@@ -280,7 +280,8 @@ class TestFitDirectionAt:
             ds = constant_direction_data(
                 seed=seed, n=80, direction=(0.6, 0.8), noise_sd=0.3
             )
-            fit = fit_direction_at(ds, float(rng.uniform(0, 1)), FitConfig())
+            bw = select_bandwidths(ds, EPAN)
+            fit = fit_direction_at(ds, float(rng.uniform(0, 1)), FitConfig(), bw)
             assert abs(np.linalg.norm(fit.direction.components) - 1) <= 1e-12
             assert fit.direction.components[0] > 0
 
@@ -288,8 +289,8 @@ class TestFitDirectionAt:
 class TestFitCoefficientCurves:
     def test_grid_size_two(self):
         ds = constant_direction_data(seed=5, n=100, direction=(0.6, 0.8))
-        config = FitConfig(t_grid_size=2, bandwidths=Bandwidths(0.4, 0.5, 0.4))
-        curves, fits = fit_coefficient_curves(ds, config)
+        config = FitConfig(t_grid_size=2)
+        curves, fits = fit_coefficient_curves(ds, config, Bandwidths(0.4, 0.5, 0.4))
         assert curves.grid.tolist() == [0.0, 1.0]
         assert len(curves.directions) == 2
         assert len(fits) == 2
@@ -297,16 +298,17 @@ class TestFitCoefficientCurves:
     def test_constant_direction_recovery_full_grid(self):
         ds = constant_direction_data(seed=6, n=300, direction=(0.6, 0.8), noise_sd=0.05)
         config = FitConfig(t_grid_size=11)
-        curves, _ = fit_coefficient_curves(ds, config)
+        curves, _ = fit_coefficient_curves(ds, config, select_bandwidths(ds, EPAN))
         for u in curves.directions:
             assert angular_error(u, (0.6, 0.8)) < 0.05
 
     def test_cold_start_mode_matches_truth_too(self):
+        # every grid point fitted on its own, without a warm start
         ds = constant_direction_data(seed=6, n=300, direction=(0.6, 0.8), noise_sd=0.05)
-        config = FitConfig(t_grid_size=5)
-        curves, _ = fit_coefficient_curves(ds, config, warm_sweep=False)
-        for u in curves.directions:
-            assert angular_error(u, (0.6, 0.8)) < 0.05
+        bw = select_bandwidths(ds, EPAN)
+        for t0 in FitConfig(t_grid_size=5).t_grid:
+            fit = fit_direction_at(ds, float(t0), FitConfig(), bw)
+            assert angular_error(fit.direction, (0.6, 0.8)) < 0.05
 
     def test_errors_carry_grid_location(self):
         rng = np.random.default_rng(25)
@@ -317,14 +319,48 @@ class TestFitCoefficientCurves:
             x=rng.normal(size=(n, 2)),
             t=np.linspace(0.3, 0.7, n),
         )
-        config = FitConfig(
-            t_grid_size=3, bandwidths=Bandwidths(h1=1.0, h2=1e-4, h_link=1.0)
-        )
+        config = FitConfig(t_grid_size=3)
+        bw = Bandwidths(h1=1.0, h2=1e-4, h_link=1.0)
         with pytest.raises(EstimationError, match="t0=0"):
-            fit_coefficient_curves(ds, config)
+            fit_coefficient_curves(ds, config, bw)
+
+
+def loop_index(dataset, curves):
+    """Per-row oracle: interpolate, renormalize and project one row at a
+    time with 1-D dot products."""
+    grid, matrix = curves.grid, curves.matrix
+    out = []
+    for x, t in zip(dataset.x, dataset.t):
+        k = int(np.searchsorted(grid, t))
+        if k == 0 or k == grid.size or grid[k] == t:
+            beta = matrix[min(k, grid.size - 1)]
+        else:
+            w = (t - grid[k - 1]) / (grid[k] - grid[k - 1])
+            beta = normalize_direction((1.0 - w) * matrix[k - 1] + w * matrix[k]).components
+        out.append(float(x @ beta))
+    return np.array(out)
 
 
 class TestComputeIndex:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_bitwise_equal_to_per_row_loop(self, d):
+        rng = np.random.default_rng(40 + d)
+        for grid in (np.linspace(0.0, 1.0, 21), np.linspace(0.2, 0.8, 7)):
+            curves = CoefficientCurves(
+                grid=grid,
+                directions=tuple(
+                    normalize_direction(rng.normal(size=d) * np.sign(rng.normal())) for _ in grid
+                ),
+            )
+            t = np.concatenate([rng.uniform(0, 1, 400), grid, [0.0, 1.0]])
+            ds = Dataset(
+                y=np.zeros(t.size),
+                delta=np.ones(t.size, dtype=int),
+                x=rng.normal(size=(t.size, d)),
+                t=t,
+            )
+            assert np.array_equal(compute_index(ds, curves), loop_index(ds, curves))
+
     def make_curves(self, d0, d1):
         return CoefficientCurves(
             grid=np.array([0.0, 1.0]),
@@ -361,17 +397,15 @@ class TestFitLink:
         index = rng.uniform(-1, 1, 300)
         synthetic = np.full(300, 4.0)
         config = FitConfig(link_grid=(-0.5, 0.5, 21))
-        link = fit_link(index, synthetic, config)
+        link = fit_link(index, synthetic, config, rule_of_thumb_bandwidth(index))
         assert np.all(link.defined)
         assert np.allclose(link.m_hat, 4.0)
 
     def test_marker_beyond_compact_support(self):
         index = np.array([0.0, 0.05, 0.1])
         synthetic = np.array([1.0, 2.0, 3.0])
-        config = FitConfig(
-            link_grid=(-0.5, 0.5, 11), bandwidths=Bandwidths(0.1, 0.1, 0.1)
-        )
-        link = fit_link(index, synthetic, config)
+        config = FitConfig(link_grid=(-0.5, 0.5, 11))
+        link = fit_link(index, synthetic, config, 0.1)
         assert not link.defined[0]
         assert np.isnan(link.m_hat[0])
         assert link.defined[5]
@@ -381,7 +415,7 @@ class TestFitLink:
         u = rng.uniform(-1, 1, 2000)
         y = u ** 2
         config = FitConfig()
-        link = fit_link(u, y, config)
+        link = fit_link(u, y, config, rule_of_thumb_bandwidth(u))
         k = int(np.argmin(np.abs(link.u_grid - 0.5)))
         assert link.defined[k]
         assert abs(link.m_hat[k] - 0.25) < 0.05
@@ -390,7 +424,7 @@ class TestFitLink:
         rng = np.random.default_rng(20)
         index = rng.normal(size=400)
         synthetic = np.abs(rng.normal(size=400)) * 3.0
-        link = fit_link(index, synthetic, FitConfig())
+        link = fit_link(index, synthetic, FitConfig(), rule_of_thumb_bandwidth(index))
         defined = link.m_hat[link.defined]
         assert np.all(defined >= synthetic.min() - 1e-12)
         assert np.all(defined <= synthetic.max() + 1e-12)

@@ -1,6 +1,7 @@
 """Tests for the domain types, validation, and curve evaluation."""
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sivc import (
-    CensoredObservation,
     CoefficientCurves,
     Dataset,
     DegenerateDirectionError,
@@ -107,12 +107,15 @@ class TestNormalizeDirection:
 
 class TestObservationAndDataset:
     def test_observation_enforces_invariants(self):
-        with pytest.raises(ValidationError):
-            CensoredObservation(y=1.0, delta=2, x=(1.0,), t=0.5)
-        with pytest.raises(ValidationError):
-            CensoredObservation(y=1.0, delta=1, x=(1.0,), t=1.5)
-        with pytest.raises(ValidationError):
-            CensoredObservation(y=math.inf, delta=1, x=(1.0,), t=0.5)
+        good = (0.5, 1, (0.0,), 0.5)
+        for bad in (
+            (1.0, 2, (1.0,), 0.5),
+            (1.0, 0.5, (1.0,), 0.5),
+            (1.0, 1, (1.0,), 1.5),
+            (math.inf, 1, (1.0,), 0.5),
+        ):
+            with pytest.raises(ValidationError, match="row 1"):
+                validate_dataset([good, bad])
 
     def test_dataset_is_immutable(self):
         ds = make_dataset([1.0, 2.0], [1, 0], [[1.0], [2.0]], [0.1, 0.2])
@@ -120,10 +123,11 @@ class TestObservationAndDataset:
             ds.y[0] = 99.0
 
     def test_observations_roundtrip(self):
-        ds = make_dataset([1.0, 2.0], [1, 0], [[1.0, 2.0], [3.0, 4.0]], [0.1, 0.2])
-        obs = ds.observations
-        assert obs[1].delta == 0
-        assert obs[1].x == (3.0, 4.0)
+        ds = validate_dataset([(1.0, 1, (1.0, 2.0), 0.1), (2.0, 0, [3.0, 4.0], 0.2)])
+        assert ds.y.tolist() == [1.0, 2.0]
+        assert ds.delta.tolist() == [1, 0]
+        assert ds.x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.t.tolist() == [0.1, 0.2]
 
     def test_unit_direction_invariants(self):
         with pytest.raises(ValueError):
@@ -169,12 +173,25 @@ class TestValidateDataset:
             validate_dataset([(1.0, 1, (0.5,), 0.1)])
 
     def test_accepts_observation_objects(self):
-        rows = [
-            CensoredObservation(y=1.0, delta=1, x=(0.5,), t=0.1),
-            CensoredObservation(y=2.0, delta=0, x=(0.3,), t=0.9),
-        ]
+        # any row object that unpacks into (y, delta, x, t)
+        Observation = namedtuple("Observation", "y delta x t")
+        rows = [Observation(1.0, 1, (0.5,), 0.1), Observation(2.0, 0, (0.3,), 0.9)]
         ds = validate_dataset(rows)
         assert ds.n == 2
+        assert ds.delta.tolist() == [1, 0]
+
+    def test_malformed_row_names_row(self):
+        with pytest.raises(ValidationError, match="row 1: expected"):
+            validate_dataset([(1.0, 1, (0.5,), 0.1), (2.0, 0, 0.5)])
+
+    def test_dataset_names_first_offending_rows(self):
+        n = 12
+        delta = np.ones(n)
+        delta[[2, 3, 5, 7, 8, 9, 11]] = 0.5
+        with pytest.raises(ValidationError) as err:
+            make_dataset(np.zeros(n), delta, np.zeros((n, 1)), np.linspace(0, 1, n))
+        assert [row for row, _ in err.value.problems] == [2, 3, 5, 7, 8, None]
+        assert "delta must be 0 or 1: 2 more rows" in str(err.value)
 
 
 def curves_fixture(d0, d1):

@@ -1,5 +1,8 @@
 """Tests for the data generator, replication runner, and quantile bands."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,10 @@ from sivc import (
     SimConfig,
     censoring_rate,
     generate_dataset,
-    pointwise_quantile,
     resolve_censor_scale,
     run_monte_carlo,
 )
+from sivc.simulate import _band
 
 SMALL_FIT = FitConfig(
     t_grid_size=5,
@@ -125,36 +128,60 @@ class TestGenerateDataset:
         assert c1 == c2 and c1 > 0
 
 
+def nearest_rank(values, p):
+    """Reference rule: the ceil(p*k)-th smallest of k values."""
+    ordered = np.sort(values)
+    return ordered[max(1, math.ceil(p * ordered.size)) - 1]
+
+
+def bands(values):
+    """(median, q05, q95) of one column of values."""
+    median, q05, q95 = _band(np.asarray(values, dtype=float)[:, None])
+    return median[0], q05[0], q95[0]
+
+
 class TestPointwiseQuantile:
     def test_nearest_rank_low(self):
-        values = np.arange(1.0, 101.0)
-        assert pointwise_quantile(values, 0.05) == 5.0
+        assert bands(np.arange(1.0, 101.0))[1] == 5.0
 
     def test_nearest_rank_high(self):
-        values = np.arange(1.0, 101.0)
-        assert pointwise_quantile(values, 0.95) == 95.0
+        assert bands(np.arange(1.0, 101.0))[2] == 95.0
 
     def test_single_value(self):
-        for p in (0.0, 0.3, 1.0):
-            assert pointwise_quantile(np.array([7.5]), p) == 7.5
+        assert bands([7.5]) == (7.5, 7.5, 7.5)
 
     def test_zero_is_minimum(self):
-        assert pointwise_quantile(np.array([3.0, 1.0, 2.0]), 0.0) == 1.0
+        # with k <= 20 values the 5% rank ceil(0.05 k) is 1, as for p = 0
+        assert bands([3.0, 1.0, 2.0])[1] == 1.0
 
     def test_median_convention(self):
-        assert pointwise_quantile(np.array([4.0, 1.0, 3.0, 2.0]), 0.5) == 2.0
+        assert bands([4.0, 1.0, 3.0, 2.0])[0] == 2.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pointwise_quantile(np.array([]), 0.5)
+        # a column where every replication failed gets no band, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(np.isnan(bands([np.nan, np.nan])))
 
     def test_order_statistic_bounds(self):
         rng = np.random.default_rng(9)
-        vals = rng.normal(size=37)
-        q05 = pointwise_quantile(vals, 0.05)
-        q50 = pointwise_quantile(vals, 0.5)
-        q95 = pointwise_quantile(vals, 0.95)
-        assert q05 <= q50 <= q95
+        median, q05, q95 = bands(rng.normal(size=37))
+        assert q05 <= median <= q95
+
+    def test_nan_masked_columns_match_nearest_rank(self):
+        rng = np.random.default_rng(10)
+        values = rng.integers(0, 6, size=(60, 30)).astype(float)  # many ties
+        values[rng.uniform(size=values.shape) < 0.3] = np.nan
+        values[:, 0] = np.nan
+        values[1:, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _band(values.reshape(60, 15, 2))
+        for band, p in zip(got, (0.5, 0.05, 0.95)):
+            for j in range(30):
+                col = values[:, j][~np.isnan(values[:, j])]
+                want = nearest_rank(col, p) if col.size else np.nan
+                assert np.array_equal(band.reshape(30)[j], want, equal_nan=True)
 
 
 class TestRunMonteCarlo:

@@ -1,4 +1,4 @@
-"""Tests for kernels, local smoothers, density, and bandwidth selection."""
+"""Tests for kernels, the Nadaraya-Watson smoother, and bandwidth selection."""
 
 import math
 
@@ -14,12 +14,9 @@ from sivc import (
     DegeneratePredictorError,
     KernelSpec,
     NoLocalDataError,
-    cv_bandwidth,
-    density_estimate,
-    kernel_weight,
+    kernel_values,
     normalize_direction,
     nw_estimate,
-    profile_smoother,
     rule_of_thumb_bandwidth,
     select_bandwidths,
 )
@@ -34,7 +31,7 @@ def naive_nw(xs, ys, x0, h, spec, exclude=None):
     for i in range(len(xs)):
         if i == exclude:
             continue
-        w = kernel_weight(spec, (x0 - xs[i]) / h)
+        w = float(kernel_values(spec, (x0 - xs[i]) / h))
         num += w * ys[i]
         den += w
     return num / den
@@ -42,14 +39,13 @@ def naive_nw(xs, ys, x0, h, spec, exclude=None):
 
 class TestKernelWeight:
     def test_epanechnikov_center(self):
-        assert kernel_weight(EPAN, 0.0) == 0.75
+        assert kernel_values(EPAN, 0.0) == 0.75
 
     def test_epanechnikov_outside_support(self):
-        assert kernel_weight(EPAN, 1.5) == 0.0
-        assert kernel_weight(EPAN, -1.0) == 0.0
+        assert kernel_values(EPAN, np.array([1.5, -1.0])).tolist() == [0.0, 0.0]
 
     def test_gaussian_center(self):
-        assert kernel_weight(GAUSS, 0.0) == pytest.approx(0.3989422804, abs=1e-9)
+        assert kernel_values(GAUSS, 0.0) == pytest.approx(0.3989422804, abs=1e-9)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -61,12 +57,12 @@ class TestKernelWeight:
     )
     def test_even_and_nonnegative(self, u, family):
         spec = KernelSpec(family)
-        assert kernel_weight(spec, u) == kernel_weight(spec, -u)
-        assert kernel_weight(spec, u) >= 0.0
+        assert kernel_values(spec, u) == kernel_values(spec, -u)
+        assert kernel_values(spec, u) >= 0.0
 
     @pytest.mark.parametrize("spec", [EPAN, GAUSS])
     def test_unit_mass(self, spec):
-        mass, _ = integrate.quad(lambda u: kernel_weight(spec, u), -40, 40, limit=200)
+        mass, _ = integrate.quad(lambda u: float(kernel_values(spec, u)), -40, 40, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
@@ -109,7 +105,7 @@ class TestNWEstimate:
             est = nw_estimate(xs, ys, x0, h, EPAN)
         except NoLocalDataError:
             return
-        w = np.array([kernel_weight(EPAN, (x0 - x) / h) for x in xs])
+        w = kernel_values(EPAN, (x0 - xs) / h)
         contributing = ys[w > 0]
         assert contributing.min() - 1e-12 <= est <= contributing.max() + 1e-12
 
@@ -123,100 +119,6 @@ class TestNWEstimate:
         assert nw_estimate(xs, ys2, 0.2, 1.0, GAUSS, exclude=7) == base
 
 
-def profile_fixture():
-    return Dataset(
-        y=np.array([1.0, 2.0, 3.0]),
-        delta=np.array([1, 1, 1]),
-        x=np.array([[0.2, 0.0], [0.5, 0.0], [0.9, 0.0]]),
-        t=np.array([0.1, 0.5, 0.9]),
-    )
-
-
-class TestProfileSmoother:
-    BW = Bandwidths(h1=1.0, h2=1.0, h_link=1.0)
-
-    def test_constant_responses(self):
-        ds = Dataset(
-            y=np.full(3, 2.5),
-            delta=np.array([1, 1, 1]),
-            x=np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]),
-            t=np.array([0.1, 0.5, 0.9]),
-        )
-        theta = normalize_direction([1.0, 0.0])
-        assert profile_smoother(ds, theta, 0.5, 0.2, self.BW, EPAN) == pytest.approx(2.5)
-
-    def test_self_evaluation_with_isolated_row(self):
-        # only the first row carries weight at its own coordinates: the
-        # second sits outside both kernel supports
-        ds = Dataset(
-            y=np.array([7.0, -3.0]),
-            delta=np.array([1, 1]),
-            x=np.array([[0.0, 0.0], [50.0, 0.0]]),
-            t=np.array([0.0, 1.0]),
-        )
-        bw = Bandwidths(h1=1.0, h2=0.5, h_link=1.0)
-        theta = normalize_direction([1.0, 0.0])
-        assert profile_smoother(ds, theta, 0.0, 0.0, bw, EPAN) == 7.0
-
-    def test_hand_computed_three_row_fixture(self):
-        # theta=(1,0), u=0.4, t0=0.5, h1=h2=1, epanechnikov; the six
-        # weights, written out:
-        #   index: K(-0.2)=0.72, K(0.1)=0.7425, K(0.5)=0.5625
-        #   modifier: K(-0.4)=0.63, K(0)=0.75, K(0.4)=0.63
-        w0 = 0.72 * 0.63
-        w1 = 0.7425 * 0.75
-        w2 = 0.5625 * 0.63
-        expected = (1.0 * w0 + 2.0 * w1 + 3.0 * w2) / (w0 + w1 + w2)
-        ds = profile_fixture()
-        theta = normalize_direction([1.0, 0.0])
-        got = profile_smoother(ds, theta, 0.5, 0.4, self.BW, EPAN)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_row_permutation_invariance(self):
-        ds = profile_fixture()
-        perm = [2, 0, 1]
-        ds_perm = Dataset(
-            y=ds.y[perm], delta=ds.delta[perm], x=ds.x[perm], t=ds.t[perm]
-        )
-        theta = normalize_direction([1.0, 0.0])
-        a = profile_smoother(ds, theta, 0.5, 0.4, self.BW, EPAN)
-        b = profile_smoother(ds_perm, theta, 0.5, 0.4, self.BW, EPAN)
-        assert a == pytest.approx(b, rel=1e-14)
-
-    def test_no_local_data(self):
-        ds = profile_fixture()
-        theta = normalize_direction([1.0, 0.0])
-        bw = Bandwidths(h1=0.01, h2=0.01, h_link=1.0)
-        with pytest.raises(NoLocalDataError):
-            profile_smoother(ds, theta, 0.5, 25.0, bw, EPAN)
-
-
-class TestDensityEstimate:
-    def test_single_point_center(self):
-        assert density_estimate(np.array([0.0]), 0.0, 1.0, EPAN) == 0.75
-
-    def test_outside_compact_support(self):
-        assert density_estimate(np.array([0.0, 0.5]), 10.0, 1.0, EPAN) == 0.0
-
-    def test_two_point_gaussian_hand_value(self):
-        # (1/2) * (phi(1) + phi(-1)) = phi(1)
-        got = density_estimate(np.array([-1.0, 1.0]), 0.0, 1.0, GAUSS)
-        assert got == pytest.approx(0.2419707, abs=1e-6)
-
-    def test_integrates_to_one(self):
-        rng = np.random.default_rng(3)
-        xs = rng.normal(size=60)
-        grid = np.linspace(-12, 12, 4001)
-        vals = [density_estimate(xs, g, 0.4, GAUSS) for g in grid]
-        assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-3)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(4)
-        xs = rng.normal(size=30)
-        for g in np.linspace(-4, 4, 17):
-            assert density_estimate(xs, g, 0.3, EPAN) >= 0.0
-
-
 class TestBandwidthSelection:
     def test_rule_of_thumb_formula(self):
         # alternating +/- a with a chosen so the sample sd is exactly 1
@@ -227,14 +129,6 @@ class TestBandwidthSelection:
     def test_degenerate_predictor(self):
         with pytest.raises(DegeneratePredictorError, match="degenerate predictor"):
             rule_of_thumb_bandwidth(np.full(20, 3.0))
-
-    def test_cv_selects_interior_candidate(self):
-        rng = np.random.default_rng(12)
-        xs = rng.uniform(-1, 1, 150)
-        ys = xs ** 2 + rng.normal(0, 0.1, 150)
-        candidates = np.geomspace(0.02, 2.0, 12)
-        h = cv_bandwidth(xs, ys, EPAN, candidates)
-        assert candidates[0] < h < candidates[-1]
 
     def test_select_bandwidths_rule_of_thumb(self):
         rng = np.random.default_rng(9)
@@ -252,18 +146,6 @@ class TestBandwidthSelection:
         assert bw.h2 == pytest.approx(rule_of_thumb_bandwidth(ds.t))
         assert bw.h_link == bw.h1
         assert bw.h1 > 0 and bw.h2 > 0
-
-    def test_select_bandwidths_with_cv_grid(self):
-        rng = np.random.default_rng(10)
-        n = 90
-        x = rng.normal(size=(n, 2))
-        pilot = normalize_direction(np.ones(2)).components
-        y = (x @ pilot) ** 2 + rng.normal(0, 0.1, n)
-        ds = Dataset(y=y, delta=np.ones(n, dtype=int), x=x, t=rng.uniform(0, 1, n))
-        candidates = np.geomspace(0.05, 2.0, 10)
-        bw = select_bandwidths(ds, EPAN, candidates=candidates)
-        assert bw.h1 in candidates
-        assert bw.h2 in candidates
 
     def test_needs_ten_rows(self):
         ds = Dataset(
