@@ -6,14 +6,16 @@ interest. The curve uses the left-limit convention: the value at s is the
 product over jump times strictly below s, so G-hat(s) estimates
 P(C >= s) and stays positive at the largest censored observation.
 
-Synthetic responses are the step-function integral
+Synthetic responses are the sign-aware step-function integral
 
-    T*_i = integral_0^inf I(y_i >= s) / G-hat(s) ds,
+    T*_i = min(y_i, 0) + integral_0^max(y_i, 0) 1/G-hat(s) ds
 
-evaluated exactly as a finite sum over the constancy intervals of G-hat
-intersected with [0, y_i]. Uncensored samples (G-hat == 1) reproduce
-nonnegative responses bit-for-bit; negative responses map to 0 because
-the integrand's support is empty.
+(Koul, Susarla & Van Ryzin 1981; Leurgans 1987), evaluated exactly as a
+finite sum over the constancy intervals of G-hat intersected with
+[0, y_i]. Censoring times are nonnegative, so G = 1 on (-inf, 0] and a
+negative response keeps its value; this keeps E[T* | x] = E[Y* | x] for
+latent responses of either sign. Uncensored samples (G-hat == 1)
+reproduce every response bit-for-bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CalibrationError, UnboundedSyntheticWeightError
+from .errors import CalibrationError, UnboundedSyntheticWeightError, ValidationError
 from .model import Dataset
 
 __all__ = [
@@ -114,13 +116,20 @@ def _segment_table(curve: SurvivalCurve):
 def synthetic_responses(dataset: Dataset, curve: SurvivalCurve) -> np.ndarray:
     """Synthetic responses T* for every row of the dataset.
 
-    T*_i integrates 1/G-hat over [0, y_i]; y_i <= 0 gives 0. Raises
-    ``UnboundedSyntheticWeightError`` (naming the first offending row)
-    when G-hat vanishes strictly inside some [0, y_i).
+    T*_i integrates 1/G-hat over [0, y_i] for y_i > 0 and is y_i itself
+    for y_i <= 0. Raises ``ValidationError`` naming the first censored
+    row with y_i < 0, which no nonnegative censoring time can produce,
+    and ``UnboundedSyntheticWeightError`` (naming the first offending
+    row) when G-hat vanishes strictly inside some [0, y_i).
     """
-    pts, seg, prefix = _segment_table(curve)
     y = dataset.y
-    out = np.zeros(dataset.n)
+    censored_negative = np.flatnonzero((dataset.delta == 0) & (y < 0))
+    if censored_negative.size:
+        row = int(censored_negative[0])
+        message = f"censored response {float(y[row])} is negative; censoring times are >= 0"
+        raise ValidationError([(row, message)])
+    pts, seg, prefix = _segment_table(curve)
+    out = np.minimum(y, 0.0)
     positive = y > 0
     k = np.searchsorted(pts[1:], y[positive], side="left")
     base = prefix[k]

@@ -125,14 +125,7 @@ class TestCriterion2LinkCurve:
         rmse = float(np.sqrt(np.mean((median - summary.u_grid[sel] ** 2) ** 2)))
         ok = rmse <= 0.06
         _report(2, "link median RMSE", ok, f"RMSE {rmse:.4f} (tol 0.06)")
-        assert rmse <= 0.06, (
-            f"median link RMSE {rmse:.4f} exceeds 0.06. The synthetic "
-            "transform integrates 1/G-hat from 0, so negative responses "
-            "map to 0 and the regression target is E[clamp(u^2+eps,0,c)], "
-            "which sits E[(-eps-u^2)+] (= 0.0798 at u=0 for sd 0.2) above "
-            "u^2; that bias alone has RMSE 0.0605 over this grid, so the "
-            "tolerance is unreachable for any bandwidth."
-        )
+        assert rmse <= 0.06, f"median link RMSE {rmse:.4f} exceeds 0.06"
 
     def test_criterion_2_link_quadratic_shape(self, full_run):
         summary, _ = full_run

@@ -11,6 +11,7 @@ from sivc import (
     Dataset,
     SurvivalCurve,
     UnboundedSyntheticWeightError,
+    ValidationError,
     calibrate_censoring,
     estimate_censoring_survival,
     survival_at,
@@ -108,12 +109,18 @@ class TestSyntheticResponses:
         assert out[0] == 3.0
         assert out[1] == 0.5
 
-    def test_negative_response_maps_to_zero(self):
-        curve = SurvivalCurve(jump_times=np.empty(0), values=np.empty(0))
-        ds = surv_dataset([-0.3, 1.0], [1, 1])
-        out = synthetic_responses(ds, curve)
-        assert out[0] == 0.0
-        assert out[1] == 1.0
+    def test_negative_response_keeps_its_value(self):
+        # G-hat = 1 on (-inf, 1], 0.5 after: only the positive part of a
+        # response is reweighted, T* = min(y, 0) + integral_0^max(y, 0)
+        curve = SurvivalCurve(jump_times=np.array([1.0]), values=np.array([0.5]))
+        ds = surv_dataset([-0.3, 2.0, 0.0, -4.0], [1, 1, 1, 1])
+        assert synthetic_responses(ds, curve).tolist() == [-0.3, 3.0, 0.0, -4.0]
+
+    def test_censored_negative_response_names_row(self):
+        ds = surv_dataset([1.0, 2.0, -0.5], [1, 1, 0])
+        curve = estimate_censoring_survival(ds)
+        with pytest.raises(ValidationError, match="row 2: censored response -0.5"):
+            synthetic_responses(ds, curve)
 
     def test_unbounded_weight_names_row(self):
         curve = SurvivalCurve(jump_times=np.array([1.0]), values=np.array([0.0]))
@@ -146,20 +153,22 @@ class TestSyntheticResponses:
         assert np.array_equal(out, base[perm])
 
     def test_unbiased_with_kaplan_meier_weights(self):
-        # latent (V+1)^2 with V uniform has mean 7/3; C ~ U(0, 6) keeps
-        # the censoring survival positive across the response range
+        # latent (V+1)^2 + shift with V uniform has mean 7/3 + shift;
+        # C ~ U(0, 6) keeps the censoring survival positive across the
+        # response range. The shift -2 makes the latent law straddle 0.
         rng = np.random.default_rng(30)
         n = 20_000
-        v = rng.uniform(0, 1, n)
-        y_star = (v + 1.0) ** 2
-        c = rng.uniform(0, 6.0, n)
-        y = np.minimum(y_star, c)
-        delta = (y_star < c).astype(int)
-        ds = surv_dataset(y, delta)
-        curve = estimate_censoring_survival(ds)
-        tstar = synthetic_responses(ds, curve)
-        se = tstar.std(ddof=1) / math.sqrt(n)
-        assert abs(tstar.mean() - 7.0 / 3.0) <= 5 * se
+        for shift in (0.0, -2.0):
+            v = rng.uniform(0, 1, n)
+            y_star = (v + 1.0) ** 2 + shift
+            c = rng.uniform(0, 6.0, n)
+            y = np.minimum(y_star, c)
+            delta = (y_star < c).astype(int)
+            ds = surv_dataset(y, delta)
+            curve = estimate_censoring_survival(ds)
+            tstar = synthetic_responses(ds, curve)
+            se = tstar.std(ddof=1) / math.sqrt(n)
+            assert abs(tstar.mean() - (7.0 / 3.0 + shift)) <= 5 * se
 
 
 class ParabolaDGP:
