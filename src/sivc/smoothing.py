@@ -1,8 +1,7 @@
 """Kernel smoothing primitives.
 
-Provides the kernel families, univariate Nadaraya-Watson regression with
-optional leave-one-out exclusion (the link smoother), and bandwidth
-selection by the normal reference rule. The product-kernel profile
+Provides the kernel families, univariate Nadaraya-Watson regression (the
+link smoother), and bandwidth selection by the normal reference rule. The product-kernel profile
 smoother of the direction fit lives in ``sivc.estimator``.
 
 Smoothing on the index side is univariate: the regression target is the
@@ -41,8 +40,10 @@ class KernelSpec:
     """Kernel family used for all smoothing steps.
 
     Epanechnikov (default elsewhere) has compact support, which makes
-    empty neighborhoods detectable and keeps the O(n^2) profile loops
-    cheap; gaussian is offered for smoothness.
+    empty neighborhoods detectable, and is a quadratic on that support,
+    which lets the direction fit's leave-one-out objective run in
+    O(m log m) from sorted prefix sums; gaussian is offered for
+    smoothness and is evaluated densely.
     """
 
     family: str
@@ -94,12 +95,10 @@ def nw_estimate(
     x0: float,
     h: float,
     spec: KernelSpec,
-    exclude: int | None = None,
 ) -> float:
     """Nadaraya-Watson estimate sum_i y_i K((x0-x_i)/h) / sum_i K((x0-x_i)/h).
 
-    ``exclude`` drops one index from both sums for leave-one-out
-    evaluation. Raises ``NoLocalDataError`` when every weight vanishes.
+    Raises ``NoLocalDataError`` when every weight vanishes.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -108,9 +107,6 @@ def nw_estimate(
     if not h > 0:
         raise ValueError("bandwidth must be positive")
     w = kernel_values(spec, (x0 - xs) / h)
-    if exclude is not None:
-        w = w.copy()
-        w[exclude] = 0.0
     total = float(w.sum())
     if total < WEIGHT_FLOOR:
         raise NoLocalDataError(x0)

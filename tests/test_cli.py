@@ -58,6 +58,10 @@ class TestFitCommand:
         assert code == EXIT_OK
         for name in ("curves.csv", "link.csv", "diagnostics.json", "manifest.json"):
             assert (out / name).exists()
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        for key in ("iterations", "nfev", "active_rows", "skipped_rows"):
+            assert len(diagnostics[key]) == 5
+        assert read_rows(out / "curves.csv")[0].keys() == {"t0", "beta_1", "beta_2"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "fit"
         for name in manifest["outputs"]:

@@ -23,13 +23,16 @@ from sivc import (
     fit_coefficient_curves,
     fit_direction_at,
     fit_link,
+    SimConfig,
     fit_model,
+    generate_dataset,
     kernel_values,
     local_objective,
     normalize_direction,
     rule_of_thumb_bandwidth,
     select_bandwidths,
 )
+from sivc.estimator import _SORTED_MIN_ROWS, _LocalObjective
 
 EPAN = KernelSpec.epanechnikov()
 
@@ -200,6 +203,138 @@ class TestLocalObjective:
         theta = normalize_direction([1.0, 0.0])
         with pytest.raises(InsufficientLocalSampleError):
             local_objective(ds, 0.31, theta, bw, EPAN)
+
+
+def both_evaluations(dataset, t0, theta, bw):
+    """Dense and sorted objective values, each with its skipped-row count."""
+    obj = _LocalObjective(dataset, t0, bw, EPAN)
+    dense = obj.dense_value(theta)
+    dense_skipped = obj.last_skipped
+    fast = obj.sorted_value(theta)
+    return dense, dense_skipped, fast, obj.last_skipped
+
+
+def line_dataset(x, t=None):
+    """d = 1 rows at the given projections, responses a fixed wiggle."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    t = np.full(n, 0.5) if t is None else np.asarray(t, dtype=float)
+    y = np.sin(3.0 * np.arange(n)) + 0.1 * np.arange(n)
+    return Dataset(y=y, delta=np.ones(n, dtype=int), x=x[:, None], t=t)
+
+
+class TestSortedObjective:
+    """The sorted prefix-sum evaluation against the dense one and the loop
+    oracle: values within rel 1e-9, identical skipped-row counts."""
+
+    WIDE = Bandwidths(h1=1.0, h2=10.0, h_link=1.0)
+    ONE = np.array([1.0])
+
+    def test_matches_naive_oracle_at_n30(self):
+        rng = np.random.default_rng(14)
+        bw = Bandwidths(h1=0.6, h2=0.3, h_link=1.0)
+        for _ in range(5):
+            n = 30
+            ds = Dataset(
+                y=rng.normal(size=n),
+                delta=np.ones(n, dtype=int),
+                x=rng.normal(size=(n, 2)),
+                t=rng.uniform(0, 1, n),
+            )
+            for t0 in (0.0, 0.5, 1.0):
+                theta = normalize_direction(rng.normal(size=2) + [2.0, 0.0])
+                want = naive_local_objective(ds, t0, theta, bw, EPAN)
+                dense, dense_skipped, fast, skipped = both_evaluations(
+                    ds, t0, theta.components, bw
+                )
+                assert fast == pytest.approx(want, rel=1e-9)
+                assert fast == pytest.approx(dense, rel=1e-9)
+                assert skipped == dense_skipped
+
+    def test_hand_computed_three_row_fixture(self):
+        ds = three_row_dataset()
+        theta = normalize_direction([1.0, 0.0])
+        bw = TestLocalObjective.BW
+        want = local_objective(ds, 0.5, theta, bw, EPAN)
+        dense, dense_skipped, fast, skipped = both_evaluations(
+            ds, 0.5, theta.components, bw
+        )
+        assert fast == pytest.approx(want, rel=1e-12)
+        assert skipped == dense_skipped == 0
+
+    @pytest.mark.parametrize(
+        "sim",
+        [
+            SimConfig(n=2000, seed=1729),
+            SimConfig(n=5000, seed=1729),
+            SimConfig(
+                n=20000, d=1, seed=1729, preset="constant", constant_direction=(1.0,)
+            ),
+        ],
+        ids=["paper-n2000", "paper-n5000", "d1-n20000"],
+    )
+    def test_matches_dense_on_simulated_data(self, sim):
+        ds, _ = generate_dataset(sim, 0, censor_scale=4.0)
+        bw = select_bandwidths(ds, EPAN)
+        rng = np.random.default_rng(sim.n)
+        for t0 in (0.0, 0.5, 1.0):
+            thetas = [normalize_direction(rng.normal(size=sim.d) + 0.5) for _ in range(2)]
+            if sim.d == 1:
+                thetas = [normalize_direction([1.0])]
+            for theta in thetas:
+                dense, dense_skipped, fast, skipped = both_evaluations(
+                    ds, t0, theta.components, bw
+                )
+                assert fast == pytest.approx(dense, rel=1e-9)
+                assert skipped == dense_skipped
+
+    def test_tied_projections(self):
+        rng = np.random.default_rng(40)
+        ds = line_dataset(np.round(rng.normal(size=150), 1), rng.uniform(0, 1, 150))
+        bw = Bandwidths(h1=0.3, h2=0.4, h_link=0.3)
+        for t0 in (0.0, 0.5, 1.0):
+            dense, dense_skipped, fast, skipped = both_evaluations(ds, t0, self.ONE, bw)
+            assert fast == pytest.approx(dense, rel=1e-9)
+            assert skipped == dense_skipped
+
+    def test_neighbour_exactly_at_the_window_edge_is_skipped(self):
+        # rows 0 and 1 sit exactly h1 apart: weight 0, so both are skipped
+        ds = line_dataset([0.0, 1.0, 3.0, 3.5, 3.75])
+        dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, self.WIDE)
+        assert skipped == dense_skipped == 2
+        assert fast == pytest.approx(dense, rel=1e-9)
+
+    def test_far_out_pair_with_a_near_edge_neighbour(self):
+        # A lone pair 1 - 1e-7 bandwidths apart, 60 bandwidths above the
+        # median, with 50 rows further out: each of the pair's denominators
+        # is ~1e-7 of a weight while the prefix sums it differences carry
+        # ~1e5 weights, so it must be recomputed from its window.
+        rng = np.random.default_rng(41)
+        rows = np.concatenate(
+            (rng.normal(-50.0, 1.0, 150), [10.0, 11.0 - 1e-7], rng.normal(50.0, 1.0, 50))
+        )
+        ds = line_dataset(rows)
+        want = naive_local_objective(ds, 0.5, normalize_direction([1.0]), self.WIDE, EPAN)
+        dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, self.WIDE)
+        assert fast == pytest.approx(dense, rel=1e-9)
+        assert fast == pytest.approx(want, rel=1e-9)
+        assert skipped == dense_skipped
+
+    def test_every_row_skipped(self):
+        ds = line_dataset(2.0 * np.arange(120))
+        dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, self.WIDE)
+        assert fast == dense == 0.0
+        assert skipped == dense_skipped == 120
+
+    def test_value_picks_sorted_from_the_crossover_for_epanechnikov_only(self):
+        rng = np.random.default_rng(42)
+        for m in (_SORTED_MIN_ROWS - 1, _SORTED_MIN_ROWS):
+            ds = line_dataset(rng.normal(size=m))
+            epan = _LocalObjective(ds, 0.5, self.WIDE, EPAN)
+            gauss = _LocalObjective(ds, 0.5, self.WIDE, KernelSpec.gaussian())
+            fast = m >= _SORTED_MIN_ROWS
+            assert epan._evaluate == (epan.sorted_value if fast else epan.dense_value)
+            assert gauss._evaluate == gauss.dense_value
 
 
 class TestFitDirectionAt:
@@ -480,6 +615,36 @@ class TestFitModel:
         assert len(fit.diagnostics["objectives"]) == config.t_grid_size
         assert len(fit.diagnostics["iterations"]) == config.t_grid_size
         assert fit.bandwidths.h1 > 0
+
+    def test_diagnostics_count_evaluations_and_active_rows(self):
+        ds = constant_direction_data(seed=24, n=80, direction=(0.6, 0.8), noise_sd=0.1)
+        config = self.small_config()
+        fit = fit_model(ds, config)
+        diag = fit.diagnostics
+        h2 = fit.bandwidths.h2
+        want_rows = [
+            int(np.count_nonzero(kernel_values(EPAN, (ds.t - t0) / h2) > 0))
+            for t0 in config.t_grid
+        ]
+        assert diag["active_rows"] == want_rows
+        # each Nelder-Mead iteration evaluates at least once, plus the
+        # initial simplex of each of the 1 + restarts starts
+        starts = config.optimizer.restarts + 1
+        for k, (nfev, nit) in enumerate(zip(diag["nfev"], diag["iterations"])):
+            assert nfev >= nit + 2 * (starts - (k == 0))
+
+    def test_univariate_diagnostics_record_no_evaluations(self):
+        rng = np.random.default_rng(25)
+        n = 60
+        ds = Dataset(
+            y=rng.normal(size=n),
+            delta=np.ones(n, dtype=int),
+            x=rng.normal(size=(n, 1)),
+            t=rng.uniform(0, 1, n),
+        )
+        fit = fit_model(ds, self.small_config())
+        assert fit.diagnostics["nfev"] == fit.diagnostics["iterations"] == [0] * 5
+        assert all(m >= 2 for m in fit.diagnostics["active_rows"])
 
     def test_stage_labelled_errors(self):
         rng = np.random.default_rng(26)

@@ -25,12 +25,10 @@ EPAN = KernelSpec.epanechnikov()
 GAUSS = KernelSpec.gaussian()
 
 
-def naive_nw(xs, ys, x0, h, spec, exclude=None):
+def naive_nw(xs, ys, x0, h, spec):
     """Independent scalar-loop oracle for the Nadaraya-Watson estimate."""
     num = den = 0.0
     for i in range(len(xs)):
-        if i == exclude:
-            continue
         w = float(kernel_values(spec, (x0 - xs[i]) / h))
         num += w * ys[i]
         den += w
@@ -108,15 +106,6 @@ class TestNWEstimate:
         w = kernel_values(EPAN, (x0 - xs) / h)
         contributing = ys[w > 0]
         assert contributing.min() - 1e-12 <= est <= contributing.max() + 1e-12
-
-    def test_exclusion_really_excludes(self):
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-1, 1, 20)
-        ys = rng.normal(size=20)
-        base = nw_estimate(xs, ys, 0.2, 1.0, GAUSS, exclude=7)
-        ys2 = ys.copy()
-        ys2[7] = 1e6
-        assert nw_estimate(xs, ys2, 0.2, 1.0, GAUSS, exclude=7) == base
 
 
 class TestBandwidthSelection:
