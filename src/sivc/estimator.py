@@ -252,7 +252,6 @@ class _LocalObjective:
         self.h1 = bw.h1
         self.spec = spec
         self.norm = dataset.n * bw.h2
-        self.k0 = float(kernel_values(spec, np.asarray(0.0)))
         self.m = m
         self.last_skipped = 0
         # Residuals are shift-invariant in y; centring keeps the sorted
@@ -272,8 +271,11 @@ class _LocalObjective:
         proj = self.x @ theta_components
         w = kernel_values(self.spec, (proj[None, :] - proj[:, None]) / self.h1)
         w *= self.kt[None, :]
-        den_loo = w.sum(axis=1) - self.k0 * self.kt
-        num_loo = w @ self.y - self.k0 * self.kt * self.y
+        # Zeroing the diagonal rather than subtracting the self weight keeps
+        # neighbour weights below the self weight's rounding.
+        np.fill_diagonal(w, 0.0)
+        den_loo = w.sum(axis=1)
+        num_loo = w @ self.y
         valid = den_loo >= WEIGHT_FLOOR
         self.last_skipped = int(np.count_nonzero(~valid))
         resid = self.y[valid] - num_loo[valid] / den_loo[valid]

@@ -320,6 +320,20 @@ class TestSortedObjective:
         assert fast == pytest.approx(want, rel=1e-9)
         assert skipped == dense_skipped
 
+    def test_neighbour_below_the_rounding_of_the_own_weight_counts(self):
+        # Row 1 sits at the edge of the modifier window and 1 - 1e-12
+        # bandwidths from row 0, so its weight in row 0's window (~1e-18)
+        # is below the rounding of row 0's own weight; it is still a
+        # neighbour, as in the loop oracle.
+        h2 = 0.1
+        ds = line_dataset([0.0, 1.0 - 1e-12, 5.0, 5.5], [0.5, 0.5 + h2 * (1 - 1e-6), 0.5, 0.5])
+        bw = Bandwidths(h1=1.0, h2=h2, h_link=1.0)
+        want = naive_local_objective(ds, 0.5, normalize_direction([1.0]), bw, EPAN)
+        dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, bw)
+        assert dense == pytest.approx(want, rel=1e-9)
+        assert fast == pytest.approx(want, rel=1e-9)
+        assert skipped == dense_skipped == 0
+
     def test_every_row_skipped(self):
         ds = line_dataset(2.0 * np.arange(120))
         dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, self.WIDE)
