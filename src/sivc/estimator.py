@@ -23,7 +23,7 @@ to rounding (Fan & Marron, JCGS 1994). A row whose window holds no other
 row is skipped, decided from its neighbours rather than from a rounded
 denominator, and a denominator within reach of the expansion's rounding
 error is recomputed directly. Below ``_SORTED_MIN_ROWS`` active rows the
-dense matrix is faster (the measured crossover is m ~ 90-100) and is used
+dense matrix is faster (the measured crossover is m ~ 100) and is used
 instead, as it is for the gaussian kernel.
 
 The unit-norm, positive-first-component constraint is enforced by
@@ -271,8 +271,8 @@ class _LocalObjective:
         proj = self.x @ theta_components
         w = kernel_values(self.spec, (proj[None, :] - proj[:, None]) / self.h1)
         w *= self.kt[None, :]
-        # Zeroing the diagonal rather than subtracting the self weight keeps
-        # neighbour weights below the self weight's rounding.
+        # Zero the self weight instead of subtracting it from the row sum,
+        # which would lose neighbour weights below its rounding.
         np.fill_diagonal(w, 0.0)
         den_loo = w.sum(axis=1)
         num_loo = w @ self.y
@@ -431,7 +431,13 @@ def fit_direction_at(
     direction = normalize_direction(direction_from_angles(best_angles))
     value = obj.value(direction.components)
     return DirectionFit(
-        direction, value, total_iters, best_converged, obj.last_skipped, total_evals, obj.m
+        direction,
+        value,
+        total_iters,
+        best_converged,
+        obj.last_skipped,
+        total_evals,
+        obj.m,
     )
 
 

@@ -1,8 +1,9 @@
 """Kernel smoothing primitives.
 
 Provides the kernel families, univariate Nadaraya-Watson regression (the
-link smoother), and bandwidth selection by the normal reference rule. The product-kernel profile
-smoother of the direction fit lives in ``sivc.estimator``.
+link smoother), and bandwidth selection by the normal reference rule. The
+product-kernel profile smoother of the direction fit lives in
+``sivc.estimator``.
 
 Smoothing on the index side is univariate: the regression target is the
 scalar projection of the covariates, not the covariate vector itself.

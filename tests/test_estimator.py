@@ -278,9 +278,9 @@ class TestSortedObjective:
         bw = select_bandwidths(ds, EPAN)
         rng = np.random.default_rng(sim.n)
         for t0 in (0.0, 0.5, 1.0):
-            thetas = [normalize_direction(rng.normal(size=sim.d) + 0.5) for _ in range(2)]
-            if sim.d == 1:
-                thetas = [normalize_direction([1.0])]
+            thetas = [normalize_direction([1.0])]
+            if sim.d > 1:
+                thetas = [normalize_direction(v + 0.5) for v in rng.normal(size=(2, 2))]
             for theta in thetas:
                 dense, dense_skipped, fast, skipped = both_evaluations(
                     ds, t0, theta.components, bw
@@ -300,7 +300,9 @@ class TestSortedObjective:
     def test_neighbour_exactly_at_the_window_edge_is_skipped(self):
         # rows 0 and 1 sit exactly h1 apart: weight 0, so both are skipped
         ds = line_dataset([0.0, 1.0, 3.0, 3.5, 3.75])
-        dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, self.WIDE)
+        dense, dense_skipped, fast, skipped = both_evaluations(
+            ds, 0.5, self.ONE, self.WIDE
+        )
         assert skipped == dense_skipped == 2
         assert fast == pytest.approx(dense, rel=1e-9)
 
@@ -314,8 +316,11 @@ class TestSortedObjective:
             (rng.normal(-50.0, 1.0, 150), [10.0, 11.0 - 1e-7], rng.normal(50.0, 1.0, 50))
         )
         ds = line_dataset(rows)
-        want = naive_local_objective(ds, 0.5, normalize_direction([1.0]), self.WIDE, EPAN)
-        dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, self.WIDE)
+        theta = normalize_direction([1.0])
+        want = naive_local_objective(ds, 0.5, theta, self.WIDE, EPAN)
+        dense, dense_skipped, fast, skipped = both_evaluations(
+            ds, 0.5, self.ONE, self.WIDE
+        )
         assert fast == pytest.approx(dense, rel=1e-9)
         assert fast == pytest.approx(want, rel=1e-9)
         assert skipped == dense_skipped
@@ -326,7 +331,9 @@ class TestSortedObjective:
         # is below the rounding of row 0's own weight; it is still a
         # neighbour, as in the loop oracle.
         h2 = 0.1
-        ds = line_dataset([0.0, 1.0 - 1e-12, 5.0, 5.5], [0.5, 0.5 + h2 * (1 - 1e-6), 0.5, 0.5])
+        ds = line_dataset(
+            [0.0, 1.0 - 1e-12, 5.0, 5.5], [0.5, 0.5 + h2 * (1 - 1e-6), 0.5, 0.5]
+        )
         bw = Bandwidths(h1=1.0, h2=h2, h_link=1.0)
         want = naive_local_objective(ds, 0.5, normalize_direction([1.0]), bw, EPAN)
         dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, bw)
@@ -336,7 +343,9 @@ class TestSortedObjective:
 
     def test_every_row_skipped(self):
         ds = line_dataset(2.0 * np.arange(120))
-        dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, self.WIDE)
+        dense, dense_skipped, fast, skipped = both_evaluations(
+            ds, 0.5, self.ONE, self.WIDE
+        )
         assert fast == dense == 0.0
         assert skipped == dense_skipped == 120
 
