@@ -17,13 +17,13 @@ from sivc import (
     KernelSpec,
     LinkEstimate,
     OptimizerConfig,
+    SimConfig,
     angles_from_direction,
     compute_index,
     direction_from_angles,
     fit_coefficient_curves,
     fit_direction_at,
     fit_link,
-    SimConfig,
     fit_model,
     generate_dataset,
     kernel_values,
@@ -166,6 +166,11 @@ class TestLocalObjective:
         theta = normalize_direction([1.0, 0.0])
         got = local_objective(ds, 0.5, theta, self.BW, EPAN)
         assert got == pytest.approx(expected, rel=1e-12)
+        dense, dense_skipped, fast, skipped = both_evaluations(
+            ds, 0.5, theta.components, self.BW
+        )
+        assert fast == pytest.approx(expected, rel=1e-12)
+        assert skipped == dense_skipped == 0
 
     def test_matches_naive_oracle_on_random_fixtures(self):
         rng = np.random.default_rng(14)
@@ -250,17 +255,6 @@ class TestSortedObjective:
                 assert fast == pytest.approx(want, rel=1e-9)
                 assert fast == pytest.approx(dense, rel=1e-9)
                 assert skipped == dense_skipped
-
-    def test_hand_computed_three_row_fixture(self):
-        ds = three_row_dataset()
-        theta = normalize_direction([1.0, 0.0])
-        bw = TestLocalObjective.BW
-        want = local_objective(ds, 0.5, theta, bw, EPAN)
-        dense, dense_skipped, fast, skipped = both_evaluations(
-            ds, 0.5, theta.components, bw
-        )
-        assert fast == pytest.approx(want, rel=1e-12)
-        assert skipped == dense_skipped == 0
 
     @pytest.mark.parametrize(
         "sim",
