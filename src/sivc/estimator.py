@@ -29,7 +29,10 @@ instead, as it is for the gaussian kernel.
 The unit-norm, positive-first-component constraint is enforced by
 construction through a spherical-angle parameterization: the open
 hemisphere maps to the open box (-pi/2, pi/2)^(d-1) and Nelder-Mead
-runs on the angles, warm-started along the grid sweep.
+runs on the angles, warm-started along the grid sweep. The Nelder-Mead
+routine is the package's own: on Python floats it takes the same steps
+as scipy's non-adaptive ``minimize(method="Nelder-Mead")`` and returns
+the same result bit for bit, without importing ``scipy.optimize``.
 
 Stage 2 computes the synthetic responses from the Kaplan-Meier censoring
 survival, projects each covariate vector onto the fitted direction at
@@ -41,10 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .censoring import estimate_censoring_survival, synthetic_responses
 from .errors import (
@@ -202,11 +204,12 @@ class ModelFit:
 def direction_from_angles(angles: Sequence[float] | np.ndarray) -> np.ndarray:
     """Map d-1 angles in (-pi/2, pi/2) to a unit vector with positive
     first component (bijective onto the open hemisphere)."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    v = np.array([1.0])
-    for a in angles:
-        v = np.concatenate((v * math.cos(a), [math.sin(a)]))
-    return v
+    v = [1.0]
+    for a in np.atleast_1d(np.asarray(angles, dtype=float)).tolist():
+        c = math.cos(a)
+        v = [x * c for x in v]
+        v.append(math.sin(a))
+    return np.array(v)
 
 
 def angles_from_direction(direction: UnitDirection) -> np.ndarray:
@@ -347,20 +350,109 @@ def local_objective(
     return _LocalObjective(dataset, t0, bw, spec).value(theta.components)
 
 
-def _spread_starts(restarts: int, dim: int) -> list[np.ndarray]:
+class _Simplex(NamedTuple):
+    """Nelder-Mead outcome: the best vertex and its value, the iteration
+    and evaluation counts, whether it stopped before the iteration cap,
+    and the final vertex values in ascending order."""
+
+    x: tuple[float, ...]
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    fsim: tuple[float, ...]
+
+
+def _rank(vertex: tuple[float, list[float]]) -> tuple[bool, float]:
+    # Ascending by value with NaN last, as numpy's argsort orders them.
+    f = vertex[0]
+    return (f != f, f)
+
+
+def _nelder_mead(
+    func: Callable[[list[float]], float],
+    simplex: Sequence[Sequence[float]],
+    xatol: float,
+    fatol: float,
+    maxiter: int,
+) -> _Simplex:
+    """Minimize ``func`` from the N + 1 vertices of ``simplex``.
+
+    It is scipy 1.17's non-adaptive Nelder-Mead on Python floats, step
+    for step: reflection 2 xbar - w, expansion 3 xbar - 2 w, outside
+    contraction 1.5 xbar - 0.5 w, inside contraction 0.5 xbar + 0.5 w and
+    shrink v0 + 0.5 (vj - v0), with scipy's strict and non-strict
+    comparisons. xbar sums the N best vertices row by row from 0.0, as
+    ``np.add.reduce`` does. The vertices are re-sorted stably after each
+    iteration; numpy's default argsort is stable too up to three
+    vertices, beyond which its order of tied values depends on the CPU.
+    The run stops when every vertex is within ``xatol`` of the best in
+    each coordinate and within ``fatol`` of it in value (a NaN never
+    passes), or when the iteration count, which starts at 1, reaches
+    ``maxiter``; there is no evaluation cap.
+    """
+    n = len(simplex) - 1
+    verts = sorted(((func(x), x) for x in map(list, simplex)), key=_rank)
+    nfev = n + 1
+    nit = 1
+    while nit < maxiter:
+        f0, x0 = verts[0]
+        if all(
+            abs(a - b) <= xatol for _, x in verts[1:] for a, b in zip(x, x0)
+        ) and all(abs(f0 - f) <= fatol for f, _ in verts[1:]):
+            break
+        xbar = [0.0] * n
+        for _, x in verts[:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        fw, w = verts[-1]
+        xr = [2 * a - b for a, b in zip(xbar, w)]
+        fxr = func(xr)
+        nfev += 1
+        if fxr < f0:
+            xe = [3 * a - 2 * b for a, b in zip(xbar, w)]
+            fxe = func(xe)
+            nfev += 1
+            verts[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < verts[-2][0]:
+            verts[-1] = (fxr, xr)
+        else:
+            if fxr < fw:
+                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, w)]
+                fxc = func(xc)
+                keep = fxc <= fxr
+            else:
+                xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, w)]
+                fxc = func(xc)
+                keep = fxc < fw
+            nfev += 1
+            if keep:
+                verts[-1] = (fxc, xc)
+            else:
+                for j in range(1, n + 1):
+                    v = [a + 0.5 * (b - a) for a, b in zip(x0, verts[j][1])]
+                    verts[j] = (func(v), v)
+                nfev += n
+        nit += 1
+        verts.sort(key=_rank)
+    fsim = tuple(f for f, _ in verts)
+    # numpy's min, which scipy reports, is NaN if any value is.
+    fun = math.nan if fsim[-1] != fsim[-1] else fsim[0]
+    return _Simplex(tuple(verts[0][1]), fun, nit, nfev, nit < maxiter, fsim)
+
+
+def _spread_starts(restarts: int, dim: int) -> list[list[float]]:
     step = math.pi / restarts
-    return [
-        np.full(dim, -math.pi / 2 + (i + 0.5) * step) for i in range(restarts)
-    ]
+    return [[-math.pi / 2 + (i + 0.5) * step] * dim for i in range(restarts)]
 
 
-def _initial_simplex(a0: np.ndarray) -> np.ndarray:
+def _initial_simplex(a0: list[float]) -> list[list[float]]:
     verts = [a0]
-    for k in range(a0.size):
-        v = a0.copy()
-        v[k] = v[k] + _SIMPLEX_STEP if v[k] + _SIMPLEX_STEP < _ANGLE_BOX else v[k] - _SIMPLEX_STEP
+    for k, a in enumerate(a0):
+        v = list(a0)
+        v[k] = a + _SIMPLEX_STEP if a + _SIMPLEX_STEP < _ANGLE_BOX else a - _SIMPLEX_STEP
         verts.append(v)
-    return np.asarray(verts)
+    return verts
 
 
 def fit_direction_at(
@@ -388,42 +480,37 @@ def fit_direction_at(
         value = obj.value(direction.components)
         return DirectionFit(direction, value, 0, True, obj.last_skipped, 0, obj.m)
 
-    def penalized(angles: np.ndarray) -> float:
-        excess = np.abs(angles) - _ANGLE_BOX
-        if np.any(excess > 0):
+    def penalized(angles: list[float]) -> float:
+        if any(abs(a) > _ANGLE_BOX for a in angles):
+            excess = np.abs(angles) - _ANGLE_BOX
             return 1e12 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
         return obj.value(direction_from_angles(angles))
 
     starts = []
     if warm_start is not None:
-        starts.append(angles_from_direction(warm_start))
+        starts.append(angles_from_direction(warm_start).tolist())
     starts.extend(_spread_starts(config.optimizer.restarts, dataset.d - 1))
 
     best_angles, best_val, best_converged = None, math.inf, False
     total_iters = total_evals = 0
     tie_tol_base = 10.0 * config.optimizer.tol
     for a0 in starts:
-        res = optimize.minimize(
+        res = _nelder_mead(
             penalized,
-            a0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.optimizer.max_iter,
-                "xatol": _XATOL,
-                "fatol": config.optimizer.tol,
-                "initial_simplex": _initial_simplex(np.asarray(a0, dtype=float)),
-            },
+            _initial_simplex(a0),
+            _XATOL,
+            config.optimizer.tol,
+            config.optimizer.max_iter,
         )
-        total_iters += int(res.nit)
-        total_evals += int(res.nfev)
-        fvals = res.final_simplex[1]
-        converged = bool(res.success) or float(fvals.max() - fvals.min()) <= config.optimizer.tol
+        total_iters += res.nit
+        total_evals += res.nfev
+        converged = res.success or res.fsim[-1] - res.fsim[0] <= config.optimizer.tol
         if best_angles is None:
             take = True
         else:
             tie_tol = max(tie_tol_base, 1e-12 * max(1.0, abs(best_val)))
             take = res.fun < best_val - tie_tol or (
-                res.fun <= best_val + tie_tol and tuple(res.x) < tuple(best_angles)
+                res.fun <= best_val + tie_tol and res.x < best_angles
             )
         if take:
             best_angles, best_val, best_converged = res.x, float(res.fun), converged

@@ -9,8 +9,8 @@ curves and bands into separate segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from typing import Optional
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -161,17 +161,17 @@ def _axes(scale: _PanelScale, panel: Panel) -> list[str]:
     cx = 0.5 * (x0 + x1)
     parts.append(
         f'<text x="{_fmt(cx)}" y="{_fmt(y1 + 34)}" font-size="12" '
-        f'text-anchor="middle" fill="{_AXIS_COLOR}">{escape(panel.xlabel)}</text>'
+        f'text-anchor="middle" fill="{_AXIS_COLOR}">{escape(panel.xlabel, quote=False)}</text>'
     )
     cy = 0.5 * (y0 + y1)
     parts.append(
         f'<text x="{_fmt(x0 - 42)}" y="{_fmt(cy)}" font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 {_fmt(x0 - 42)} {_fmt(cy)})" '
-        f'fill="{_AXIS_COLOR}">{escape(panel.ylabel)}</text>'
+        f'fill="{_AXIS_COLOR}">{escape(panel.ylabel, quote=False)}</text>'
     )
     parts.append(
         f'<text x="{_fmt(cx)}" y="{_fmt(y0 - 10)}" font-size="13" font-weight="bold" '
-        f'text-anchor="middle" fill="{_AXIS_COLOR}">{escape(panel.title)}</text>'
+        f'text-anchor="middle" fill="{_AXIS_COLOR}">{escape(panel.title, quote=False)}</text>'
     )
     return parts
 
@@ -200,7 +200,7 @@ def _legend(scale: _PanelScale, has_truth: bool, has_band: bool) -> list[str]:
             )
         parts.append(
             f'<text x="{_fmt(x + 23)}" y="{_fmt(y + 4)}" font-size="11" '
-            f'fill="{_AXIS_COLOR}">{escape(label)}</text>'
+            f'fill="{_AXIS_COLOR}">{escape(label, quote=False)}</text>'
         )
         y += 15.0
     return parts

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .errors import QuadratureError
 
@@ -89,6 +88,8 @@ class CensorModel:
         lo, hi = self.support
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("support must be a finite interval (lo, hi)")
+        from scipy import integrate
+
         mass, _ = integrate.quad(self.density, lo, hi, limit=200)
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"censor density integrates to {mass!r}, not 1")
@@ -98,6 +99,8 @@ def gaussian_noise(sd: float) -> NoiseModel:
     """Mean-zero gaussian noise model."""
     if not sd > 0:
         raise ValueError("sd must be positive")
+    from scipy import special
+
     return NoiseModel(
         cdf=lambda x: float(special.ndtr(x / sd)),
         density=lambda x: float(np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2 * math.pi))),
@@ -126,6 +129,8 @@ def uniform_censor_sampler(upper: float, lower: float = 0.0) -> Callable:
 
 def _quantile(cdf: Callable[[float], float], p: float) -> float:
     """Solve cdf(x) = p by bracket expansion and Brent's method."""
+    from scipy import optimize
+
     lo, hi = -1.0, 1.0
     for _ in range(200):
         if cdf(lo) <= p:
@@ -143,6 +148,8 @@ def _quantile(cdf: Callable[[float], float], p: float) -> float:
 
 
 def _quad(f, lo, hi, tol, points=None):
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:

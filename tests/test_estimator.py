@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from sivc import (
     Bandwidths,
@@ -32,7 +33,15 @@ from sivc import (
     rule_of_thumb_bandwidth,
     select_bandwidths,
 )
-from sivc.estimator import _SORTED_MIN_ROWS, _LocalObjective
+from sivc import estimator
+from sivc.estimator import (
+    _ANGLE_BOX,
+    _SORTED_MIN_ROWS,
+    _LocalObjective,
+    _Simplex,
+    _initial_simplex,
+    _nelder_mead,
+)
 
 EPAN = KernelSpec.epanechnikov()
 
@@ -693,3 +702,245 @@ class TestFitConfigValidation:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(tol=0.0)
+
+
+def concatenated_direction(angles):
+    """Reference for ``direction_from_angles``: the vector grown by
+    ``np.concatenate`` one angle at a time."""
+    v = np.array([1.0])
+    for a in np.atleast_1d(np.asarray(angles, dtype=float)):
+        v = np.concatenate((v * math.cos(a), [math.sin(a)]))
+    return v
+
+
+class TestDirectionFromAnglesBits:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_bitwise_equal_to_concatenation(self, d):
+        rng = np.random.default_rng(100 + d)
+        edge = math.pi / 2 - 1e-9
+        draws = [rng.uniform(-edge, edge, d - 1) for _ in range(200)]
+        draws += [np.full(d - 1, edge), np.full(d - 1, -edge), np.zeros(d - 1)]
+        draws += [rng.choice([edge, -edge, -0.0], d - 1) for _ in range(20)]
+        for angles in draws:
+            got = direction_from_angles(angles)
+            assert got.dtype == np.float64
+            assert got.tobytes() == concatenated_direction(angles).tobytes(), angles
+            assert direction_from_angles(list(angles)).tobytes() == got.tobytes()
+
+
+def scipy_nelder_mead(func, simplex, xatol, fatol, maxiter):
+    """``_nelder_mead`` computed by scipy, the routine it reproduces."""
+    sim = np.asarray(simplex, dtype=float)
+    res = optimize.minimize(
+        func,
+        sim[0],
+        method="Nelder-Mead",
+        options={"initial_simplex": sim, "xatol": xatol, "fatol": fatol, "maxiter": maxiter},
+    )
+    return _Simplex(
+        tuple(res.x), res.fun, res.nit, res.nfev, bool(res.success), tuple(res.final_simplex[1])
+    )
+
+
+def assert_same_run(ours, ref):
+    """Equal bit for bit: x, fun, fsim as IEEE bytes, counts and flag exactly."""
+    assert np.asarray(ours.x, dtype=float).tobytes() == np.asarray(ref.x, dtype=float).tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert np.asarray(ours.fsim, dtype=float).tobytes() == np.asarray(ref.fsim, dtype=float).tobytes()
+    assert (ours.nit, ours.nfev, ours.success) == (ref.nit, ref.nfev, ref.success)
+
+
+def nm_smooth(x):
+    x = np.asarray(x, dtype=float)
+    i = np.arange(1, x.size + 1)
+    return float(np.sum(i * (x - 0.3) ** 2) + 0.1 * np.sum(x) ** 4 + np.sum(x[:-1] * x[1:]))
+
+
+def nm_rosenbrock(x):
+    x = np.asarray(x, dtype=float)
+    if x.size == 1:
+        return float((1.0 - x[0]) ** 2 + 5.0 * x[0] ** 4)
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def nm_kinked(x):
+    # Unequal weights keep vertex values apart (see nm_stepped for ties).
+    x = np.asarray(x, dtype=float)
+    weights = 1.0 + np.sqrt(np.arange(2, x.size + 2)) / 10.0
+    return float(np.sum(weights * np.abs(x - 0.25)) + 2.0 * abs(np.sum(x)))
+
+
+def nm_penalized(x):
+    # The fit's angle-box penalty around a bowl centred outside the box.
+    x = np.asarray(x, dtype=float)
+    excess = np.abs(x) - _ANGLE_BOX
+    if np.any(excess > 0):
+        return 1e12 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
+    return float(np.sum((x - 1.6) ** 2))
+
+
+def nm_stepped(x):
+    # Piecewise constant: vertices tie exactly and contractions fail.
+    return math.floor(4.0 * nm_smooth(x)) / 4.0
+
+
+def nm_nan_region(x):
+    x = np.asarray(x, dtype=float)
+    return math.nan if x[0] > 0.28 else nm_smooth(x)
+
+
+def nm_well(x):
+    # A bowl within 0.5 of (0.0101, 0.0052), flat outside: from the
+    # fixture simplex only the shrink finds it, between vertices of
+    # opposite sign, where v0 + 0.5 (vj - v0) and 0.5 v0 + 0.5 vj round
+    # apart.
+    d2 = (x[0] - 0.0101) ** 2 + (x[1] - 0.0052) ** 2
+    return d2 if d2 < 0.25 else 100.0
+
+
+def nm_zero_sign(x):
+    # Sees the sign of a zero: the centroid of the single best vertex -0.0
+    # is +0.0, because numpy sums from +0.0.
+    return math.copysign(1e-3, x[0]) + x[0] * x[0]
+
+
+def nm_start(n, seed=3):
+    return _initial_simplex(np.random.default_rng(seed).uniform(-1, 1, n).tolist())
+
+
+def nm_cases():
+    # Exact ties appear only at N <= 2: numpy's default argsort, which
+    # scipy sorts with, is stable up to three elements, but beyond that
+    # its order of tied values depends on the CPU's sorting network.
+    cases = []
+    for n in (1, 2, 3, 5):
+        cases += [
+            (f"smooth-{n}", nm_smooth, nm_start(n), 400 * n, set()),
+            (f"rosenbrock-{n}", nm_rosenbrock, nm_start(n), 400 * n, set()),
+            (f"rosenbrock-maxiter-{n}", nm_rosenbrock, nm_start(n), 7, {"maxiter"}),
+            (f"kinked-{n}", nm_kinked, nm_start(n), 400 * n, set()),
+        ]
+    for n in (1, 2):
+        box_start = _initial_simplex([_ANGLE_BOX - 0.05] * n)
+        cases += [
+            (f"penalized-{n}", nm_penalized, box_start, 150, {"plateau"}),
+            (f"stepped-{n}", nm_stepped, nm_start(n), 150, {"shrink", "ties"}),
+            (f"nan-recovers-{n}", nm_nan_region, nm_start(n, seed=0), 150, {"nan"}),
+            (f"nan-stuck-{n}", nm_nan_region, nm_start(n, seed=4), 150, {"nan", "maxiter", "shrink"}),
+        ]
+    well_start = [[0.3, 0.21], [-0.27, -0.19], [-3.0, 2.5]]
+    cases += [
+        ("shrink-finds-well-2", nm_well, well_start, 2, {"maxiter", "shrink"}),
+        ("zero-sign-1", nm_zero_sign, [[-0.0], [0.0]], 10, {"maxiter", "shrink"}),
+        # Capped with a NaN vertex left: fun is NaN, x the best number.
+        ("nan-capped-1", nm_nan_region, nm_start(1, seed=0), 3, {"nan", "maxiter"}),
+    ]
+    return cases
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize(
+        "func, simplex, maxiter, traits",
+        [case[1:] for case in nm_cases()],
+        ids=[case[0] for case in nm_cases()],
+    )
+    def test_matches_scipy_bit_for_bit(self, func, simplex, maxiter, traits):
+        seen = []
+
+        def recorded(x):
+            value = func(x)
+            seen.append(value)
+            return value
+
+        ours = _nelder_mead(recorded, simplex, 1e-5, 1e-8, maxiter)
+        assert_same_run(ours, scipy_nelder_mead(func, simplex, 1e-5, 1e-8, maxiter))
+        assert len(seen) == ours.nfev
+        # The case exercises what it is named for.
+        n = len(simplex) - 1
+        assert ("maxiter" in traits) == (not ours.success)
+        if "maxiter" in traits:
+            assert ours.nit == maxiter
+        if "shrink" in traits:
+            # Without a shrink an iteration evaluates at most twice.
+            assert ours.nfev > n + 1 + 2 * (ours.nit - 1)
+        if "ties" in traits:
+            assert len(set(ours.fsim)) < len(ours.fsim)
+        if "plateau" in traits:
+            assert max(seen) >= 1e12
+        if "nan" in traits:
+            assert any(math.isnan(v) for v in seen)
+
+    def test_nan_never_passes_the_stop_test(self):
+        # Every vertex NaN: scipy's max of NaN differences fails the
+        # tolerance test, so the run goes on to the cap.
+        res = _nelder_mead(lambda x: math.nan, [[0.0], [0.1]], 1.0, 1.0, 20)
+        assert (res.nit, res.success) == (20, False)
+        assert math.isnan(res.fun)
+
+    def test_ties_keep_their_order(self):
+        res = _nelder_mead(lambda x: 1.0, [[0.3, 0.0], [0.1, 0.0], [0.2, 0.0]], 1e-5, 1e-8, 2)
+        assert res.fsim == (1.0, 1.0, 1.0)
+        assert res.x == (0.3, 0.0)
+
+
+def mirrored_quadratic_data():
+    """The mirrored-rows fixture of ``test_symmetric_tie_breaks_to_smaller_angle``."""
+    rng = np.random.default_rng(77)
+    n = 120
+    x1 = rng.normal(size=n)
+    x2 = rng.normal(size=n)
+    t = rng.uniform(0, 1, n)
+    y = (math.cos(0.9) * x1 + math.sin(0.9) * x2) ** 2
+    return Dataset(
+        y=np.concatenate([y, y]),
+        delta=np.ones(2 * n, dtype=int),
+        x=np.vstack([np.column_stack([x1, x2]), np.column_stack([x1, -x2])]),
+        t=np.concatenate([t, t]),
+    )
+
+
+def direction_fit_cases():
+    """The datasets, grid points, bandwidths and warm starts of
+    ``TestFitDirectionAt``, plus one d = 3 fit."""
+    bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
+    ds1 = constant_direction_data(seed=1, n=200, direction=(0.6, 0.8))
+    ds4 = constant_direction_data(seed=4, n=100, direction=(0.8, 0.6))
+    cases = [
+        (ds1, 0.5, select_bandwidths(ds1, EPAN), None),
+        (constant_direction_data(seed=2, n=120, direction=(0.6, 0.8)), 0.5, bw,
+         normalize_direction([0.6, 0.8])),
+        (constant_direction_data(seed=3, n=120, direction=(0.6, 0.8), noise_sd=0.1), 0.5, bw, None),
+        (mirrored_quadratic_data(), 0.5, Bandwidths(h1=0.5, h2=0.6, h_link=0.5), None),
+        (ds4, 0.5, bw, None),
+        (Dataset(y=2.0 * ds4.y, delta=ds4.delta, x=ds4.x, t=ds4.t), 0.5, bw, None),
+    ]
+    rng = np.random.default_rng(17)
+    for seed in range(4):
+        ds = constant_direction_data(seed=seed, n=80, direction=(0.6, 0.8), noise_sd=0.3)
+        cases.append((ds, float(rng.uniform(0, 1)), select_bandwidths(ds, EPAN), None))
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((150, 3))
+    ds3 = Dataset(
+        y=np.tanh(x @ np.array([0.6, 0.64, 0.48])) + rng.normal(0, 0.1, 150),
+        delta=np.ones(150, dtype=int),
+        x=x,
+        t=rng.uniform(0, 1, 150),
+    )
+    cases.append((ds3, 0.4, select_bandwidths(ds3, EPAN), normalize_direction([0.6, 0.6, 0.5])))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(direction_fit_cases())))
+def test_fit_direction_at_matches_the_scipy_routine(case, monkeypatch):
+    dataset, t0, bw, warm = direction_fit_cases()[case]
+    ours = fit_direction_at(dataset, t0, FitConfig(), bw, warm_start=warm)
+    monkeypatch.setattr(estimator, "_nelder_mead", scipy_nelder_mead)
+    ref = fit_direction_at(dataset, t0, FitConfig(), bw, warm_start=warm)
+    assert ours.direction.components.tobytes() == ref.direction.components.tobytes()
+    assert np.float64(ours.objective).tobytes() == np.float64(ref.objective).tobytes()
+    assert (ours.iterations, ours.evaluations, ours.converged) == (
+        ref.iterations,
+        ref.evaluations,
+        ref.converged,
+    )
+    assert (ours.skipped_rows, ours.active_rows) == (ref.skipped_rows, ref.active_rows)
