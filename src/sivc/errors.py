@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Errors built from fields define ``__reduce__`` so that they pickle, as
+they must to leave a worker process.
+"""
 
 
 class SivcError(Exception):
@@ -20,6 +24,9 @@ class ValidationError(SivcError):
         ]
         super().__init__("; ".join(lines))
 
+    def __reduce__(self):
+        return type(self), (self.problems,)
+
 
 class DegenerateDirectionError(SivcError):
     """Zero vector cannot be normalized to a direction."""
@@ -40,6 +47,9 @@ class NoLocalDataError(SivcError):
         self.x0 = x0
         super().__init__(message or f"no local data at x0={x0!r}")
 
+    def __reduce__(self):
+        return type(self), (self.x0, str(self))
+
 
 class DegeneratePredictorError(SivcError):
     """A smoothing coordinate has zero sample variance."""
@@ -52,6 +62,9 @@ class UnboundedSyntheticWeightError(SivcError):
     def __init__(self, row, message=None):
         self.row = row
         super().__init__(message or f"unbounded synthetic weight at row {row}")
+
+    def __reduce__(self):
+        return type(self), (self.row, str(self))
 
 
 class InsufficientLocalSampleError(SivcError):

@@ -33,6 +33,9 @@ runs on the angles, warm-started along the grid sweep. The Nelder-Mead
 routine is the package's own: on Python floats it takes the same steps
 as scipy's non-adaptive ``minimize(method="Nelder-Mead")`` and returns
 the same result bit for bit, without importing ``scipy.optimize``.
+Nelder-Mead asks again for vertices it has already scored, so at each t0
+every distinct vertex is computed once and repeats are served from a
+cache; the steps and counts it reports stay those of the uncached run.
 
 Stage 2 computes the synthetic responses from the Kaplan-Meier censoring
 survival, projects each covariate vector onto the fitted direction at
@@ -177,7 +180,10 @@ class DirectionFit:
 
     ``iterations`` and ``evaluations`` are Nelder-Mead's iteration and
     function-evaluation counts summed over the starts (both 0 at d = 1);
-    ``active_rows`` is the number of rows with modifier weight at t0.
+    ``active_rows`` is the number of rows with modifier weight at t0;
+    ``objective_calls`` is the number of distinct vertices among the
+    evaluations, each computed once (``evaluations - objective_calls``
+    were repeats served from a cache; 0 at d = 1).
     """
 
     direction: UnitDirection
@@ -187,6 +193,7 @@ class DirectionFit:
     skipped_rows: int
     evaluations: int
     active_rows: int
+    objective_calls: int
 
 
 @dataclass(frozen=True)
@@ -272,11 +279,13 @@ class _LocalObjective:
 
     def dense_value(self, theta_components: np.ndarray) -> float:
         proj = self.x @ theta_components
-        w = kernel_values(self.spec, (proj[None, :] - proj[:, None]) / self.h1)
+        u = proj[None, :] - proj[:, None]
+        u /= self.h1
+        w = kernel_values(self.spec, u)
         w *= self.kt[None, :]
         # Zero the self weight instead of subtracting it from the row sum,
         # which would lose neighbour weights below its rounding.
-        np.fill_diagonal(w, 0.0)
+        w.flat[:: self.m + 1] = 0.0
         den_loo = w.sum(axis=1)
         num_loo = w @ self.y
         valid = den_loo >= WEIGHT_FLOOR
@@ -478,13 +487,24 @@ def fit_direction_at(
     if dataset.d == 1:
         direction = UnitDirection(components=np.array([1.0]))
         value = obj.value(direction.components)
-        return DirectionFit(direction, value, 0, True, obj.last_skipped, 0, obj.m)
+        return DirectionFit(direction, value, 0, True, obj.last_skipped, 0, obj.m, 0)
+
+    # Nelder-Mead asks again for vertices it has evaluated (in one
+    # dimension a failed inside contraction is followed by a shrink to the
+    # same point), so each distinct vertex is computed once per t0.
+    values: dict[tuple[float, ...], float] = {}
 
     def penalized(angles: list[float]) -> float:
-        if any(abs(a) > _ANGLE_BOX for a in angles):
-            excess = np.abs(angles) - _ANGLE_BOX
-            return 1e12 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
-        return obj.value(direction_from_angles(angles))
+        key = tuple(angles)
+        value = values.get(key)
+        if value is None:
+            if any(abs(a) > _ANGLE_BOX for a in angles):
+                excess = np.abs(angles) - _ANGLE_BOX
+                value = 1e12 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
+            else:
+                value = obj.value(direction_from_angles(angles))
+            values[key] = value
+        return value
 
     starts = []
     if warm_start is not None:
@@ -525,6 +545,7 @@ def fit_direction_at(
         obj.last_skipped,
         total_evals,
         obj.m,
+        len(values),
     )
 
 
@@ -612,6 +633,7 @@ def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
         "iterations": [f.iterations for f in fits],
         "converged": [f.converged for f in fits],
         "nfev": [f.evaluations for f in fits],
+        "objective_calls": [f.objective_calls for f in fits],
         "skipped_rows": [f.skipped_rows for f in fits],
         "active_rows": [f.active_rows for f in fits],
         "non_converged_points": sum(1 for f in fits if not f.converged),

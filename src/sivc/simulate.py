@@ -223,14 +223,20 @@ def run_monte_carlo(
     the outcome. A replication whose fit fails entirely is logged and
     excluded; more than 20% whole-replication failures flips the
     ``degraded`` flag. Grid points left undefined by some replications
-    are excluded pointwise, with the defined count reported.
+    are excluded pointwise, with the defined count reported. ``workers``
+    defaults to the cores this process may run on, at most 4.
     """
     censor_scale = resolve_censor_scale(sim)
     t_grid = fit.t_grid
     u_grid = fit.u_grid
     reps = sim.reps
     if workers is None:
-        workers = max(1, min(4, os.cpu_count() or 1))
+        # os.cpu_count() ignores the affinity mask.
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        workers = max(1, min(4, cores))
     tasks = [(sim, fit, rep, censor_scale) for rep in range(reps)]
     results: list[Optional[dict]] = [None] * reps
     failures: list[tuple[int, str]] = []

@@ -84,10 +84,14 @@ def kernel_values(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel weights K(u)."""
     u = np.asarray(u, dtype=float)
     if spec.family == "epanechnikov":
-        out = 0.75 * (1.0 - u * u)
-        return np.where(np.abs(u) <= 1.0, out, 0.0)
+        # 1 - u^2 is negative exactly when |u| > 1 and fmax sends NaN to 0,
+        # so clipping at 0 is the support test; asarray keeps 0-d input an
+        # ndarray.
+        w = np.asarray(u * u)
+        np.subtract(1.0, w, out=w)
+        np.multiply(0.75, w, out=w)
+        return np.fmax(w, 0.0, out=w)
     return _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-
 
 
 def nw_estimate(

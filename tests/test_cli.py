@@ -59,7 +59,7 @@ class TestFitCommand:
         for name in ("curves.csv", "link.csv", "diagnostics.json", "manifest.json"):
             assert (out / name).exists()
         diagnostics = json.loads((out / "diagnostics.json").read_text())
-        for key in ("iterations", "nfev", "active_rows", "skipped_rows"):
+        for key in ("iterations", "nfev", "objective_calls", "active_rows", "skipped_rows"):
             assert len(diagnostics[key]) == 5
         assert read_rows(out / "curves.csv")[0].keys() == {"t0", "beta_1", "beta_2"}
         manifest = json.loads((out / "manifest.json").read_text())

@@ -1,0 +1,33 @@
+"""Tests of the exception hierarchy."""
+
+import pickle
+
+import pytest
+
+from sivc import (
+    EstimationError,
+    NoLocalDataError,
+    UnboundedSyntheticWeightError,
+    ValidationError,
+)
+
+
+@pytest.mark.parametrize(
+    "error, fields",
+    [
+        (ValidationError([(3, "bad"), (None, "too few rows")]), ("problems",)),
+        (ValidationError([]), ("problems",)),
+        (NoLocalDataError(0.5), ("x0",)),
+        (NoLocalDataError(-0.25, "custom message"), ("x0",)),
+        (UnboundedSyntheticWeightError(7), ("row",)),
+        (UnboundedSyntheticWeightError(2, "G-hat reached 0"), ("row",)),
+        (EstimationError("stage 1 (direction curves): failed"), ()),
+    ],
+)
+def test_errors_survive_a_pickle_round_trip(error, fields):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert copy.args == error.args
+    for name in fields:
+        assert getattr(copy, name) == getattr(error, name)

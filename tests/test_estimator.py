@@ -944,3 +944,64 @@ def test_fit_direction_at_matches_the_scipy_routine(case, monkeypatch):
         ref.converged,
     )
     assert (ours.skipped_rows, ours.active_rows) == (ref.skipped_rows, ref.active_rows)
+
+
+class TestVertexCache:
+    def recorded_fit(self, monkeypatch, dataset, t0, bw, warm):
+        """Fit with every vertex Nelder-Mead requests and every objective
+        computation recorded."""
+        requests, runs, computed = [], [], []
+        real_nm, real_value = estimator._nelder_mead, _LocalObjective.value
+
+        def nelder_mead(func, *args):
+            def logged(angles):
+                requests.append(tuple(angles))
+                return func(angles)
+
+            runs.append(real_nm(logged, *args))
+            return runs[-1]
+
+        def value(self, theta):
+            computed.append(tuple(theta))
+            return real_value(self, theta)
+
+        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
+        monkeypatch.setattr(_LocalObjective, "value", value)
+        fit = fit_direction_at(dataset, t0, FitConfig(), bw, warm_start=warm)
+        return fit, requests, runs, computed
+
+    @pytest.mark.parametrize("case", [1, 2, 4, 7])
+    def test_each_distinct_vertex_is_computed_once(self, case, monkeypatch):
+        dataset, t0, bw, warm = direction_fit_cases()[case]
+        fit, requests, runs, computed = self.recorded_fit(monkeypatch, dataset, t0, bw, warm)
+        distinct = set(requests)
+        inside = [v for v in distinct if all(abs(a) <= _ANGLE_BOX for a in v)]
+        assert len(requests) > len(distinct)  # Nelder-Mead does repeat itself
+        # one computation per distinct vertex inside the box, plus the
+        # closing evaluation at the chosen direction
+        assert len(computed) == len(inside) + 1
+        assert fit.objective_calls == len(distinct)
+        # the reported counts are Nelder-Mead's own, repeats included
+        # (``test_fit_direction_at_matches_the_scipy_routine`` checks them
+        # against scipy's uncached run)
+        assert fit.evaluations == len(requests) == sum(r.nfev for r in runs)
+        assert fit.iterations == sum(r.nit for r in runs)
+
+    def test_diagnostics_record_objective_calls(self):
+        config = FitConfig(
+            t_grid_size=5,
+            link_grid=(-0.5, 0.5, 21),
+            optimizer=OptimizerConfig(restarts=3, max_iter=100, tol=1e-8),
+        )
+        ds = constant_direction_data(seed=24, n=80, direction=(0.6, 0.8), noise_sd=0.1)
+        diag = fit_model(ds, config).diagnostics
+        assert len(diag["objective_calls"]) == 5
+        assert all(0 < c <= e for c, e in zip(diag["objective_calls"], diag["nfev"]))
+        rng = np.random.default_rng(25)
+        flat = Dataset(
+            y=rng.normal(size=60),
+            delta=np.ones(60, dtype=int),
+            x=rng.normal(size=(60, 1)),
+            t=rng.uniform(0, 1, 60),
+        )
+        assert fit_model(flat, config).diagnostics["objective_calls"] == [0] * 5

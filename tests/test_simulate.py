@@ -1,6 +1,7 @@
 """Tests for the data generator, replication runner, and quantile bands."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from sivc import (
     resolve_censor_scale,
     run_monte_carlo,
 )
+from sivc import simulate
 from sivc.simulate import _band
 
 SMALL_FIT = FitConfig(
@@ -222,6 +224,44 @@ class TestRunMonteCarlo:
         summary = run_monte_carlo(small_sim(reps=3), SMALL_FIT, workers=1)
         assert summary.censoring_rates.shape == (3,)
         assert np.all((summary.censoring_rates > 0) & (summary.censoring_rates < 1))
+
+    @staticmethod
+    def recorded_pools(monkeypatch):
+        """Replace the process pool by an in-process one that records its size."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        return pools
+
+    @pytest.mark.parametrize("usable, want", [({0}, []), ({0, 2, 5}, [3]), (set(range(8)), [4])])
+    def test_default_workers_follow_the_affinity_mask(self, usable, want, monkeypatch):
+        pools = self.recorded_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        summary = run_monte_carlo(small_sim(reps=2), SMALL_FIT)
+        # one usable core runs the replications in this process, no pool
+        assert pools == want
+        assert len(summary.failures) == 0
+
+    def test_default_workers_without_an_affinity_mask(self, monkeypatch):
+        pools = self.recorded_pools(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_monte_carlo(small_sim(reps=2), SMALL_FIT)
+        assert pools == [2]
 
     def test_truth_recovery_at_relaxed_scale(self):
         summary = run_monte_carlo(

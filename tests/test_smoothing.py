@@ -63,6 +63,33 @@ class TestKernelWeight:
         mass, _ = integrate.quad(lambda u: float(kernel_values(spec, u)), -40, 40, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
+    def test_epanechnikov_bitwise_equal_to_support_test(self):
+        def where_formula(u):
+            u = np.asarray(u, dtype=float)
+            return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+        edges = [1.0, -1.0, np.nextafter(1.0, np.inf), np.nextafter(1.0, -np.inf),
+                 np.nextafter(-1.0, np.inf), np.nextafter(-1.0, -np.inf),
+                 np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1e300]
+        rng = np.random.default_rng(41)
+        arrays = [np.array(edges), rng.uniform(-2.0, 2.0, (37, 41)), rng.normal(size=500)]
+        scalars = edges + [np.float64(0.5), np.array(-0.25)]
+        # 1e300 squared overflows to inf in both forms
+        with np.errstate(over="ignore"):
+            for u in arrays:
+                got = kernel_values(EPAN, u)
+                assert got.dtype == np.float64 and got.shape == u.shape
+                assert got.tobytes() == where_formula(u).tobytes()
+            for u in scalars:
+                got = kernel_values(EPAN, u)
+                assert type(got) is np.ndarray and got.shape == ()
+                assert got.tobytes() == where_formula(u).tobytes()
+
+    def test_epanechnikov_leaves_its_input_alone(self):
+        u = np.array([0.5, 2.0, -1.0])
+        kernel_values(EPAN, u)
+        assert u.tolist() == [0.5, 2.0, -1.0]
+
 
 class TestNWEstimate:
     def test_constant_responses(self):
