@@ -23,8 +23,9 @@ to rounding (Fan & Marron, JCGS 1994). A row whose window holds no other
 row is skipped, decided from its neighbours rather than from a rounded
 denominator, and a denominator within reach of the expansion's rounding
 error is recomputed directly. Below ``_SORTED_MIN_ROWS`` active rows the
-dense matrix is faster (the measured crossover is m ~ 100) and is used
-instead, as it is for the gaussian kernel.
+dense matrix is used instead, as it is for the gaussian kernel. The
+constant predates the in-place dense kernel; re-measured since, the two
+paths cross at m ~ 140-160, but moving the constant changes rounding.
 
 The unit-norm, positive-first-component constraint is enforced by
 construction through a spherical-angle parameterization: the open
@@ -93,8 +94,8 @@ __all__ = [
 _ANGLE_BOX = math.pi / 2 - 1e-9
 _SIMPLEX_STEP = 0.1
 _XATOL = 1e-5
-# Active row count from which the sorted Epanechnikov evaluation beats
-# the dense one (measured crossover).
+# Active row count from which the sorted Epanechnikov evaluation is used
+# (the crossover measured when it was set; see the module docstring).
 _SORTED_MIN_ROWS = 100
 # Recompute a sorted-path denominator directly when it is below this
 # multiple of its rounding bound.

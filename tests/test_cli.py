@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from sivc import SimConfig, generate_dataset
+from sivc import SimConfig, cli, generate_dataset
 from sivc.cli import (
     EXIT_ESTIMATION,
     EXIT_IO,
@@ -17,6 +17,7 @@ from sivc.cli import (
     read_dataset_csv,
     write_dataset_csv,
 )
+from sivc.errors import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +277,187 @@ class TestDatasetCsvRoundtrip:
         write_dataset_csv(path, dataset)
         back = read_dataset_csv(path)
         assert back.n == dataset.n
+
+
+def csv_file(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+# The reader's contract: each accepted file with the rows it must give,
+# as (y, delta, t, x) with x a tuple, and each rejected file with the
+# exact problems list of its ValidationError.
+ACCEPTED_CSV = {
+    "crlf": (
+        "y,delta,t,x1\r\n1,1,0.5,0.2\r\n2,0,0.4,0.1\r\n",
+        [(1.0, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
+    "lone-cr": (
+        "y,delta,t,x1\r1,1,0.5,0.2\r2,0,0.4,0.1\r",
+        [(1.0, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
+    "no-final-newline": (
+        "y,delta,t,x1\n1,1,0.5,0.2\n2,0,0.4,0.1",
+        [(1.0, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
+    "quoted-numeric-field": (
+        'y,delta,t,x1\n"1.5",1,0.5,0.2\n2,0,0.4,"0.1"\n',
+        [(1.5, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
+    "underscore-in-number": (
+        "y,delta,t,x1\n1_0,1,0.5,0.2\n2,0,0.4,0.1\n",
+        [(10.0, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
+    "padded-delta": (
+        "y,delta,t,x1\n1, 1,0.5,0.2\n2,0 ,0.4,0.1\n",
+        [(1.0, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
+    "padded-numbers": (
+        "y,delta,t,x1\n 1.5 ,1,\t0.5,0.2 \n2,0,0.4, 0.1\n",
+        [(1.5, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
+    "signed-zero-17-digits-subnormal": (
+        "y,delta,t,x1,x2\n-0.0,1,0.30000000000000004,5e-324,-1E+300\n"
+        "-2.5,1,1,0,1.7976931348623157e308\n",
+        [
+            (-0.0, 1, 0.30000000000000004, (5e-324, -1e300)),
+            (-2.5, 1, 1.0, (0.0, 1.7976931348623157e308)),
+        ],
+    ),
+}
+
+REJECTED_CSV = {
+    "header-only": (
+        "y,delta,t,x1\n",
+        [
+            (None, "dataset needs at least 2 rows (got 0)"),
+            (None, "column arrays must share the same row count"),
+        ],
+    ),
+    "one-data-row": (
+        "y,delta,t,x1\n1.5,1,0.5,0.2\n",
+        [(None, "dataset needs at least 2 rows (got 1)")],
+    ),
+    "blank-line-mid-file": (
+        "y,delta,t,x1\n1,1,0.5,0.2\n\n2,0,0.4,0.1\n",
+        [(1, "expected 4 fields, got 0")],
+    ),
+    "blank-line-at-end": (
+        "y,delta,t,x1\n1,1,0.5,0.2\n2,0,0.4,0.1\n\n",
+        [(2, "expected 4 fields, got 0")],
+    ),
+    "blank-line-crlf": (
+        "y,delta,t,x1\r\n1,1,0.5,0.2\r\n\r\n2,0,0.4,0.1\r\n",
+        [(1, "expected 4 fields, got 0")],
+    ),
+    "whitespace-line": (
+        "y,delta,t,x1\n1,1,0.5,0.2\n \n2,0,0.4,0.1\n",
+        [(1, "expected 4 fields, got 1")],
+    ),
+    "trailing-hash-is-no-comment": (
+        "y,delta,t,x1\n1,1,0.5,0.2#x\n2,0,0.4,0.1\n",
+        [(0, "non-numeric field in ['1', '1', '0.5', '0.2#x']")],
+    ),
+    "hash-line-is-no-comment": (
+        "y,delta,t,x1\n#x\n1,1,0.5,0.2\n2,0,0.4,0.1\n",
+        [(0, "expected 4 fields, got 1")],
+    ),
+    "delta-1.0": (
+        "y,delta,t,x1\n1,1.0,0.5,0.2\n2,0,0.4,0.1\n",
+        [(0, "delta must be 0 or 1 (got '1.0')")],
+    ),
+    "delta-2": (
+        "y,delta,t,x1\n1,1,0.5,0.2\n2,2,0.4,0.1\n",
+        [(1, "delta must be 0 or 1 (got '2')")],
+    ),
+    "delta-minus-0": (
+        "y,delta,t,x1\n1,-0,0.5,0.2\n2,0,0.4,0.1\n",
+        [(0, "delta must be 0 or 1 (got '-0')")],
+    ),
+    "wrong-field-counts": (
+        "y,delta,t,x1\n1,1,0.5\n2,0,0.4,0.1\n3,1,0.2,0.1,9\n4,0\n"
+        "5,1,0.1,0.1\n6\n7,0,0.5,0.5,0.5\n8,1,0.5\n",
+        [
+            (0, "expected 4 fields, got 3"),
+            (2, "expected 4 fields, got 5"),
+            (3, "expected 4 fields, got 2"),
+            (5, "expected 4 fields, got 1"),
+            (6, "expected 4 fields, got 5"),
+            (7, "expected 4 fields, got 3"),
+        ],
+    ),
+    "extra-field-on-every-row": (
+        "y,delta,t,x1\n1,1,0.5,0.2,9\n2,0,0.4,0.1,9\n",
+        [(0, "expected 4 fields, got 5"), (1, "expected 4 fields, got 5")],
+    ),
+    "non-numeric-field": (
+        "y,delta,t,x1\nabc,1,0.5,0.2\n2,0,0.4,0.1\n",
+        [(0, "non-numeric field in ['abc', '1', '0.5', '0.2']")],
+    ),
+    # numpy strips U+001C..U+001F around a number; float() does not.
+    "information-separator": (
+        "y,delta,t,x1\n1,1,0.5,0.2\x1c\n2,0,0.4,0.1\n",
+        [(0, "non-numeric field in ['1', '1', '0.5', '0.2\\x1c']")],
+    ),
+    "nan-and-inf-response": (
+        "y,delta,t,x1\nnan,1,0.5,0.2\n-inf,0,0.4,0.1\n3,0,0.4,0.1\n",
+        [(0, "response must be finite"), (1, "response must be finite")],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestDatasetCsvContract:
+    @pytest.mark.parametrize("case", sorted(ACCEPTED_CSV))
+    def test_accepted(self, tmp_path, case):
+        text, rows = ACCEPTED_CSV[case]
+        ds = read_dataset_csv(csv_file(tmp_path, text))
+        y, delta, t, x = zip(*rows)
+        assert ds.y.tobytes() == np.array(y, dtype=float).tobytes()
+        assert ds.delta.tobytes() == np.array(delta, dtype=int).tobytes()
+        assert ds.t.tobytes() == np.array(t, dtype=float).tobytes()
+        assert ds.x.tobytes() == np.array(x, dtype=float).tobytes()
+        assert ds.x.shape == (len(rows), len(x[0]))
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_CSV))
+    def test_rejected(self, tmp_path, case):
+        text, problems = REJECTED_CSV[case]
+        with pytest.raises(ValidationError) as info:
+            read_dataset_csv(csv_file(tmp_path, text))
+        assert info.value.problems == problems
+
+    def test_blank_line_found_at_any_offset_of_a_long_file(self, tmp_path):
+        # The file is long enough to be read in pieces; the line ending
+        # before the blank line ends at each offset around 2**16.
+        head = "y,delta,t,x1\n" + "0.5,1,0.5,0.2\n" * 4600
+        for end in range(2**16 - 4, 2**16 + 5):
+            pad = "0" * (end - len(head) - len("0.5,1,0.5,0.2\n"))
+            text = head + f"0.5{pad},1,0.5,0.2\n" + "\n" + "2,0,0.4,0.1\n" * 2
+            assert len(text.split("\n\n")[0]) + 1 == end
+            with pytest.raises(ValidationError) as info:
+                read_dataset_csv(csv_file(tmp_path, text))
+            assert info.value.problems == [(4601, "expected 4 fields, got 0")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_written_csv_is_read_in_bulk(tmp_path, monkeypatch, d):
+    def no_scanner(path):
+        raise AssertionError(f"row scanner used on {path}")
+
+    monkeypatch.setattr(cli, "_scan_rows", no_scanner)
+    preset = {"preset": "paper"} if d == 2 else {
+        "preset": "constant",
+        "constant_direction": (1.0,) * d,
+    }
+    dataset, _ = generate_dataset(SimConfig(n=300, d=d, reps=1, seed=46, **preset), 0)
+    path = tmp_path / "ds.csv"
+    write_dataset_csv(path, dataset)
+    back = read_dataset_csv(path)
+    assert back.delta.dtype == dataset.delta.dtype
+    assert np.issubdtype(back.delta.dtype, np.integer)
+    for name in ("y", "delta", "t", "x"):
+        got, want = getattr(back, name), getattr(dataset, name)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
