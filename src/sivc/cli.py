@@ -253,6 +253,8 @@ def _scan_rows(path: Path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValidationError([(None, f"{path}: empty file")])
+        except csv.Error as exc:
+            raise ValidationError([(None, f"{path}: unreadable header ({exc})")]) from None
         d = len(header) - 3
         if d < 1 or header != _dataset_header(d):
             raise ValidationError(
@@ -260,7 +262,7 @@ def _scan_rows(path: Path) -> Dataset:
             )
         rows = []
         problems = []
-        for i, record in enumerate(reader):
+        for i, record in _records(reader, problems):
             if len(record) != len(header):
                 problems.append((i, f"expected {len(header)} fields, got {len(record)}"))
                 continue
@@ -280,6 +282,21 @@ def _scan_rows(path: Path) -> Dataset:
         if problems:
             raise ValidationError(problems)
     return validate_dataset(rows)
+
+
+def _records(reader, problems: list):
+    """Number the data records of ``reader``. A record it cannot split, such
+    as one with a field over the csv module's size limit, is added to
+    ``problems`` and ends the file: the reader cannot resume after it."""
+    for i in itertools.count():
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            problems.append((i, f"unreadable record ({exc})"))
+            return
+        yield i, record
 
 
 def _write_table(path: Path, header: list[str], rows) -> None:

@@ -38,6 +38,17 @@ Nelder-Mead asks again for vertices it has already scored, so at each t0
 every distinct vertex is computed once and repeats are served from a
 cache; the steps and counts it reports stay those of the uncached run.
 
+Each run stops on its angles alone, as soon as every vertex is within
+``_XATOL`` = 1e-4 rad of the best in each angle; no test on the vertex
+values holds it back. The objective is only piecewise smooth, so a value
+test kept polishing far below what the estimator resolves: with one, on
+seed-1729 data at n = 500 and 2 000, 57-59% of the evaluations fell
+within 1e-3 rad of where their run ended, against a per-replication
+angle error of ~0.11 rad. Up to the stop the steps are those of a run
+with a value test. An angle-only stop at 1e-5 / 1e-4 / 1e-3 rad cut the
+evaluations at n = 2 000 by 14 / 36 / 52%; only 1e-3 raised the worst
+per-replication error of the seed-1729 study, by 2e-4 rad.
+
 Stage 2 computes the synthetic responses from the Kaplan-Meier censoring
 survival, projects each covariate vector onto the fitted direction at
 its modifier value, and smooths the synthetic responses on that index by
@@ -93,7 +104,7 @@ __all__ = [
 
 _ANGLE_BOX = math.pi / 2 - 1e-9
 _SIMPLEX_STEP = 0.1
-_XATOL = 1e-5
+_XATOL = 1e-4
 # Active row count from which the sorted Epanechnikov evaluation is used
 # (the crossover measured when it was set; see the module docstring).
 _SORTED_MIN_ROWS = 100
@@ -105,7 +116,13 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Nelder-Mead settings: restart count, iteration cap, objective tolerance."""
+    """Nelder-Mead settings: restart count, iteration cap, value tolerance.
+
+    ``tol`` stops no run (runs stop on their angles; see the module
+    docstring). Starts whose final values agree within 10x ``tol`` are
+    tied, and a run that reaches ``max_iter`` still counts as converged
+    if its vertex values span at most ``tol``.
+    """
 
     restarts: int = 4
     max_iter: int = 150
@@ -476,11 +493,13 @@ def fit_direction_at(
     with the resolved bandwidths ``bw``.
 
     Nelder-Mead runs on the spherical angles from the warm start (if
-    given) plus ``restarts`` starting points spread across the angle box.
-    Candidates whose objectives agree within 10x the optimizer tolerance
-    are tied; ties resolve to the lexicographically smaller angle vector.
-    Hitting the iteration cap with the final simplex still spread wider
-    than the tolerance is flagged (not raised) in the result.
+    given) plus ``restarts`` starting points spread across the angle box;
+    each run stops once its vertices are within ``_XATOL`` of the best in
+    every angle. Candidates whose objectives agree within 10x the
+    optimizer tolerance are tied; ties resolve to the lexicographically
+    smaller angle vector. Hitting the iteration cap with the final vertex
+    values still spread wider than the tolerance is flagged (not raised)
+    in the result.
     """
     if dataset.n < 10:
         raise ValueError(f"direction fitting needs n >= 10 (got {dataset.n})")
@@ -520,7 +539,7 @@ def fit_direction_at(
             penalized,
             _initial_simplex(a0),
             _XATOL,
-            config.optimizer.tol,
+            math.inf,
             config.optimizer.max_iter,
         )
         total_iters += res.nit

@@ -82,6 +82,10 @@ class Dataset:
         problems = []
         if n < 2:
             problems.append((None, f"dataset needs at least 2 rows (got {n})"))
+            # With no values at all there is nothing more to report: an
+            # empty covariate list arrives 1-D, not as n x d.
+            if not (y.size or delta.size or x.size or t.size):
+                raise ValidationError(problems)
         if y.ndim != 1 or x.ndim != 2 or x.shape[0] != n or delta.shape != (n,) or t.shape != (n,):
             problems.append((None, "column arrays must share the same row count"))
         elif x.shape[1] < 1:

@@ -42,6 +42,13 @@ SMOKE_TOL = 0.2
 FULL_TIME_LIMIT = 900.0
 SMOKE_TIME_LIMIT = 180.0
 
+# Per-replication mean interior angle error (rad) of the full run, as
+# mean / p95 / max over replications, at commit 97df97f, before Stage 1's
+# Nelder-Mead stopped on its angle tolerance alone. A change to the search
+# may not raise any of them by more than ANGLE_GATE_SLACK.
+PARENT_ANGLE_ERROR = {"mean": 0.112768, "p95": 0.162332, "max": 0.176622}
+ANGLE_GATE_SLACK = 1e-4
+
 
 def _report(num, name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num} ({name}): {detail}", flush=True)
@@ -114,6 +121,30 @@ class TestCriterion1CoefficientCurves:
         )
         assert worst <= SMOKE_TOL
         assert elapsed <= SMOKE_TIME_LIMIT
+
+    def test_per_replication_angle_error_no_worse(self, full_run):
+        summary, _ = full_run
+        t = summary.t_grid
+        interior = (t >= 0.05 - 1e-12) & (t <= 0.95 + 1e-12)
+        dots = np.einsum("rgd,gd->rg", summary.beta_reps, _paper_truth(t))
+        per_rep = np.arccos(np.clip(dots, -1.0, 1.0))[:, interior].mean(axis=1)
+        stats = {
+            "mean": float(per_rep.mean()),
+            "p95": float(np.percentile(per_rep, 95)),
+            "max": float(per_rep.max()),
+        }
+        ok = all(stats[k] <= PARENT_ANGLE_ERROR[k] + ANGLE_GATE_SLACK for k in stats)
+        _report(
+            1,
+            "per-replication angle error, 100 reps",
+            ok,
+            ", ".join(
+                f"{k} {stats[k]:.6f} (parent {PARENT_ANGLE_ERROR[k]:.6f})" for k in stats
+            )
+            + f" rad, slack {ANGLE_GATE_SLACK:g}",
+        )
+        for k in stats:
+            assert stats[k] <= PARENT_ANGLE_ERROR[k] + ANGLE_GATE_SLACK, k
 
 
 class TestCriterion2LinkCurve:

@@ -124,6 +124,25 @@ class TestFitCommand:
         assert code == EXIT_VALIDATION
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("y,delta,t,x1\n" + "1" * 140_000 + ",1,0.5,0.2\n2,0,0.4,0.1\n\n", "row 0"),
+            ("y" * 140_000 + ",delta,t,x1\n1,1,0.5,0.2\n2,0,0.4,0.1\n", "header"),
+        ],
+        ids=["data-row", "header"],
+    )
+    def test_field_over_the_csv_limit_rejected(self, tmp_path, capsys, text, named):
+        data = tmp_path / "long.csv"
+        data.write_text(text, encoding="utf-8")
+        config = write_config(tmp_path, {"fit": {}})
+        code = main(
+            ["fit", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert named in err and "field larger than field limit" in err
+
     def test_estimation_failure_exit_code(self, tmp_path):
         dataset, _ = generate_dataset(SimConfig(n=20, reps=1, seed=2), 0)
         data = tmp_path / "tiny.csv"
@@ -330,10 +349,7 @@ ACCEPTED_CSV = {
 REJECTED_CSV = {
     "header-only": (
         "y,delta,t,x1\n",
-        [
-            (None, "dataset needs at least 2 rows (got 0)"),
-            (None, "column arrays must share the same row count"),
-        ],
+        [(None, "dataset needs at least 2 rows (got 0)")],
     ),
     "one-data-row": (
         "y,delta,t,x1\n1.5,1,0.5,0.2\n",
@@ -399,6 +415,14 @@ REJECTED_CSV = {
     "information-separator": (
         "y,delta,t,x1\n1,1,0.5,0.2\x1c\n2,0,0.4,0.1\n",
         [(0, "non-numeric field in ['1', '1', '0.5', '0.2\\x1c']")],
+    ),
+    # The trailing blank line sends the file to the row scanner.
+    "field-over-the-csv-limit": (
+        "y,delta,t,x1\nx,1,0.5,0.2\n" + "2" * 140_000 + ",0,0.4,0.1\n3,0,0.4,0.1\n\n",
+        [
+            (0, "non-numeric field in ['x', '1', '0.5', '0.2']"),
+            (1, "unreadable record (field larger than field limit (131072))"),
+        ],
     ),
     "nan-and-inf-response": (
         "y,delta,t,x1\nnan,1,0.5,0.2\n-inf,0,0.4,0.1\n3,0,0.4,0.1\n",

@@ -37,6 +37,7 @@ from sivc import estimator
 from sivc.estimator import (
     _ANGLE_BOX,
     _SORTED_MIN_ROWS,
+    _XATOL,
     _LocalObjective,
     _Simplex,
     _initial_simplex,
@@ -838,6 +839,11 @@ def nm_cases():
     return cases
 
 
+# The objective shapes the fit's angle-only stop is checked on: smooth,
+# kinked and the angle-box plateau.
+ANGLE_ONLY_CASES = ("smooth-", "kinked-", "penalized-")
+
+
 class TestNelderMead:
     @pytest.mark.parametrize(
         "func, simplex, maxiter, traits",
@@ -869,6 +875,35 @@ class TestNelderMead:
             assert max(seen) >= 1e12
         if "nan" in traits:
             assert any(math.isnan(v) for v in seen)
+
+    @pytest.mark.parametrize(
+        "func, simplex, maxiter",
+        [case[1:4] for case in nm_cases() if case[0].startswith(ANGLE_ONLY_CASES)],
+        ids=[case[0] for case in nm_cases() if case[0].startswith(ANGLE_ONLY_CASES)],
+    )
+    def test_angle_only_stop_matches_scipy(self, func, simplex, maxiter):
+        # The stopping rule of the fit: no value test, vertices within _XATOL.
+        ours = _nelder_mead(func, simplex, _XATOL, math.inf, maxiter)
+        assert_same_run(ours, scipy_nelder_mead(func, simplex, _XATOL, math.inf, maxiter))
+        assert ours.success
+
+    def test_angle_only_stop_ends_at_the_first_narrow_simplex(self):
+        simplex = _initial_simplex([0.7])
+        res = _nelder_mead(nm_kinked, simplex, _XATOL, math.inf, 150)
+
+        def span_tested_at(k):
+            # scipy's final simplex when capped at k iterations is the one
+            # the stop test sees at iteration k; xatol = 0 never passes.
+            options = {"initial_simplex": simplex, "xatol": 0.0, "fatol": math.inf, "maxiter": k}
+            ref = optimize.minimize(nm_kinked, simplex[0], method="Nelder-Mead", options=options)
+            return float(np.ptp(ref.final_simplex[0]))
+
+        spans = [span_tested_at(k) for k in range(1, res.nit + 1)]
+        assert res.success
+        assert spans[-1] <= _XATOL < min(spans[:-1])
+        # The value test would have gone on polishing past that point.
+        valued = _nelder_mead(nm_kinked, simplex, _XATOL, 1e-8, 150)
+        assert valued.success and valued.nit > res.nit and valued.nfev > res.nfev
 
     def test_nan_never_passes_the_stop_test(self):
         # Every vertex NaN: scipy's max of NaN differences fails the
