@@ -82,11 +82,24 @@ def _num(v: float) -> str:
 # config file handling
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+def _require_keys(
+    section: dict, allowed: set[str], where: str, required: bool = False
+) -> None:
+    """Reject a section that is not a JSON object or has keys outside
+    ``allowed``; with ``required``, also one that lacks any of them."""
+    if not isinstance(section, dict):
+        raise ValidationError(
+            [(None, f"{where} config must be a JSON object (got {json.dumps(section)})")]
+        )
     unknown = set(section) - allowed
     if unknown:
         raise ValidationError(
             [(None, f"unknown {where} config keys: {sorted(unknown)}")]
+        )
+    missing = allowed - set(section) if required else set()
+    if missing:
+        raise ValidationError(
+            [(None, f"{where} config is missing keys: {sorted(missing)}")]
         )
 
 
@@ -104,7 +117,7 @@ def parse_fit_config(section: dict) -> FitConfig:
         kwargs["link_grid"] = (float(lo), float(hi), int(count))
     bw = section.get("bandwidths", "auto")
     if bw != "auto":
-        _require_keys(bw, {"h1", "h2", "h_link"}, "bandwidths")
+        _require_keys(bw, {"h1", "h2", "h_link"}, "bandwidths", required=True)
         bw = Bandwidths(
             h1=float(bw["h1"]), h2=float(bw["h2"]), h_link=float(bw["h_link"])
         )

@@ -225,6 +225,55 @@ class TestSimulateCommand:
         assert code == EXIT_VALIDATION
 
 
+# Config documents that must end in a validation error naming the section
+# or the missing key, never in a traceback.
+REJECTED_CONFIG = {
+    "fit-not-an-object": ({"fit": []}, "fit config must be a JSON object (got [])"),
+    "sim-not-an-object": ({"sim": "x"}, 'sim config must be a JSON object (got "x")'),
+    "optimizer-not-an-object": (
+        {"fit": {"optimizer": 3}},
+        "optimizer config must be a JSON object (got 3)",
+    ),
+    "bandwidths-not-an-object": (
+        {"fit": {"bandwidths": "foo"}},
+        'bandwidths config must be a JSON object (got "foo")',
+    ),
+    "bandwidths-missing-h2-h_link": (
+        {"fit": {"bandwidths": {"h1": 1}}},
+        "bandwidths config is missing keys: ['h2', 'h_link']",
+    ),
+    "bandwidths-missing-h1": (
+        {"fit": {"bandwidths": {"h2": 0.2, "h_link": 0.3}}},
+        "bandwidths config is missing keys: ['h1']",
+    ),
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("case", sorted(REJECTED_CONFIG))
+    def test_parse_raises_validation_error(self, case):
+        doc, message = REJECTED_CONFIG[case]
+        parse = cli.parse_sim_config if "sim" in doc else cli.parse_fit_config
+        with pytest.raises(ValidationError) as excinfo:
+            parse(next(iter(doc.values())))
+        assert [text for _, text in excinfo.value.problems] == [message]
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [("simulate", case) for case in sorted(REJECTED_CONFIG)]
+        # sivc fit reads no sim section.
+        + [("fit", case) for case in sorted(REJECTED_CONFIG) if case != "sim-not-an-object"],
+    )
+    def test_command_exits_2(self, paper_csv, tmp_path, capsys, command, case):
+        doc, message = REJECTED_CONFIG[case]
+        config = write_config(tmp_path, doc)
+        data = ["--data", str(paper_csv)] if command == "fit" else []
+        code = main([command, *data, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module")
 def figure_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("figs")

@@ -36,12 +36,14 @@ from sivc import (
 from sivc import estimator
 from sivc.estimator import (
     _ANGLE_BOX,
+    _RACE_XATOL,
     _SORTED_MIN_ROWS,
     _XATOL,
     _LocalObjective,
     _Simplex,
     _initial_simplex,
     _nelder_mead,
+    _spread_starts,
 )
 
 EPAN = KernelSpec.epanechnikov()
@@ -739,7 +741,13 @@ def scipy_nelder_mead(func, simplex, xatol, fatol, maxiter):
         options={"initial_simplex": sim, "xatol": xatol, "fatol": fatol, "maxiter": maxiter},
     )
     return _Simplex(
-        tuple(res.x), res.fun, res.nit, res.nfev, bool(res.success), tuple(res.final_simplex[1])
+        tuple(res.x),
+        res.fun,
+        res.nit,
+        res.nfev,
+        bool(res.success),
+        tuple(res.final_simplex[1]),
+        res.final_simplex[0],
     )
 
 
@@ -1040,3 +1048,126 @@ class TestVertexCache:
             t=rng.uniform(0, 1, 60),
         )
         assert fit_model(flat, config).diagnostics["objective_calls"] == [0] * 5
+
+
+def race_then_resume(func, simplex, maxiter):
+    """A run to _RACE_XATOL, then the fit's resume of it to _XATOL."""
+    race = _nelder_mead(func, simplex, _RACE_XATOL, math.inf, maxiter)
+    return race, _nelder_mead(func, race.sim, _XATOL, math.inf, maxiter - race.nit + 1)
+
+
+def assert_resume_is_one_run(race, polish, full):
+    """The resumed run ends where the uninterrupted one does, bit for bit;
+    its counts add up to the uninterrupted run's, the resume's re-scoring
+    of the N + 1 vertices and its first iteration aside."""
+    resumed = polish._replace(
+        nit=race.nit + polish.nit - 1, nfev=race.nfev + polish.nfev - len(full.sim)
+    )
+    assert_same_run(resumed, full)
+    assert np.asarray(polish.sim, dtype=float).tobytes() == np.asarray(full.sim, dtype=float).tobytes()
+
+
+def fit_objective(dataset, t0, bw):
+    """The penalized angle objective ``fit_direction_at`` minimizes."""
+    obj = _LocalObjective(dataset, t0, bw, EPAN)
+
+    def penalized(angles):
+        if any(abs(a) > _ANGLE_BOX for a in angles):
+            excess = np.abs(angles) - _ANGLE_BOX
+            return 1e12 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
+        return obj.value(direction_from_angles(angles))
+
+    return penalized
+
+
+@pytest.fixture(scope="module")
+def paper_fit_inputs():
+    dataset, _ = generate_dataset(SimConfig(n=500, seed=1729), 0)
+    return dataset, select_bandwidths(dataset, EPAN)
+
+
+class TestRace:
+    @pytest.mark.parametrize(
+        "func, simplex, maxiter",
+        [case[1:4] for case in nm_cases()],
+        ids=[case[0] for case in nm_cases()],
+    )
+    def test_resume_matches_one_run_on_the_test_functions(self, func, simplex, maxiter):
+        race, polish = race_then_resume(func, simplex, maxiter)
+        full = _nelder_mead(func, simplex, _XATOL, math.inf, maxiter)
+        assert_resume_is_one_run(race, polish, full)
+
+    @pytest.mark.parametrize("t0", [0.0, 0.2, 0.45, 0.7, 1.0])
+    def test_resume_matches_one_run_on_the_objective(self, paper_fit_inputs, t0):
+        dataset, bw = paper_fit_inputs
+        func = fit_objective(dataset, t0, bw)
+        max_iter = OptimizerConfig().max_iter
+        for a0 in [[0.3]] + _spread_starts(4, 1):
+            simplex = _initial_simplex(a0)
+            race, polish = race_then_resume(func, simplex, max_iter)
+            full = _nelder_mead(func, simplex, _XATOL, math.inf, max_iter)
+            assert_resume_is_one_run(race, polish, full)
+            assert race.nit < full.nit
+
+    @pytest.mark.parametrize("case", [0, 1, 3, 4, 7, 10])
+    def test_only_the_leader_goes_below_the_race_tolerance(self, case, monkeypatch):
+        dataset, t0, bw, warm = direction_fit_cases()[case]
+        calls = []
+        real_nm = estimator._nelder_mead
+
+        def nelder_mead(func, simplex, xatol, fatol, maxiter):
+            res = real_nm(func, simplex, xatol, fatol, maxiter)
+            calls.append((np.asarray(simplex, dtype=float), xatol, maxiter, res))
+            return res
+
+        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
+        config = FitConfig()
+        fit = fit_direction_at(dataset, t0, config, bw, warm_start=warm)
+        *races, (polish_start, polish_xatol, polish_maxiter, polish) = calls
+        assert len(races) == config.optimizer.restarts + (warm is not None)
+        assert all(xatol == _RACE_XATOL for _, xatol, _, _ in races)
+        assert polish_xatol == _XATOL
+        # The polish resumes the leader: the race run with the lowest value.
+        leader = next(res for _, _, _, res in races if np.array_equal(res.sim, polish_start))
+        assert all(leader.fun <= res.fun + 10 * config.optimizer.tol for _, _, _, res in races)
+        assert polish_maxiter == config.optimizer.max_iter - leader.nit + 1
+        def span(res):
+            return np.abs(np.subtract(res.sim, res.x)).max()
+
+        # Each race run stops at its first simplex within _RACE_XATOL of
+        # its best vertex; only the polish goes on to _XATOL.
+        assert all(res.success and span(res) <= _RACE_XATOL for *_, res in races)
+        assert polish.success and span(polish) <= _XATOL < min(span(res) for *_, res in races)
+        assert fit.direction.components.tobytes() == normalize_direction(
+            direction_from_angles(polish.x)
+        ).components.tobytes()
+        assert (fit.iterations, fit.evaluations) == (
+            sum(res.nit for *_, res in calls),
+            sum(res.nfev for *_, res in calls),
+        )
+
+    @pytest.mark.parametrize("case", [0, 2, 4, 7, 10])
+    def test_one_start_gives_the_uninterrupted_run(self, case):
+        # Without a warm start and with one restart the race has a single
+        # runner, so the fit is that start's uninterrupted _XATOL run.
+        dataset, t0, bw, _ = direction_fit_cases()[case]
+        config = FitConfig(optimizer=OptimizerConfig(restarts=1))
+        fit = fit_direction_at(dataset, t0, config, bw)
+        requested = set()
+        objective = fit_objective(dataset, t0, bw)
+
+        def func(angles):
+            requested.add(tuple(angles))
+            return objective(angles)
+
+        simplex = _initial_simplex(_spread_starts(1, dataset.d - 1)[0])
+        full = _nelder_mead(func, simplex, _XATOL, math.inf, config.optimizer.max_iter)
+        direction = normalize_direction(direction_from_angles(full.x))
+        assert fit.direction.components.tobytes() == direction.components.tobytes()
+        value = _LocalObjective(dataset, t0, bw, EPAN).value(direction.components)
+        assert np.float64(fit.objective).tobytes() == np.float64(value).tobytes()
+        assert fit.converged == (full.success or full.fsim[-1] - full.fsim[0] <= config.optimizer.tol)
+        assert fit.objective_calls == len(requested)
+        # The resume re-scores the d vertices (cache hits) and starts its
+        # own iteration count at 1.
+        assert (fit.iterations, fit.evaluations) == (full.nit + 1, full.nfev + dataset.d)
