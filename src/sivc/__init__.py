@@ -24,7 +24,6 @@ from .errors import (
     EstimationError,
     InsufficientLocalSampleError,
     NoLocalDataError,
-    QuadratureError,
     SivcError,
     UnboundedSyntheticWeightError,
     UnidentifiableSignError,
@@ -69,16 +68,6 @@ from .smoothing import (
     nw_estimate,
     rule_of_thumb_bandwidth,
     select_bandwidths,
-)
-from .theory import (
-    CensorModel,
-    NoiseModel,
-    gaussian_noise,
-    gaussian_noise_sampler,
-    mc_conditional_mean,
-    theoretical_mean_response,
-    uniform_censor,
-    uniform_censor_sampler,
 )
 
 # Every name imported above, but not the submodules that importing them

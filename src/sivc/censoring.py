@@ -68,9 +68,6 @@ class SurvivalCurve:
             if values[0] > 1.0 or np.any(np.diff(values) > 0):
                 raise ValueError("survival values must be non-increasing from 1")
 
-    def __call__(self, s: float) -> float:
-        return survival_at(self, s)
-
 
 def estimate_censoring_survival(dataset: Dataset) -> SurvivalCurve:
     """Product-limit estimate of the censoring survival G(s) = P(C >= s).

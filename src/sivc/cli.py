@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import SivcError, ValidationError
@@ -69,7 +69,6 @@ def _versions() -> dict:
     return {
         "sivc": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
     }
 
@@ -103,36 +102,48 @@ def _require_keys(
         )
 
 
+@contextlib.contextmanager
+def _typed_values(section: dict, where: str):
+    """Turn a ``TypeError`` raised by a value of ``section``, such as
+    ``int(None)``, into a validation error naming the section."""
+    try:
+        yield
+    except TypeError as exc:
+        problem = f"{where} config holds a value of the wrong JSON type: {json.dumps(section)}"
+        raise ValidationError([(None, problem)]) from exc
+
+
 def parse_fit_config(section: dict) -> FitConfig:
     _require_keys(
         section,
         {"t_grid_size", "link_grid", "bandwidths", "kernel", "optimizer"},
         "fit",
     )
-    kwargs = {}
-    if "t_grid_size" in section:
-        kwargs["t_grid_size"] = int(section["t_grid_size"])
-    if "link_grid" in section:
-        lo, hi, count = section["link_grid"]
-        kwargs["link_grid"] = (float(lo), float(hi), int(count))
-    bw = section.get("bandwidths", "auto")
-    if bw != "auto":
-        _require_keys(bw, {"h1", "h2", "h_link"}, "bandwidths", required=True)
-        bw = Bandwidths(
-            h1=float(bw["h1"]), h2=float(bw["h2"]), h_link=float(bw["h_link"])
-        )
-    kwargs["bandwidths"] = bw
-    if "kernel" in section:
-        kwargs["kernel"] = KernelSpec(section["kernel"])
-    if "optimizer" in section:
-        opt = section["optimizer"]
-        _require_keys(opt, {"restarts", "max_iter", "tol"}, "optimizer")
-        kwargs["optimizer"] = OptimizerConfig(
-            restarts=int(opt.get("restarts", 4)),
-            max_iter=int(opt.get("max_iter", 150)),
-            tol=float(opt.get("tol", 1e-8)),
-        )
-    return FitConfig(**kwargs)
+    with _typed_values(section, "fit"):
+        kwargs = {}
+        if "t_grid_size" in section:
+            kwargs["t_grid_size"] = int(section["t_grid_size"])
+        if "link_grid" in section:
+            lo, hi, count = section["link_grid"]
+            kwargs["link_grid"] = (float(lo), float(hi), int(count))
+        bw = section.get("bandwidths", "auto")
+        if bw != "auto":
+            _require_keys(bw, {"h1", "h2", "h_link"}, "bandwidths", required=True)
+            bw = Bandwidths(
+                h1=float(bw["h1"]), h2=float(bw["h2"]), h_link=float(bw["h_link"])
+            )
+        kwargs["bandwidths"] = bw
+        if "kernel" in section:
+            kwargs["kernel"] = KernelSpec(section["kernel"])
+        if "optimizer" in section:
+            opt = section["optimizer"]
+            _require_keys(opt, {"restarts", "max_iter", "tol"}, "optimizer")
+            kwargs["optimizer"] = OptimizerConfig(
+                restarts=int(opt.get("restarts", 4)),
+                max_iter=int(opt.get("max_iter", 150)),
+                tol=float(opt.get("tol", 1e-8)),
+            )
+        return FitConfig(**kwargs)
 
 
 def parse_sim_config(section: dict) -> SimConfig:
@@ -150,12 +161,13 @@ def parse_sim_config(section: dict) -> SimConfig:
         },
         "sim",
     )
-    kwargs = dict(section)
-    if "constant_direction" in kwargs and kwargs["constant_direction"] is not None:
-        kwargs["constant_direction"] = tuple(
-            float(v) for v in kwargs["constant_direction"]
-        )
-    return SimConfig(**kwargs)
+    with _typed_values(section, "sim"):
+        kwargs = dict(section)
+        if "constant_direction" in kwargs and kwargs["constant_direction"] is not None:
+            kwargs["constant_direction"] = tuple(
+                float(v) for v in kwargs["constant_direction"]
+            )
+        return SimConfig(**kwargs)
 
 
 def load_config(path: Path) -> dict:
@@ -610,10 +622,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             manifest = cmd_simulate(args.config, args.out, raw=args.raw)
         else:
             manifest = cmd_reproduce_figures(args.out, reps=args.reps, seed=args.seed)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -75,9 +75,5 @@ class CalibrationError(SivcError):
     """Censoring calibration could not bracket the target rate."""
 
 
-class QuadratureError(SivcError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class EstimationError(SivcError):
     """A stage of the model fit failed; the message names the stage."""

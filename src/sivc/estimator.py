@@ -11,8 +11,9 @@ where g_loo is the leave-one-out product-kernel smoother of y on the
 candidate index and the modifier. Leaving row i out stops the smoother
 from collapsing onto its own response as h1 shrinks, which would make
 the objective trivially small for any direction. Because the observed
-response keeps the single-index structure of the latent one (see
-``sivc.theory``), Stage 1 runs on the observed responses directly.
+response keeps the single-index structure of the latent one (checked
+numerically by the quadrature oracle in ``tests/oracle.py``, acceptance
+criterion 3), Stage 1 runs on the observed responses directly.
 
 Only the m rows with modifier weight at t0 enter M. For the Epanechnikov
 kernel the index weight is a quadratic on |u| < 1, so after sorting the
@@ -32,8 +33,8 @@ construction through a spherical-angle parameterization: the open
 hemisphere maps to the open box (-pi/2, pi/2)^(d-1) and Nelder-Mead
 runs on the angles, warm-started along the grid sweep. The Nelder-Mead
 routine is the package's own: on Python floats it takes the same steps
-as scipy's non-adaptive ``minimize(method="Nelder-Mead")`` and returns
-the same result bit for bit, without importing ``scipy.optimize``.
+as SciPy's non-adaptive ``minimize(method="Nelder-Mead")`` and returns
+the same result bit for bit (the tests compare the two).
 Nelder-Mead asks again for vertices it has already scored, so at each t0
 every distinct vertex is computed once and repeats are served from a
 cache; the steps and counts it reports stay those of the uncached run.
@@ -423,10 +424,10 @@ def _nelder_mead(
 ) -> _Simplex:
     """Minimize ``func`` from the N + 1 vertices of ``simplex``.
 
-    It is scipy 1.17's non-adaptive Nelder-Mead on Python floats, step
+    It is SciPy 1.17's non-adaptive Nelder-Mead on Python floats, step
     for step: reflection 2 xbar - w, expansion 3 xbar - 2 w, outside
     contraction 1.5 xbar - 0.5 w, inside contraction 0.5 xbar + 0.5 w and
-    shrink v0 + 0.5 (vj - v0), with scipy's strict and non-strict
+    shrink v0 + 0.5 (vj - v0), with SciPy's strict and non-strict
     comparisons. xbar sums the N best vertices row by row from 0.0, as
     ``np.add.reduce`` does. The vertices are re-sorted stably after each
     iteration; numpy's default argsort is stable too up to three
@@ -481,7 +482,7 @@ def _nelder_mead(
         nit += 1
         verts.sort(key=_rank)
     fsim = tuple(f for f, _ in verts)
-    # numpy's min, which scipy reports, is NaN if any value is.
+    # numpy's min, which SciPy reports, is NaN if any value is.
     fun = math.nan if fsim[-1] != fsim[-1] else fsim[0]
     sim = tuple(tuple(x) for _, x in verts)
     return _Simplex(sim[0], fun, nit, nfev, nit < maxiter, fsim, sim)

@@ -243,19 +243,14 @@ def run_monte_carlo(
     failure_log: list[str] = []
     if workers > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(_try_replication, tasks)
-            for rep, payload, error in outcomes:
-                if error is not None:
-                    failures.append((rep, error))
-                else:
-                    results[rep] = payload
+            outcomes = list(pool.map(_try_replication, tasks))
     else:
-        for task in tasks:
-            rep, payload, error = _try_replication(task)
-            if error is not None:
-                failures.append((rep, error))
-            else:
-                results[rep] = payload
+        outcomes = map(_try_replication, tasks)
+    for rep, payload, error in outcomes:
+        if error is not None:
+            failures.append((rep, error))
+        else:
+            results[rep] = payload
 
     beta_reps = np.full((reps, t_grid.size, sim.d), np.nan)
     m_reps = np.full((reps, u_grid.size), np.nan)

@@ -1,4 +1,4 @@
-"""Numeric oracle for the censored conditional mean.
+"""Numeric oracle for the censored conditional mean (a test helper).
 
 The two-stage estimator rests on one identity: conditioning on the index,
 the observed (censored) response has mean w(m(u)) where
@@ -23,6 +23,11 @@ min(t + eps, C). The quadrature uses the equivalent form
 when the censoring support sits far to the right. The survival-function
 integrand is truncated at the upper 1e-12 quantile, which is negligible
 for noise with sub-exponential tails such as the built-in gaussian.
+
+No fit, study or CLI path needs the oracle, so it lives with the tests
+(``tests/test_theory.py`` and acceptance criterion 3) and ``sivc``
+itself runs on numpy alone. Quadrature that fails raises
+``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -33,19 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-
-from .errors import QuadratureError
-
-__all__ = [
-    "NoiseModel",
-    "CensorModel",
-    "gaussian_noise",
-    "gaussian_noise_sampler",
-    "uniform_censor",
-    "uniform_censor_sampler",
-    "theoretical_mean_response",
-    "mc_conditional_mean",
-]
+from scipy import integrate, optimize, special
 
 TAIL_PROBABILITY = 1e-12
 
@@ -88,8 +81,6 @@ class CensorModel:
         lo, hi = self.support
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("support must be a finite interval (lo, hi)")
-        from scipy import integrate
-
         mass, _ = integrate.quad(self.density, lo, hi, limit=200)
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"censor density integrates to {mass!r}, not 1")
@@ -99,8 +90,6 @@ def gaussian_noise(sd: float) -> NoiseModel:
     """Mean-zero gaussian noise model."""
     if not sd > 0:
         raise ValueError("sd must be positive")
-    from scipy import special
-
     return NoiseModel(
         cdf=lambda x: float(special.ndtr(x / sd)),
         density=lambda x: float(np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2 * math.pi))),
@@ -129,27 +118,23 @@ def uniform_censor_sampler(upper: float, lower: float = 0.0) -> Callable:
 
 def _quantile(cdf: Callable[[float], float], p: float) -> float:
     """Solve cdf(x) = p by bracket expansion and Brent's method."""
-    from scipy import optimize
-
     lo, hi = -1.0, 1.0
     for _ in range(200):
         if cdf(lo) <= p:
             break
         lo *= 2.0
     else:
-        raise QuadratureError(f"could not bracket the {p} noise quantile from below")
+        raise RuntimeError(f"could not bracket the {p} noise quantile from below")
     for _ in range(200):
         if cdf(hi) >= p:
             break
         hi *= 2.0
     else:
-        raise QuadratureError(f"could not bracket the {p} noise quantile from above")
+        raise RuntimeError(f"could not bracket the {p} noise quantile from above")
     return float(optimize.brentq(lambda x: cdf(x) - p, lo, hi, xtol=1e-12))
 
 
 def _quad(f, lo, hi, tol, points=None):
-    from scipy import integrate
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -157,9 +142,9 @@ def _quad(f, lo, hi, tol, points=None):
                 f, lo, hi, epsabs=tol, limit=200, points=points
             )
         except integrate.IntegrationWarning as exc:
-            raise QuadratureError(f"quadrature did not converge: {exc}") from exc
+            raise RuntimeError(f"quadrature did not converge: {exc}") from exc
     if abserr > max(10.0 * tol, 1e-8 * abs(val)):
-        raise QuadratureError(
+        raise RuntimeError(
             f"quadrature error estimate {abserr!r} exceeds tolerance {tol!r}"
         )
     return val

@@ -16,21 +16,23 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from oracle import (
+    gaussian_noise,
+    gaussian_noise_sampler,
+    mc_conditional_mean,
+    theoretical_mean_response,
+    uniform_censor,
+    uniform_censor_sampler,
+)
 from sivc import (
     Dataset,
     FitConfig,
     SimConfig,
     estimate_censoring_survival,
-    gaussian_noise,
-    gaussian_noise_sampler,
-    mc_conditional_mean,
     resolve_censor_scale,
     run_monte_carlo,
     survival_at,
     synthetic_responses,
-    theoretical_mean_response,
-    uniform_censor,
-    uniform_censor_sampler,
 )
 from sivc.cli import main as cli_main
 

@@ -246,6 +246,31 @@ REJECTED_CONFIG = {
         {"fit": {"bandwidths": {"h2": 0.2, "h_link": 0.3}}},
         "bandwidths config is missing keys: ['h1']",
     ),
+    "link_grid-not-a-list": (
+        {"fit": {"link_grid": 5}},
+        'fit config holds a value of the wrong JSON type: {"link_grid": 5}',
+    ),
+    "n-a-string": (
+        {"sim": {"n": "abc"}},
+        'sim config holds a value of the wrong JSON type: {"n": "abc"}',
+    ),
+    "constant_direction-a-number": (
+        {"sim": {"constant_direction": 3}},
+        'sim config holds a value of the wrong JSON type: {"constant_direction": 3}',
+    ),
+    "restarts-null": (
+        {"fit": {"optimizer": {"restarts": None}}},
+        'fit config holds a value of the wrong JSON type: {"optimizer": {"restarts": null}}',
+    ),
+    "t_grid_size-null": (
+        {"fit": {"t_grid_size": None}},
+        'fit config holds a value of the wrong JSON type: {"t_grid_size": null}',
+    ),
+    "h1-null": (
+        {"fit": {"bandwidths": {"h1": None, "h2": 1, "h_link": 1}}},
+        "fit config holds a value of the wrong JSON type: "
+        '{"bandwidths": {"h1": null, "h2": 1, "h_link": 1}}',
+    ),
 }
 
 
@@ -262,7 +287,11 @@ class TestConfigErrors:
         "command, case",
         [("simulate", case) for case in sorted(REJECTED_CONFIG)]
         # sivc fit reads no sim section.
-        + [("fit", case) for case in sorted(REJECTED_CONFIG) if case != "sim-not-an-object"],
+        + [
+            ("fit", case)
+            for case in sorted(REJECTED_CONFIG)
+            if "sim" not in REJECTED_CONFIG[case][0]
+        ],
     )
     def test_command_exits_2(self, paper_csv, tmp_path, capsys, command, case):
         doc, message = REJECTED_CONFIG[case]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sivc import (
+from oracle import (
     CensorModel,
     gaussian_noise,
     gaussian_noise_sampler,
