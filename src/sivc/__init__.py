@@ -17,18 +17,7 @@ from .censoring import (
     survival_at,
     synthetic_responses,
 )
-from .errors import (
-    CalibrationError,
-    DegenerateDirectionError,
-    DegeneratePredictorError,
-    EstimationError,
-    InsufficientLocalSampleError,
-    NoLocalDataError,
-    SivcError,
-    UnboundedSyntheticWeightError,
-    UnidentifiableSignError,
-    ValidationError,
-)
+from .errors import EstimationError, NoLocalDataError, SivcError, ValidationError
 from .estimator import (
     DirectionFit,
     FitConfig,
@@ -51,7 +40,6 @@ from .model import (
     censoring_rate,
     evaluate_curves,
     normalize_direction,
-    validate_dataset,
 )
 from .simulate import (
     SimConfig,

@@ -21,12 +21,11 @@ reproduce every response bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import CalibrationError, UnboundedSyntheticWeightError, ValidationError
-from .model import Dataset
+from .errors import EstimationError, ValidationError
+from .model import Dataset, _frozen
 
 __all__ = [
     "SurvivalCurve",
@@ -36,10 +35,10 @@ __all__ = [
     "calibrate_censoring",
 ]
 
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+# Latent draws in the calibration probe, and how far the bisection may
+# end from the target rate.
+_PROBE_N = 100_000
+_RATE_TOL = 0.002
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,8 @@ def synthetic_responses(dataset: Dataset, curve: SurvivalCurve) -> np.ndarray:
     T*_i integrates 1/G-hat over [0, y_i] for y_i > 0 and is y_i itself
     for y_i <= 0. Raises ``ValidationError`` naming the first censored
     row with y_i < 0, which no nonnegative censoring time can produce,
-    and ``UnboundedSyntheticWeightError`` (naming the first offending
-    row) when G-hat vanishes strictly inside some [0, y_i).
+    and ``EstimationError`` (naming the first offending row) when G-hat
+    vanishes strictly inside some [0, y_i).
     """
     y = dataset.y
     censored_negative = np.flatnonzero((dataset.delta == 0) & (y < 0))
@@ -136,34 +135,26 @@ def synthetic_responses(dataset: Dataset, curve: SurvivalCurve) -> np.ndarray:
     bad = ~np.isfinite(base) | ((tail_width > 0) & (seg_val <= 0.0))
     if np.any(bad):
         rows = np.flatnonzero(positive)[bad]
-        raise UnboundedSyntheticWeightError(int(rows[0]))
+        raise EstimationError(f"unbounded synthetic weight at row {int(rows[0])}")
     tail = np.where(tail_width > 0, tail_width / np.where(seg_val > 0, seg_val, 1.0), 0.0)
     out[positive] = base + tail
     return out
 
 
-def calibrate_censoring(
-    target_rate: float,
-    dgp,
-    probe_n: int = 100_000,
-    seed: int = 0,
-    rate_tol: float = 0.002,
-) -> float:
+def calibrate_censoring(target_rate: float, dgp, seed: int = 0) -> float:
     """Upper bound c for C ~ Uniform(0, c) hitting a target censoring rate.
 
     ``dgp`` must expose ``draw_latent(rng, size)`` returning latent
-    responses. One probe sample is drawn; the censoring probability given
-    a latent value y is P(C <= y) = clip(y, 0, c) / c, so the achieved
-    rate is a continuous, decreasing function of c solved by bisection.
-    Deterministic given (seed, probe_n).
+    responses. One probe sample of ``_PROBE_N`` draws is taken; the
+    censoring probability given a latent value y is
+    P(C <= y) = clip(y, 0, c) / c, so the achieved rate is a continuous,
+    decreasing function of c solved by bisection. Deterministic given
+    ``seed``. Raises ``EstimationError`` when no c reaches the target.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError(f"target rate must lie in (0, 1) (got {target_rate})")
-    if probe_n < 10_000:
-        raise ValueError(f"probe_n must be at least 10000 (got {probe_n})")
-    draw_latent: Callable = getattr(dgp, "draw_latent", dgp)
     rng = np.random.default_rng(seed)
-    latent = np.asarray(draw_latent(rng, probe_n), dtype=float)
+    latent = np.asarray(dgp.draw_latent(rng, _PROBE_N), dtype=float)
     clipped = np.clip(latent, 0.0, None)
 
     def rate(c: float) -> float:
@@ -171,7 +162,7 @@ def calibrate_censoring(
 
     lo, hi = 1e-6, 1e6
     if not (rate(lo) >= target_rate >= rate(hi)):
-        raise CalibrationError(
+        raise EstimationError(
             f"no c in [{lo}, {hi}] achieves censoring rate {target_rate}"
         )
     c = 0.5 * (lo + hi)
@@ -184,8 +175,8 @@ def calibrate_censoring(
         else:
             hi = c
     achieved = rate(c)
-    if abs(achieved - target_rate) > rate_tol:
-        raise CalibrationError(
+    if abs(achieved - target_rate) > _RATE_TOL:
+        raise EstimationError(
             f"bisection stalled: achieved rate {achieved:.4f} vs target {target_rate}"
         )
     return float(c)

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import SivcError, ValidationError
 from .estimator import Bandwidths, FitConfig, ModelFit, OptimizerConfig, fit_model
-from .model import Dataset, censoring_rate, validate_dataset
+from .model import Dataset, censoring_rate
 from .simulate import SimConfig, SimSummary, run_monte_carlo
 from .smoothing import KernelSpec
 from .svgplot import Panel, render_figure
@@ -53,16 +53,6 @@ class RunManifest:
     versions: dict
     outputs: tuple[str, ...]
     duration_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "versions": self.versions,
-            "outputs": list(self.outputs),
-            "duration_seconds": self.duration_seconds,
-        }
 
 
 def _versions() -> dict:
@@ -104,13 +94,43 @@ def _require_keys(
 
 @contextlib.contextmanager
 def _typed_values(section: dict, where: str):
-    """Turn a ``TypeError`` raised by a value of ``section``, such as
-    ``int(None)``, into a validation error naming the section."""
+    """Turn a ``TypeError`` raised by a value of ``section``, such as a
+    ``null`` number, into a validation error naming the section."""
     try:
         yield
     except TypeError as exc:
         problem = f"{where} config holds a value of the wrong JSON type: {json.dumps(section)}"
         raise ValidationError([(None, problem)]) from exc
+
+
+# Config keys whose value must be a JSON integer; those of _NUMBERS take
+# any JSON number. A boolean or a string is neither.
+_INTEGERS = {"t_grid_size", "restarts", "max_iter", "n", "d", "reps", "seed"}
+_NUMBERS = {"h1", "h2", "h_link", "tol", "censor_target", "noise_sd"}
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
+def _checked(section: dict) -> dict:
+    """A copy of ``section`` with its integers and numbers checked and
+    its numbers made floats."""
+    checked = dict(section)
+    for key, value in section.items():
+        if key in _INTEGERS:
+            checked[key] = _integer(value)
+        elif key in _NUMBERS:
+            checked[key] = _number(value)
+    return checked
 
 
 def parse_fit_config(section: dict) -> FitConfig:
@@ -120,29 +140,20 @@ def parse_fit_config(section: dict) -> FitConfig:
         "fit",
     )
     with _typed_values(section, "fit"):
-        kwargs = {}
-        if "t_grid_size" in section:
-            kwargs["t_grid_size"] = int(section["t_grid_size"])
-        if "link_grid" in section:
-            lo, hi, count = section["link_grid"]
-            kwargs["link_grid"] = (float(lo), float(hi), int(count))
-        bw = section.get("bandwidths", "auto")
+        kwargs = _checked(section)
+        if "link_grid" in kwargs:
+            lo, hi, count = kwargs["link_grid"]
+            kwargs["link_grid"] = (_number(lo), _number(hi), _integer(count))
+        bw = kwargs.get("bandwidths", "auto")
         if bw != "auto":
             _require_keys(bw, {"h1", "h2", "h_link"}, "bandwidths", required=True)
-            bw = Bandwidths(
-                h1=float(bw["h1"]), h2=float(bw["h2"]), h_link=float(bw["h_link"])
-            )
-        kwargs["bandwidths"] = bw
-        if "kernel" in section:
-            kwargs["kernel"] = KernelSpec(section["kernel"])
-        if "optimizer" in section:
-            opt = section["optimizer"]
+            kwargs["bandwidths"] = Bandwidths(**_checked(bw))
+        if "kernel" in kwargs:
+            kwargs["kernel"] = KernelSpec(kwargs["kernel"])
+        if "optimizer" in kwargs:
+            opt = kwargs["optimizer"]
             _require_keys(opt, {"restarts", "max_iter", "tol"}, "optimizer")
-            kwargs["optimizer"] = OptimizerConfig(
-                restarts=int(opt.get("restarts", 4)),
-                max_iter=int(opt.get("max_iter", 150)),
-                tol=float(opt.get("tol", 1e-8)),
-            )
+            kwargs["optimizer"] = OptimizerConfig(**_checked(opt))
         return FitConfig(**kwargs)
 
 
@@ -162,11 +173,9 @@ def parse_sim_config(section: dict) -> SimConfig:
         "sim",
     )
     with _typed_values(section, "sim"):
-        kwargs = dict(section)
-        if "constant_direction" in kwargs and kwargs["constant_direction"] is not None:
-            kwargs["constant_direction"] = tuple(
-                float(v) for v in kwargs["constant_direction"]
-            )
+        kwargs = _checked(section)
+        if kwargs.get("constant_direction") is not None:
+            kwargs["constant_direction"] = tuple(map(_number, kwargs["constant_direction"]))
         return SimConfig(**kwargs)
 
 
@@ -184,22 +193,9 @@ def load_config(path: Path) -> dict:
 
 
 def _config_echo(sim: Optional[SimConfig], fit: FitConfig) -> dict:
-    def jsonable(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {
-                k: jsonable(v) for k, v in dataclasses.asdict(obj).items()
-            }
-        if isinstance(obj, (tuple, list)):
-            return [jsonable(v) for v in obj]
-        if isinstance(obj, np.ndarray):
-            return [jsonable(v) for v in obj.tolist()]
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        return obj
-
-    echo: dict = {"fit": jsonable(fit)}
+    echo = {"fit": dataclasses.asdict(fit)}
     if sim is not None:
-        echo["sim"] = jsonable(sim)
+        echo["sim"] = dataclasses.asdict(sim)
     return echo
 
 
@@ -230,7 +226,7 @@ def read_dataset_csv(path: Path) -> Dataset:
     path = Path(path)
     rows = _bulk_rows(path)
     if rows is None:
-        return _scan_rows(path)
+        rows = _scan_rows(path)
     return Dataset(y=rows[:, 0], delta=rows[:, 1], t=rows[:, 2], x=rows[:, 3:])
 
 
@@ -270,8 +266,10 @@ def _bulk_rows(path: Path) -> Optional[np.ndarray]:
     return rows if rows.shape[1] == len(header) else None
 
 
-def _scan_rows(path: Path) -> Dataset:
-    """Row-by-row reader: the authority on what the CSV contract accepts."""
+def _scan_rows(path: Path) -> np.ndarray:
+    """Row-by-row reader: the authority on what the CSV contract accepts.
+
+    Returns the data rows as ``_bulk_rows`` does, one float array."""
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -293,20 +291,16 @@ def _scan_rows(path: Path) -> Dataset:
                 continue
             try:
                 y = float(record[0])
-                delta_raw = record[1].strip()
-                if delta_raw not in ("0", "1"):
+                delta = record[1].strip()
+                if delta not in ("0", "1"):
                     problems.append((i, f"delta must be 0 or 1 (got {record[1]!r})"))
                     continue
-                delta = int(delta_raw)
-                t = float(record[2])
-                x = tuple(float(v) for v in record[3:])
+                rows.append([y, float(delta), *map(float, record[2:])])
             except ValueError:
                 problems.append((i, f"non-numeric field in {record!r}"))
-                continue
-            rows.append((y, delta, x, t))
         if problems:
             raise ValidationError(problems)
-    return validate_dataset(rows)
+    return np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def _records(reader, problems: list):
@@ -443,12 +437,28 @@ def _finish_manifest(
         duration_seconds=time.monotonic() - started,
     )
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(dataclasses.asdict(manifest), indent=2) + "\n", encoding="utf-8"
     )
     missing = [name for name in manifest.outputs if not (out_dir / name).exists()]
     if missing:
         raise OSError(f"promised outputs missing after run: {missing}")
     return manifest
+
+
+def _run_study(sim: SimConfig, fit: FitConfig, out_dir: Path) -> SimSummary:
+    """Run the Monte Carlo study, write its two summary CSVs, and warn on
+    stderr when too many replications failed."""
+    summary = run_monte_carlo(sim, fit)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_summary_csv(out_dir / "summary.csv", summary)
+    write_link_summary_csv(out_dir / "link_summary.csv", summary)
+    if summary.degraded:
+        print(
+            f"warning: {len(summary.failures)} of {sim.reps} replications "
+            "failed; summary is degraded",
+            file=sys.stderr,
+        )
+    return summary
 
 
 def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> RunManifest:
@@ -466,11 +476,7 @@ def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> RunManifest:
         "n": dataset.n,
         "d": dataset.d,
         "censoring_rate": censoring_rate(dataset),
-        "bandwidths": {
-            "h1": fit.bandwidths.h1,
-            "h2": fit.bandwidths.h2,
-            "h_link": fit.bandwidths.h_link,
-        },
+        "bandwidths": dataclasses.asdict(fit.bandwidths),
         **fit.diagnostics,
     }
     (out_dir / "diagnostics.json").write_text(
@@ -495,22 +501,13 @@ def cmd_simulate(
     doc = load_config(config_path)
     sim_config = parse_sim_config(doc.get("sim", {}))
     fit_config = parse_fit_config(doc.get("fit", {}))
-    summary = run_monte_carlo(sim_config, fit_config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(out_dir / "summary.csv", summary)
-    write_link_summary_csv(out_dir / "link_summary.csv", summary)
+    summary = _run_study(sim_config, fit_config, out_dir)
     outputs = ["summary.csv", "link_summary.csv"]
     if raw:
         write_raw_estimates_csv(
             out_dir / "raw_curves.csv", out_dir / "raw_link.csv", summary
         )
         outputs += ["raw_curves.csv", "raw_link.csv"]
-    if summary.degraded:
-        print(
-            f"warning: {len(summary.failures)} of {sim_config.reps} replications "
-            "failed; summary is degraded",
-            file=sys.stderr,
-        )
     return _finish_manifest(
         "simulate",
         _config_echo(sim_config, fit_config),
@@ -529,10 +526,7 @@ def cmd_reproduce_figures(
     out_dir = Path(out_dir)
     sim_config = SimConfig(reps=reps, seed=seed)
     fit_config = FitConfig()
-    summary = run_monte_carlo(sim_config, fit_config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(out_dir / "summary.csv", summary)
-    write_link_summary_csv(out_dir / "link_summary.csv", summary)
+    summary = _run_study(sim_config, fit_config, out_dir)
 
     truth = sim_config.true_directions(summary.t_grid)
     fig1 = render_figure(

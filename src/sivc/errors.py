@@ -28,14 +28,6 @@ class ValidationError(SivcError):
         return type(self), (self.problems,)
 
 
-class DegenerateDirectionError(SivcError):
-    """Zero vector cannot be normalized to a direction."""
-
-
-class UnidentifiableSignError(SivcError):
-    """First component is zero, so the sign convention cannot be applied."""
-
-
 class NoLocalDataError(SivcError):
     """All kernel weights vanished at an evaluation point.
 
@@ -51,29 +43,6 @@ class NoLocalDataError(SivcError):
         return type(self), (self.x0, str(self))
 
 
-class DegeneratePredictorError(SivcError):
-    """A smoothing coordinate has zero sample variance."""
-
-
-class UnboundedSyntheticWeightError(SivcError):
-    """The estimated censoring survival hits zero inside a response's
-    integration range, making the synthetic weight unbounded."""
-
-    def __init__(self, row, message=None):
-        self.row = row
-        super().__init__(message or f"unbounded synthetic weight at row {row}")
-
-    def __reduce__(self):
-        return type(self), (self.row, str(self))
-
-
-class InsufficientLocalSampleError(SivcError):
-    """Fewer than two observations carry weight near a grid point."""
-
-
-class CalibrationError(SivcError):
-    """Censoring calibration could not bracket the target rate."""
-
-
 class EstimationError(SivcError):
-    """A stage of the model fit failed; the message names the stage."""
+    """A fit or the censoring calibration failed; the message says where
+    and why."""

@@ -13,22 +13,17 @@ pure, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    UnidentifiableSignError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 __all__ = [
     "Dataset",
     "UnitDirection",
     "CoefficientCurves",
     "normalize_direction",
-    "validate_dataset",
     "evaluate_curves",
     "censoring_rate",
 ]
@@ -172,9 +167,9 @@ def normalize_direction(v: Sequence[float] | np.ndarray) -> UnitDirection:
     """Scale ``v`` to unit norm and flip its sign so the first component
     is positive.
 
-    Raises ``DegenerateDirectionError`` for the zero vector and
-    ``UnidentifiableSignError`` when the first component is zero (the
-    sign convention is undefined there; callers choose a tie-break).
+    Raises ``ValueError`` for an empty or non-finite vector, for the zero
+    vector, and when the first component is zero or underflows to zero
+    (the sign convention is undefined there).
     """
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
@@ -183,46 +178,17 @@ def normalize_direction(v: Sequence[float] | np.ndarray) -> UnitDirection:
         raise ValueError("direction components must be finite")
     scale = float(np.max(np.abs(arr)))
     if scale == 0.0:
-        raise DegenerateDirectionError("degenerate direction: zero vector")
+        raise ValueError("degenerate direction: zero vector")
     if arr[0] == 0.0:
-        raise UnidentifiableSignError(
-            "unidentifiable sign: first component is zero"
-        )
+        raise ValueError("unidentifiable sign: first component is zero")
     scaled = arr / scale
     unit = scaled / np.linalg.norm(scaled)
     if unit[0] == 0.0:
         # |v1| below the underflow threshold relative to ||v||
-        raise UnidentifiableSignError(
-            "unidentifiable sign: first component underflows to zero"
-        )
+        raise ValueError("unidentifiable sign: first component underflows to zero")
     if unit[0] < 0:
         unit = -unit
     return UnitDirection(components=unit)
-
-
-def validate_dataset(rows: Iterable[Sequence]) -> Dataset:
-    """Build a ``Dataset`` from ``(y, delta, x, t)`` rows.
-
-    Rows that do not unpack into four fields with a covariate sequence,
-    and covariate vectors of unequal length, are reported here; the
-    values themselves are checked by ``Dataset``.
-    """
-    columns = []
-    problems: list[tuple[int | None, str]] = []
-    for i, row in enumerate(rows):
-        try:
-            y, delta, x, t = row
-            columns.append((y, delta, tuple(x), t))
-        except (TypeError, ValueError):
-            problems.append((i, f"expected (y, delta, x, t), got {row!r}"))
-    if not problems:
-        dims = {len(row[2]) for row in columns}
-        if len(dims) > 1:
-            problems.append((None, f"ragged covariates: found lengths {sorted(dims)}"))
-    if problems:
-        raise ValidationError(problems)
-    y, delta, x, t = zip(*columns) if columns else ((), (), (), ())
-    return Dataset(y=y, delta=delta, x=x, t=t)
 
 
 def evaluate_curves(curves: CoefficientCurves, t) -> np.ndarray:

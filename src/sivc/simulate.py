@@ -92,11 +92,16 @@ class SimConfig:
     def draw_latent(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Latent (uncensored) responses from the preset; used to
         calibrate the censoring scale."""
+        return self._draw(rng, size)[3]
+
+    def _draw(self, rng: np.random.Generator, size: int):
+        """Covariates, modifiers, true index and latent responses of
+        ``size`` rows; the draws are covariates, modifiers, then noise."""
         x = rng.standard_normal((size, self.d))
         ts = rng.uniform(0.0, 1.0, size)
         eps = rng.normal(0.0, self.noise_sd, size)
         index = np.einsum("ij,ij->i", x, self.true_directions(ts))
-        return self.true_link(index) + eps
+        return x, ts, index, self.true_link(index) + eps
 
 
 @dataclass(frozen=True)
@@ -154,14 +159,11 @@ class SimSummary:
 def resolve_censor_scale(config: SimConfig) -> Optional[float]:
     """Calibrated upper bound of the uniform censoring law (None when
     the target rate is zero). Cached: calibration is deterministic in
-    (config.seed, probe size)."""
+    the config."""
     if config.censor_target == 0.0:
         return None
     return calibrate_censoring(
-        config.censor_target,
-        config,
-        probe_n=100_000,
-        seed=(config.seed, _CALIBRATION_STREAM),
+        config.censor_target, config, seed=(config.seed, _CALIBRATION_STREAM)
     )
 
 
@@ -180,11 +182,7 @@ def generate_dataset(
     if censor_scale is None:
         censor_scale = resolve_censor_scale(config)
     rng = np.random.default_rng((config.seed, rep_index))
-    x = rng.standard_normal((config.n, config.d))
-    ts = rng.uniform(0.0, 1.0, config.n)
-    eps = rng.normal(0.0, config.noise_sd, config.n)
-    index = np.einsum("ij,ij->i", x, config.true_directions(ts))
-    y_star = config.true_link(index) + eps
+    x, ts, index, y_star = config._draw(rng, config.n)
     if config.censor_target == 0.0:
         dataset = Dataset(
             y=y_star, delta=np.ones(config.n, dtype=int), x=x, t=ts

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePredictorError, NoLocalDataError
+from .errors import EstimationError, NoLocalDataError
 from .model import Dataset, normalize_direction
 
 __all__ = [
@@ -54,14 +54,6 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
             )
-
-    @classmethod
-    def epanechnikov(cls) -> "KernelSpec":
-        return cls("epanechnikov")
-
-    @classmethod
-    def gaussian(cls) -> "KernelSpec":
-        return cls("gaussian")
 
 
 @dataclass(frozen=True)
@@ -121,8 +113,8 @@ def nw_estimate(
 def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:
     """Normal reference rule 1.06 * sd(xs) * n^(-1/5).
 
-    Raises ``DegeneratePredictorError`` when the coordinate has zero
-    sample variance.
+    Raises ``EstimationError`` when the coordinate has zero sample
+    variance.
     """
     xs = np.asarray(xs, dtype=float)
     n = xs.size
@@ -130,7 +122,7 @@ def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:
         raise ValueError("need at least 2 observations")
     sd = float(np.std(xs, ddof=1))
     if sd == 0.0:
-        raise DegeneratePredictorError("degenerate predictor: zero sample variance")
+        raise EstimationError("degenerate predictor: zero sample variance")
     return 1.06 * sd * n ** (-0.2)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from html import escape
-from typing import Optional
 
 import numpy as np
 
@@ -20,25 +19,29 @@ _MARGIN_LEFT = 58.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 46.0
+_PANEL_WIDTH = 420.0
+_PANEL_HEIGHT = 330.0
 
 _BAND_FILL = "#bdd7ee"
 _MEDIAN_COLOR = "#1f4e79"
 _TRUTH_COLOR = "#c00000"
 _AXIS_COLOR = "#333333"
+_MEDIAN_STYLE = f'stroke="{_MEDIAN_COLOR}" stroke-width="1.8"'
+_TRUTH_STYLE = f'stroke="{_TRUTH_COLOR}" stroke-width="1.4" stroke-dasharray="6,4"'
 
 
 @dataclass(frozen=True)
 class Panel:
-    """One chart: x values, optional band, median, optional truth curve."""
+    """One chart: x values, a band, the median and the truth curve."""
 
     title: str
     xlabel: str
     ylabel: str
     x: np.ndarray
     median: np.ndarray
-    band_lo: Optional[np.ndarray] = None
-    band_hi: Optional[np.ndarray] = None
-    truth: Optional[np.ndarray] = None
+    band_lo: np.ndarray
+    band_hi: np.ndarray
+    truth: np.ndarray
 
 
 def _fmt(v: float) -> str:
@@ -49,32 +52,23 @@ def _tick_label(v: float) -> str:
     return f"{v:.3g}"
 
 
-def _finite_runs(mask: np.ndarray):
-    """Index ranges [start, stop) of consecutive True entries."""
-    runs = []
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, mask.size))
-    return runs
+def _finite_runs(*series) -> list[tuple[int, int]]:
+    """Index ranges [start, stop) of at least two consecutive points at
+    which every one of ``series`` is finite."""
+    ok = np.logical_and.reduce([np.isfinite(np.asarray(s, dtype=float)) for s in series])
+    padded = np.concatenate(([False], ok, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
+    return [(start, stop) for start, stop in edges.tolist() if stop - start >= 2]
 
 
 class _PanelScale:
-    def __init__(self, panel: Panel, x0: float, y0: float, width: float, height: float):
+    def __init__(self, panel: Panel, x0: float):
         self.px = x0 + _MARGIN_LEFT
-        self.py = y0 + _MARGIN_TOP
-        self.pw = width - _MARGIN_LEFT - _MARGIN_RIGHT
-        self.ph = height - _MARGIN_TOP - _MARGIN_BOTTOM
+        self.py = _MARGIN_TOP
+        self.pw = _PANEL_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+        self.ph = _PANEL_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
         xs = np.asarray(panel.x, dtype=float)
-        series = [panel.median]
-        for extra in (panel.band_lo, panel.band_hi, panel.truth):
-            if extra is not None:
-                series.append(extra)
+        series = (panel.median, panel.band_lo, panel.band_hi, panel.truth)
         stacked = np.concatenate([np.asarray(s, dtype=float) for s in series])
         finite = stacked[np.isfinite(stacked)]
         if finite.size == 0:
@@ -93,41 +87,26 @@ class _PanelScale:
         return self.py + self.ph - (y - self.ylo) / (self.yhi - self.ylo) * self.ph
 
 
+def _points(scale: _PanelScale, xs, ys, indices) -> str:
+    return " ".join(
+        f"{_fmt(scale.sx(float(xs[i])))},{_fmt(scale.sy(float(ys[i])))}" for i in indices
+    )
+
+
 def _polyline(scale: _PanelScale, xs, ys, style: str) -> list[str]:
-    parts = []
-    finite = np.isfinite(np.asarray(ys, dtype=float))
-    for start, stop in _finite_runs(finite):
-        if stop - start < 2:
-            continue
-        points = " ".join(
-            f"{_fmt(scale.sx(float(xs[i])))},{_fmt(scale.sy(float(ys[i])))}"
-            for i in range(start, stop)
-        )
-        parts.append(f'<polyline fill="none" {style} points="{points}"/>')
-    return parts
+    return [
+        f'<polyline fill="none" {style} points="{_points(scale, xs, ys, range(start, stop))}"/>'
+        for start, stop in _finite_runs(ys)
+    ]
 
 
 def _band_polygons(scale: _PanelScale, xs, lo, hi) -> list[str]:
-    parts = []
-    finite = np.isfinite(np.asarray(lo, dtype=float)) & np.isfinite(
-        np.asarray(hi, dtype=float)
-    )
-    for start, stop in _finite_runs(finite):
-        if stop - start < 2:
-            continue
-        forward = [
-            f"{_fmt(scale.sx(float(xs[i])))},{_fmt(scale.sy(float(hi[i])))}"
-            for i in range(start, stop)
-        ]
-        backward = [
-            f"{_fmt(scale.sx(float(xs[i])))},{_fmt(scale.sy(float(lo[i])))}"
-            for i in range(stop - 1, start - 1, -1)
-        ]
-        parts.append(
-            f'<polygon fill="{_BAND_FILL}" fill-opacity="0.75" stroke="none" '
-            f'points="{" ".join(forward + backward)}"/>'
-        )
-    return parts
+    return [
+        f'<polygon fill="{_BAND_FILL}" fill-opacity="0.75" stroke="none" '
+        f'points="{_points(scale, xs, hi, range(start, stop))} '
+        f'{_points(scale, xs, lo, range(stop - 1, start - 1, -1))}"/>'
+        for start, stop in _finite_runs(lo, hi)
+    ]
 
 
 def _axes(scale: _PanelScale, panel: Panel) -> list[str]:
@@ -176,17 +155,15 @@ def _axes(scale: _PanelScale, panel: Panel) -> list[str]:
     return parts
 
 
-def _legend(scale: _PanelScale, has_truth: bool, has_band: bool) -> list[str]:
+def _legend(scale: _PanelScale) -> list[str]:
     parts = []
     x = scale.px + 8.0
     y = scale.py + 14.0
-    entries = [("median", f'stroke="{_MEDIAN_COLOR}" stroke-width="1.8"')]
-    if has_truth:
-        entries.append(
-            ("truth", f'stroke="{_TRUTH_COLOR}" stroke-width="1.4" stroke-dasharray="6,4"')
-        )
-    if has_band:
-        entries.append(("5%-95% band", None))
+    entries = [
+        ("median", _MEDIAN_STYLE),
+        ("truth", _TRUTH_STYLE),
+        ("5%-95% band", None),
+    ]
     for label, stroke in entries:
         if stroke is None:
             parts.append(
@@ -206,16 +183,12 @@ def _legend(scale: _PanelScale, has_truth: bool, has_band: bool) -> list[str]:
     return parts
 
 
-def render_figure(
-    panels: list[Panel],
-    panel_width: float = 420.0,
-    panel_height: float = 330.0,
-) -> str:
+def render_figure(panels: list[Panel]) -> str:
     """Render the panels side by side into one standalone SVG document."""
     if not panels:
         raise ValueError("at least one panel is required")
-    width = panel_width * len(panels)
-    height = panel_height
+    width = _PANEL_WIDTH * len(panels)
+    height = _PANEL_HEIGHT
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" '
@@ -223,28 +196,11 @@ def render_figure(
         f'<rect x="0" y="0" width="{int(width)}" height="{int(height)}" fill="white"/>',
     ]
     for k, panel in enumerate(panels):
-        scale = _PanelScale(panel, k * panel_width, 0.0, panel_width, panel_height)
-        has_band = panel.band_lo is not None and panel.band_hi is not None
-        if has_band:
-            parts.extend(_band_polygons(scale, panel.x, panel.band_lo, panel.band_hi))
-        if panel.truth is not None:
-            parts.extend(
-                _polyline(
-                    scale,
-                    panel.x,
-                    panel.truth,
-                    f'stroke="{_TRUTH_COLOR}" stroke-width="1.4" stroke-dasharray="6,4"',
-                )
-            )
-        parts.extend(
-            _polyline(
-                scale,
-                panel.x,
-                panel.median,
-                f'stroke="{_MEDIAN_COLOR}" stroke-width="1.8"',
-            )
-        )
+        scale = _PanelScale(panel, k * _PANEL_WIDTH)
+        parts.extend(_band_polygons(scale, panel.x, panel.band_lo, panel.band_hi))
+        parts.extend(_polyline(scale, panel.x, panel.truth, _TRUTH_STYLE))
+        parts.extend(_polyline(scale, panel.x, panel.median, _MEDIAN_STYLE))
         parts.extend(_axes(scale, panel))
-        parts.extend(_legend(scale, panel.truth is not None, has_band))
+        parts.extend(_legend(scale))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -152,7 +153,9 @@ class TestFitCommand:
             {
                 "fit": {
                     "t_grid_size": 3,
-                    "bandwidths": {"h1": 1.0, "h2": 1e-9, "h_link": 1.0},
+                    # JSON integers are numbers too.
+                    "bandwidths": {"h1": 1, "h2": 1e-9, "h_link": 1},
+                    "optimizer": {"tol": 1},
                 }
             },
         )
@@ -271,6 +274,62 @@ REJECTED_CONFIG = {
         "fit config holds a value of the wrong JSON type: "
         '{"bandwidths": {"h1": null, "h2": 1, "h_link": 1}}',
     ),
+    # Integer fields take JSON integers only, and number fields any JSON
+    # number; neither takes a boolean or a string.
+    "reps-a-fraction": (
+        {"sim": {"reps": 2.5}},
+        'sim config holds a value of the wrong JSON type: {"reps": 2.5}',
+    ),
+    "n-a-fraction": (
+        {"sim": {"n": 50.5}},
+        'sim config holds a value of the wrong JSON type: {"n": 50.5}',
+    ),
+    "d-a-float": (
+        {"sim": {"d": 2.0}},
+        'sim config holds a value of the wrong JSON type: {"d": 2.0}',
+    ),
+    "seed-a-fraction": (
+        {"sim": {"seed": 1.5}},
+        'sim config holds a value of the wrong JSON type: {"seed": 1.5}',
+    ),
+    "noise_sd-a-boolean": (
+        {"sim": {"noise_sd": True}},
+        'sim config holds a value of the wrong JSON type: {"noise_sd": true}',
+    ),
+    "constant_direction-a-string-entry": (
+        {"sim": {"preset": "constant", "constant_direction": [1, "0"]}},
+        "sim config holds a value of the wrong JSON type: "
+        '{"preset": "constant", "constant_direction": [1, "0"]}',
+    ),
+    "t_grid_size-a-fraction": (
+        {"fit": {"t_grid_size": 5.7}},
+        'fit config holds a value of the wrong JSON type: {"t_grid_size": 5.7}',
+    ),
+    "link_grid-count-a-fraction": (
+        {"fit": {"link_grid": [-0.5, 0.5, 10.9]}},
+        'fit config holds a value of the wrong JSON type: {"link_grid": [-0.5, 0.5, 10.9]}',
+    ),
+    "link_grid-end-a-string": (
+        {"fit": {"link_grid": ["-0.5", 0.5, 10]}},
+        'fit config holds a value of the wrong JSON type: {"link_grid": ["-0.5", 0.5, 10]}',
+    ),
+    "restarts-a-boolean": (
+        {"fit": {"optimizer": {"restarts": True}}},
+        'fit config holds a value of the wrong JSON type: {"optimizer": {"restarts": true}}',
+    ),
+    "restarts-a-string": (
+        {"fit": {"optimizer": {"restarts": "3"}}},
+        'fit config holds a value of the wrong JSON type: {"optimizer": {"restarts": "3"}}',
+    ),
+    "tol-a-string": (
+        {"fit": {"optimizer": {"tol": "1e-8"}}},
+        'fit config holds a value of the wrong JSON type: {"optimizer": {"tol": "1e-8"}}',
+    ),
+    "h1-a-boolean": (
+        {"fit": {"bandwidths": {"h1": True, "h2": 1, "h_link": 1}}},
+        "fit config holds a value of the wrong JSON type: "
+        '{"bandwidths": {"h1": true, "h2": 1, "h_link": 1}}',
+    ),
 }
 
 
@@ -301,6 +360,39 @@ class TestConfigErrors:
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "direction, problem",
+        [
+            ([0, 0], "degenerate direction: zero vector"),
+            ([0, 1], "unidentifiable sign: first component is zero"),
+        ],
+        ids=["zero-vector", "zero-first-component"],
+    )
+    def test_constant_direction_without_a_sign_exits_2(self, tmp_path, capsys, direction, problem):
+        doc = {"sim": {"preset": "constant", "constant_direction": direction}}
+        config = write_config(tmp_path, doc)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert f"validation error: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce-figures"])
+def test_degraded_study_warns(tmp_path, capsys, monkeypatch, command):
+    study = cli.run_monte_carlo
+
+    def degraded(*args, **kwargs):
+        return dataclasses.replace(study(*args, **kwargs), degraded=True)
+
+    monkeypatch.setattr(cli, "run_monte_carlo", degraded)
+    if command == "simulate":
+        doc = {"sim": dict(SMALL_SIM["sim"], reps=2), "fit": SMALL_SIM["fit"]}
+        args = ["--config", str(write_config(tmp_path, doc))]
+    else:
+        args = ["--reps", "2", "--seed", "3"]
+    assert main([command, *args, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert "warning: 0 of 2 replications failed; summary is degraded" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -4,12 +4,7 @@ import pickle
 
 import pytest
 
-from sivc import (
-    EstimationError,
-    NoLocalDataError,
-    UnboundedSyntheticWeightError,
-    ValidationError,
-)
+from sivc import EstimationError, NoLocalDataError, ValidationError
 
 
 @pytest.mark.parametrize(
@@ -19,8 +14,8 @@ from sivc import (
         (ValidationError([]), ("problems",)),
         (NoLocalDataError(0.5), ("x0",)),
         (NoLocalDataError(-0.25, "custom message"), ("x0",)),
-        (UnboundedSyntheticWeightError(7), ("row",)),
-        (UnboundedSyntheticWeightError(2, "G-hat reached 0"), ("row",)),
+        (EstimationError("unbounded synthetic weight at row 7"), ()),
+        (EstimationError("degenerate predictor: zero sample variance"), ()),
         (EstimationError("stage 1 (direction curves): failed"), ()),
     ],
 )

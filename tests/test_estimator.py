@@ -14,7 +14,6 @@ from sivc import (
     Dataset,
     EstimationError,
     FitConfig,
-    InsufficientLocalSampleError,
     KernelSpec,
     LinkEstimate,
     OptimizerConfig,
@@ -46,7 +45,7 @@ from sivc.estimator import (
     _spread_starts,
 )
 
-EPAN = KernelSpec.epanechnikov()
+EPAN = KernelSpec("epanechnikov")
 
 
 def naive_local_objective(dataset, t0, theta, bw, spec):
@@ -218,7 +217,7 @@ class TestLocalObjective:
         ds = three_row_dataset()
         bw = Bandwidths(h1=1.0, h2=1e-4, h_link=1.0)
         theta = normalize_direction([1.0, 0.0])
-        with pytest.raises(InsufficientLocalSampleError):
+        with pytest.raises(EstimationError, match="insufficient local sample at t0=0.31"):
             local_objective(ds, 0.31, theta, bw, EPAN)
 
 
@@ -360,7 +359,7 @@ class TestSortedObjective:
         for m in (_SORTED_MIN_ROWS - 1, _SORTED_MIN_ROWS):
             ds = line_dataset(rng.normal(size=m))
             epan = _LocalObjective(ds, 0.5, self.WIDE, EPAN)
-            gauss = _LocalObjective(ds, 0.5, self.WIDE, KernelSpec.gaussian())
+            gauss = _LocalObjective(ds, 0.5, self.WIDE, KernelSpec("gaussian"))
             fast = m >= _SORTED_MIN_ROWS
             assert epan._evaluate == (epan.sorted_value if fast else epan.dense_value)
             assert gauss._evaluate == gauss.dense_value

@@ -1,7 +1,6 @@
 """Tests for the domain types, validation, and curve evaluation."""
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -12,14 +11,11 @@ from hypothesis import strategies as st
 from sivc import (
     CoefficientCurves,
     Dataset,
-    DegenerateDirectionError,
-    UnidentifiableSignError,
     UnitDirection,
     ValidationError,
     censoring_rate,
     evaluate_curves,
     normalize_direction,
-    validate_dataset,
 )
 
 
@@ -38,11 +34,11 @@ class TestNormalizeDirection:
         assert np.allclose(u.components, [0.6, 0.8])
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateDirectionError, match="degenerate direction"):
+        with pytest.raises(ValueError, match="degenerate direction: zero vector"):
             normalize_direction([0.0, 0.0])
 
     def test_zero_first_component_rejected(self):
-        with pytest.raises(UnidentifiableSignError, match="unidentifiable sign"):
+        with pytest.raises(ValueError, match="unidentifiable sign: first component is zero"):
             normalize_direction([0.0, 1.0])
 
     def test_non_finite_rejected(self):
@@ -62,14 +58,14 @@ class TestNormalizeDirection:
             return
         try:
             u = normalize_direction(arr)
-        except UnidentifiableSignError:
+        except ValueError:
             # legitimate when v[0]/||v|| underflows to zero
             return
         assert abs(np.linalg.norm(u.components) - 1.0) <= 1e-12
         assert u.components[0] > 0
 
     def test_underflowing_first_component_rejected(self):
-        with pytest.raises(UnidentifiableSignError, match="underflows"):
+        with pytest.raises(ValueError, match="unidentifiable sign: first component underflows"):
             normalize_direction([5e-324, 2.0])
 
     @given(
@@ -107,15 +103,9 @@ class TestNormalizeDirection:
 
 class TestObservationAndDataset:
     def test_observation_enforces_invariants(self):
-        good = (0.5, 1, (0.0,), 0.5)
-        for bad in (
-            (1.0, 2, (1.0,), 0.5),
-            (1.0, 0.5, (1.0,), 0.5),
-            (1.0, 1, (1.0,), 1.5),
-            (math.inf, 1, (1.0,), 0.5),
-        ):
+        for y, delta, t in ((1.0, 2, 0.5), (1.0, 0.5, 0.5), (1.0, 1, 1.5), (math.inf, 1, 0.5)):
             with pytest.raises(ValidationError, match="row 1"):
-                validate_dataset([good, bad])
+                make_dataset([0.5, y], [1, delta], [[0.0], [1.0]], [0.5, t])
 
     def test_dataset_is_immutable(self):
         ds = make_dataset([1.0, 2.0], [1, 0], [[1.0], [2.0]], [0.1, 0.2])
@@ -123,7 +113,7 @@ class TestObservationAndDataset:
             ds.y[0] = 99.0
 
     def test_observations_roundtrip(self):
-        ds = validate_dataset([(1.0, 1, (1.0, 2.0), 0.1), (2.0, 0, [3.0, 4.0], 0.2)])
+        ds = make_dataset([1.0, 2.0], [1, 0], [[1.0, 2.0], [3.0, 4.0]], [0.1, 0.2])
         assert ds.y.tolist() == [1.0, 2.0]
         assert ds.delta.tolist() == [1, 0]
         assert ds.x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -137,52 +127,30 @@ class TestObservationAndDataset:
 
 
 class TestValidateDataset:
+    """The value checks of ``Dataset``'s constructor."""
+
     def test_three_valid_rows(self):
-        ds = validate_dataset(
-            [
-                (1.0, 1, (0.5, 0.2), 0.1),
-                (2.0, 0, (0.1, 0.9), 0.5),
-                (0.5, 1, (0.0, 0.0), 1.0),
-            ]
+        ds = make_dataset(
+            [1.0, 2.0, 0.5], [1, 0, 1], [[0.5, 0.2], [0.1, 0.9], [0.0, 0.0]], [0.1, 0.5, 1.0]
         )
         assert ds.n == 3
         assert ds.d == 2
 
     def test_bad_delta_names_row(self):
-        with pytest.raises(ValidationError, match="row 1"):
-            validate_dataset(
-                [(1.0, 1, (0.5,), 0.1), (2.0, 2, (0.1,), 0.5), (0.5, 1, (0.2,), 0.9)]
-            )
-
-    def test_ragged_covariates(self):
-        with pytest.raises(ValidationError, match="ragged covariates"):
-            validate_dataset(
-                [(1.0, 1, (0.5, 0.1), 0.1), (2.0, 0, (0.1, 0.2, 0.3), 0.5)]
-            )
+        with pytest.raises(ValidationError, match="row 1: delta must be 0 or 1"):
+            make_dataset([1.0, 2.0, 0.5], [1, 2, 1], [[0.5], [0.1], [0.2]], [0.1, 0.5, 0.9])
 
     def test_modifier_out_of_range(self):
-        with pytest.raises(ValidationError, match="row 0"):
-            validate_dataset([(1.0, 1, (0.5,), -0.1), (2.0, 0, (0.1,), 0.5)])
+        with pytest.raises(ValidationError, match="row 0: modifier t must lie in"):
+            make_dataset([1.0, 2.0], [1, 0], [[0.5], [0.1]], [-0.1, 0.5])
 
     def test_non_finite_covariate(self):
-        with pytest.raises(ValidationError, match="finite"):
-            validate_dataset([(1.0, 1, (np.inf,), 0.1), (2.0, 0, (0.1,), 0.5)])
+        with pytest.raises(ValidationError, match="row 0: covariates must be finite"):
+            make_dataset([1.0, 2.0], [1, 0], [[np.inf], [0.1]], [0.1, 0.5])
 
     def test_too_few_rows(self):
         with pytest.raises(ValidationError, match="at least 2"):
-            validate_dataset([(1.0, 1, (0.5,), 0.1)])
-
-    def test_accepts_observation_objects(self):
-        # any row object that unpacks into (y, delta, x, t)
-        Observation = namedtuple("Observation", "y delta x t")
-        rows = [Observation(1.0, 1, (0.5,), 0.1), Observation(2.0, 0, (0.3,), 0.9)]
-        ds = validate_dataset(rows)
-        assert ds.n == 2
-        assert ds.delta.tolist() == [1, 0]
-
-    def test_malformed_row_names_row(self):
-        with pytest.raises(ValidationError, match="row 1: expected"):
-            validate_dataset([(1.0, 1, (0.5,), 0.1), (2.0, 0, 0.5)])
+            make_dataset([1.0], [1], [[0.5]], [0.1])
 
     def test_dataset_names_first_offending_rows(self):
         n = 12

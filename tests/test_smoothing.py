@@ -11,7 +11,7 @@ from scipy import integrate
 from sivc import (
     Bandwidths,
     Dataset,
-    DegeneratePredictorError,
+    EstimationError,
     KernelSpec,
     NoLocalDataError,
     kernel_values,
@@ -21,8 +21,8 @@ from sivc import (
     select_bandwidths,
 )
 
-EPAN = KernelSpec.epanechnikov()
-GAUSS = KernelSpec.gaussian()
+EPAN = KernelSpec("epanechnikov")
+GAUSS = KernelSpec("gaussian")
 
 
 def naive_nw(xs, ys, x0, h, spec):
@@ -143,7 +143,7 @@ class TestBandwidthSelection:
         assert rule_of_thumb_bandwidth(xs) == pytest.approx(0.4219, abs=1e-3)
 
     def test_degenerate_predictor(self):
-        with pytest.raises(DegeneratePredictorError, match="degenerate predictor"):
+        with pytest.raises(EstimationError, match="degenerate predictor: zero sample variance"):
             rule_of_thumb_bandwidth(np.full(20, 3.0))
 
     def test_select_bandwidths_rule_of_thumb(self):

@@ -3,6 +3,8 @@
 from xml.sax import saxutils
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sivc import svgplot
 from sivc.cli import main
@@ -21,10 +23,39 @@ def test_html_escape_matches_saxutils():
         assert svgplot.escape(label, quote=False) == saxutils.escape(label)
 
 
+def loop_runs(ys):
+    """Runs of at least two finite points, found by a scalar loop."""
+    runs, start = [], None
+    for i, y in enumerate(list(ys) + [np.nan]):
+        if np.isfinite(y) and start is None:
+            start = i
+        elif not np.isfinite(y) and start is not None:
+            if i - start >= 2:
+                runs.append((start, i))
+            start = None
+    return runs
+
+
+@given(st.lists(st.sampled_from([0.5, -1.0, np.nan, np.inf]), max_size=12))
+def test_finite_runs_match_a_loop(ys):
+    assert svgplot._finite_runs(ys) == loop_runs(ys)
+    lo = np.array(ys[::-1])
+    assert svgplot._finite_runs(ys, lo) == loop_runs(np.add(ys, lo))
+
+
 def test_rendered_labels_unchanged(monkeypatch):
     x = np.linspace(0.0, 1.0, 5)
     panels = [
-        Panel(title=label, xlabel=label, ylabel=label, x=x, median=x * x, truth=x)
+        Panel(
+            title=label,
+            xlabel=label,
+            ylabel=label,
+            x=x,
+            median=x * x,
+            band_lo=x * x - 0.1,
+            band_hi=x * x + 0.1,
+            truth=x,
+        )
         for label in LABELS
     ]
     current = render_figure(panels)
