@@ -17,7 +17,7 @@ from .censoring import (
     survival_at,
     synthetic_responses,
 )
-from .errors import EstimationError, NoLocalDataError, SivcError, ValidationError
+from .errors import EstimationError, SivcError, ValidationError
 from .estimator import (
     DirectionFit,
     FitConfig,
@@ -53,7 +53,6 @@ from .smoothing import (
     Bandwidths,
     KernelSpec,
     kernel_values,
-    nw_estimate,
     rule_of_thumb_bandwidth,
     select_bandwidths,
 )

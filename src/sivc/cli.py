@@ -142,7 +142,12 @@ def parse_fit_config(section: dict) -> FitConfig:
     with _typed_values(section, "fit"):
         kwargs = _checked(section)
         if "link_grid" in kwargs:
-            lo, hi, count = kwargs["link_grid"]
+            try:
+                lo, hi, count = kwargs["link_grid"]
+            except ValueError:
+                grid = json.dumps(kwargs["link_grid"])
+                problem = f"fit.link_grid must hold 3 values [min, max, count] (got {grid})"
+                raise ValidationError([(None, problem)]) from None
             kwargs["link_grid"] = (_number(lo), _number(hi), _integer(count))
         bw = kwargs.get("bandwidths", "auto")
         if bw != "auto":

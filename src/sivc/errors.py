@@ -28,21 +28,6 @@ class ValidationError(SivcError):
         return type(self), (self.problems,)
 
 
-class NoLocalDataError(SivcError):
-    """All kernel weights vanished at an evaluation point.
-
-    ``x0`` records the evaluation point so callers can widen the
-    bandwidth or skip the grid point.
-    """
-
-    def __init__(self, x0, message=None):
-        self.x0 = x0
-        super().__init__(message or f"no local data at x0={x0!r}")
-
-    def __reduce__(self):
-        return type(self), (self.x0, str(self))
-
-
 class EstimationError(SivcError):
     """A fit or the censoring calibration failed; the message says where
     and why."""

@@ -58,7 +58,10 @@ uninterrupted ``_XATOL`` run.
 Stage 2 computes the synthetic responses from the Kaplan-Meier censoring
 survival, projects each covariate vector onto the fitted direction at
 its modifier value, and smooths the synthetic responses on that index by
-Nadaraya-Watson to estimate the link.
+Nadaraya-Watson to estimate the link. With the index sorted once, each
+link grid point sums over its ``searchsorted`` window [u0 - h_link,
+u0 + h_link] only, which holds every row of non-zero weight (the
+gaussian kernel's window is the whole index).
 """
 
 from __future__ import annotations
@@ -70,11 +73,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .censoring import estimate_censoring_survival, synthetic_responses
-from .errors import EstimationError, NoLocalDataError, SivcError
+from .errors import EstimationError, SivcError
 from .model import (
     CoefficientCurves,
     Dataset,
     UnitDirection,
+    _count,
     evaluate_curves,
     normalize_direction,
 )
@@ -83,7 +87,6 @@ from .smoothing import (
     Bandwidths,
     KernelSpec,
     kernel_values,
-    nw_estimate,
     select_bandwidths,
 )
 
@@ -154,10 +157,12 @@ class FitConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
+        object.__setattr__(self, "t_grid_size", _count(self.t_grid_size, "t_grid_size"))
         if self.t_grid_size < 2:
             raise ValueError("t_grid_size must be at least 2")
         lo, hi, count = self.link_grid
-        object.__setattr__(self, "link_grid", (float(lo), float(hi), int(count)))
+        count = _count(count, "link_grid count")
+        object.__setattr__(self, "link_grid", (float(lo), float(hi), count))
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("link_grid min must be below max")
         if count < 2:
@@ -205,6 +210,8 @@ class DirectionFit:
     ``iterations`` and ``evaluations`` are Nelder-Mead's iteration and
     function-evaluation counts summed over the race runs and the polish
     (both 0 at d = 1);
+    ``objective`` and ``skipped_rows`` (rows with no leave-one-out data)
+    are None at d = 1, where the direction is fixed and not scored;
     ``active_rows`` is the number of rows with modifier weight at t0;
     ``objective_calls`` is the number of distinct vertices among the
     evaluations, each computed once (``evaluations - objective_calls``
@@ -212,10 +219,10 @@ class DirectionFit:
     """
 
     direction: UnitDirection
-    objective: float
+    objective: Optional[float]
     iterations: int
     converged: bool
-    skipped_rows: int
+    skipped_rows: Optional[int]
     evaluations: int
     active_rows: int
     objective_calls: int
@@ -261,6 +268,19 @@ def angles_from_direction(direction: UnitDirection) -> np.ndarray:
     return angles
 
 
+def _local_weights(dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
+    """Modifier weights at t0, the mask of rows they are non-zero on and
+    its count; ``EstimationError`` when fewer than 2 rows carry weight."""
+    if not 0.0 <= float(t0) <= 1.0:
+        raise ValueError(f"t0 must lie in [0, 1] (got {t0})")
+    kt = kernel_values(spec, (dataset.t - t0) / bw.h2)
+    active = kt > 0
+    m = int(np.count_nonzero(active))
+    if m < 2:
+        raise EstimationError(f"insufficient local sample at t0={t0}: {m} rows carry weight")
+    return kt, active, m
+
+
 class _LocalObjective:
     """Profile least-squares objective at one t0, vectorized over the
     rows that carry modifier weight.
@@ -272,15 +292,7 @@ class _LocalObjective:
     """
 
     def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
-        if not 0.0 <= float(t0) <= 1.0:
-            raise ValueError(f"t0 must lie in [0, 1] (got {t0})")
-        kt = kernel_values(spec, (dataset.t - t0) / bw.h2)
-        active = kt > 0
-        m = int(np.count_nonzero(active))
-        if m < 2:
-            raise EstimationError(
-                f"insufficient local sample at t0={t0}: {m} rows carry weight"
-            )
+        kt, active, m = _local_weights(dataset, t0, bw, spec)
         self.x = dataset.x[active]
         self.y = dataset.y[active]
         self.kt = kt[active]
@@ -515,11 +527,11 @@ def fit_direction_at(
     """
     if dataset.n < 10:
         raise ValueError(f"direction fitting needs n >= 10 (got {dataset.n})")
-    obj = _LocalObjective(dataset, t0, bw, config.kernel)
     if dataset.d == 1:
+        m = _local_weights(dataset, t0, bw, config.kernel)[2]
         direction = UnitDirection(components=np.array([1.0]))
-        value = obj.value(direction.components)
-        return DirectionFit(direction, value, 0, True, obj.last_skipped, 0, obj.m, 0)
+        return DirectionFit(direction, None, 0, True, None, 0, m, 0)
+    obj = _LocalObjective(dataset, t0, bw, config.kernel)
 
     # Nelder-Mead asks again for vertices it has evaluated (in one
     # dimension a failed inside contraction is followed by a shrink to the
@@ -617,7 +629,7 @@ def fit_link(
     h_link: float,
 ) -> LinkEstimate:
     """Nadaraya-Watson estimate of the link from (index, synthetic) pairs
-    with bandwidth ``h_link``.
+    with bandwidth ``h_link``, each grid point over its sorted window.
 
     Grid points with no local data carry a marker instead of a number so
     the harness can see them.
@@ -626,15 +638,26 @@ def fit_link(
     synthetic = np.asarray(synthetic, dtype=float)
     if index.shape != synthetic.shape or index.ndim != 1:
         raise ValueError("index and synthetic must be equal-length vectors")
+    if not h_link > 0:
+        raise ValueError("bandwidth must be positive")
     u_grid = config.u_grid
+    # Ties only reorder a sum, so they need no stable sort.
+    order = np.argsort(index)
+    p, ys = index[order], synthetic[order]
+    # An Epanechnikov weight is non-zero only where |u0 - p| < h exactly,
+    # as rounding is monotone, and round-to-nearest puts every such p
+    # inside the rounded window ends.
+    reach = h_link if config.kernel.family == "epanechnikov" else math.inf
+    lo = np.searchsorted(p, u_grid - reach, side="left").tolist()
+    hi = np.searchsorted(p, u_grid + reach, side="right").tolist()
     m_hat = np.full(u_grid.size, np.nan)
     defined = np.zeros(u_grid.size, dtype=bool)
-    for k, u0 in enumerate(u_grid):
-        try:
-            m_hat[k] = nw_estimate(index, synthetic, float(u0), h_link, config.kernel)
+    for k, (u0, a, b) in enumerate(zip(u_grid.tolist(), lo, hi)):
+        w = kernel_values(config.kernel, (u0 - p[a:b]) / h_link)
+        total = float(w.sum())
+        if not total < WEIGHT_FLOOR:
+            m_hat[k] = float(w @ ys[a:b]) / total
             defined[k] = True
-        except NoLocalDataError:
-            pass
     return LinkEstimate(u_grid=u_grid, m_hat=m_hat, defined=defined)
 
 

@@ -36,6 +36,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; a count is never rounded or read from a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    return int(value)
+
+
 # Rows named per problem in a ValidationError; the rest are counted.
 _NAMED_ROWS = 5
 

@@ -26,7 +26,7 @@ import numpy as np
 from .censoring import calibrate_censoring
 from .errors import SivcError
 from .estimator import FitConfig, fit_model
-from .model import Dataset, censoring_rate, normalize_direction
+from .model import Dataset, _count, censoring_rate, normalize_direction
 
 __all__ = [
     "SimConfig",
@@ -55,6 +55,8 @@ class SimConfig:
     constant_direction: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        for name in ("n", "d", "reps"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n < 10:
             raise ValueError("n must be at least 10")
         if self.reps < 1:

@@ -1,9 +1,10 @@
 """Kernel smoothing primitives.
 
-Provides the kernel families, univariate Nadaraya-Watson regression (the
-link smoother), and bandwidth selection by the normal reference rule. The
-product-kernel profile smoother of the direction fit lives in
-``sivc.estimator``.
+Provides the kernel families and bandwidth selection by the normal
+reference rule. The smoothers that use them live in ``sivc.estimator``:
+the product-kernel profile smoother of the direction fit, and the link's
+univariate Nadaraya-Watson regression, which smooths each grid point
+over a sorted window of the index.
 
 Smoothing on the index side is univariate: the regression target is the
 scalar projection of the covariates, not the covariate vector itself.
@@ -18,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, NoLocalDataError
+from .errors import EstimationError
 from .model import Dataset, normalize_direction
 
 __all__ = [
     "KernelSpec",
     "Bandwidths",
     "kernel_values",
-    "nw_estimate",
     "rule_of_thumb_bandwidth",
     "select_bandwidths",
 ]
@@ -84,30 +84,6 @@ def kernel_values(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
         np.multiply(0.75, w, out=w)
         return np.fmax(w, 0.0, out=w)
     return _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-
-
-def nw_estimate(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    x0: float,
-    h: float,
-    spec: KernelSpec,
-) -> float:
-    """Nadaraya-Watson estimate sum_i y_i K((x0-x_i)/h) / sum_i K((x0-x_i)/h).
-
-    Raises ``NoLocalDataError`` when every weight vanishes.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 1:
-        raise ValueError("xs and ys must be equal-length non-empty vectors")
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    w = kernel_values(spec, (x0 - xs) / h)
-    total = float(w.sum())
-    if total < WEIGHT_FLOOR:
-        raise NoLocalDataError(x0)
-    return float(w @ ys) / total
 
 
 def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Numeric oracle for the censored conditional mean (a test helper).
+"""Numeric oracles for the censored conditional mean and the link (test helpers).
 
 The two-stage estimator rests on one identity: conditioning on the index,
 the observed (censored) response has mean w(m(u)) where
@@ -28,6 +28,11 @@ No fit, study or CLI path needs the oracle, so it lives with the tests
 (``tests/test_theory.py`` and acceptance criterion 3) and ``sivc``
 itself runs on numpy alone. Quadrature that fails raises
 ``RuntimeError``.
+
+``loop_link`` is the reference for ``sivc.fit_link``: the per-grid-point
+Nadaraya-Watson loop over every row, which the windowed smoother must
+match in ``defined`` exactly and in value up to the rounding of its
+reordered sums.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 from scipy import integrate, optimize, special
+
+from sivc.smoothing import WEIGHT_FLOOR, kernel_values
 
 TAIL_PROBABILITY = 1e-12
 
@@ -210,3 +217,22 @@ def mc_conditional_mean(
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(draws))
     return mean, se
+
+
+def loop_link(index, synthetic, u_grid, h, spec):
+    """Link estimate by a loop over the grid, each point weighting all
+    rows: sum_i y_i K((u0 - u_i)/h) / sum_i K((u0 - u_i)/h), undefined
+    (NaN) where the weights sum below ``WEIGHT_FLOOR``. Returns
+    ``(m_hat, defined)``."""
+    index = np.asarray(index, dtype=float)
+    synthetic = np.asarray(synthetic, dtype=float)
+    m_hat = np.full(len(u_grid), np.nan)
+    defined = np.zeros(len(u_grid), dtype=bool)
+    for k, u0 in enumerate(u_grid):
+        w = kernel_values(spec, (float(u0) - index) / h)
+        total = float(w.sum())
+        if total < WEIGHT_FLOOR:
+            continue
+        m_hat[k] = float(w @ synthetic) / total
+        defined[k] = True
+    return m_hat, defined

@@ -69,6 +69,25 @@ class TestFitCommand:
         for name in manifest["outputs"]:
             assert (out / name).exists()
 
+    def test_univariate_diagnostics_are_strict_json_with_null_objectives(self, tmp_path):
+        sim = SimConfig(n=400, d=1, seed=7, preset="constant", constant_direction=(1.0,))
+        data = tmp_path / "d1.csv"
+        write_dataset_csv(data, generate_dataset(sim, 0)[0])
+        config = write_config(tmp_path, {"fit": {"t_grid_size": 5}})
+        out = tmp_path / "out"
+        code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise AssertionError(f"diagnostics.json holds {name}")
+
+        diagnostics = json.loads((out / "diagnostics.json").read_text(), parse_constant=reject)
+        # At d = 1 the direction is fixed, so no objective is computed.
+        assert diagnostics["objectives"] == diagnostics["skipped_rows"] == [None] * 5
+        assert diagnostics["converged"] == [True] * 5
+        assert all(m >= 2 for m in diagnostics["active_rows"])
+        assert [row["beta_1"] for row in read_rows(out / "curves.csv")] == ["1"] * 5
+
     def test_curves_csv_roundtrips_to_12_digits(self, paper_csv, tmp_path):
         from sivc import FitConfig, fit_model
 
@@ -308,6 +327,14 @@ REJECTED_CONFIG = {
     "link_grid-count-a-fraction": (
         {"fit": {"link_grid": [-0.5, 0.5, 10.9]}},
         'fit config holds a value of the wrong JSON type: {"link_grid": [-0.5, 0.5, 10.9]}',
+    ),
+    "link_grid-two-values": (
+        {"fit": {"link_grid": [0, 1]}},
+        "fit.link_grid must hold 3 values [min, max, count] (got [0, 1])",
+    ),
+    "link_grid-four-values": (
+        {"fit": {"link_grid": [0, 1, 10, 2]}},
+        "fit.link_grid must hold 3 values [min, max, count] (got [0, 1, 10, 2])",
     ),
     "link_grid-end-a-string": (
         {"fit": {"link_grid": ["-0.5", 0.5, 10]}},

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from sivc import EstimationError, NoLocalDataError, ValidationError
+from sivc import EstimationError, ValidationError
 
 
 @pytest.mark.parametrize(
@@ -12,8 +12,6 @@ from sivc import EstimationError, NoLocalDataError, ValidationError
     [
         (ValidationError([(3, "bad"), (None, "too few rows")]), ("problems",)),
         (ValidationError([]), ("problems",)),
-        (NoLocalDataError(0.5), ("x0",)),
-        (NoLocalDataError(-0.25, "custom message"), ("x0",)),
         (EstimationError("unbounded synthetic weight at row 7"), ()),
         (EstimationError("degenerate predictor: zero sample variance"), ()),
         (EstimationError("stage 1 (direction curves): failed"), ()),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from oracle import loop_link
 from sivc import (
     Bandwidths,
     CoefficientCurves,
@@ -434,8 +435,23 @@ class TestFitDirectionAt:
             x=rng.normal(size=(n, 1)),
             t=rng.uniform(0, 1, n),
         )
-        fit = fit_direction_at(ds, 0.5, FitConfig(), Bandwidths(0.5, 0.5, 0.5))
+        bw = Bandwidths(0.5, 0.5, 0.5)
+        fit = fit_direction_at(ds, 0.5, FitConfig(), bw)
         assert fit.direction.components.tolist() == [1.0]
+        # The direction is not scored: no objective, no evaluations.
+        active = int(np.count_nonzero(kernel_values(EPAN, (ds.t - 0.5) / bw.h2) > 0))
+        assert fit == estimator.DirectionFit(fit.direction, None, 0, True, None, 0, active, 0)
+
+    def test_univariate_covariate_evaluates_no_objective(self, monkeypatch):
+        ds = line_dataset(np.linspace(-1.0, 1.0, 40), t=np.linspace(0.0, 1.0, 40))
+
+        def fail(*args):
+            raise AssertionError("the objective was evaluated at d = 1")
+
+        monkeypatch.setattr(_LocalObjective, "__init__", fail)
+        curves, fits = fit_coefficient_curves(ds, FitConfig(), Bandwidths(0.5, 0.3, 0.5))
+        assert [f.objective for f in fits] == [None] * 21
+        assert curves.matrix.tolist() == [[1.0]] * 21
 
     def test_unit_norm_and_positive_first_always(self):
         rng = np.random.default_rng(17)
@@ -607,6 +623,56 @@ class TestFitLink:
             )
 
 
+def link_cases():
+    """(name, index, synthetic, link_grid, h): random index values and
+    adversarial ones for the sorted windows of ``fit_link``."""
+    rng = np.random.default_rng(77)
+    grid = (-0.5, 0.5, 11)
+    u0 = np.linspace(*grid)
+    h = 0.1
+    # Rows at the exact window ends u0 +- h and one float either side.
+    ends = np.concatenate([u0 + h, u0 - h])
+    edges = np.concatenate([ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+    # Far from 0 the rounding of u0 +- h is large against h.
+    far_grid = (1e6, 1e6 + 1e-6, 5)
+    far_u0 = np.linspace(*far_grid)
+    far = np.concatenate([far_u0 + 1e-9, far_u0 - 1e-9, np.nextafter(far_u0 + 1e-9, np.inf)])
+    return [
+        ("uniform", rng.uniform(-1, 1, 500), rng.uniform(0.5, 2.0, 500), (-0.5, 0.5, 100), 0.13),
+        ("normal", rng.normal(size=3000), rng.normal(size=3000) + 2.0, (-0.5, 0.5, 100), 0.09),
+        ("mixed-sign", rng.normal(size=800), rng.normal(size=800), (-1.0, 1.0, 41), 0.2),
+        ("window-ends", edges, rng.uniform(0.5, 2.0, edges.size), grid, h),
+        ("window-ends-far", far, rng.uniform(0.5, 2.0, far.size), far_grid, 1e-9),
+        ("duplicates", rng.choice(u0[::2], 200), rng.uniform(0.5, 2.0, 200), grid, h),
+        ("empty-windows", rng.uniform(-0.05, 0.05, 30), rng.uniform(0.5, 2.0, 30), grid, 0.12),
+        ("all-off-grid", np.full(20, 100.0), rng.uniform(0.5, 2.0, 20), grid, h),
+        ("gaussian-underflow", u0[:1] + 38.0 * h + np.arange(3) * h, np.ones(3), grid, h),
+        ("n0", np.array([]), np.array([]), grid, h),
+        ("n1", np.array([0.05]), np.array([1.5]), grid, h),
+        ("n2", np.array([0.3, 0.3]), np.array([1.0, 3.0]), grid, h),
+        ("n3", np.array([-0.4, 0.0, 0.2]), np.array([1.0, 2.0, 4.0]), grid, h),
+    ]
+
+
+class TestFitLinkOracle:
+    """``fit_link`` against the per-point loop over every row."""
+
+    @pytest.mark.parametrize("family", ["epanechnikov", "gaussian"])
+    @pytest.mark.parametrize("case", link_cases(), ids=lambda case: case[0])
+    def test_matches_the_loop(self, case, family):
+        _, index, synthetic, grid, h = case
+        spec = KernelSpec(family)
+        link = fit_link(index, synthetic, FitConfig(link_grid=grid, kernel=spec), h)
+        want, want_defined = loop_link(index, synthetic, link.u_grid, h, spec)
+        assert np.array_equal(link.defined, want_defined)
+        assert np.array_equal(np.isnan(link.m_hat), ~want_defined)
+        # Relative to the weighted mean of |synthetic|, which is |want|
+        # where the responses are positive.
+        scale, _ = loop_link(index, np.abs(synthetic), link.u_grid, h, spec)
+        err = np.abs(link.m_hat - want)[want_defined]
+        assert np.all(err <= 1e-12 * scale[want_defined])
+
+
 class TestFitModel:
     def small_config(self):
         return FitConfig(
@@ -670,9 +736,37 @@ class TestFitModel:
             x=rng.normal(size=(n, 1)),
             t=rng.uniform(0, 1, n),
         )
-        fit = fit_model(ds, self.small_config())
-        assert fit.diagnostics["nfev"] == fit.diagnostics["iterations"] == [0] * 5
-        assert all(m >= 2 for m in fit.diagnostics["active_rows"])
+        config = self.small_config()
+        fit = fit_model(ds, config)
+        diag = fit.diagnostics
+        assert diag["nfev"] == diag["iterations"] == diag["objective_calls"] == [0] * 5
+        # No objective is computed at d = 1, so none is reported.
+        assert diag["objectives"] == diag["skipped_rows"] == [None] * 5
+        assert diag["converged"] == [True] * 5 and diag["non_converged_points"] == 0
+        h2 = fit.bandwidths.h2
+        assert diag["active_rows"] == [
+            int(np.count_nonzero(kernel_values(EPAN, (ds.t - t0) / h2) > 0))
+            for t0 in config.t_grid
+        ]
+        assert all(m >= 2 for m in diag["active_rows"])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_insufficient_local_sample_has_one_text(self, d):
+        rng = np.random.default_rng(26)
+        n = 12
+        ds = Dataset(
+            y=rng.normal(size=n),
+            delta=np.ones(n, dtype=int),
+            x=rng.normal(size=(n, d)),
+            t=np.linspace(0.3, 0.7, n),
+        )
+        config = FitConfig(t_grid_size=3, bandwidths=Bandwidths(h1=1.0, h2=1e-4, h_link=1.0))
+        with pytest.raises(EstimationError) as excinfo:
+            fit_model(ds, config)
+        assert str(excinfo.value) == (
+            "stage 1 (direction curves): direction fit failed at t0=0: "
+            "insufficient local sample at t0=0.0: 0 rows carry weight"
+        )
 
     def test_stage_labelled_errors(self):
         rng = np.random.default_rng(26)
@@ -698,6 +792,25 @@ class TestFitConfigValidation:
             FitConfig(link_grid=(0.5, -0.5, 10))
         with pytest.raises(ValueError):
             FitConfig(bandwidths="magic")
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"link_grid": (-0.5, 0.5, 10.9)}, "link_grid count"),
+            ({"link_grid": (-0.5, 0.5, 10.0)}, "link_grid count"),
+            ({"link_grid": (-0.5, 0.5, True)}, "link_grid count"),
+            ({"t_grid_size": 5.7}, "t_grid_size"),
+            ({"t_grid_size": 21.0}, "t_grid_size"),
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            FitConfig(**kwargs)
+
+    def test_numpy_integer_counts_are_ints(self):
+        config = FitConfig(t_grid_size=np.int64(5), link_grid=(-1, 1, np.int32(7)))
+        assert type(config.t_grid_size) is int and config.link_grid == (-1.0, 1.0, 7)
+        assert config.u_grid.size == 7
 
     def test_rejects_bad_optimizer(self):
         with pytest.raises(ValueError):

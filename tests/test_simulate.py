@@ -50,6 +50,18 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(preset="constant")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 50.5), ("n", 500.0), ("reps", 2.5), ("d", 2.0), ("reps", True), ("n", "500")],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_numpy_integer_counts_are_ints(self):
+        cfg = SimConfig(n=np.int64(200), reps=np.int32(3))
+        assert type(cfg.n) is int and type(cfg.reps) is int and cfg.n == 200
+
     def test_paper_truth_at_origin(self):
         cfg = SimConfig()
         truth = cfg.true_directions(np.array([0.0]))

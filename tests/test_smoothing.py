@@ -1,4 +1,4 @@
-"""Tests for kernels, the Nadaraya-Watson smoother, and bandwidth selection."""
+"""Tests for kernels, the Nadaraya-Watson link smoother, and bandwidth selection."""
 
 import math
 
@@ -12,17 +12,30 @@ from sivc import (
     Bandwidths,
     Dataset,
     EstimationError,
+    FitConfig,
     KernelSpec,
-    NoLocalDataError,
+    fit_link,
     kernel_values,
     normalize_direction,
-    nw_estimate,
     rule_of_thumb_bandwidth,
     select_bandwidths,
 )
 
 EPAN = KernelSpec("epanechnikov")
 GAUSS = KernelSpec("gaussian")
+
+
+def link_at(xs, ys, x0, h, spec, other=None):
+    """``fit_link`` on a two-point grid, x0 and ``other`` (x0 + 1 by
+    default): the estimate at x0, NaN where it is undefined."""
+    other = x0 + 1.0 if other is None else other
+    lo, hi = sorted((x0, other))
+    config = FitConfig(link_grid=(lo, hi, 2), kernel=spec)
+    link = fit_link(np.asarray(xs, float), np.asarray(ys, float), config, h)
+    k = 0 if x0 == lo else 1
+    assert link.u_grid[k] == x0
+    assert link.defined[k] == np.isfinite(link.m_hat[k])
+    return float(link.m_hat[k])
 
 
 def naive_nw(xs, ys, x0, h, spec):
@@ -92,22 +105,25 @@ class TestKernelWeight:
 
 
 class TestNWEstimate:
+    """The link smoother ``fit_link`` at one grid point."""
+
     def test_constant_responses(self):
         xs = np.array([0.0, 0.3, 0.7])
         ys = np.full(3, 4.25)
-        assert nw_estimate(xs, ys, 0.4, 0.5, EPAN) == pytest.approx(4.25)
+        assert link_at(xs, ys, 0.4, 0.5, EPAN) == pytest.approx(4.25)
 
     def test_single_point(self):
-        assert nw_estimate(np.array([0.0]), np.array([5.0]), 0.0, 1.0, EPAN) == 5.0
+        assert link_at([0.0], [5.0], 0.0, 1.0, EPAN) == 5.0
 
     def test_wide_bandwidth_limit_is_mean(self):
-        est = nw_estimate(np.array([0.0, 1.0]), np.array([1.0, 3.0]), 0.0, 1e6, GAUSS)
+        est = link_at([0.0, 1.0], [1.0, 3.0], 0.0, 1e6, GAUSS)
         assert est == pytest.approx(2.0, abs=1e-6)
 
     def test_no_local_data_carries_x0(self):
-        with pytest.raises(NoLocalDataError) as err:
-            nw_estimate(np.array([0.0, 0.1]), np.array([1.0, 2.0]), 9.0, 0.5, EPAN)
-        assert err.value.x0 == 9.0
+        # The grid point with no rows in reach is marked, its neighbour
+        # with rows in reach is not.
+        assert math.isnan(link_at([0.0, 0.1], [1.0, 2.0], 9.0, 0.5, EPAN, other=0.0))
+        assert link_at([0.0, 0.1], [1.0, 2.0], 0.0, 0.5, EPAN, other=9.0) > 1.0
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
@@ -115,7 +131,7 @@ class TestNWEstimate:
         ys = rng.normal(size=40)
         for spec in (EPAN, GAUSS):
             for x0 in (-1.0, 0.0, 0.5):
-                assert nw_estimate(xs, ys, x0, 0.8, spec) == pytest.approx(
+                assert link_at(xs, ys, x0, 0.8, spec) == pytest.approx(
                     naive_nw(xs, ys, x0, 0.8, spec), rel=1e-12
                 )
 
@@ -126,9 +142,8 @@ class TestNWEstimate:
         xs = rng.uniform(-1, 1, 25)
         ys = rng.normal(size=25)
         x0 = float(rng.uniform(-1, 1))
-        try:
-            est = nw_estimate(xs, ys, x0, h, EPAN)
-        except NoLocalDataError:
+        est = link_at(xs, ys, x0, h, EPAN)
+        if math.isnan(est):
             return
         w = kernel_values(EPAN, (x0 - xs) / h)
         contributing = ys[w > 0]
