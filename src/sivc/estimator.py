@@ -15,18 +15,18 @@ response keeps the single-index structure of the latent one (checked
 numerically by the quadrature oracle in ``tests/oracle.py``, acceptance
 criterion 3), Stage 1 runs on the observed responses directly.
 
-Only the m rows with modifier weight at t0 enter M. For the Epanechnikov
-kernel the index weight is a quadratic on |u| < 1, so after sorting the
-projections every row's window sums of kt {1, q, q^2} and kt y {1, q, q^2}
-(q the projection over h1) come from prefix sums and ``searchsorted``:
+Only the m rows with modifier weight at t0 enter M. The Epanechnikov
+index weight is a quadratic on |u| < 1, so after sorting the projections
+every row's window sums of kt {1, q, q^2} and kt y {1, q, q^2} (q the
+projection over h1) come from prefix sums and ``searchsorted``:
 O(m log m) per evaluation instead of the m x m kernel matrix, and exact up
 to rounding (Fan & Marron, JCGS 1994). A row whose window holds no other
 row is skipped, decided from its neighbours rather than from a rounded
 denominator, and a denominator within reach of the expansion's rounding
 error is recomputed directly. Below ``_SORTED_MIN_ROWS`` = 128 active
-rows the dense matrix is used instead, as it is for the gaussian kernel:
-with the in-place dense kernel, dense takes 0.70-0.84x the sorted path's
-time at m = 100-120, and the two are even at m ~ 130-150.
+rows the dense matrix is used instead: with the in-place dense kernel,
+dense takes 0.70-0.84x the sorted path's time at m = 100-120, and the
+two are even at m ~ 130-150.
 
 The unit-norm, positive-first-component constraint is enforced by
 construction through a spherical-angle parameterization: the open
@@ -60,8 +60,7 @@ survival, projects each covariate vector onto the fitted direction at
 its modifier value, and smooths the synthetic responses on that index by
 Nadaraya-Watson to estimate the link. With the index sorted once, each
 link grid point sums over its ``searchsorted`` window [u0 - h_link,
-u0 + h_link] only, which holds every row of non-zero weight (the
-gaussian kernel's window is the whole index).
+u0 + h_link] only, which holds every row of non-zero weight.
 """
 
 from __future__ import annotations
@@ -138,6 +137,8 @@ class OptimizerConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("restarts", "max_iter"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iter < 1:
@@ -169,6 +170,8 @@ class FitConfig:
             raise ValueError("link_grid count must be at least 2")
         if not (self.bandwidths == "auto" or isinstance(self.bandwidths, Bandwidths)):
             raise ValueError('bandwidths must be a Bandwidths instance or "auto"')
+        if not isinstance(self.kernel, KernelSpec):
+            raise ValueError("kernel must be a KernelSpec instance")
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -285,10 +288,10 @@ class _LocalObjective:
     """Profile least-squares objective at one t0, vectorized over the
     rows that carry modifier weight.
 
-    ``dense_value`` builds the m x m kernel matrix and serves any kernel;
-    ``sorted_value`` is the O(m log m) Epanechnikov evaluation described
-    in the module docstring. Both give the same value up to rounding, and
-    ``value`` uses the one that is faster at this t0's active row count.
+    ``dense_value`` builds the m x m kernel matrix; ``sorted_value`` is
+    the O(m log m) evaluation described in the module docstring. Both
+    give the same value up to rounding, and ``value`` uses the one that
+    is faster at this t0's active row count.
     """
 
     def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
@@ -306,10 +309,7 @@ class _LocalObjective:
         self._yc = self.y - self.y.mean()
         self._weights = np.stack((self.kt, self.kt * self._yc))
         self._upper = np.arange(m) >= m // 2
-        if spec.family == "epanechnikov" and m >= _SORTED_MIN_ROWS:
-            self._evaluate = self.sorted_value
-        else:
-            self._evaluate = self.dense_value
+        self._evaluate = self.sorted_value if m >= _SORTED_MIN_ROWS else self.dense_value
 
     def value(self, theta_components: np.ndarray) -> float:
         return self._evaluate(theta_components)
@@ -331,7 +331,7 @@ class _LocalObjective:
         return float(np.sum(self.kt[valid] * resid * resid) / self.norm)
 
     def sorted_value(self, theta_components: np.ndarray) -> float:
-        """The Epanechnikov objective from sorted prefix sums."""
+        """The objective from sorted prefix sums."""
         proj = self.x @ theta_components
         order = np.argsort(proj, kind="stable")
         p = proj[order]
@@ -644,12 +644,11 @@ def fit_link(
     # Ties only reorder a sum, so they need no stable sort.
     order = np.argsort(index)
     p, ys = index[order], synthetic[order]
-    # An Epanechnikov weight is non-zero only where |u0 - p| < h exactly,
-    # as rounding is monotone, and round-to-nearest puts every such p
-    # inside the rounded window ends.
-    reach = h_link if config.kernel.family == "epanechnikov" else math.inf
-    lo = np.searchsorted(p, u_grid - reach, side="left").tolist()
-    hi = np.searchsorted(p, u_grid + reach, side="right").tolist()
+    # A weight is non-zero only where |u0 - p| < h exactly, as rounding
+    # is monotone, and round-to-nearest puts every such p inside the
+    # rounded window ends.
+    lo = np.searchsorted(p, u_grid - h_link, side="left").tolist()
+    hi = np.searchsorted(p, u_grid + h_link, side="right").tolist()
     m_hat = np.full(u_grid.size, np.nan)
     defined = np.zeros(u_grid.size, dtype=bool)
     for k, (u0, a, b) in enumerate(zip(u_grid.tolist(), lo, hi)):

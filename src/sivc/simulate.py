@@ -55,12 +55,14 @@ class SimConfig:
     constant_direction: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        for name in ("n", "d", "reps"):
+        for name in ("n", "d", "reps", "seed"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n < 10:
             raise ValueError("n must be at least 10")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative (got {self.seed})")
         if not 0.0 <= self.censor_target < 1.0:
             raise ValueError("censor_target must lie in [0, 1)")
         if not self.noise_sd > 0:

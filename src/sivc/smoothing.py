@@ -1,6 +1,6 @@
 """Kernel smoothing primitives.
 
-Provides the kernel families and bandwidth selection by the normal
+Provides the Epanechnikov kernel and bandwidth selection by the normal
 reference rule. The smoothers that use them live in ``sivc.estimator``:
 the product-kernel profile smoother of the direction fit, and the link's
 univariate Nadaraya-Watson regression, which smooths each grid point
@@ -14,7 +14,6 @@ than silently returning 0/0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,27 +31,24 @@ __all__ = [
 
 WEIGHT_FLOOR = 1e-300
 
-_FAMILIES = ("epanechnikov", "gaussian")
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family used for all smoothing steps.
+    """Kernel family used for all smoothing steps: Epanechnikov only.
 
-    Epanechnikov (default elsewhere) has compact support, which makes
-    empty neighborhoods detectable, and is a quadratic on that support,
+    Its compact support makes empty neighborhoods detectable and bounds
+    each link grid point's window, and it is a quadratic on that support,
     which lets the direction fit's leave-one-out objective run in
-    O(m log m) from sorted prefix sums; gaussian is offered for
-    smoothness and is evaluated densely.
+    O(m log m) from sorted prefix sums. The type stays so that configs
+    and callers naming the family keep working.
     """
 
     family: str
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family != "epanechnikov":
             raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
+                f"unknown kernel family {self.family!r}; expected 'epanechnikov'"
             )
 
 
@@ -73,17 +69,15 @@ class Bandwidths:
 
 
 def kernel_values(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Vectorized kernel weights K(u)."""
+    """Vectorized Epanechnikov weights K(u) = 0.75 (1 - u^2) on |u| < 1."""
     u = np.asarray(u, dtype=float)
-    if spec.family == "epanechnikov":
-        # 1 - u^2 is negative exactly when |u| > 1 and fmax sends NaN to 0,
-        # so clipping at 0 is the support test; asarray keeps 0-d input an
-        # ndarray.
-        w = np.asarray(u * u)
-        np.subtract(1.0, w, out=w)
-        np.multiply(0.75, w, out=w)
-        return np.fmax(w, 0.0, out=w)
-    return _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    # 1 - u^2 is negative exactly when |u| > 1 and fmax sends NaN to 0,
+    # so clipping at 0 is the support test; asarray keeps 0-d input an
+    # ndarray.
+    w = np.asarray(u * u)
+    np.subtract(1.0, w, out=w)
+    np.multiply(0.75, w, out=w)
+    return np.fmax(w, 0.0, out=w)
 
 
 def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:
@@ -109,8 +103,7 @@ def select_bandwidths(dataset: Dataset, spec: KernelSpec) -> Bandwidths:
     bandwidth h2 from sd(t), and the index bandwidths h1 and h_link from
     the projection of x onto an equal-weights pilot direction (the fitted
     direction is unknown at selection time; for unit-norm directions the
-    projection scale is insensitive to the pilot choice). The rule is the
-    same for every kernel family in ``spec``.
+    projection scale is insensitive to the pilot choice).
     """
     if dataset.n < 10:
         raise ValueError(f"bandwidth selection needs n >= 10 (got {dataset.n})")

@@ -404,6 +404,26 @@ class TestConfigErrors:
         assert f"validation error: {problem}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_gaussian_kernel_exits_2(self, paper_csv, tmp_path, capsys, command):
+        config = write_config(tmp_path, {"fit": {"kernel": "gaussian"}})
+        data = ["--data", str(paper_csv)] if command == "fit" else []
+        code = main([command, *data, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert "unknown kernel family 'gaussian'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce-figures"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        if command == "simulate":
+            args = ["--config", str(write_config(tmp_path, {"sim": {"seed": -1}}))]
+        else:
+            args = ["--seed", "-1"]
+        code = main([command, *args, "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert "validation error: seed must be non-negative (got -1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("command", ["simulate", "reproduce-figures"])
 def test_degraded_study_warns(tmp_path, capsys, monkeypatch, command):

@@ -359,11 +359,9 @@ class TestSortedObjective:
         rng = np.random.default_rng(42)
         for m in (_SORTED_MIN_ROWS - 1, _SORTED_MIN_ROWS):
             ds = line_dataset(rng.normal(size=m))
-            epan = _LocalObjective(ds, 0.5, self.WIDE, EPAN)
-            gauss = _LocalObjective(ds, 0.5, self.WIDE, KernelSpec("gaussian"))
+            obj = _LocalObjective(ds, 0.5, self.WIDE, EPAN)
             fast = m >= _SORTED_MIN_ROWS
-            assert epan._evaluate == (epan.sorted_value if fast else epan.dense_value)
-            assert gauss._evaluate == gauss.dense_value
+            assert obj._evaluate == (obj.sorted_value if fast else obj.dense_value)
 
 
 class TestFitDirectionAt:
@@ -646,6 +644,8 @@ def link_cases():
         ("duplicates", rng.choice(u0[::2], 200), rng.uniform(0.5, 2.0, 200), grid, h),
         ("empty-windows", rng.uniform(-0.05, 0.05, 30), rng.uniform(0.5, 2.0, 30), grid, 0.12),
         ("all-off-grid", np.full(20, 100.0), rng.uniform(0.5, 2.0, 20), grid, h),
+        # Named for the gaussian kernel the oracle once also ran; for the
+        # Epanechnikov kernel these rows are past every window.
         ("gaussian-underflow", u0[:1] + 38.0 * h + np.arange(3) * h, np.ones(3), grid, h),
         ("n0", np.array([]), np.array([]), grid, h),
         ("n1", np.array([0.05]), np.array([1.5]), grid, h),
@@ -657,7 +657,7 @@ def link_cases():
 class TestFitLinkOracle:
     """``fit_link`` against the per-point loop over every row."""
 
-    @pytest.mark.parametrize("family", ["epanechnikov", "gaussian"])
+    @pytest.mark.parametrize("family", ["epanechnikov"])
     @pytest.mark.parametrize("case", link_cases(), ids=lambda case: case[0])
     def test_matches_the_loop(self, case, family):
         _, index, synthetic, grid, h = case
@@ -792,6 +792,8 @@ class TestFitConfigValidation:
             FitConfig(link_grid=(0.5, -0.5, 10))
         with pytest.raises(ValueError):
             FitConfig(bandwidths="magic")
+        with pytest.raises(ValueError, match="^kernel must be a KernelSpec"):
+            FitConfig(kernel="gaussian")
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -801,11 +803,15 @@ class TestFitConfigValidation:
             ({"link_grid": (-0.5, 0.5, True)}, "link_grid count"),
             ({"t_grid_size": 5.7}, "t_grid_size"),
             ({"t_grid_size": 21.0}, "t_grid_size"),
+            ({"restarts": 2.5}, "restarts"),
+            ({"restarts": True}, "restarts"),
+            ({"max_iter": 20.5}, "max_iter"),
         ],
     )
     def test_counts_must_be_integers(self, kwargs, field):
+        config = OptimizerConfig if field in ("restarts", "max_iter") else FitConfig
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            FitConfig(**kwargs)
+            config(**kwargs)
 
     def test_numpy_integer_counts_are_ints(self):
         config = FitConfig(t_grid_size=np.int64(5), link_grid=(-1, 1, np.int32(7)))

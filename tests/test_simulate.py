@@ -49,10 +49,21 @@ class TestSimConfig:
             SimConfig(preset="paper", d=3)
         with pytest.raises(ValueError):
             SimConfig(preset="constant")
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            SimConfig(seed=-1)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", 50.5), ("n", 500.0), ("reps", 2.5), ("d", 2.0), ("reps", True), ("n", "500")],
+        [
+            ("n", 50.5),
+            ("n", 500.0),
+            ("reps", 2.5),
+            ("d", 2.0),
+            ("reps", True),
+            ("n", "500"),
+            ("seed", True),
+            ("seed", "3"),
+        ],
     )
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
