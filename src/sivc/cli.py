@@ -93,44 +93,13 @@ def _require_keys(
 
 
 @contextlib.contextmanager
-def _typed_values(section: dict, where: str):
-    """Turn a ``TypeError`` raised by a value of ``section``, such as a
-    ``null`` number, into a validation error naming the section."""
+def _typed_values(where: str):
+    """Turn a ``ValueError`` or ``TypeError`` raised by a constructor into
+    a validation error naming the config section."""
     try:
         yield
-    except TypeError as exc:
-        problem = f"{where} config holds a value of the wrong JSON type: {json.dumps(section)}"
-        raise ValidationError([(None, problem)]) from exc
-
-
-# Config keys whose value must be a JSON integer; those of _NUMBERS take
-# any JSON number. A boolean or a string is neither.
-_INTEGERS = {"t_grid_size", "restarts", "max_iter", "n", "d", "reps", "seed"}
-_NUMBERS = {"h1", "h2", "h_link", "tol", "censor_target", "noise_sd"}
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected a JSON integer, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a JSON number, got {value!r}")
-    return float(value)
-
-
-def _checked(section: dict) -> dict:
-    """A copy of ``section`` with its integers and numbers checked and
-    its numbers made floats."""
-    checked = dict(section)
-    for key, value in section.items():
-        if key in _INTEGERS:
-            checked[key] = _integer(value)
-        elif key in _NUMBERS:
-            checked[key] = _number(value)
-    return checked
+    except (TypeError, ValueError) as exc:
+        raise ValidationError([(None, f"{where} config: {exc}")]) from exc
 
 
 def parse_fit_config(section: dict) -> FitConfig:
@@ -139,26 +108,18 @@ def parse_fit_config(section: dict) -> FitConfig:
         {"t_grid_size", "link_grid", "bandwidths", "kernel", "optimizer"},
         "fit",
     )
-    with _typed_values(section, "fit"):
-        kwargs = _checked(section)
-        if "link_grid" in kwargs:
-            try:
-                lo, hi, count = kwargs["link_grid"]
-            except ValueError:
-                grid = json.dumps(kwargs["link_grid"])
-                problem = f"fit.link_grid must hold 3 values [min, max, count] (got {grid})"
-                raise ValidationError([(None, problem)]) from None
-            kwargs["link_grid"] = (_number(lo), _number(hi), _integer(count))
+    kwargs = dict(section)
+    with _typed_values("fit"):
         bw = kwargs.get("bandwidths", "auto")
         if bw != "auto":
             _require_keys(bw, {"h1", "h2", "h_link"}, "bandwidths", required=True)
-            kwargs["bandwidths"] = Bandwidths(**_checked(bw))
+            kwargs["bandwidths"] = Bandwidths(**bw)
         if "kernel" in kwargs:
             kwargs["kernel"] = KernelSpec(kwargs["kernel"])
         if "optimizer" in kwargs:
             opt = kwargs["optimizer"]
             _require_keys(opt, {"restarts", "max_iter", "tol"}, "optimizer")
-            kwargs["optimizer"] = OptimizerConfig(**_checked(opt))
+            kwargs["optimizer"] = OptimizerConfig(**opt)
         return FitConfig(**kwargs)
 
 
@@ -177,11 +138,8 @@ def parse_sim_config(section: dict) -> SimConfig:
         },
         "sim",
     )
-    with _typed_values(section, "sim"):
-        kwargs = _checked(section)
-        if kwargs.get("constant_direction") is not None:
-            kwargs["constant_direction"] = tuple(map(_number, kwargs["constant_direction"]))
-        return SimConfig(**kwargs)
+    with _typed_values("sim"):
+        return SimConfig(**section)
 
 
 def load_config(path: Path) -> dict:

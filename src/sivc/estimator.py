@@ -78,6 +78,7 @@ from .model import (
     Dataset,
     UnitDirection,
     _count,
+    _real,
     evaluate_curves,
     normalize_direction,
 )
@@ -143,6 +144,7 @@ class OptimizerConfig:
             raise ValueError("restarts must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "tol", _real(self.tol, "tol"))
         if not self.tol > 0:
             raise ValueError("tol must be positive")
 
@@ -161,10 +163,16 @@ class FitConfig:
         object.__setattr__(self, "t_grid_size", _count(self.t_grid_size, "t_grid_size"))
         if self.t_grid_size < 2:
             raise ValueError("t_grid_size must be at least 2")
-        lo, hi, count = self.link_grid
+        try:
+            lo, hi, count = self.link_grid
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"link_grid must hold 3 values [min, max, count] (got {self.link_grid!r})"
+            ) from None
+        lo, hi = _real(lo, "link_grid min"), _real(hi, "link_grid max")
         count = _count(count, "link_grid count")
-        object.__setattr__(self, "link_grid", (float(lo), float(hi), count))
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        object.__setattr__(self, "link_grid", (lo, hi, count))
+        if not lo < hi:
             raise ValueError("link_grid min must be below max")
         if count < 2:
             raise ValueError("link_grid count must be at least 2")
@@ -617,6 +625,9 @@ def fit_coefficient_curves(
 
 def compute_index(dataset: Dataset, curves: CoefficientCurves) -> np.ndarray:
     """Fitted index u_i = x_i . beta-hat(t_i) for every row."""
+    if dataset.d == 1:
+        # Every unit direction in one dimension is [1.0].
+        return dataset.x[:, 0]
     directions = evaluate_curves(curves, dataset.t)
     # A batched matmul rounds each row like a 1-D dot product.
     return (dataset.x[:, None, :] @ directions[:, :, None])[:, 0, 0]

@@ -12,6 +12,9 @@ pure, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,6 +44,16 @@ def _count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer (got {value!r})")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a finite float; a bool or a string is no number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        # An integer too large for a float overflows here.
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{name} must be a finite number (got {value!r})")
 
 
 # Rows named per problem in a ValidationError; the rest are counted.

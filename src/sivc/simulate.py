@@ -26,7 +26,7 @@ import numpy as np
 from .censoring import calibrate_censoring
 from .errors import SivcError
 from .estimator import FitConfig, fit_model
-from .model import Dataset, _count, censoring_rate, normalize_direction
+from .model import Dataset, _count, _real, censoring_rate, normalize_direction
 
 __all__ = [
     "SimConfig",
@@ -63,6 +63,8 @@ class SimConfig:
             raise ValueError("reps must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative (got {self.seed})")
+        for name in ("censor_target", "noise_sd"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 0.0 <= self.censor_target < 1.0:
             raise ValueError("censor_target must lie in [0, 1)")
         if not self.noise_sd > 0:
@@ -72,10 +74,21 @@ class SimConfig:
         if self.preset == "paper":
             if self.d != 2:
                 raise ValueError('the "paper" preset requires d = 2')
+            if self.constant_direction is not None:
+                raise ValueError(
+                    'constant_direction is only for the "constant" preset '
+                    f"(got {self.constant_direction!r})"
+                )
         else:
             if self.constant_direction is None:
                 raise ValueError('the "constant" preset requires constant_direction')
-            direction = tuple(float(v) for v in self.constant_direction)
+            given = self.constant_direction
+            try:
+                direction = tuple(_real(v, "constant_direction entry") for v in given)
+            except TypeError:
+                raise ValueError(
+                    f"constant_direction must be a list of numbers (got {given!r})"
+                ) from None
             if len(direction) != self.d:
                 raise ValueError("constant_direction length must equal d")
             normalize_direction(np.asarray(direction))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .model import Dataset, normalize_direction
+from .model import Dataset, _real, normalize_direction
 
 __all__ = [
     "KernelSpec",
@@ -62,9 +62,9 @@ class Bandwidths:
 
     def __post_init__(self):
         for name in ("h1", "h2", "h_link"):
-            v = float(getattr(self, name))
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"bandwidth {name} must be positive and finite (got {v})")
+            v = _real(getattr(self, name), name)
+            if not v > 0:
+                raise ValueError(f"bandwidth {name} must be positive (got {v})")
             object.__setattr__(self, name, v)
 
 

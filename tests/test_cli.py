@@ -270,92 +270,106 @@ REJECTED_CONFIG = {
     ),
     "link_grid-not-a-list": (
         {"fit": {"link_grid": 5}},
-        'fit config holds a value of the wrong JSON type: {"link_grid": 5}',
+        "fit config: link_grid must hold 3 values [min, max, count] (got 5)",
     ),
     "n-a-string": (
         {"sim": {"n": "abc"}},
-        'sim config holds a value of the wrong JSON type: {"n": "abc"}',
+        "sim config: n must be an integer (got 'abc')",
     ),
     "constant_direction-a-number": (
         {"sim": {"constant_direction": 3}},
-        'sim config holds a value of the wrong JSON type: {"constant_direction": 3}',
+        'sim config: constant_direction is only for the "constant" preset (got 3)',
     ),
     "restarts-null": (
         {"fit": {"optimizer": {"restarts": None}}},
-        'fit config holds a value of the wrong JSON type: {"optimizer": {"restarts": null}}',
+        "fit config: restarts must be an integer (got None)",
     ),
     "t_grid_size-null": (
         {"fit": {"t_grid_size": None}},
-        'fit config holds a value of the wrong JSON type: {"t_grid_size": null}',
+        "fit config: t_grid_size must be an integer (got None)",
     ),
     "h1-null": (
         {"fit": {"bandwidths": {"h1": None, "h2": 1, "h_link": 1}}},
-        "fit config holds a value of the wrong JSON type: "
-        '{"bandwidths": {"h1": null, "h2": 1, "h_link": 1}}',
+        "fit config: h1 must be a finite number (got None)",
     ),
-    # Integer fields take JSON integers only, and number fields any JSON
-    # number; neither takes a boolean or a string.
+    # Integer fields take JSON integers only, and number fields any finite
+    # JSON number; neither takes a boolean or a string.
     "reps-a-fraction": (
         {"sim": {"reps": 2.5}},
-        'sim config holds a value of the wrong JSON type: {"reps": 2.5}',
+        "sim config: reps must be an integer (got 2.5)",
     ),
     "n-a-fraction": (
         {"sim": {"n": 50.5}},
-        'sim config holds a value of the wrong JSON type: {"n": 50.5}',
+        "sim config: n must be an integer (got 50.5)",
     ),
     "d-a-float": (
         {"sim": {"d": 2.0}},
-        'sim config holds a value of the wrong JSON type: {"d": 2.0}',
+        "sim config: d must be an integer (got 2.0)",
     ),
     "seed-a-fraction": (
         {"sim": {"seed": 1.5}},
-        'sim config holds a value of the wrong JSON type: {"seed": 1.5}',
+        "sim config: seed must be an integer (got 1.5)",
     ),
     "noise_sd-a-boolean": (
         {"sim": {"noise_sd": True}},
-        'sim config holds a value of the wrong JSON type: {"noise_sd": true}',
+        "sim config: noise_sd must be a finite number (got True)",
     ),
     "constant_direction-a-string-entry": (
         {"sim": {"preset": "constant", "constant_direction": [1, "0"]}},
-        "sim config holds a value of the wrong JSON type: "
-        '{"preset": "constant", "constant_direction": [1, "0"]}',
+        "sim config: constant_direction entry must be a finite number (got '0')",
     ),
     "t_grid_size-a-fraction": (
         {"fit": {"t_grid_size": 5.7}},
-        'fit config holds a value of the wrong JSON type: {"t_grid_size": 5.7}',
+        "fit config: t_grid_size must be an integer (got 5.7)",
     ),
     "link_grid-count-a-fraction": (
         {"fit": {"link_grid": [-0.5, 0.5, 10.9]}},
-        'fit config holds a value of the wrong JSON type: {"link_grid": [-0.5, 0.5, 10.9]}',
+        "fit config: link_grid count must be an integer (got 10.9)",
     ),
     "link_grid-two-values": (
         {"fit": {"link_grid": [0, 1]}},
-        "fit.link_grid must hold 3 values [min, max, count] (got [0, 1])",
+        "fit config: link_grid must hold 3 values [min, max, count] (got [0, 1])",
     ),
     "link_grid-four-values": (
         {"fit": {"link_grid": [0, 1, 10, 2]}},
-        "fit.link_grid must hold 3 values [min, max, count] (got [0, 1, 10, 2])",
+        "fit config: link_grid must hold 3 values [min, max, count] (got [0, 1, 10, 2])",
     ),
     "link_grid-end-a-string": (
         {"fit": {"link_grid": ["-0.5", 0.5, 10]}},
-        'fit config holds a value of the wrong JSON type: {"link_grid": ["-0.5", 0.5, 10]}',
+        "fit config: link_grid min must be a finite number (got '-0.5')",
     ),
     "restarts-a-boolean": (
         {"fit": {"optimizer": {"restarts": True}}},
-        'fit config holds a value of the wrong JSON type: {"optimizer": {"restarts": true}}',
+        "fit config: restarts must be an integer (got True)",
     ),
     "restarts-a-string": (
         {"fit": {"optimizer": {"restarts": "3"}}},
-        'fit config holds a value of the wrong JSON type: {"optimizer": {"restarts": "3"}}',
+        "fit config: restarts must be an integer (got '3')",
     ),
     "tol-a-string": (
         {"fit": {"optimizer": {"tol": "1e-8"}}},
-        'fit config holds a value of the wrong JSON type: {"optimizer": {"tol": "1e-8"}}',
+        "fit config: tol must be a finite number (got '1e-8')",
     ),
     "h1-a-boolean": (
         {"fit": {"bandwidths": {"h1": True, "h2": 1, "h_link": 1}}},
-        "fit config holds a value of the wrong JSON type: "
-        '{"bandwidths": {"h1": true, "h2": 1, "h_link": 1}}',
+        "fit config: h1 must be a finite number (got True)",
+    ),
+    "constant_direction-on-paper": (
+        {"sim": {"preset": "paper", "constant_direction": [1, 0]}},
+        'sim config: constant_direction is only for the "constant" preset (got [1, 0])',
+    ),
+    "constant_direction-a-number-on-constant": (
+        {"sim": {"preset": "constant", "constant_direction": 3}},
+        "sim config: constant_direction must be a list of numbers (got 3)",
+    ),
+    # JSON 1e400 parses to inf.
+    "noise_sd-infinite": (
+        {"sim": {"noise_sd": 1e400}},
+        "sim config: noise_sd must be a finite number (got inf)",
+    ),
+    "tol-infinite": (
+        {"fit": {"optimizer": {"tol": 1e400}}},
+        "fit config: tol must be a finite number (got inf)",
     ),
 }
 
@@ -401,7 +415,7 @@ class TestConfigErrors:
         config = write_config(tmp_path, doc)
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
-        assert f"validation error: {problem}" in capsys.readouterr().err
+        assert f"validation error: sim config: {problem}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])
@@ -417,11 +431,14 @@ class TestConfigErrors:
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         if command == "simulate":
             args = ["--config", str(write_config(tmp_path, {"sim": {"seed": -1}}))]
+            section = "sim config: "
         else:
             args = ["--seed", "-1"]
+            section = ""
         code = main([command, *args, "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
-        assert "validation error: seed must be non-negative (got -1)" in capsys.readouterr().err
+        problem = f"validation error: {section}seed must be non-negative (got -1)"
+        assert problem in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

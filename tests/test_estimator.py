@@ -538,6 +538,17 @@ class TestComputeIndex:
             )
             assert np.array_equal(compute_index(ds, curves), loop_index(ds, curves))
 
+    def test_univariate_covariate_interpolates_nothing(self, monkeypatch):
+        ds = line_dataset(np.linspace(-1.0, 1.0, 40), t=np.linspace(0.0, 1.0, 40))
+        grid = np.linspace(0.0, 1.0, 21)
+        curves = CoefficientCurves(grid=grid, directions=(normalize_direction([1.0]),) * 21)
+
+        def fail(*args):
+            raise AssertionError("the curves were evaluated at d = 1")
+
+        monkeypatch.setattr(estimator, "evaluate_curves", fail)
+        assert np.array_equal(compute_index(ds, curves), ds.x[:, 0])
+
     def make_curves(self, d0, d1):
         return CoefficientCurves(
             grid=np.array([0.0, 1.0]),
@@ -806,11 +817,23 @@ class TestFitConfigValidation:
             ({"restarts": 2.5}, "restarts"),
             ({"restarts": True}, "restarts"),
             ({"max_iter": 20.5}, "max_iter"),
+            ({"tol": True}, "tol"),
+            ({"tol": "1e-8"}, "tol"),
+            ({"link_grid": 5}, "link_grid"),
+            ({"link_grid": (0, 1)}, "link_grid"),
+            ({"link_grid": ("0", 1, 5)}, "link_grid min"),
+            ({"link_grid": (True, 2, 5)}, "link_grid min"),
         ],
     )
     def test_counts_must_be_integers(self, kwargs, field):
-        config = OptimizerConfig if field in ("restarts", "max_iter") else FitConfig
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        config = OptimizerConfig if field in ("restarts", "max_iter", "tol") else FitConfig
+        # Counts must be integers; the other fields say what they need.
+        need = {
+            "tol": "be a finite number",
+            "link_grid min": "be a finite number",
+            "link_grid": r"hold 3 values \[min, max, count\]",
+        }.get(field, "be an integer")
+        with pytest.raises(ValueError, match=f"^{field} must {need}"):
             config(**kwargs)
 
     def test_numpy_integer_counts_are_ints(self):

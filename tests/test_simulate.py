@@ -63,11 +63,27 @@ class TestSimConfig:
             ("n", "500"),
             ("seed", True),
             ("seed", "3"),
+            ("noise_sd", True),
+            ("censor_target", "0.3"),
+            ("censor_target", None),
+            ("constant_direction", 3),
+            ("constant_direction", (1, "0")),
+            ("constant_direction", (True, 0)),
         ],
     )
     def test_counts_must_be_integers(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            SimConfig(**{field: value})
+        kwargs = {field: value}
+        # Counts must be integers; the other fields say what they need.
+        need = {
+            "noise_sd": " must be a finite number",
+            "censor_target": " must be a finite number",
+        }.get(field, " must be an integer")
+        if field == "constant_direction":
+            kwargs["preset"] = "constant"
+            listed = isinstance(value, tuple)
+            need = " entry must be a finite number" if listed else " must be a list of numbers"
+        with pytest.raises(ValueError, match=f"^{field}{need}"):
+            SimConfig(**kwargs)
 
     def test_numpy_integer_counts_are_ints(self):
         cfg = SimConfig(n=np.int64(200), reps=np.int32(3))

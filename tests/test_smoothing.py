@@ -187,3 +187,7 @@ class TestBandwidthSelection:
             Bandwidths(h1=1.0, h2=-1.0, h_link=1.0)
         with pytest.raises(ValueError):
             Bandwidths(h1=1.0, h2=1.0, h_link=math.inf)
+        with pytest.raises(ValueError, match="^h1 must be a finite number"):
+            Bandwidths(h1=True, h2=1.0, h_link=1.0)
+        with pytest.raises(ValueError, match="^h1 must be a finite number"):
+            Bandwidths(h1="0.5", h2=1.0, h_link=1.0)
