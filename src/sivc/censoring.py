@@ -53,8 +53,8 @@ class SurvivalCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        jumps = _frozen(np.ascontiguousarray(self.jump_times, dtype=float))
-        values = _frozen(np.ascontiguousarray(self.values, dtype=float))
+        jumps = _frozen(self.jump_times)
+        values = _frozen(self.values)
         object.__setattr__(self, "jump_times", jumps)
         object.__setattr__(self, "values", values)
         if jumps.ndim != 1 or values.ndim != 1 or jumps.size != values.size:

@@ -118,7 +118,7 @@ def parse_fit_config(section: dict) -> FitConfig:
             kwargs["kernel"] = KernelSpec(kwargs["kernel"])
         if "optimizer" in kwargs:
             opt = kwargs["optimizer"]
-            _require_keys(opt, {"restarts", "max_iter", "tol"}, "optimizer")
+            _require_keys(opt, {"restarts", "max_iter"}, "optimizer")
             kwargs["optimizer"] = OptimizerConfig(**opt)
         return FitConfig(**kwargs)
 
@@ -316,8 +316,8 @@ def write_link_csv(path: Path, fit: ModelFit) -> None:
         path,
         ["u", "m_hat", "defined"],
         (
-            [_num(u), _num(link.m_hat[k]), "1" if link.defined[k] else "0"]
-            for k, u in enumerate(link.u_grid)
+            [_num(u), _num(m), "0" if np.isnan(m) else "1"]
+            for u, m in zip(link.u_grid, link.m_hat)
         ),
     )
 
@@ -385,7 +385,7 @@ def write_raw_estimates_csv(
 
 def _finish_manifest(
     command: str,
-    config_echo: dict,
+    echo: dict,
     seed: Optional[int],
     out_dir: Path,
     outputs: list[str],
@@ -393,7 +393,7 @@ def _finish_manifest(
 ) -> RunManifest:
     manifest = RunManifest(
         command=command,
-        config=config_echo,
+        config=echo,
         seed=seed,
         versions=_versions(),
         outputs=tuple(outputs + ["manifest.json"]),

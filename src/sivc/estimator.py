@@ -78,17 +78,12 @@ from .model import (
     Dataset,
     UnitDirection,
     _count,
+    _frozen,
     _real,
     evaluate_curves,
     normalize_direction,
 )
-from .smoothing import (
-    WEIGHT_FLOOR,
-    Bandwidths,
-    KernelSpec,
-    kernel_values,
-    select_bandwidths,
-)
+from .smoothing import Bandwidths, KernelSpec, kernel_values, select_bandwidths
 
 __all__ = [
     "OptimizerConfig",
@@ -112,6 +107,11 @@ _XATOL = 1e-4
 # Every start races until its vertices are within this of the best in
 # each angle; only the leader goes on to _XATOL.
 _RACE_XATOL = 1e-2
+# Race values that agree within this are tied when the leader is picked.
+_TIE_TOL = 1e-7
+# A polish that reaches max_iter still counts as converged when its
+# vertex values span at most this.
+_FLAT_TOL = 1e-8
 # Active row count from which the sorted Epanechnikov evaluation is used
 # (the crossover measured when it was set; see the module docstring).
 _SORTED_MIN_ROWS = 128
@@ -123,19 +123,14 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Nelder-Mead settings: restart count, iteration cap, value tolerance.
+    """Nelder-Mead settings: restart count and iteration cap.
 
-    ``tol`` stops no run (runs stop on their angles; see the module
-    docstring). Starts whose race values agree within 10x ``tol`` are
-    tied when the leader is picked, and the polished leader still counts
-    as converged at ``max_iter`` if its vertex values span at most
-    ``tol``. ``max_iter`` caps each race run, and the leader's race and
-    polish together.
+    ``max_iter`` caps each race run, and the leader's race and polish
+    together.
     """
 
     restarts: int = 4
     max_iter: int = 150
-    tol: float = 1e-8
 
     def __post_init__(self):
         for name in ("restarts", "max_iter"):
@@ -144,9 +139,6 @@ class OptimizerConfig:
             raise ValueError("restarts must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        object.__setattr__(self, "tol", _real(self.tol, "tol"))
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -197,21 +189,18 @@ class LinkEstimate:
 
     u_grid: np.ndarray
     m_hat: np.ndarray
-    defined: np.ndarray
 
     def __post_init__(self):
-        u = np.ascontiguousarray(self.u_grid, dtype=float)
-        m = np.ascontiguousarray(self.m_hat, dtype=float)
-        dfn = np.ascontiguousarray(self.defined, dtype=bool)
-        for name, arr in (("u_grid", u), ("m_hat", m), ("defined", dfn)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not (u.shape == m.shape == dfn.shape) or u.ndim != 1:
-            raise ValueError("u_grid, m_hat, defined must be equal-length vectors")
+        u = _frozen(self.u_grid)
+        m = _frozen(self.m_hat)
+        object.__setattr__(self, "u_grid", u)
+        object.__setattr__(self, "m_hat", m)
+        if u.shape != m.shape or u.ndim != 1:
+            raise ValueError("u_grid and m_hat must be equal-length vectors")
         if np.any(np.diff(u) <= 0):
             raise ValueError("u_grid must be strictly ascending")
-        if not np.all(np.isfinite(m[dfn])):
-            raise ValueError("defined link estimates must be finite")
+        if np.any(np.isinf(m)):
+            raise ValueError("link estimates must be finite or NaN")
 
 
 @dataclass(frozen=True)
@@ -248,7 +237,6 @@ class ModelFit:
     synthetic: np.ndarray
     bandwidths: Bandwidths
     diagnostics: dict = field(repr=False)
-    config: FitConfig = field(repr=False)
 
 
 def direction_from_angles(angles: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -333,7 +321,7 @@ class _LocalObjective:
         w.flat[:: self.m + 1] = 0.0
         den_loo = w.sum(axis=1)
         num_loo = w @ self.y
-        valid = den_loo >= WEIGHT_FLOOR
+        valid = den_loo > 0
         self.last_skipped = int(np.count_nonzero(~valid))
         resid = self.y[valid] - num_loo[valid] / den_loo[valid]
         return float(np.sum(self.kt[valid] * resid * resid) / self.norm)
@@ -526,12 +514,11 @@ def fit_direction_at(
     given) plus ``restarts`` starting points spread across the angle box.
     Each start races until its vertices are within ``_RACE_XATOL`` of the
     best in every angle. The leader has the lowest race value; values
-    that agree within 10x the optimizer tolerance are tied, and ties
-    resolve to the lexicographically smaller angle vector. Only the
-    leader is resumed, from its final simplex, until its vertices are
-    within ``_XATOL``. Hitting the iteration cap with the final vertex
-    values still spread wider than the tolerance is flagged (not raised)
-    in the result.
+    that agree within ``_TIE_TOL`` are tied, and ties resolve to the
+    lexicographically smaller angle vector. Only the leader is resumed,
+    from its final simplex, until its vertices are within ``_XATOL``.
+    Hitting the iteration cap with the final vertex values still spread
+    wider than ``_FLAT_TOL`` is flagged (not raised) in the result.
     """
     if dataset.n < 10:
         raise ValueError(f"direction fitting needs n >= 10 (got {dataset.n})")
@@ -573,7 +560,7 @@ def fit_direction_at(
         if leader is None:
             take = True
         else:
-            tie_tol = max(10.0 * opt.tol, 1e-12 * max(1.0, abs(leader.fun)))
+            tie_tol = max(_TIE_TOL, 1e-12 * max(1.0, abs(leader.fun)))
             take = res.fun < leader.fun - tie_tol or (
                 res.fun <= leader.fun + tie_tol and res.x < leader.x
             )
@@ -591,7 +578,7 @@ def fit_direction_at(
         direction,
         value,
         total_iters,
-        polish.success or polish.fsim[-1] - polish.fsim[0] <= opt.tol,
+        polish.success or polish.fsim[-1] - polish.fsim[0] <= _FLAT_TOL,
         obj.last_skipped,
         total_evals,
         obj.m,
@@ -613,10 +600,7 @@ def fit_coefficient_curves(
     fits: list[DirectionFit] = []
     warm: Optional[UnitDirection] = None
     for t0 in grid:
-        try:
-            fit = fit_direction_at(dataset, float(t0), config, bw, warm_start=warm)
-        except SivcError as exc:
-            raise EstimationError(f"direction fit failed at t0={t0:g}: {exc}") from exc
+        fit = fit_direction_at(dataset, float(t0), config, bw, warm_start=warm)
         fits.append(fit)
         warm = fit.direction
     curves = CoefficientCurves(grid=grid, directions=tuple(f.direction for f in fits))
@@ -642,8 +626,7 @@ def fit_link(
     """Nadaraya-Watson estimate of the link from (index, synthetic) pairs
     with bandwidth ``h_link``, each grid point over its sorted window.
 
-    Grid points with no local data carry a marker instead of a number so
-    the harness can see them.
+    Grid points with no local data are NaN.
     """
     index = np.asarray(index, dtype=float)
     synthetic = np.asarray(synthetic, dtype=float)
@@ -661,14 +644,12 @@ def fit_link(
     lo = np.searchsorted(p, u_grid - h_link, side="left").tolist()
     hi = np.searchsorted(p, u_grid + h_link, side="right").tolist()
     m_hat = np.full(u_grid.size, np.nan)
-    defined = np.zeros(u_grid.size, dtype=bool)
     for k, (u0, a, b) in enumerate(zip(u_grid.tolist(), lo, hi)):
         w = kernel_values(config.kernel, (u0 - p[a:b]) / h_link)
         total = float(w.sum())
-        if not total < WEIGHT_FLOOR:
+        if total > 0:
             m_hat[k] = float(w @ ys[a:b]) / total
-            defined[k] = True
-    return LinkEstimate(u_grid=u_grid, m_hat=m_hat, defined=defined)
+    return LinkEstimate(u_grid=u_grid, m_hat=m_hat)
 
 
 def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
@@ -700,7 +681,7 @@ def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
         "skipped_rows": [f.skipped_rows for f in fits],
         "active_rows": [f.active_rows for f in fits],
         "non_converged_points": sum(1 for f in fits if not f.converged),
-        "link_undefined_points": int(np.count_nonzero(~link.defined)),
+        "link_undefined_points": int(np.count_nonzero(np.isnan(link.m_hat))),
     }
     return ModelFit(
         curves=curves,
@@ -708,5 +689,4 @@ def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
         synthetic=tstar,
         bandwidths=bw,
         diagnostics=diagnostics,
-        config=config,
     )

@@ -34,7 +34,10 @@ __all__ = [
 UNIT_NORM_TOL = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(value, dtype=float) -> np.ndarray:
+    """A read-only contiguous copy of ``value``; the caller's array stays
+    writeable and cannot change the object that holds the copy."""
+    a = np.array(value, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -62,7 +65,7 @@ _NAMED_ROWS = 5
 
 def _column(value, name: str) -> np.ndarray:
     try:
-        return np.ascontiguousarray(value, dtype=float)
+        return _frozen(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError([(None, f"column {name} must be numeric ({exc})")]) from None
 
@@ -112,10 +115,10 @@ class Dataset:
             _flag_rows(problems, ~np.all(np.isfinite(x), axis=1), "covariates must be finite")
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "delta", _frozen(delta.astype(int)))
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "t", _frozen(t))
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "delta", _frozen(delta, int))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", t)
 
     @property
     def n(self) -> int:
@@ -133,7 +136,7 @@ class UnitDirection:
     components: np.ndarray
 
     def __post_init__(self):
-        c = _frozen(np.ascontiguousarray(self.components, dtype=float))
+        c = _frozen(self.components)
         object.__setattr__(self, "components", c)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("direction must be a non-empty vector")
@@ -156,7 +159,7 @@ class CoefficientCurves:
     directions: tuple[UnitDirection, ...] = field(repr=False)
 
     def __post_init__(self):
-        grid = _frozen(np.ascontiguousarray(self.grid, dtype=float))
+        grid = _frozen(self.grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "directions", tuple(self.directions))
         if grid.ndim != 1 or grid.size < 1:
@@ -170,8 +173,8 @@ class CoefficientCurves:
         dims = {u.d for u in self.directions}
         if len(dims) > 1:
             raise ValueError("directions must share a common dimension")
-        matrix = np.vstack([u.components for u in self.directions])
-        object.__setattr__(self, "_matrix", _frozen(matrix))
+        matrix = _frozen([u.components for u in self.directions])
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def d(self) -> int:

@@ -219,7 +219,6 @@ def _run_replication(args) -> tuple[int, dict]:
     return rep, {
         "beta": fit.curves.matrix,
         "m_hat": fit.link.m_hat,
-        "m_defined": fit.link.defined,
         "censoring_rate": censoring_rate(dataset),
         "non_converged_points": fit.diagnostics["non_converged_points"],
         "link_undefined_points": fit.diagnostics["link_undefined_points"],
@@ -274,9 +273,7 @@ def run_monte_carlo(
         if payload is None:
             continue
         beta_reps[rep] = payload["beta"]
-        m = payload["m_hat"].copy()
-        m[~payload["m_defined"]] = np.nan
-        m_reps[rep] = m
+        m_reps[rep] = payload["m_hat"]
         rates.append(payload["censoring_rate"])
         if payload["non_converged_points"]:
             failure_log.append(

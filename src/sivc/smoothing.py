@@ -8,8 +8,6 @@ over a sorted window of the index.
 
 Smoothing on the index side is univariate: the regression target is the
 scalar projection of the covariates, not the covariate vector itself.
-Weight sums below ``WEIGHT_FLOOR`` are reported as "no local data" rather
-than silently returning 0/0.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ __all__ = [
     "rule_of_thumb_bandwidth",
     "select_bandwidths",
 ]
-
-WEIGHT_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from typing import Callable, Tuple
 import numpy as np
 from scipy import integrate, optimize, special
 
-from sivc.smoothing import WEIGHT_FLOOR, kernel_values
+from sivc.smoothing import kernel_values
 
 TAIL_PROBABILITY = 1e-12
 
@@ -222,8 +222,7 @@ def mc_conditional_mean(
 def loop_link(index, synthetic, u_grid, h, spec):
     """Link estimate by a loop over the grid, each point weighting all
     rows: sum_i y_i K((u0 - u_i)/h) / sum_i K((u0 - u_i)/h), undefined
-    (NaN) where the weights sum below ``WEIGHT_FLOOR``. Returns
-    ``(m_hat, defined)``."""
+    (NaN) where no weight is positive. Returns ``(m_hat, defined)``."""
     index = np.asarray(index, dtype=float)
     synthetic = np.asarray(synthetic, dtype=float)
     m_hat = np.full(len(u_grid), np.nan)
@@ -231,7 +230,7 @@ def loop_link(index, synthetic, u_grid, h, spec):
     for k, u0 in enumerate(u_grid):
         w = kernel_values(spec, (float(u0) - index) / h)
         total = float(w.sum())
-        if total < WEIGHT_FLOOR:
+        if not total > 0:
             continue
         m_hat[k] = float(w @ synthetic) / total
         defined[k] = True

@@ -357,7 +357,7 @@ class TestCriterion7Determinism:
         "fit": {
             "t_grid_size": 5,
             "link_grid": [-0.5, 0.5, 21],
-            "optimizer": {"restarts": 3, "max_iter": 100, "tol": 1e-8},
+            "optimizer": {"restarts": 3, "max_iter": 100},
         },
     }
 

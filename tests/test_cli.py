@@ -45,7 +45,7 @@ SMALL_SIM = {
     "fit": {
         "t_grid_size": 5,
         "link_grid": [-0.5, 0.5, 21],
-        "optimizer": {"restarts": 3, "max_iter": 100, "tol": 1e-8},
+        "optimizer": {"restarts": 3, "max_iter": 100},
     },
 }
 
@@ -174,7 +174,6 @@ class TestFitCommand:
                     "t_grid_size": 3,
                     # JSON integers are numbers too.
                     "bandwidths": {"h1": 1, "h2": 1e-9, "h_link": 1},
-                    "optimizer": {"tol": 1},
                 }
             },
         )
@@ -346,9 +345,9 @@ REJECTED_CONFIG = {
         {"fit": {"optimizer": {"restarts": "3"}}},
         "fit config: restarts must be an integer (got '3')",
     ),
-    "tol-a-string": (
-        {"fit": {"optimizer": {"tol": "1e-8"}}},
-        "fit config: tol must be a finite number (got '1e-8')",
+    "tol-removed": (
+        {"fit": {"optimizer": {"tol": 1e-8}}},
+        "unknown optimizer config keys: ['tol']",
     ),
     "h1-a-boolean": (
         {"fit": {"bandwidths": {"h1": True, "h2": 1, "h_link": 1}}},
@@ -366,10 +365,6 @@ REJECTED_CONFIG = {
     "noise_sd-infinite": (
         {"sim": {"noise_sd": 1e400}},
         "sim config: noise_sd must be a finite number (got inf)",
-    ),
-    "tol-infinite": (
-        {"fit": {"optimizer": {"tol": 1e400}}},
-        "fit config: tol must be a finite number (got inf)",
     ),
 }
 

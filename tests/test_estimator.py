@@ -36,8 +36,10 @@ from sivc import (
 from sivc import estimator
 from sivc.estimator import (
     _ANGLE_BOX,
+    _FLAT_TOL,
     _RACE_XATOL,
     _SORTED_MIN_ROWS,
+    _TIE_TOL,
     _XATOL,
     _LocalObjective,
     _Simplex,
@@ -586,7 +588,7 @@ class TestFitLink:
         synthetic = np.full(300, 4.0)
         config = FitConfig(link_grid=(-0.5, 0.5, 21))
         link = fit_link(index, synthetic, config, rule_of_thumb_bandwidth(index))
-        assert np.all(link.defined)
+        assert not np.any(np.isnan(link.m_hat))
         assert np.allclose(link.m_hat, 4.0)
 
     def test_marker_beyond_compact_support(self):
@@ -594,9 +596,8 @@ class TestFitLink:
         synthetic = np.array([1.0, 2.0, 3.0])
         config = FitConfig(link_grid=(-0.5, 0.5, 11))
         link = fit_link(index, synthetic, config, 0.1)
-        assert not link.defined[0]
         assert np.isnan(link.m_hat[0])
-        assert link.defined[5]
+        assert not np.isnan(link.m_hat[5])
 
     def test_quadratic_oracle(self):
         rng = np.random.default_rng(19)
@@ -605,7 +606,6 @@ class TestFitLink:
         config = FitConfig()
         link = fit_link(u, y, config, rule_of_thumb_bandwidth(u))
         k = int(np.argmin(np.abs(link.u_grid - 0.5)))
-        assert link.defined[k]
         assert abs(link.m_hat[k] - 0.25) < 0.05
 
     def test_estimates_stay_inside_synthetic_range(self):
@@ -613,23 +613,15 @@ class TestFitLink:
         index = rng.normal(size=400)
         synthetic = np.abs(rng.normal(size=400)) * 3.0
         link = fit_link(index, synthetic, FitConfig(), rule_of_thumb_bandwidth(index))
-        defined = link.m_hat[link.defined]
+        defined = link.m_hat[~np.isnan(link.m_hat)]
         assert np.all(defined >= synthetic.min() - 1e-12)
         assert np.all(defined <= synthetic.max() + 1e-12)
 
     def test_link_estimate_invariants(self):
         with pytest.raises(ValueError):
-            LinkEstimate(
-                u_grid=np.array([0.0, 0.0]),
-                m_hat=np.array([1.0, 2.0]),
-                defined=np.array([True, True]),
-            )
+            LinkEstimate(u_grid=np.array([0.0, 0.0]), m_hat=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            LinkEstimate(
-                u_grid=np.array([0.0, 1.0]),
-                m_hat=np.array([np.nan, 2.0]),
-                defined=np.array([True, True]),
-            )
+            LinkEstimate(u_grid=np.array([0.0, 1.0]), m_hat=np.array([np.inf, 2.0]))
 
 
 def link_cases():
@@ -675,7 +667,6 @@ class TestFitLinkOracle:
         spec = KernelSpec(family)
         link = fit_link(index, synthetic, FitConfig(link_grid=grid, kernel=spec), h)
         want, want_defined = loop_link(index, synthetic, link.u_grid, h, spec)
-        assert np.array_equal(link.defined, want_defined)
         assert np.array_equal(np.isnan(link.m_hat), ~want_defined)
         # Relative to the weighted mean of |synthetic|, which is |want|
         # where the responses are positive.
@@ -689,7 +680,7 @@ class TestFitModel:
         return FitConfig(
             t_grid_size=5,
             link_grid=(-0.5, 0.5, 21),
-            optimizer=OptimizerConfig(restarts=3, max_iter=100, tol=1e-8),
+            optimizer=OptimizerConfig(restarts=3, max_iter=100),
         )
 
     def test_uncensored_synthetic_equals_response(self):
@@ -708,9 +699,7 @@ class TestFitModel:
         fit_a = fit_model(ds, config)
         fit_b = fit_model(ds, config)
         assert np.array_equal(fit_a.curves.matrix, fit_b.curves.matrix)
-        assert np.array_equal(
-            fit_a.link.m_hat[fit_a.link.defined], fit_b.link.m_hat[fit_b.link.defined]
-        )
+        assert np.array_equal(fit_a.link.m_hat, fit_b.link.m_hat, equal_nan=True)
         assert fit_a.diagnostics["objectives"] == fit_b.diagnostics["objectives"]
 
     def test_diagnostics_shape(self):
@@ -775,8 +764,7 @@ class TestFitModel:
         with pytest.raises(EstimationError) as excinfo:
             fit_model(ds, config)
         assert str(excinfo.value) == (
-            "stage 1 (direction curves): direction fit failed at t0=0: "
-            "insufficient local sample at t0=0.0: 0 rows carry weight"
+            "stage 1 (direction curves): insufficient local sample at t0=0.0: 0 rows carry weight"
         )
 
     def test_stage_labelled_errors(self):
@@ -817,8 +805,8 @@ class TestFitConfigValidation:
             ({"restarts": 2.5}, "restarts"),
             ({"restarts": True}, "restarts"),
             ({"max_iter": 20.5}, "max_iter"),
-            ({"tol": True}, "tol"),
-            ({"tol": "1e-8"}, "tol"),
+            ({"max_iter": True}, "max_iter"),
+            ({"max_iter": "150"}, "max_iter"),
             ({"link_grid": 5}, "link_grid"),
             ({"link_grid": (0, 1)}, "link_grid"),
             ({"link_grid": ("0", 1, 5)}, "link_grid min"),
@@ -826,10 +814,9 @@ class TestFitConfigValidation:
         ],
     )
     def test_counts_must_be_integers(self, kwargs, field):
-        config = OptimizerConfig if field in ("restarts", "max_iter", "tol") else FitConfig
+        config = OptimizerConfig if field in ("restarts", "max_iter") else FitConfig
         # Counts must be integers; the other fields say what they need.
         need = {
-            "tol": "be a finite number",
             "link_grid min": "be a finite number",
             "link_grid": r"hold 3 values \[min, max, count\]",
         }.get(field, "be an integer")
@@ -844,8 +831,6 @@ class TestFitConfigValidation:
     def test_rejects_bad_optimizer(self):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tol=0.0)
 
 
 def concatenated_direction(angles):
@@ -1175,7 +1160,7 @@ class TestVertexCache:
         config = FitConfig(
             t_grid_size=5,
             link_grid=(-0.5, 0.5, 21),
-            optimizer=OptimizerConfig(restarts=3, max_iter=100, tol=1e-8),
+            optimizer=OptimizerConfig(restarts=3, max_iter=100),
         )
         ds = constant_direction_data(seed=24, n=80, direction=(0.6, 0.8), noise_sd=0.1)
         diag = fit_model(ds, config).diagnostics
@@ -1270,7 +1255,7 @@ class TestRace:
         assert polish_xatol == _XATOL
         # The polish resumes the leader: the race run with the lowest value.
         leader = next(res for _, _, _, res in races if np.array_equal(res.sim, polish_start))
-        assert all(leader.fun <= res.fun + 10 * config.optimizer.tol for _, _, _, res in races)
+        assert all(leader.fun <= res.fun + _TIE_TOL for _, _, _, res in races)
         assert polish_maxiter == config.optimizer.max_iter - leader.nit + 1
         def span(res):
             return np.abs(np.subtract(res.sim, res.x)).max()
@@ -1307,7 +1292,7 @@ class TestRace:
         assert fit.direction.components.tobytes() == direction.components.tobytes()
         value = _LocalObjective(dataset, t0, bw, EPAN).value(direction.components)
         assert np.float64(fit.objective).tobytes() == np.float64(value).tobytes()
-        assert fit.converged == (full.success or full.fsim[-1] - full.fsim[0] <= config.optimizer.tol)
+        assert fit.converged == (full.success or full.fsim[-1] - full.fsim[0] <= _FLAT_TOL)
         assert fit.objective_calls == len(requested)
         # The resume re-scores the d vertices (cache hits) and starts its
         # own iteration count at 1.

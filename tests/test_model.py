@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from sivc import (
     CoefficientCurves,
     Dataset,
+    LinkEstimate,
+    SurvivalCurve,
     UnitDirection,
     ValidationError,
     censoring_rate,
@@ -246,3 +248,46 @@ class TestCensoringRate:
         events = Fraction(int(np.sum(np.asarray(deltas) == 1)), n)
         assert censored + events == 1
         assert censoring_rate(ds) == float(censored)
+
+
+# Each constructor and fresh arguments for it, an array for every array field.
+OWNED_ARRAYS = {
+    "Dataset": (
+        Dataset,
+        lambda: {
+            "y": np.array([1.0, 2.0]),
+            "delta": np.array([1, 0]),
+            "x": np.array([[1.0], [2.0]]),
+            "t": np.array([0.1, 0.2]),
+        },
+    ),
+    "UnitDirection": (UnitDirection, lambda: {"components": np.array([0.6, 0.8])}),
+    "CoefficientCurves": (
+        CoefficientCurves,
+        lambda: {"grid": np.array([0.0, 1.0]), "directions": (UnitDirection(np.array([1.0])),) * 2},
+    ),
+    "LinkEstimate": (
+        LinkEstimate,
+        lambda: {"u_grid": np.array([-1.0, 1.0]), "m_hat": np.array([0.5, np.nan])},
+    ),
+    "SurvivalCurve": (
+        SurvivalCurve,
+        lambda: {"jump_times": np.array([1.0, 2.0]), "values": np.array([0.5, 0.25])},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWNED_ARRAYS))
+def test_constructor_freezes_its_own_copy(name):
+    cls, make_args = OWNED_ARRAYS[name]
+    args = make_args()
+    obj = cls(**args)
+    for field, arr in args.items():
+        if not isinstance(arr, np.ndarray):
+            continue
+        held = getattr(obj, field)
+        kept = held.copy()
+        assert arr.flags.writeable, field
+        arr += 1
+        assert np.array_equal(held, kept, equal_nan=True), field
+        assert not held.flags.writeable, field

@@ -33,7 +33,6 @@ def link_at(xs, ys, x0, h, spec, other=None):
     link = fit_link(np.asarray(xs, float), np.asarray(ys, float), config, h)
     k = 0 if x0 == lo else 1
     assert link.u_grid[k] == x0
-    assert link.defined[k] == np.isfinite(link.m_hat[k])
     return float(link.m_hat[k])
 
 
