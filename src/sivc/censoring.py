@@ -59,13 +59,15 @@ class SurvivalCurve:
         object.__setattr__(self, "values", values)
         if jumps.ndim != 1 or values.ndim != 1 or jumps.size != values.size:
             raise ValueError("jump_times and values must be equal-length vectors")
-        if jumps.size and np.any(np.diff(jumps) <= 0):
+        # NaN compares False, so each test asks that every entry passes.
+        if not np.all(np.isfinite(jumps)):
+            raise ValueError("jump times must be finite")
+        if not np.all(np.diff(jumps) > 0):
             raise ValueError("jump times must be strictly ascending")
-        if values.size:
-            if np.any((values < 0) | (values > 1)):
-                raise ValueError("survival values must lie in [0, 1]")
-            if values[0] > 1.0 or np.any(np.diff(values) > 0):
-                raise ValueError("survival values must be non-increasing from 1")
+        if not np.all((values >= 0) & (values <= 1)):
+            raise ValueError("survival values must lie in [0, 1]")
+        if np.any(np.diff(values) > 0):
+            raise ValueError("survival values must be non-increasing from 1")
 
 
 def estimate_censoring_survival(dataset: Dataset) -> SurvivalCurve:

@@ -23,10 +23,27 @@ O(m log m) per evaluation instead of the m x m kernel matrix, and exact up
 to rounding (Fan & Marron, JCGS 1994). A row whose window holds no other
 row is skipped, decided from its neighbours rather than from a rounded
 denominator, and a denominator within reach of the expansion's rounding
-error is recomputed directly. Below ``_SORTED_MIN_ROWS`` = 128 active
-rows the dense matrix is used instead: with the in-place dense kernel,
-dense takes 0.70-0.84x the sorted path's time at m = 100-120, and the
-two are even at m ~ 130-150.
+error is recomputed directly.
+
+At m of a few hundred a numpy call's overhead costs about as much as its
+arithmetic, so each evaluation keeps its calls few and cheap: one
+``take`` gathers kt, kt y and y into sorted order, the products go into
+a prefix-sum buffer made once per t0, and one ``take`` reads both ends
+of every window. Both paths skip the boolean indexing of the final sum
+when every row is valid (has a neighbour within h1). On seed-1729 data
+that holds for ~15% of the evaluations at n = 2 000 and ~20% at n = 500:
+rows in the tails of the projection are often alone in their window.
+
+Below ``_SORTED_MIN_ROWS`` = 128 active rows the dense matrix is used
+instead. On a 2-vCPU VM with numpy 2.4, dense takes 0.77x the sorted
+path's time at m = 90 and 0.92x at m = 100, the two are even at
+m ~ 110, and dense is 1.1-1.15x slower at m = 120-128. The constant
+stays at 128 all the same, because it decides which path, and so which
+rounding, each grid point gets. Moving it to ~110 would change the
+fixed-seed outputs of every fit with a grid point at 110 <= m < 128,
+n = 500 studies included (their largest m is 112-116 over 20
+replications of seeds 1729, 8191, 1 and 2), to save at most ~10% on
+those grid points' evaluations.
 
 The unit-norm, positive-first-component constraint is enforced by
 construction through a spherical-angle parameterization: the open
@@ -112,8 +129,9 @@ _TIE_TOL = 1e-7
 # A polish that reaches max_iter still counts as converged when its
 # vertex values span at most this.
 _FLAT_TOL = 1e-8
-# Active row count from which the sorted Epanechnikov evaluation is used
-# (the crossover measured when it was set; see the module docstring).
+# Active row count from which the sorted Epanechnikov evaluation is used:
+# the crossover measured when it was set, kept since because it fixes
+# which rounding each grid point gets (see the module docstring).
 _SORTED_MIN_ROWS = 128
 # Recompute a sorted-path denominator directly when it is below this
 # multiple of its rounding bound.
@@ -197,7 +215,9 @@ class LinkEstimate:
         object.__setattr__(self, "m_hat", m)
         if u.shape != m.shape or u.ndim != 1:
             raise ValueError("u_grid and m_hat must be equal-length vectors")
-        if np.any(np.diff(u) <= 0):
+        if not np.all(np.isfinite(u)):
+            raise ValueError("u_grid must be finite")
+        if not np.all(np.diff(u) > 0):
             raise ValueError("u_grid must be strictly ascending")
         if np.any(np.isinf(m)):
             raise ValueError("link estimates must be finite or NaN")
@@ -301,11 +321,25 @@ class _LocalObjective:
         self.m = m
         self.last_skipped = 0
         # Residuals are shift-invariant in y; centring keeps the sorted
-        # path's window sums of kt y q^k small.
-        self._yc = self.y - self.y.mean()
-        self._weights = np.stack((self.kt, self.kt * self._yc))
-        self._upper = np.arange(m) >= m // 2
-        self._evaluate = self.sorted_value if m >= _SORTED_MIN_ROWS else self.dense_value
+        # path's window sums of kt y q^k small. The rows kt, kt yc and yc
+        # are gathered into sorted order by one take.
+        yc = self.y - self.y.mean()
+        self._rows = np.stack((self.kt, self.kt * yc, yc))
+        # Prefix sums of {kt, kt yc} x {1, q, q^2}, from the left and from
+        # the right, and the two window ends that are read from them; the
+        # zero column 0 is never written.
+        self._cum = np.zeros((6, 2, m + 1))
+        self._ends = np.empty((2, m), dtype=np.intp)
+        # Whether each gap between sorted neighbours is below h1, padded
+        # with a False gap at each end.
+        self._close = np.zeros(m + 1, dtype=bool)
+
+    @property
+    def _evaluate(self) -> Callable[[np.ndarray], float]:
+        # Bound per call: one stored on the object would make a reference
+        # cycle, which keeps each t0's arrays alive until the cycle
+        # collector runs.
+        return self.sorted_value if self.m >= _SORTED_MIN_ROWS else self.dense_value
 
     def value(self, theta_components: np.ndarray) -> float:
         return self._evaluate(theta_components)
@@ -319,62 +353,75 @@ class _LocalObjective:
         # Zero the self weight instead of subtracting it from the row sum,
         # which would lose neighbour weights below its rounding.
         w.flat[:: self.m + 1] = 0.0
-        den_loo = w.sum(axis=1)
-        num_loo = w @ self.y
-        valid = den_loo > 0
-        self.last_skipped = int(np.count_nonzero(~valid))
-        resid = self.y[valid] - num_loo[valid] / den_loo[valid]
-        return float(np.sum(self.kt[valid] * resid * resid) / self.norm)
+        den = w.sum(axis=1)
+        num = w @ self.y
+        return self._total(self.y, self.kt, num, den, den > 0)
 
     def sorted_value(self, theta_components: np.ndarray) -> float:
         """The objective from sorted prefix sums."""
         proj = self.x @ theta_components
-        order = np.argsort(proj, kind="stable")
-        p = proj[order]
-        weights = self._weights[:, order]
-        kt = weights[0]
-        y = self._yc[order]
-        m, h1 = self.m, self.h1
+        order = proj.argsort(kind="stable")
+        p = proj.take(order)
+        rows = self._rows.take(order, axis=1)
+        weights, kt, y = rows[:2], rows[0], rows[2]
+        m, h1, half = self.m, self.h1, self.m // 2
         # Window of row i: the rows j with |p_j - p_i| < h1, i included.
-        lo = np.searchsorted(p, p - h1, side="right")
-        hi = np.searchsorted(p, p + h1, side="left")
+        lo = p.searchsorted(p - h1, side="right")
+        hi = p.searchsorted(p + h1, side="left")
         # Inside it the weight is 0.75 kt_j (1 - (q_j - q_i)^2) with
         # q = (p - median) / h1, so window sums of {kt, kt y} x {1, q, q^2}
         # give the smoother; the 0.75 cancels from it.
-        q = (p - p[m // 2]) / h1
+        q = (p - p[half]) / h1
         q2 = q * q
         # Rows below the median difference prefix sums taken from the
         # left, rows above from the right, so the partial sums a window
         # subtracts only span the tail beyond it.
-        cum = np.zeros((6, 2, m + 1))
+        cum = self._cum
         cum[0:2, 0, 1:] = weights
-        cum[2:4, 0, 1:] = weights * q
-        cum[4:6, 0, 1:] = cum[2:4, 0, 1:] * q
+        np.multiply(weights, q, out=cum[2:4, 0, 1:])
+        np.multiply(cum[2:4, 0, 1:], q, out=cum[4:6, 0, 1:])
         cum[:, 1, 1:] = cum[:, 0, :0:-1]
-        np.cumsum(cum, axis=2, out=cum)
-        flat = cum.reshape(6, 2 * m + 2)
-        top = flat[:, np.where(self._upper, 2 * m + 1 - lo, hi)]
-        bottom = flat[:, np.where(self._upper, 2 * m + 1 - hi, lo)]
+        np.add.accumulate(cum, axis=2, out=cum)
+        # Flat column j <= m is the left sum of the first j rows, column
+        # 2 m + 1 - j the right sum of the last j; ends[0] indexes a
+        # window's upper partial sum and ends[1] its lower one.
+        ends = self._ends
+        ends[0, :half] = hi[:half]
+        ends[1, :half] = lo[:half]
+        np.subtract(2 * m + 1, lo[half:], out=ends[0, half:])
+        np.subtract(2 * m + 1, hi[half:], out=ends[1, half:])
+        both = cum.reshape(6, 2 * m + 2).take(ends, axis=1)
+        top, bottom = both[:, 0], both[:, 1]
         sums = (top - bottom).reshape(3, 2, m)
         den, num = (1.0 - q2) * sums[0] + 2.0 * q * sums[1] - sums[2] - weights
         # A row's window holds another row iff its nearest sorted
         # neighbour does, judged with the rounding of the dense kernel.
-        close = (p[1:] - p[:-1]) / h1 < 1.0
-        valid = np.zeros(m, dtype=bool)
-        valid[1:] = close
-        valid[:-1] |= close
+        close = self._close
+        np.less((p[1:] - p[:-1]) / h1, 1.0, out=close[1:-1])
+        valid = close[:-1] | close[1:]
         # The rounding error of den is a few eps times the magnitudes the
         # expansion cancels (bounded via 2|q_i q_j| <= q_i^2 + q_j^2); a
         # den too close to it is recomputed from its kernel weights.
-        scale = (1.0 + 2.0 * q2) * (top[0] + bottom[0]) + 2.0 * (top[4] + bottom[4])
-        for i in np.flatnonzero(valid & (den < _EXPANSION_GUARD * _EPS * scale)):
+        edge_sums = top[0::4] + bottom[0::4]
+        scale = (1.0 + 2.0 * q2) * edge_sums[0] + 2.0 * edge_sums[1]
+        suspect = den < _EXPANSION_GUARD * _EPS * scale
+        suspect &= valid
+        for i in suspect.nonzero()[0]:
             w = kernel_values(self.spec, (p - p[i]) / h1) * kt
             w[i] = 0.0
             den[i] = w.sum()
             num[i] = w @ y
-        self.last_skipped = m - int(np.count_nonzero(valid))
-        resid = y[valid] - num[valid] / den[valid]
-        return float(np.sum(kt[valid] * resid * resid) / self.norm)
+        return self._total(y, kt, num, den, valid)
+
+    def _total(self, y, kt, num, den, valid):
+        """Sum of kt (y - num / den)^2 over the valid rows, over n h2;
+        records the count of the others in ``last_skipped``."""
+        kept = int(np.count_nonzero(valid))
+        self.last_skipped = self.m - kept
+        if kept < self.m:
+            y, kt, num, den = y[valid], kt[valid], num[valid], den[valid]
+        resid = y - num / den
+        return float(np.add.reduce(kt * resid * resid) / self.norm)
 
 
 def local_objective(

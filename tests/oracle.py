@@ -33,6 +33,12 @@ itself runs on numpy alone. Quadrature that fails raises
 Nadaraya-Watson loop over every row, which the windowed smoother must
 match in ``defined`` exactly and in value up to the rounding of its
 reordered sums.
+
+``ReferenceObjective`` is the bit-identity reference for
+``sivc.estimator._LocalObjective``: its ``dense_value`` and
+``sorted_value`` are the two evaluations as they stood before their
+numpy calls were cut, kept verbatim, so a rewrite that changes any
+value or skipped-row count by a single bit shows.
 """
 
 from __future__ import annotations
@@ -45,6 +51,13 @@ from typing import Callable, Tuple
 import numpy as np
 from scipy import integrate, optimize, special
 
+from sivc import Bandwidths, Dataset, KernelSpec
+from sivc.estimator import (
+    _EPS,
+    _EXPANSION_GUARD,
+    _SORTED_MIN_ROWS,
+    _local_weights,
+)
 from sivc.smoothing import kernel_values
 
 TAIL_PROBABILITY = 1e-12
@@ -235,3 +248,96 @@ def loop_link(index, synthetic, u_grid, h, spec):
         m_hat[k] = float(w @ synthetic) / total
         defined[k] = True
     return m_hat, defined
+
+
+class ReferenceObjective:
+    """The leave-one-out objective at one t0, evaluated as
+    ``sivc.estimator._LocalObjective`` did before its evaluations were
+    rewritten with fewer numpy calls (its set-up and both evaluations
+    verbatim)."""
+
+    def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
+        kt, active, m = _local_weights(dataset, t0, bw, spec)
+        self.x = dataset.x[active]
+        self.y = dataset.y[active]
+        self.kt = kt[active]
+        self.h1 = bw.h1
+        self.spec = spec
+        self.norm = dataset.n * bw.h2
+        self.m = m
+        self.last_skipped = 0
+        # Residuals are shift-invariant in y; centring keeps the sorted
+        # path's window sums of kt y q^k small.
+        self._yc = self.y - self.y.mean()
+        self._weights = np.stack((self.kt, self.kt * self._yc))
+        self._upper = np.arange(m) >= m // 2
+        self._evaluate = self.sorted_value if m >= _SORTED_MIN_ROWS else self.dense_value
+
+    def value(self, theta_components: np.ndarray) -> float:
+        return self._evaluate(theta_components)
+
+    def dense_value(self, theta_components: np.ndarray) -> float:
+        proj = self.x @ theta_components
+        u = proj[None, :] - proj[:, None]
+        u /= self.h1
+        w = kernel_values(self.spec, u)
+        w *= self.kt[None, :]
+        # Zero the self weight instead of subtracting it from the row sum,
+        # which would lose neighbour weights below its rounding.
+        w.flat[:: self.m + 1] = 0.0
+        den_loo = w.sum(axis=1)
+        num_loo = w @ self.y
+        valid = den_loo > 0
+        self.last_skipped = int(np.count_nonzero(~valid))
+        resid = self.y[valid] - num_loo[valid] / den_loo[valid]
+        return float(np.sum(self.kt[valid] * resid * resid) / self.norm)
+
+    def sorted_value(self, theta_components: np.ndarray) -> float:
+        """The objective from sorted prefix sums."""
+        proj = self.x @ theta_components
+        order = np.argsort(proj, kind="stable")
+        p = proj[order]
+        weights = self._weights[:, order]
+        kt = weights[0]
+        y = self._yc[order]
+        m, h1 = self.m, self.h1
+        # Window of row i: the rows j with |p_j - p_i| < h1, i included.
+        lo = np.searchsorted(p, p - h1, side="right")
+        hi = np.searchsorted(p, p + h1, side="left")
+        # Inside it the weight is 0.75 kt_j (1 - (q_j - q_i)^2) with
+        # q = (p - median) / h1, so window sums of {kt, kt y} x {1, q, q^2}
+        # give the smoother; the 0.75 cancels from it.
+        q = (p - p[m // 2]) / h1
+        q2 = q * q
+        # Rows below the median difference prefix sums taken from the
+        # left, rows above from the right, so the partial sums a window
+        # subtracts only span the tail beyond it.
+        cum = np.zeros((6, 2, m + 1))
+        cum[0:2, 0, 1:] = weights
+        cum[2:4, 0, 1:] = weights * q
+        cum[4:6, 0, 1:] = cum[2:4, 0, 1:] * q
+        cum[:, 1, 1:] = cum[:, 0, :0:-1]
+        np.cumsum(cum, axis=2, out=cum)
+        flat = cum.reshape(6, 2 * m + 2)
+        top = flat[:, np.where(self._upper, 2 * m + 1 - lo, hi)]
+        bottom = flat[:, np.where(self._upper, 2 * m + 1 - hi, lo)]
+        sums = (top - bottom).reshape(3, 2, m)
+        den, num = (1.0 - q2) * sums[0] + 2.0 * q * sums[1] - sums[2] - weights
+        # A row's window holds another row iff its nearest sorted
+        # neighbour does, judged with the rounding of the dense kernel.
+        close = (p[1:] - p[:-1]) / h1 < 1.0
+        valid = np.zeros(m, dtype=bool)
+        valid[1:] = close
+        valid[:-1] |= close
+        # The rounding error of den is a few eps times the magnitudes the
+        # expansion cancels (bounded via 2|q_i q_j| <= q_i^2 + q_j^2); a
+        # den too close to it is recomputed from its kernel weights.
+        scale = (1.0 + 2.0 * q2) * (top[0] + bottom[0]) + 2.0 * (top[4] + bottom[4])
+        for i in np.flatnonzero(valid & (den < _EXPANSION_GUARD * _EPS * scale)):
+            w = kernel_values(self.spec, (p - p[i]) / h1) * kt
+            w[i] = 0.0
+            den[i] = w.sum()
+            num[i] = w @ y
+        self.last_skipped = m - int(np.count_nonzero(valid))
+        resid = y[valid] - num[valid] / den[valid]
+        return float(np.sum(kt[valid] * resid * resid) / self.norm)

@@ -85,6 +85,21 @@ class TestKaplanMeier:
         with pytest.raises(ValueError):
             SurvivalCurve(jump_times=np.array([1.0]), values=np.array([1.5]))
 
+    @pytest.mark.parametrize(
+        "jumps, values, message",
+        [
+            ([1.0, np.nan], [0.5, 0.4], "jump times must be finite"),
+            ([np.nan, 1.0], [0.5, 0.4], "jump times must be finite"),
+            ([1.0, np.inf], [0.5, 0.4], "jump times must be finite"),
+            ([1.0, 2.0], [np.nan, 0.4], "survival values must lie in"),
+            ([1.0, 2.0], [0.5, np.nan], "survival values must lie in"),
+        ],
+    )
+    def test_curve_type_rejects_nan(self, jumps, values, message):
+        # a NaN compares False both ways, so "any bad" tests let it through
+        with pytest.raises(ValueError, match=message):
+            SurvivalCurve(jump_times=np.array(jumps), values=np.array(values))
+
 
 class TestSyntheticResponses:
     def test_identity_without_censoring(self):

@@ -1,6 +1,7 @@
 """Tests for the two-stage estimator."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from oracle import loop_link
+from oracle import ReferenceObjective, loop_link
 from sivc import (
     Bandwidths,
     CoefficientCurves,
@@ -242,6 +243,16 @@ def line_dataset(x, t=None):
     return Dataset(y=y, delta=np.ones(n, dtype=int), x=x[:, None], t=t)
 
 
+def far_out_pair_dataset():
+    """150 rows around -50, a lone pair 1 - 1e-7 apart at 10 and 50 rows
+    around 50: at h1 = 1 the pair's denominators take the expansion guard."""
+    rng = np.random.default_rng(41)
+    rows = np.concatenate(
+        (rng.normal(-50.0, 1.0, 150), [10.0, 11.0 - 1e-7], rng.normal(50.0, 1.0, 50))
+    )
+    return line_dataset(rows)
+
+
 class TestSortedObjective:
     """The sorted prefix-sum evaluation against the dense one and the loop
     oracle: values within rel 1e-9, identical skipped-row counts."""
@@ -319,11 +330,7 @@ class TestSortedObjective:
         # median, with 50 rows further out: each of the pair's denominators
         # is ~1e-7 of a weight while the prefix sums it differences carry
         # ~1e5 weights, so it must be recomputed from its window.
-        rng = np.random.default_rng(41)
-        rows = np.concatenate(
-            (rng.normal(-50.0, 1.0, 150), [10.0, 11.0 - 1e-7], rng.normal(50.0, 1.0, 50))
-        )
-        ds = line_dataset(rows)
+        ds = far_out_pair_dataset()
         theta = normalize_direction([1.0])
         want = naive_local_objective(ds, 0.5, theta, self.WIDE, EPAN)
         dense, dense_skipped, fast, skipped = both_evaluations(
@@ -364,6 +371,111 @@ class TestSortedObjective:
             obj = _LocalObjective(ds, 0.5, self.WIDE, EPAN)
             fast = m >= _SORTED_MIN_ROWS
             assert obj._evaluate == (obj.sorted_value if fast else obj.dense_value)
+
+    @pytest.mark.parametrize("m", [_SORTED_MIN_ROWS - 1, _SORTED_MIN_ROWS])
+    def test_objective_is_freed_by_reference_counting(self, m):
+        # A cycle would keep every grid point's objective, with its
+        # buffers, alive until the cycle collector ran.
+        obj = _LocalObjective(line_dataset(np.arange(m) / m), 0.5, self.WIDE, EPAN)
+        obj.value(self.ONE)
+        ref = weakref.ref(obj)
+        del obj
+        assert ref() is None
+
+
+class TestBitIdentity:
+    """Both evaluations, and ``value``, against the verbatim reference in
+    ``tests/oracle.py``: every objective value and skipped-row count equal
+    to the last bit, so cutting numpy calls changes no fixed-seed output."""
+
+    WIDE = TestSortedObjective.WIDE
+
+    def assert_identical(self, dataset, t0, bw, thetas):
+        new = _LocalObjective(dataset, t0, bw, EPAN)
+        ref = ReferenceObjective(dataset, t0, bw, EPAN)
+        for theta in thetas:
+            theta = np.asarray(theta, dtype=float)
+            for name in ("dense_value", "sorted_value", "value"):
+                got = getattr(new, name)(theta)
+                want = getattr(ref, name)(theta)
+                assert got == want, (name, theta)
+                assert new.last_skipped == ref.last_skipped, (name, theta)
+                # the count reaches diagnostics.json, which takes no numpy ints
+                assert type(new.last_skipped) is int
+        return new
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    @pytest.mark.parametrize("seed", [1729, 8191])
+    def test_simulated_data_over_many_angles(self, n, seed):
+        dataset, _ = generate_dataset(SimConfig(n=n, seed=seed), 0)
+        bw = select_bandwidths(dataset, EPAN)
+        angles = np.linspace(-1.5, 1.5, 25)
+        thetas = [direction_from_angles([a]) for a in angles]
+        active = []
+        for t0 in (0.0, 0.5, 1.0):
+            active.append(self.assert_identical(dataset, t0, bw, thetas).m)
+        # value() takes the dense path at n = 500 and the sorted one at n = 2 000
+        assert (max(active) >= _SORTED_MIN_ROWS) == (n == 2000)
+
+    def test_three_dimensional_directions(self):
+        rng = np.random.default_rng(3)
+        n = 400
+        x = rng.standard_normal((n, 3))
+        dataset = Dataset(
+            y=np.tanh(x @ np.array([0.6, 0.64, 0.48])) + rng.normal(0, 0.1, n),
+            delta=np.ones(n, dtype=int),
+            x=x,
+            t=rng.uniform(0, 1, n),
+        )
+        bw = select_bandwidths(dataset, EPAN)
+        thetas = [direction_from_angles(a) for a in rng.uniform(-1.5, 1.5, (15, 2))]
+        for t0 in (0.0, 0.5, 1.0):
+            self.assert_identical(dataset, t0, bw, thetas)
+
+    @pytest.mark.parametrize("m", [_SORTED_MIN_ROWS - 1, _SORTED_MIN_ROWS])
+    def test_isolated_rows_either_side_of_the_crossover(self, m):
+        # a dense core with rows spread 3 bandwidths apart in both tails
+        rng = np.random.default_rng(m)
+        core = rng.normal(0.0, 0.5, m - 10)
+        tails = 3.0 * np.arange(1, 6)
+        dataset = line_dataset(np.concatenate((core, 5.0 + tails, -5.0 - tails)))
+        obj = self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]])
+        assert obj.last_skipped == 10
+
+    def test_neighbour_exactly_at_the_window_edge(self):
+        dataset = line_dataset([0.0, 1.0, 3.0, 3.5, 3.75])
+        obj = self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]])
+        assert obj.last_skipped == 2
+
+    @pytest.mark.parametrize("m", [120, 200])
+    def test_every_row_skipped(self, m):
+        obj = self.assert_identical(line_dataset(2.0 * np.arange(m)), 0.5, self.WIDE, [[1.0]])
+        assert obj.last_skipped == m
+
+    def test_tied_projections(self):
+        rng = np.random.default_rng(40)
+        dataset = line_dataset(np.round(rng.normal(size=150), 1), rng.uniform(0, 1, 150))
+        bw = Bandwidths(h1=0.3, h2=0.4, h_link=0.3)
+        for t0 in (0.0, 0.5, 1.0):
+            self.assert_identical(dataset, t0, bw, [[1.0]])
+
+    def test_expansion_guard_recompute(self, monkeypatch):
+        # Both of the far-out pair's denominators are recomputed from their
+        # kernel weights, the only place the sorted path calls
+        # ``kernel_values``.
+        dataset = far_out_pair_dataset()
+        recomputed = []
+
+        def counted(spec, u):
+            recomputed.append(len(u))
+            return kernel_values(spec, u)
+
+        monkeypatch.setattr(estimator, "kernel_values", counted)
+        obj = _LocalObjective(dataset, 0.5, self.WIDE, EPAN)
+        ref = ReferenceObjective(dataset, 0.5, self.WIDE, EPAN)
+        assert obj.sorted_value(np.ones(1)) == ref.sorted_value(np.ones(1))
+        assert obj.last_skipped == ref.last_skipped
+        assert len(recomputed) >= 2
 
 
 class TestFitDirectionAt:
@@ -622,6 +734,13 @@ class TestFitLink:
             LinkEstimate(u_grid=np.array([0.0, 0.0]), m_hat=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             LinkEstimate(u_grid=np.array([0.0, 1.0]), m_hat=np.array([np.inf, 2.0]))
+
+    @pytest.mark.parametrize(
+        "u_grid", [[0.0, np.nan, 1.0], [np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0]]
+    )
+    def test_link_estimate_rejects_a_non_finite_grid(self, u_grid):
+        with pytest.raises(ValueError, match="u_grid must be finite"):
+            LinkEstimate(u_grid=np.array(u_grid), m_hat=np.zeros(len(u_grid)))
 
 
 def link_cases():
@@ -1155,6 +1274,32 @@ class TestVertexCache:
         # against scipy's uncached run)
         assert fit.evaluations == len(requests) == sum(r.nfev for r in runs)
         assert fit.iterations == sum(r.nit for r in runs)
+
+    @pytest.mark.parametrize("sorted_path", [False, True], ids=["dense", "sorted"])
+    def test_every_evaluation_goes_through_value(self, sorted_path, monkeypatch):
+        # The benchmark times the objective as the calls of
+        # ``_LocalObjective.value``; an evaluation that reached either path
+        # another way would escape that span.
+        if sorted_path:
+            dataset, _ = generate_dataset(SimConfig(n=2000, seed=1729), 0)
+            t0, bw, warm = 0.5, select_bandwidths(dataset, EPAN), None
+        else:
+            dataset, t0, bw, warm = direction_fit_cases()[1]
+        evaluated = []
+        for name in ("dense_value", "sorted_value"):
+            real = getattr(_LocalObjective, name)
+
+            def counted(self, theta, real=real, name=name):
+                evaluated.append(name)
+                return real(self, theta)
+
+            monkeypatch.setattr(_LocalObjective, name, counted)
+        fit, requests, runs, computed = self.recorded_fit(monkeypatch, dataset, t0, bw, warm)
+        inside = {v for v in requests if all(abs(a) <= _ANGLE_BOX for a in v)}
+        # every distinct in-box vertex, plus the closing re-evaluation
+        assert len(computed) == len(evaluated) == len(inside) + 1
+        assert set(evaluated) == {"sorted_value" if sorted_path else "dense_value"}
+        assert (fit.active_rows >= _SORTED_MIN_ROWS) == sorted_path
 
     def test_diagnostics_record_objective_calls(self):
         config = FitConfig(
