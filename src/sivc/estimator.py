@@ -30,20 +30,20 @@ arithmetic, so each evaluation keeps its calls few and cheap: one
 ``take`` gathers kt, kt y and y into sorted order, the products go into
 a prefix-sum buffer made once per t0, and one ``take`` reads both ends
 of every window. Both paths skip the boolean indexing of the final sum
-when every row is valid (has a neighbour within h1). On seed-1729 data
-that holds for ~15% of the evaluations at n = 2 000 and ~20% at n = 500:
-rows in the tails of the projection are often alone in their window.
+when every row is valid (has a neighbour within h1). Over 20
+replications of seed-1729 data at n = 500, and 3 at n = 2 000, that
+holds for ~70% and ~64% of the evaluations; in the others some row in a
+tail of the projection is alone in its window.
 
 Below ``_SORTED_MIN_ROWS`` = 128 active rows the dense matrix is used
 instead. On a 2-vCPU VM with numpy 2.4, dense takes 0.77x the sorted
 path's time at m = 90 and 0.92x at m = 100, the two are even at
 m ~ 110, and dense is 1.1-1.15x slower at m = 120-128. The constant
 stays at 128 all the same, because it decides which path, and so which
-rounding, each grid point gets. Moving it to ~110 would change the
-fixed-seed outputs of every fit with a grid point at 110 <= m < 128,
-n = 500 studies included (their largest m is 112-116 over 20
-replications of seeds 1729, 8191, 1 and 2), to save at most ~10% on
-those grid points' evaluations.
+rounding, each grid point gets. In n = 500 studies (20 replications of
+seeds 1729, 8191, 1 and 2) each replication's largest m is 202-230;
+82-85% of the grid points take the sorted path, and the 7-8% at
+110 <= m < 128 pay up to ~10% per evaluation for keeping their rounding.
 
 The unit-norm, positive-first-component constraint is enforced by
 construction through a spherical-angle parameterization: the open
@@ -70,7 +70,12 @@ spread restarts, runs only until its simplex is within ``_RACE_XATOL`` =
 rule of ``fit_direction_at``. Only the leader is polished to ``_XATOL``
 = 1e-4 rad: Nelder-Mead resumes from the race's sorted final simplex
 with the iterations it has left, which takes the steps of one
-uninterrupted ``_XATOL`` run.
+uninterrupted ``_XATOL`` run. One spread restart, at the centre of the
+angle box, is the default. With the Epanechnikov reference bandwidths of
+``sivc.smoothing.select_bandwidths`` four of them moved no statistic of
+the per-replication angle error by more than 0.0013 rad (100
+replications of seeds 1729 and 8191 at n = 500), for 2.2x the objective
+calls.
 
 Stage 2 computes the synthetic responses from the Kaplan-Meier censoring
 survival, projects each covariate vector onto the fitted direction at
@@ -147,7 +152,7 @@ class OptimizerConfig:
     together.
     """
 
-    restarts: int = 4
+    restarts: int = 1
     max_iter: int = 150
 
     def __post_init__(self):
@@ -641,7 +646,8 @@ def fit_coefficient_curves(
     """Fit the direction at every grid point of [0, 1].
 
     The sweep walks the grid in ascending order warm-starting each point
-    from its left neighbor (the first point is a cold multi-restart).
+    from its left neighbor (the first point starts from the spread
+    restarts alone).
     """
     grid = config.t_grid
     fits: list[DirectionFit] = []

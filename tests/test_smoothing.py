@@ -163,11 +163,15 @@ class TestBandwidthSelection:
             t=rng.uniform(0, 1, n),
         )
         bw = select_bandwidths(ds, EPAN)
-        pilot = normalize_direction(np.ones(2)).components
-        assert bw.h1 == pytest.approx(rule_of_thumb_bandwidth(x @ pilot))
-        assert bw.h2 == pytest.approx(rule_of_thumb_bandwidth(ds.t))
-        assert bw.h_link == bw.h1
-        assert bw.h1 > 0 and bw.h2 > 0
+        index = x @ normalize_direction(np.ones(2)).components
+        scale = n ** (-0.2)
+        # the Epanechnikov constant for the direction fit's h1 and h2, the
+        # gaussian one for the link
+        assert bw.h1 == pytest.approx(2.34 * np.std(index, ddof=1) * scale)
+        assert bw.h2 == pytest.approx(2.34 * np.std(ds.t, ddof=1) * scale)
+        assert bw.h_link == pytest.approx(1.06 * np.std(index, ddof=1) * scale)
+        # h_link keeps the 1.06 rule to the last bit
+        assert bw.h_link == rule_of_thumb_bandwidth(index)
 
     def test_needs_ten_rows(self):
         ds = Dataset(
