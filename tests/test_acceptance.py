@@ -45,11 +45,11 @@ FULL_TIME_LIMIT = 900.0
 SMOKE_TIME_LIMIT = 180.0
 
 # Per-replication mean interior angle error (rad) of the full run, as
-# mean / p95 / max over replications, since Stage 1 takes the
-# Epanechnikov reference constant for h1 and h2 and one spread restart.
+# mean / p95 / max over replications, since Stage 1 runs each
+# warm-started grid point from its warm start alone, to 1e-3 rad.
 # A change to the search may not raise any of them by more than
 # ANGLE_GATE_SLACK.
-PARENT_ANGLE_ERROR = {"mean": 0.053686, "p95": 0.079890, "max": 0.088543}
+PARENT_ANGLE_ERROR = {"mean": 0.052387, "p95": 0.078783, "max": 0.088528}
 ANGLE_GATE_SLACK = 1e-4
 
 
@@ -352,7 +352,8 @@ class TestCriterion6DirectionRecovery:
         assert first_ok
 
     # Worst grid-point angle over 6 replications: 0.069 / 0.109 rad at
-    # d = 3 / 5 on the acceptance seed, 0.077 / 0.122 on held-out seed 8191.
+    # d = 3 / 5 on the acceptance seed, 0.077 / 0.123 on held-out seed 8191;
+    # no grid point is left non-converged on either seed.
     @pytest.mark.parametrize(
         "direction, bound",
         [((1.0, 0.5, -0.5), 0.10), ((1.0, 0.5, -0.5, 0.25, 0.25), 0.15)],
@@ -371,14 +372,17 @@ class TestCriterion6DirectionRecovery:
         truth = np.asarray(direction) / np.linalg.norm(direction)
         dots = np.clip(summary.beta_reps @ truth, -1.0, 1.0)
         worst_angle = float(np.max(np.arccos(dots)))
-        ok = worst_angle <= bound and len(summary.failures) == 0
+        ok = worst_angle <= bound and len(summary.failure_log) == 0
         _report(
             6,
             f"direction recovery at d = {sim.d}, 6 reps",
             ok,
-            f"worst grid-point angular error {worst_angle:.4f} rad (tol {bound})",
+            f"worst grid-point angular error {worst_angle:.4f} rad (tol {bound}), "
+            f"{len(summary.failure_log)} failure log entries",
         )
         assert len(summary.failures) == 0
+        # No replication fails or logs non-converged grid points.
+        assert summary.failure_log == ()
         assert worst_angle <= bound
 
 

@@ -506,6 +506,22 @@ class TestFitDirectionAt:
             start = normalize_direction(direction_from_angles([a0]))
             assert fit.objective <= local_objective(ds, 0.5, start, bw, EPAN) + 1e-12
 
+    def test_nan_objective_is_reported_not_converged(self):
+        # Responses near the float maximum overflow the smoother, so every
+        # value is NaN: the stop test never passes and the fit says so.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 2))
+        t = rng.uniform(0, 1, 40)
+        y = rng.choice([-1.7e308, 1.7e308], 40)
+        ds = Dataset(y=y, delta=np.ones(40, dtype=int), x=x, t=t)
+        config = FitConfig()
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = fit_direction_at(ds, 0.5, config, Bandwidths(h1=0.5, h2=2.0, h_link=1.0))
+        assert math.isnan(fit.objective)
+        assert not fit.converged
+        # The race runs to the cap, and the polish has one iteration left.
+        assert fit.iterations == config.optimizer.max_iter + 1
+
     def test_symmetric_tie_breaks_to_smaller_angle(self):
         # mirrored rows make the objective exactly even in the angle;
         # a quadratic link pushes the two minima strictly inside the box
@@ -981,8 +997,9 @@ class TestDirectionFromAnglesBits:
             assert direction_from_angles(list(angles)).tobytes() == got.tobytes()
 
 
-def scipy_nelder_mead(func, simplex, xatol, fatol, maxiter):
-    """``_nelder_mead`` computed by scipy, the routine it reproduces."""
+def scipy_nelder_mead(func, simplex, xatol, maxiter, fatol=math.inf):
+    """``_nelder_mead`` computed by scipy, the routine it reproduces at
+    ``fatol = inf``."""
     sim = np.asarray(simplex, dtype=float)
     res = optimize.minimize(
         func,
@@ -1090,7 +1107,7 @@ def nm_cases():
     well_start = [[0.3, 0.21], [-0.27, -0.19], [-3.0, 2.5]]
     cases += [
         ("shrink-finds-well-2", nm_well, well_start, 2, {"maxiter", "shrink"}),
-        ("zero-sign-1", nm_zero_sign, [[-0.0], [0.0]], 10, {"maxiter", "shrink"}),
+        ("zero-sign-1", nm_zero_sign, [[-0.0], [0.0]], 10, {"maxiter", "shrink", "zero-span"}),
         # Capped with a NaN vertex left: fun is NaN, x the best number.
         ("nan-capped-1", nm_nan_region, nm_start(1, seed=0), 3, {"nan", "maxiter"}),
     ]
@@ -1116,8 +1133,11 @@ class TestNelderMead:
             seen.append(value)
             return value
 
-        ours = _nelder_mead(recorded, simplex, 1e-5, 1e-8, maxiter)
-        assert_same_run(ours, scipy_nelder_mead(func, simplex, 1e-5, 1e-8, maxiter))
+        # A simplex on one point passes any xatol >= 0 at once; a negative
+        # one never passes, so the run goes on to its cap.
+        xatol = -1.0 if "zero-span" in traits else 1e-5
+        ours = _nelder_mead(recorded, simplex, xatol, maxiter)
+        assert_same_run(ours, scipy_nelder_mead(func, simplex, xatol, maxiter))
         assert len(seen) == ours.nfev
         # The case exercises what it is named for.
         n = len(simplex) - 1
@@ -1141,13 +1161,13 @@ class TestNelderMead:
     )
     def test_angle_only_stop_matches_scipy(self, func, simplex, maxiter):
         # The stopping rule of the fit: no value test, vertices within _XATOL.
-        ours = _nelder_mead(func, simplex, _XATOL, math.inf, maxiter)
-        assert_same_run(ours, scipy_nelder_mead(func, simplex, _XATOL, math.inf, maxiter))
+        ours = _nelder_mead(func, simplex, _XATOL, maxiter)
+        assert_same_run(ours, scipy_nelder_mead(func, simplex, _XATOL, maxiter))
         assert ours.success
 
     def test_angle_only_stop_ends_at_the_first_narrow_simplex(self):
         simplex = _initial_simplex([0.7])
-        res = _nelder_mead(nm_kinked, simplex, _XATOL, math.inf, 150)
+        res = _nelder_mead(nm_kinked, simplex, _XATOL, 150)
 
         def span_tested_at(k):
             # scipy's final simplex when capped at k iterations is the one
@@ -1159,19 +1179,19 @@ class TestNelderMead:
         spans = [span_tested_at(k) for k in range(1, res.nit + 1)]
         assert res.success
         assert spans[-1] <= _XATOL < min(spans[:-1])
-        # The value test would have gone on polishing past that point.
-        valued = _nelder_mead(nm_kinked, simplex, _XATOL, 1e-8, 150)
+        # SciPy's value test would have gone on polishing past that point.
+        valued = scipy_nelder_mead(nm_kinked, simplex, _XATOL, 150, fatol=1e-8)
         assert valued.success and valued.nit > res.nit and valued.nfev > res.nfev
 
     def test_nan_never_passes_the_stop_test(self):
         # Every vertex NaN: scipy's max of NaN differences fails the
         # tolerance test, so the run goes on to the cap.
-        res = _nelder_mead(lambda x: math.nan, [[0.0], [0.1]], 1.0, 1.0, 20)
+        res = _nelder_mead(lambda x: math.nan, [[0.0], [0.1]], 1.0, 20)
         assert (res.nit, res.success) == (20, False)
         assert math.isnan(res.fun)
 
     def test_ties_keep_their_order(self):
-        res = _nelder_mead(lambda x: 1.0, [[0.3, 0.0], [0.1, 0.0], [0.2, 0.0]], 1e-5, 1e-8, 2)
+        res = _nelder_mead(lambda x: 1.0, [[0.3, 0.0], [0.1, 0.0], [0.2, 0.0]], 1e-5, 2)
         assert res.fsim == (1.0, 1.0, 1.0)
         assert res.x == (0.3, 0.0)
 
@@ -1328,8 +1348,8 @@ class TestVertexCache:
 
 def race_then_resume(func, simplex, maxiter):
     """A run to _RACE_XATOL, then the fit's resume of it to _XATOL."""
-    race = _nelder_mead(func, simplex, _RACE_XATOL, math.inf, maxiter)
-    return race, _nelder_mead(func, race.sim, _XATOL, math.inf, maxiter - race.nit + 1)
+    race = _nelder_mead(func, simplex, _RACE_XATOL, maxiter)
+    return race, _nelder_mead(func, race.sim, _XATOL, maxiter - race.nit + 1)
 
 
 def assert_resume_is_one_run(race, polish, full):
@@ -1370,7 +1390,7 @@ class TestRace:
     )
     def test_resume_matches_one_run_on_the_test_functions(self, func, simplex, maxiter):
         race, polish = race_then_resume(func, simplex, maxiter)
-        full = _nelder_mead(func, simplex, _XATOL, math.inf, maxiter)
+        full = _nelder_mead(func, simplex, _XATOL, maxiter)
         assert_resume_is_one_run(race, polish, full)
 
     @pytest.mark.parametrize("t0", [0.0, 0.2, 0.45, 0.7, 1.0])
@@ -1381,7 +1401,7 @@ class TestRace:
         for a0 in [[0.3]] + _spread_starts(4, 1):
             simplex = _initial_simplex(a0)
             race, polish = race_then_resume(func, simplex, max_iter)
-            full = _nelder_mead(func, simplex, _XATOL, math.inf, max_iter)
+            full = _nelder_mead(func, simplex, _XATOL, max_iter)
             assert_resume_is_one_run(race, polish, full)
             assert race.nit < full.nit
 
@@ -1391,8 +1411,8 @@ class TestRace:
         calls = []
         real_nm = estimator._nelder_mead
 
-        def nelder_mead(func, simplex, xatol, fatol, maxiter):
-            res = real_nm(func, simplex, xatol, fatol, maxiter)
+        def nelder_mead(func, simplex, xatol, maxiter):
+            res = real_nm(func, simplex, xatol, maxiter)
             calls.append((np.asarray(simplex, dtype=float), xatol, maxiter, res))
             return res
 
@@ -1400,7 +1420,13 @@ class TestRace:
         config = FitConfig()
         fit = fit_direction_at(dataset, t0, config, bw, warm_start=warm)
         *races, (polish_start, polish_xatol, polish_maxiter, polish) = calls
-        assert len(races) == config.optimizer.restarts + (warm is not None)
+        # A warm-started point runs its warm start alone; a cold one races
+        # the spread starts.
+        if warm is None:
+            starts = _spread_starts(config.optimizer.restarts, dataset.d - 1)
+        else:
+            starts = [angles_from_direction(warm).tolist()]
+        assert [start.tolist() for start, *_ in races] == [_initial_simplex(a0) for a0 in starts]
         assert all(xatol == _RACE_XATOL for _, xatol, _, _ in races)
         assert polish_xatol == _XATOL
         # The polish resumes the leader: the race run with the lowest value.
@@ -1422,6 +1448,32 @@ class TestRace:
             sum(res.nfev for *_, res in calls),
         )
 
+    def test_sweep_spreads_starts_at_the_first_point_only(self, paper_fit_inputs, monkeypatch):
+        dataset, bw = paper_fit_inputs
+        spread, races = [], []
+        real_spread, real_nm = estimator._spread_starts, estimator._nelder_mead
+
+        def spread_starts(restarts, dim):
+            spread.append((restarts, dim))
+            return real_spread(restarts, dim)
+
+        def nelder_mead(func, simplex, xatol, maxiter):
+            if xatol == _RACE_XATOL:
+                races.append([list(v) for v in simplex])
+            return real_nm(func, simplex, xatol, maxiter)
+
+        monkeypatch.setattr(estimator, "_spread_starts", spread_starts)
+        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
+        config = FitConfig(t_grid_size=6, optimizer=OptimizerConfig(restarts=3))
+        _, fits = fit_coefficient_curves(dataset, config, bw)
+        assert spread == [(3, dataset.d - 1)]
+        first = [_initial_simplex(a0) for a0 in real_spread(3, dataset.d - 1)]
+        assert races[:3] == first
+        # Every later point races once, from its left neighbour's angles.
+        assert races[3:] == [
+            _initial_simplex(angles_from_direction(fit.direction).tolist()) for fit in fits[:-1]
+        ]
+
     @pytest.mark.parametrize("case", [0, 2, 4, 7, 10])
     def test_one_start_gives_the_uninterrupted_run(self, case):
         # Without a warm start and with one restart the race has a single
@@ -1437,7 +1489,7 @@ class TestRace:
             return objective(angles)
 
         simplex = _initial_simplex(_spread_starts(1, dataset.d - 1)[0])
-        full = _nelder_mead(func, simplex, _XATOL, math.inf, config.optimizer.max_iter)
+        full = _nelder_mead(func, simplex, _XATOL, config.optimizer.max_iter)
         direction = normalize_direction(direction_from_angles(full.x))
         assert fit.direction.components.tobytes() == direction.components.tobytes()
         value = _LocalObjective(dataset, t0, bw, EPAN).value(direction.components)
