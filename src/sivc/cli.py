@@ -118,7 +118,7 @@ def parse_fit_config(section: dict) -> FitConfig:
             kwargs["kernel"] = KernelSpec(kwargs["kernel"])
         if "optimizer" in kwargs:
             opt = kwargs["optimizer"]
-            _require_keys(opt, {"restarts", "max_iter"}, "optimizer")
+            _require_keys(opt, {"max_iter"}, "optimizer")
             kwargs["optimizer"] = OptimizerConfig(**opt)
         return FitConfig(**kwargs)
 

@@ -29,21 +29,14 @@ At m of a few hundred a numpy call's overhead costs about as much as its
 arithmetic, so each evaluation keeps its calls few and cheap: one
 ``take`` gathers kt, kt y and y into sorted order, the products go into
 a prefix-sum buffer made once per t0, and one ``take`` reads both ends
-of every window. Both paths skip the boolean indexing of the final sum
-when every row is valid (has a neighbour within h1). Over 20
-replications of seed-1729 data at n = 500, and 3 at n = 2 000, that
-holds for ~70% and ~64% of the evaluations; in the others some row in a
-tail of the projection is alone in its window.
-
-Below ``_SORTED_MIN_ROWS`` = 128 active rows the dense matrix is used
-instead. On a 2-vCPU VM with numpy 2.4, dense takes 0.77x the sorted
-path's time at m = 90 and 0.92x at m = 100, the two are even at
-m ~ 110, and dense is 1.1-1.15x slower at m = 120-128. The constant
-stays at 128 all the same, because it decides which path, and so which
-rounding, each grid point gets. In n = 500 studies (20 replications of
-seeds 1729, 8191, 1 and 2) each replication's largest m is 202-230;
-82-85% of the grid points take the sorted path, and the 7-8% at
-110 <= m < 128 pay up to ~10% per evaluation for keeping their rounding.
+of every window. The boolean indexing of the final sum is skipped when
+every row is valid (has a neighbour within h1). Over 20 replications of
+seed-1729 data at n = 500, and 3 at n = 2 000, that holds for ~70% and
+~64% of the evaluations; in the others some row in a tail of the
+projection is alone in its window. Below ~80 active rows the m x m
+kernel matrix is faster, by up to ~20 us per evaluation on a 2-vCPU VM
+with numpy 2.4, which makes an n = 100 fit ~7 ms slower (15 -> 22 ms);
+the one evaluation serves every m all the same.
 
 The unit-norm, positive-first-component constraint is enforced by
 construction through a spherical-angle parameterization: the open
@@ -68,18 +61,14 @@ objective calls and lowered 1 of 6 statistics of that error (its mean,
 p95 and max over 100 replications each of seeds 1729 and 8191 at
 n = 500), by 0.00002 rad.
 
-Each grid point after the first starts from its left neighbour's
-direction alone: the sweep's warm start. The first grid point has no
-neighbour, so its ``restarts`` starts spread across the angle box race:
-each runs only until its simplex is within ``_RACE_XATOL`` = 1e-2 rad,
-the leader is picked from those race values by the tie rule of
-``fit_direction_at``, and only the leader is polished to ``_XATOL``.
-Nelder-Mead resumes from the race's sorted final simplex with the
-iterations it has left, which takes the steps of one uninterrupted
-``_XATOL`` run; with a single start, the race and its polish are that
-run. One spread start, at the centre of the angle box, is the default.
-Racing a spread start beside each warm start as well took 1.85x the
-objective calls and lowered none of those 6 statistics.
+Each grid point runs Nelder-Mead once, to ``_XATOL`` or ``max_iter``
+iterations. Every grid point after the first starts from its left
+neighbour's direction: the sweep's warm start. The first grid point has
+no neighbour, so it starts from the centre of the angle box, the
+direction (1, 0, ..., 0). Racing 4 or 8 starts spread across the box
+there instead took 13% / 30% more objective calls, lowered none of those
+6 statistics by more than 0.00012 rad and raised some by up to 0.0028
+rad; racing a spread start beside each warm start took 1.85x the calls.
 
 Stage 2 computes the synthetic responses from the Kaplan-Meier censoring
 survival, projects each covariate vector onto the fitted direction at
@@ -130,43 +119,24 @@ __all__ = [
 _ANGLE_BOX = math.pi / 2 - 1e-9
 _SIMPLEX_STEP = 0.1
 _XATOL = 1e-3
-# The spread starts of the first grid point race until their vertices
-# are within this of the best in each angle; only the leader goes on to
-# _XATOL.
-_RACE_XATOL = 1e-2
-# Race values that agree within this are tied when the leader is picked.
-_TIE_TOL = 1e-7
-# A polish that reaches max_iter still counts as converged when its
-# vertex values span at most this.
+# A run that reaches max_iter still counts as converged when its vertex
+# values span at most this.
 _FLAT_TOL = 1e-8
-# Active row count from which the sorted Epanechnikov evaluation is used:
-# the crossover measured when it was set, kept since because it fixes
-# which rounding each grid point gets (see the module docstring).
-_SORTED_MIN_ROWS = 128
-# Recompute a sorted-path denominator directly when it is below this
-# multiple of its rounding bound.
+# Recompute a denominator directly when it is below this multiple of its
+# rounding bound.
 _EXPANSION_GUARD = 1e8
 _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Nelder-Mead settings: spread starts and iteration cap.
+    """Nelder-Mead settings: ``max_iter`` caps the iterations of the one
+    run at each grid point."""
 
-    ``restarts`` is the number of starts spread across the angle box at
-    the first grid point of the sweep, which has no warm start; every
-    later point starts from its neighbour's direction alone. ``max_iter``
-    caps each race run, and the leader's race and polish together.
-    """
-
-    restarts: int = 1
     max_iter: int = 150
 
     def __post_init__(self):
-        for name in ("restarts", "max_iter"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -239,8 +209,8 @@ class LinkEstimate:
 class DirectionFit:
     """One grid point's direction estimate plus optimizer diagnostics.
 
-    ``iterations`` and ``evaluations`` are Nelder-Mead's iteration and
-    function-evaluation counts summed over the race runs and the polish
+    ``iterations`` and ``evaluations`` are the iteration and
+    function-evaluation counts of the grid point's one Nelder-Mead run
     (both 0 at d = 1);
     ``objective`` and ``skipped_rows`` (rows with no leave-one-out data)
     are None at d = 1, where the direction is fixed and not scored;
@@ -314,13 +284,9 @@ def _local_weights(dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec
 
 class _LocalObjective:
     """Profile least-squares objective at one t0, vectorized over the
-    rows that carry modifier weight.
-
-    ``dense_value`` builds the m x m kernel matrix; ``sorted_value`` is
-    the O(m log m) evaluation described in the module docstring. Both
-    give the same value up to rounding, and ``value`` uses the one that
-    is faster at this t0's active row count.
-    """
+    rows that carry modifier weight; ``value`` is the O(m log m)
+    evaluation described in the module docstring, and it records the
+    count of rows with no leave-one-out data in ``last_skipped``."""
 
     def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
         kt, active, m = _local_weights(dataset, t0, bw, spec)
@@ -332,9 +298,9 @@ class _LocalObjective:
         self.norm = dataset.n * bw.h2
         self.m = m
         self.last_skipped = 0
-        # Residuals are shift-invariant in y; centring keeps the sorted
-        # path's window sums of kt y q^k small. The rows kt, kt yc and yc
-        # are gathered into sorted order by one take.
+        # Residuals are shift-invariant in y; centring keeps the window
+        # sums of kt y q^k small. The rows kt, kt yc and yc are gathered
+        # into sorted order by one take.
         yc = self.y - self.y.mean()
         self._rows = np.stack((self.kt, self.kt * yc, yc))
         # Prefix sums of {kt, kt yc} x {1, q, q^2}, from the left and from
@@ -346,31 +312,7 @@ class _LocalObjective:
         # with a False gap at each end.
         self._close = np.zeros(m + 1, dtype=bool)
 
-    @property
-    def _evaluate(self) -> Callable[[np.ndarray], float]:
-        # Bound per call: one stored on the object would make a reference
-        # cycle, which keeps each t0's arrays alive until the cycle
-        # collector runs.
-        return self.sorted_value if self.m >= _SORTED_MIN_ROWS else self.dense_value
-
     def value(self, theta_components: np.ndarray) -> float:
-        return self._evaluate(theta_components)
-
-    def dense_value(self, theta_components: np.ndarray) -> float:
-        proj = self.x @ theta_components
-        u = proj[None, :] - proj[:, None]
-        u /= self.h1
-        w = kernel_values(self.spec, u)
-        w *= self.kt[None, :]
-        # Zero the self weight instead of subtracting it from the row sum,
-        # which would lose neighbour weights below its rounding.
-        w.flat[:: self.m + 1] = 0.0
-        den = w.sum(axis=1)
-        num = w @ self.y
-        return self._total(self.y, self.kt, num, den, den > 0)
-
-    def sorted_value(self, theta_components: np.ndarray) -> float:
-        """The objective from sorted prefix sums."""
         proj = self.x @ theta_components
         order = proj.argsort(kind="stable")
         p = proj.take(order)
@@ -407,7 +349,7 @@ class _LocalObjective:
         sums = (top - bottom).reshape(3, 2, m)
         den, num = (1.0 - q2) * sums[0] + 2.0 * q * sums[1] - sums[2] - weights
         # A row's window holds another row iff its nearest sorted
-        # neighbour does, judged with the rounding of the dense kernel.
+        # neighbour does, judged with the rounding of the kernel's |u| < 1.
         close = self._close
         np.less((p[1:] - p[:-1]) / h1, 1.0, out=close[1:-1])
         valid = close[:-1] | close[1:]
@@ -416,21 +358,17 @@ class _LocalObjective:
         # den too close to it is recomputed from its kernel weights.
         edge_sums = top[0::4] + bottom[0::4]
         scale = (1.0 + 2.0 * q2) * edge_sums[0] + 2.0 * edge_sums[1]
-        suspect = den < _EXPANSION_GUARD * _EPS * scale
+        # A NaN den (h1 so small that q overflows) is recomputed too.
+        suspect = ~(den >= _EXPANSION_GUARD * _EPS * scale)
         suspect &= valid
         for i in suspect.nonzero()[0]:
             w = kernel_values(self.spec, (p - p[i]) / h1) * kt
             w[i] = 0.0
             den[i] = w.sum()
             num[i] = w @ y
-        return self._total(y, kt, num, den, valid)
-
-    def _total(self, y, kt, num, den, valid):
-        """Sum of kt (y - num / den)^2 over the valid rows, over n h2;
-        records the count of the others in ``last_skipped``."""
         kept = int(np.count_nonzero(valid))
-        self.last_skipped = self.m - kept
-        if kept < self.m:
+        self.last_skipped = m - kept
+        if kept < m:
             y, kt, num, den = y[valid], kt[valid], num[valid], den[valid]
         resid = y - num / den
         return float(np.add.reduce(kt * resid * resid) / self.norm)
@@ -492,10 +430,9 @@ def _nelder_mead(
     each coordinate and no difference of its value from the best one is
     NaN (SciPy's value test at ``fatol = inf``), or when the iteration
     count, which starts at 1, reaches ``maxiter``; there is no evaluation
-    cap. The objective is NaN only at the edge of the float range (a
-    fixed h1 below ~1e-154 with tied projections, or responses near
-    1e308); a simplex that keeps a NaN vertex runs on to the cap, which
-    ``fit_direction_at`` reports as not converged.
+    cap. The objective is NaN only for responses near 1e308, which
+    overflow the smoother; a simplex that keeps a NaN vertex runs on to
+    the cap, which ``fit_direction_at`` reports as not converged.
     """
     n = len(simplex) - 1
     verts = sorted(((func(x), x) for x in map(list, simplex)), key=_rank)
@@ -548,11 +485,6 @@ def _nelder_mead(
     return _Simplex(sim[0], fun, nit, nfev, nit < maxiter, fsim, sim)
 
 
-def _spread_starts(restarts: int, dim: int) -> list[list[float]]:
-    step = math.pi / restarts
-    return [[-math.pi / 2 + (i + 0.5) * step] * dim for i in range(restarts)]
-
-
 def _initial_simplex(a0: list[float]) -> list[list[float]]:
     verts = [a0]
     for k, a in enumerate(a0):
@@ -572,16 +504,13 @@ def fit_direction_at(
     """Minimize the local objective over the unit hemisphere at one t0,
     with the resolved bandwidths ``bw``.
 
-    Nelder-Mead runs on the spherical angles from the warm start alone if
-    one is given, and otherwise from ``restarts`` starting points spread
-    across the angle box. Each start races until its vertices are within
-    ``_RACE_XATOL`` of the best in every angle. The leader has the lowest
-    race value; values
-    that agree within ``_TIE_TOL`` are tied, and ties resolve to the
-    lexicographically smaller angle vector. Only the leader is resumed,
-    from its final simplex, until its vertices are within ``_XATOL``.
-    Hitting the iteration cap with the final vertex values still spread
-    wider than ``_FLAT_TOL`` is flagged (not raised) in the result.
+    Nelder-Mead runs once on the spherical angles, until its vertices are
+    within ``_XATOL`` of the best in every angle or for ``max_iter``
+    iterations. It starts from the warm start if one is given, and
+    otherwise from the centre of the angle box, the direction
+    (1, 0, ..., 0). Hitting the iteration cap with the final vertex values
+    still spread wider than ``_FLAT_TOL``, or NaN (responses near 1e308),
+    is flagged (not raised) in the result.
     """
     if dataset.n < 10:
         raise ValueError(f"direction fitting needs n >= 10 (got {dataset.n})")
@@ -609,41 +538,20 @@ def fit_direction_at(
         return value
 
     if warm_start is not None:
-        starts = [angles_from_direction(warm_start).tolist()]
+        a0 = angles_from_direction(warm_start).tolist()
     else:
-        starts = _spread_starts(config.optimizer.restarts, dataset.d - 1)
+        a0 = [0.0] * (dataset.d - 1)
+    res = _nelder_mead(penalized, _initial_simplex(a0), _XATOL, config.optimizer.max_iter)
 
-    opt = config.optimizer
-    leader: Optional[_Simplex] = None
-    total_iters = total_evals = 0
-    for a0 in starts:
-        res = _nelder_mead(penalized, _initial_simplex(a0), _RACE_XATOL, opt.max_iter)
-        total_iters += res.nit
-        total_evals += res.nfev
-        if leader is None:
-            take = True
-        else:
-            tie_tol = max(_TIE_TOL, 1e-12 * max(1.0, abs(leader.fun)))
-            take = res.fun < leader.fun - tie_tol or (
-                res.fun <= leader.fun + tie_tol and res.x < leader.x
-            )
-        if take:
-            leader = res
-    # Resuming from the race's sorted final simplex, with the iterations
-    # it has left, takes the steps of one uninterrupted _XATOL run.
-    polish = _nelder_mead(penalized, leader.sim, _XATOL, opt.max_iter - leader.nit + 1)
-    total_iters += polish.nit
-    total_evals += polish.nfev
-
-    direction = normalize_direction(direction_from_angles(polish.x))
+    direction = normalize_direction(direction_from_angles(res.x))
     value = obj.value(direction.components)
     return DirectionFit(
         direction,
         value,
-        total_iters,
-        polish.success or polish.fsim[-1] - polish.fsim[0] <= _FLAT_TOL,
+        res.nit,
+        res.success or res.fsim[-1] - res.fsim[0] <= _FLAT_TOL,
         obj.last_skipped,
-        total_evals,
+        res.nfev,
         obj.m,
         len(values),
     )
@@ -656,9 +564,9 @@ def fit_coefficient_curves(
 ) -> tuple[CoefficientCurves, list[DirectionFit]]:
     """Fit the direction at every grid point of [0, 1].
 
-    The sweep walks the grid in ascending order warm-starting each point
-    from its left neighbor alone; only the first point, which has none,
-    races the ``restarts`` spread starts.
+    The sweep walks the grid in ascending order, warm-starting each point
+    from its left neighbor; the first point, which has none, starts from
+    the centre of the angle box.
     """
     grid = config.t_grid
     fits: list[DirectionFit] = []
@@ -719,8 +627,9 @@ def fit_link(
 def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
     """Run both stages and assemble the full estimate.
 
-    Deterministic given (dataset, config): the optimizer's starts are a
-    fixed spread and the warm starts, so no randomness enters the fit.
+    Deterministic given (dataset, config): the optimizer starts from the
+    centre of the angle box and then from the warm starts, so no
+    randomness enters the fit.
     """
     bw = config.bandwidths
     if not isinstance(bw, Bandwidths):

@@ -34,11 +34,12 @@ Nadaraya-Watson loop over every row, which the windowed smoother must
 match in ``defined`` exactly and in value up to the rounding of its
 reordered sums.
 
-``ReferenceObjective`` is the bit-identity reference for
-``sivc.estimator._LocalObjective``: its ``dense_value`` and
-``sorted_value`` are the two evaluations as they stood before their
-numpy calls were cut, kept verbatim, so a rewrite that changes any
-value or skipped-row count by a single bit shows.
+``ReferenceObjective`` holds two references for
+``sivc.estimator._LocalObjective.value``. Its ``sorted_value`` is the
+sorted prefix-sum evaluation as it stood before its numpy calls were
+cut, kept verbatim, so a rewrite that changes any value or skipped-row
+count by a single bit shows. Its ``dense_value`` is the m x m kernel
+matrix formula, which the sorted evaluation must match to rounding.
 """
 
 from __future__ import annotations
@@ -52,12 +53,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from sivc import Bandwidths, Dataset, KernelSpec
-from sivc.estimator import (
-    _EPS,
-    _EXPANSION_GUARD,
-    _SORTED_MIN_ROWS,
-    _local_weights,
-)
+from sivc.estimator import _EPS, _EXPANSION_GUARD, _local_weights
 from sivc.smoothing import kernel_values
 
 TAIL_PROBABILITY = 1e-12
@@ -251,10 +247,9 @@ def loop_link(index, synthetic, u_grid, h, spec):
 
 
 class ReferenceObjective:
-    """The leave-one-out objective at one t0, evaluated as
-    ``sivc.estimator._LocalObjective`` did before its evaluations were
-    rewritten with fewer numpy calls (its set-up and both evaluations
-    verbatim)."""
+    """The leave-one-out objective at one t0: the dense kernel-matrix
+    formula, and the sorted evaluation with the set-up it had before it
+    was rewritten with fewer numpy calls (both verbatim)."""
 
     def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
         kt, active, m = _local_weights(dataset, t0, bw, spec)
@@ -271,10 +266,6 @@ class ReferenceObjective:
         self._yc = self.y - self.y.mean()
         self._weights = np.stack((self.kt, self.kt * self._yc))
         self._upper = np.arange(m) >= m // 2
-        self._evaluate = self.sorted_value if m >= _SORTED_MIN_ROWS else self.dense_value
-
-    def value(self, theta_components: np.ndarray) -> float:
-        return self._evaluate(theta_components)
 
     def dense_value(self, theta_components: np.ndarray) -> float:
         proj = self.x @ theta_components

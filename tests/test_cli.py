@@ -45,7 +45,7 @@ SMALL_SIM = {
     "fit": {
         "t_grid_size": 5,
         "link_grid": [-0.5, 0.5, 21],
-        "optimizer": {"restarts": 3, "max_iter": 100},
+        "optimizer": {"max_iter": 100},
     },
 }
 
@@ -279,9 +279,10 @@ REJECTED_CONFIG = {
         {"sim": {"constant_direction": 3}},
         'sim config: constant_direction is only for the "constant" preset (got 3)',
     ),
+    # Each grid point runs once, so any restarts value is an unknown key.
     "restarts-null": (
         {"fit": {"optimizer": {"restarts": None}}},
-        "fit config: restarts must be an integer (got None)",
+        "unknown optimizer config keys: ['restarts']",
     ),
     "t_grid_size-null": (
         {"fit": {"t_grid_size": None}},
@@ -339,11 +340,11 @@ REJECTED_CONFIG = {
     ),
     "restarts-a-boolean": (
         {"fit": {"optimizer": {"restarts": True}}},
-        "fit config: restarts must be an integer (got True)",
+        "unknown optimizer config keys: ['restarts']",
     ),
     "restarts-a-string": (
         {"fit": {"optimizer": {"restarts": "3"}}},
-        "fit config: restarts must be an integer (got '3')",
+        "unknown optimizer config keys: ['restarts']",
     ),
     "tol-removed": (
         {"fit": {"optimizer": {"tol": 1e-8}}},

@@ -38,15 +38,11 @@ from sivc import estimator
 from sivc.estimator import (
     _ANGLE_BOX,
     _FLAT_TOL,
-    _RACE_XATOL,
-    _SORTED_MIN_ROWS,
-    _TIE_TOL,
     _XATOL,
     _LocalObjective,
     _Simplex,
     _initial_simplex,
     _nelder_mead,
-    _spread_starts,
 )
 
 EPAN = KernelSpec("epanechnikov")
@@ -226,12 +222,13 @@ class TestLocalObjective:
 
 
 def both_evaluations(dataset, t0, theta, bw):
-    """Dense and sorted objective values, each with its skipped-row count."""
+    """The dense formula's objective value and the sorted evaluation's,
+    each with its skipped-row count."""
+    ref = ReferenceObjective(dataset, t0, bw, EPAN)
+    dense = ref.dense_value(theta)
     obj = _LocalObjective(dataset, t0, bw, EPAN)
-    dense = obj.dense_value(theta)
-    dense_skipped = obj.last_skipped
-    fast = obj.sorted_value(theta)
-    return dense, dense_skipped, fast, obj.last_skipped
+    fast = obj.value(theta)
+    return dense, ref.last_skipped, fast, obj.last_skipped
 
 
 def line_dataset(x, t=None):
@@ -254,8 +251,8 @@ def far_out_pair_dataset():
 
 
 class TestSortedObjective:
-    """The sorted prefix-sum evaluation against the dense one and the loop
-    oracle: values within rel 1e-9, identical skipped-row counts."""
+    """The sorted prefix-sum evaluation against the dense formula and the
+    loop oracle: values within rel 1e-9, identical skipped-row counts."""
 
     WIDE = Bandwidths(h1=1.0, h2=10.0, h_link=1.0)
     ONE = np.array([1.0])
@@ -364,15 +361,34 @@ class TestSortedObjective:
         assert fast == dense == 0.0
         assert skipped == dense_skipped == 120
 
-    def test_value_picks_sorted_from_the_crossover_for_epanechnikov_only(self):
-        rng = np.random.default_rng(42)
-        for m in (_SORTED_MIN_ROWS - 1, _SORTED_MIN_ROWS):
-            ds = line_dataset(rng.normal(size=m))
-            obj = _LocalObjective(ds, 0.5, self.WIDE, EPAN)
-            fast = m >= _SORTED_MIN_ROWS
-            assert obj._evaluate == (obj.sorted_value if fast else obj.dense_value)
+    @pytest.mark.parametrize("m", [2, 3, 24, 127])
+    def test_matches_dense_formula_at_small_m(self, m):
+        # Ties (projections on a 0.1 lattice, the first two equal),
+        # responses of both signs and, from m = 3, rows alone in their
+        # window: each row in the far tail sits 3 bandwidths from the next.
+        rng = np.random.default_rng(m)
+        lone = min(m - 2, 5)
+        core = np.round(rng.normal(0.0, 0.3, m - lone), 1)
+        core[1] = core[0]
+        tail = 5.0 + 1.5 * np.arange(1, lone + 1)
+        x1 = np.concatenate((core, tail))
+        x2 = 0.01 * rng.normal(size=m)
+        dataset = Dataset(
+            y=rng.normal(-0.5, 1.0, m),
+            delta=np.ones(m, dtype=int),
+            x=np.column_stack((x1, x2)),
+            t=rng.uniform(0, 1, m),
+        )
+        bw = Bandwidths(h1=0.5, h2=10.0, h_link=0.5)
+        for angle in (0.0, 0.05, -0.3):
+            theta = direction_from_angles([angle])
+            dense, dense_skipped, fast, skipped = both_evaluations(dataset, 0.5, theta, bw)
+            assert fast == pytest.approx(dense, rel=1e-12, abs=0.0)
+            assert skipped == dense_skipped
+            if angle == 0.0:
+                assert lone <= skipped < m and dense > 0.0
 
-    @pytest.mark.parametrize("m", [_SORTED_MIN_ROWS - 1, _SORTED_MIN_ROWS])
+    @pytest.mark.parametrize("m", [127, 128])
     def test_objective_is_freed_by_reference_counting(self, m):
         # A cycle would keep every grid point's objective, with its
         # buffers, alive until the cycle collector ran.
@@ -384,7 +400,7 @@ class TestSortedObjective:
 
 
 class TestBitIdentity:
-    """Both evaluations, and ``value``, against the verbatim reference in
+    """``value`` against the verbatim sorted evaluation in
     ``tests/oracle.py``: every objective value and skipped-row count equal
     to the last bit, so cutting numpy calls changes no fixed-seed output."""
 
@@ -395,30 +411,23 @@ class TestBitIdentity:
         ref = ReferenceObjective(dataset, t0, bw, EPAN)
         for theta in thetas:
             theta = np.asarray(theta, dtype=float)
-            for name in ("dense_value", "sorted_value", "value"):
-                got = getattr(new, name)(theta)
-                want = getattr(ref, name)(theta)
-                assert got == want, (name, theta)
-                assert new.last_skipped == ref.last_skipped, (name, theta)
-                # the count reaches diagnostics.json, which takes no numpy ints
-                assert type(new.last_skipped) is int
+            assert new.value(theta) == ref.sorted_value(theta), theta
+            assert new.last_skipped == ref.last_skipped, theta
+            # the count reaches diagnostics.json, which takes no numpy ints
+            assert type(new.last_skipped) is int
         return new
 
     @pytest.mark.parametrize("n", [500, 2000])
     @pytest.mark.parametrize("seed", [1729, 8191])
     def test_simulated_data_over_many_angles(self, n, seed):
         dataset, _ = generate_dataset(SimConfig(n=n, seed=seed), 0)
-        # The gaussian-constant rule everywhere keeps n = 500 below
-        # _SORTED_MIN_ROWS, so the dense path is covered on simulated data.
+        # The gaussian-constant rule everywhere keeps n = 500 at m < 128.
         h_index = rule_of_thumb_bandwidth(dataset.x @ normalize_direction([1.0, 1.0]).components)
         bw = Bandwidths(h1=h_index, h2=rule_of_thumb_bandwidth(dataset.t), h_link=h_index)
         angles = np.linspace(-1.5, 1.5, 25)
         thetas = [direction_from_angles([a]) for a in angles]
-        active = []
         for t0 in (0.0, 0.5, 1.0):
-            active.append(self.assert_identical(dataset, t0, bw, thetas).m)
-        # value() takes the dense path at n = 500 and the sorted one at n = 2 000
-        assert (max(active) >= _SORTED_MIN_ROWS) == (n == 2000)
+            self.assert_identical(dataset, t0, bw, thetas)
 
     def test_three_dimensional_directions(self):
         rng = np.random.default_rng(3)
@@ -435,7 +444,9 @@ class TestBitIdentity:
         for t0 in (0.0, 0.5, 1.0):
             self.assert_identical(dataset, t0, bw, thetas)
 
-    @pytest.mark.parametrize("m", [_SORTED_MIN_ROWS - 1, _SORTED_MIN_ROWS])
+    # Either side of the 128 rows from which the sorted evaluation once
+    # took over from the dense formula.
+    @pytest.mark.parametrize("m", [127, 128])
     def test_isolated_rows_either_side_of_the_crossover(self, m):
         # a dense core with rows spread 3 bandwidths apart in both tails
         rng = np.random.default_rng(m)
@@ -476,7 +487,7 @@ class TestBitIdentity:
         monkeypatch.setattr(estimator, "kernel_values", counted)
         obj = _LocalObjective(dataset, 0.5, self.WIDE, EPAN)
         ref = ReferenceObjective(dataset, 0.5, self.WIDE, EPAN)
-        assert obj.sorted_value(np.ones(1)) == ref.sorted_value(np.ones(1))
+        assert obj.value(np.ones(1)) == ref.sorted_value(np.ones(1))
         assert obj.last_skipped == ref.last_skipped
         assert len(recomputed) >= 2
 
@@ -495,16 +506,12 @@ class TestFitDirectionAt:
         fit = fit_direction_at(ds, 0.5, FitConfig(), bw, warm_start=warm)
         assert fit.objective <= warm_objective + 1e-15
 
-    def test_objective_beats_every_restart_start(self):
+    def test_objective_beats_the_centre_start(self):
         ds = constant_direction_data(seed=3, n=120, direction=(0.6, 0.8), noise_sd=0.1)
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
-        config = FitConfig()
-        fit = fit_direction_at(ds, 0.5, config, bw)
-        k = config.optimizer.restarts
-        for i in range(k):
-            a0 = -math.pi / 2 + (i + 0.5) * math.pi / k
-            start = normalize_direction(direction_from_angles([a0]))
-            assert fit.objective <= local_objective(ds, 0.5, start, bw, EPAN) + 1e-12
+        fit = fit_direction_at(ds, 0.5, FitConfig(), bw)
+        start = normalize_direction([1.0, 0.0])
+        assert fit.objective < local_objective(ds, 0.5, start, bw, EPAN)
 
     def test_nan_objective_is_reported_not_converged(self):
         # Responses near the float maximum overflow the smoother, so every
@@ -519,37 +526,32 @@ class TestFitDirectionAt:
             fit = fit_direction_at(ds, 0.5, config, Bandwidths(h1=0.5, h2=2.0, h_link=1.0))
         assert math.isnan(fit.objective)
         assert not fit.converged
-        # The race runs to the cap, and the polish has one iteration left.
-        assert fit.iterations == config.optimizer.max_iter + 1
+        # The one run goes on to the cap.
+        assert fit.iterations == config.optimizer.max_iter
 
-    def test_symmetric_tie_breaks_to_smaller_angle(self):
-        # mirrored rows make the objective exactly even in the angle;
-        # a quadratic link pushes the two minima strictly inside the box
-        rng = np.random.default_rng(77)
-        n = 120
-        x1 = rng.normal(size=n)
-        x2 = rng.normal(size=n)
-        t = rng.uniform(0, 1, n)
-        a_star = 0.9
-        y = (math.cos(a_star) * x1 + math.sin(a_star) * x2) ** 2
+    def test_tiny_h1_with_tied_projections_stays_finite(self):
+        # At h1 = 1e-300 the sorted evaluation's q overflows and its sums
+        # turn NaN; every row has an exact tie, so each den is recomputed
+        # from its kernel weights and the value is the dense formula's.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(100, 2))
+        t = rng.uniform(0, 1, 100)
+        y = rng.normal(size=100)
         ds = Dataset(
-            y=np.concatenate([y, y]),
-            delta=np.ones(2 * n, dtype=int),
-            x=np.vstack(
-                [np.column_stack([x1, x2]), np.column_stack([x1, -x2])]
-            ),
+            y=np.concatenate([y, y + 1.0]),
+            delta=np.ones(200, dtype=int),
+            x=np.vstack([x, x]),
             t=np.concatenate([t, t]),
         )
-        bw = Bandwidths(h1=0.5, h2=0.6, h_link=0.5)
-        # the tie is between race starts, so it takes more than one
-        config = FitConfig(optimizer=OptimizerConfig(restarts=4))
-        fit = fit_direction_at(ds, 0.5, config, bw)
-        angle = angles_from_direction(fit.direction)[0]
-        assert angle < -0.5
-        mirrored = normalize_direction(direction_from_angles([-angle]))
-        assert local_objective(ds, 0.5, mirrored, bw, EPAN) == pytest.approx(
-            fit.objective, rel=1e-9
-        )
+        bw = Bandwidths(h1=1e-300, h2=2.0, h_link=1.0)
+        theta = direction_from_angles([0.3])
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _LocalObjective(ds, 0.5, bw, EPAN).value(theta)
+            fit = fit_direction_at(ds, 0.5, FitConfig(), bw)
+            want = ReferenceObjective(ds, 0.5, bw, EPAN).dense_value(theta)
+        assert want == pytest.approx(0.36676, rel=1e-5)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert math.isfinite(fit.objective) and fit.converged
 
     def test_response_scaling_leaves_argmin_unchanged(self):
         ds = constant_direction_data(seed=4, n=100, direction=(0.8, 0.6))
@@ -820,7 +822,7 @@ class TestFitModel:
         return FitConfig(
             t_grid_size=5,
             link_grid=(-0.5, 0.5, 21),
-            optimizer=OptimizerConfig(restarts=3, max_iter=100),
+            optimizer=OptimizerConfig(max_iter=100),
         )
 
     def test_uncensored_synthetic_equals_response(self):
@@ -861,11 +863,10 @@ class TestFitModel:
             for t0 in config.t_grid
         ]
         assert diag["active_rows"] == want_rows
-        # each Nelder-Mead iteration evaluates at least once, plus the
-        # initial simplex of each of the 1 + restarts starts
-        starts = config.optimizer.restarts + 1
-        for k, (nfev, nit) in enumerate(zip(diag["nfev"], diag["iterations"])):
-            assert nfev >= nit + 2 * (starts - (k == 0))
+        # one run per grid point: its initial simplex of d vertices, then
+        # at least one evaluation in each later iteration
+        for nfev, nit in zip(diag["nfev"], diag["iterations"]):
+            assert nfev >= ds.d + nit - 1
 
     def test_univariate_diagnostics_record_no_evaluations(self):
         rng = np.random.default_rng(25)
@@ -942,8 +943,8 @@ class TestFitConfigValidation:
             ({"link_grid": (-0.5, 0.5, True)}, "link_grid count"),
             ({"t_grid_size": 5.7}, "t_grid_size"),
             ({"t_grid_size": 21.0}, "t_grid_size"),
-            ({"restarts": 2.5}, "restarts"),
-            ({"restarts": True}, "restarts"),
+            ({"max_iter": None}, "max_iter"),
+            ({"t_grid_size": True}, "t_grid_size"),
             ({"max_iter": 20.5}, "max_iter"),
             ({"max_iter": True}, "max_iter"),
             ({"max_iter": "150"}, "max_iter"),
@@ -954,7 +955,7 @@ class TestFitConfigValidation:
         ],
     )
     def test_counts_must_be_integers(self, kwargs, field):
-        config = OptimizerConfig if field in ("restarts", "max_iter") else FitConfig
+        config = OptimizerConfig if field == "max_iter" else FitConfig
         # Counts must be integers; the other fields say what they need.
         need = {
             "link_grid min": "be a finite number",
@@ -969,8 +970,11 @@ class TestFitConfigValidation:
         assert config.u_grid.size == 7
 
     def test_rejects_bad_optimizer(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(restarts=0)
+        with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+            OptimizerConfig(max_iter=0)
+        # Each grid point runs once, so there are no restarts to set.
+        with pytest.raises(TypeError, match="restarts"):
+            OptimizerConfig(restarts=1)
 
 
 def concatenated_direction(angles):
@@ -1197,7 +1201,8 @@ class TestNelderMead:
 
 
 def mirrored_quadratic_data():
-    """The mirrored-rows fixture of ``test_symmetric_tie_breaks_to_smaller_angle``."""
+    """Mirrored rows: the objective is even in the angle, and a quadratic
+    link puts its two minima strictly inside the box."""
     rng = np.random.default_rng(77)
     n = 120
     x1 = rng.normal(size=n)
@@ -1297,40 +1302,15 @@ class TestVertexCache:
         # the reported counts are Nelder-Mead's own, repeats included
         # (``test_fit_direction_at_matches_the_scipy_routine`` checks them
         # against scipy's uncached run)
-        assert fit.evaluations == len(requests) == sum(r.nfev for r in runs)
-        assert fit.iterations == sum(r.nit for r in runs)
-
-    @pytest.mark.parametrize("sorted_path", [False, True], ids=["dense", "sorted"])
-    def test_every_evaluation_goes_through_value(self, sorted_path, monkeypatch):
-        # The benchmark times the objective as the calls of
-        # ``_LocalObjective.value``; an evaluation that reached either path
-        # another way would escape that span.
-        if sorted_path:
-            dataset, _ = generate_dataset(SimConfig(n=2000, seed=1729), 0)
-            t0, bw, warm = 0.5, select_bandwidths(dataset, EPAN), None
-        else:
-            dataset, t0, bw, warm = direction_fit_cases()[1]
-        evaluated = []
-        for name in ("dense_value", "sorted_value"):
-            real = getattr(_LocalObjective, name)
-
-            def counted(self, theta, real=real, name=name):
-                evaluated.append(name)
-                return real(self, theta)
-
-            monkeypatch.setattr(_LocalObjective, name, counted)
-        fit, requests, runs, computed = self.recorded_fit(monkeypatch, dataset, t0, bw, warm)
-        inside = {v for v in requests if all(abs(a) <= _ANGLE_BOX for a in v)}
-        # every distinct in-box vertex, plus the closing re-evaluation
-        assert len(computed) == len(evaluated) == len(inside) + 1
-        assert set(evaluated) == {"sorted_value" if sorted_path else "dense_value"}
-        assert (fit.active_rows >= _SORTED_MIN_ROWS) == sorted_path
+        assert len(runs) == 1
+        assert fit.evaluations == len(requests) == runs[0].nfev
+        assert fit.iterations == runs[0].nit
 
     def test_diagnostics_record_objective_calls(self):
         config = FitConfig(
             t_grid_size=5,
             link_grid=(-0.5, 0.5, 21),
-            optimizer=OptimizerConfig(restarts=3, max_iter=100),
+            optimizer=OptimizerConfig(max_iter=100),
         )
         ds = constant_direction_data(seed=24, n=80, direction=(0.6, 0.8), noise_sd=0.1)
         diag = fit_model(ds, config).diagnostics
@@ -1346,9 +1326,14 @@ class TestVertexCache:
         assert fit_model(flat, config).diagnostics["objective_calls"] == [0] * 5
 
 
+# A coarse first leg for the resume checks, ten times the fit's _XATOL.
+COARSE_XATOL = 1e-2
+
+
 def race_then_resume(func, simplex, maxiter):
-    """A run to _RACE_XATOL, then the fit's resume of it to _XATOL."""
-    race = _nelder_mead(func, simplex, _RACE_XATOL, maxiter)
+    """A run to COARSE_XATOL, then a resume of it to _XATOL from its final
+    simplex with the iterations it has left."""
+    race = _nelder_mead(func, simplex, COARSE_XATOL, maxiter)
     return race, _nelder_mead(func, race.sim, _XATOL, maxiter - race.nit + 1)
 
 
@@ -1383,6 +1368,12 @@ def paper_fit_inputs():
 
 
 class TestRace:
+    """Stage 1 runs Nelder-Mead once per grid point, from the warm start
+    or the centre of the angle box. ``_nelder_mead`` keeps no state but
+    its sorted simplex and iteration count, so a run stopped at a coarse
+    tolerance and resumed from its final simplex takes the steps of one
+    uninterrupted run, as a search that races several starts would need."""
+
     @pytest.mark.parametrize(
         "func, simplex, maxiter",
         [case[1:4] for case in nm_cases()],
@@ -1398,89 +1389,40 @@ class TestRace:
         dataset, bw = paper_fit_inputs
         func = fit_objective(dataset, t0, bw)
         max_iter = OptimizerConfig().max_iter
-        for a0 in [[0.3]] + _spread_starts(4, 1):
+        for a0 in ([0.3], [-1.2], [-0.4], [0.0], [0.4], [1.2]):
             simplex = _initial_simplex(a0)
             race, polish = race_then_resume(func, simplex, max_iter)
             full = _nelder_mead(func, simplex, _XATOL, max_iter)
             assert_resume_is_one_run(race, polish, full)
             assert race.nit < full.nit
 
-    @pytest.mark.parametrize("case", [0, 1, 3, 4, 7, 10])
-    def test_only_the_leader_goes_below_the_race_tolerance(self, case, monkeypatch):
-        dataset, t0, bw, warm = direction_fit_cases()[case]
-        calls = []
+    def test_sweep_starts_the_first_point_at_the_centre(self, paper_fit_inputs, monkeypatch):
+        dataset, bw = paper_fit_inputs
+        runs = []
         real_nm = estimator._nelder_mead
 
         def nelder_mead(func, simplex, xatol, maxiter):
-            res = real_nm(func, simplex, xatol, maxiter)
-            calls.append((np.asarray(simplex, dtype=float), xatol, maxiter, res))
-            return res
-
-        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
-        config = FitConfig()
-        fit = fit_direction_at(dataset, t0, config, bw, warm_start=warm)
-        *races, (polish_start, polish_xatol, polish_maxiter, polish) = calls
-        # A warm-started point runs its warm start alone; a cold one races
-        # the spread starts.
-        if warm is None:
-            starts = _spread_starts(config.optimizer.restarts, dataset.d - 1)
-        else:
-            starts = [angles_from_direction(warm).tolist()]
-        assert [start.tolist() for start, *_ in races] == [_initial_simplex(a0) for a0 in starts]
-        assert all(xatol == _RACE_XATOL for _, xatol, _, _ in races)
-        assert polish_xatol == _XATOL
-        # The polish resumes the leader: the race run with the lowest value.
-        leader = next(res for _, _, _, res in races if np.array_equal(res.sim, polish_start))
-        assert all(leader.fun <= res.fun + _TIE_TOL for _, _, _, res in races)
-        assert polish_maxiter == config.optimizer.max_iter - leader.nit + 1
-        def span(res):
-            return np.abs(np.subtract(res.sim, res.x)).max()
-
-        # Each race run stops at its first simplex within _RACE_XATOL of
-        # its best vertex; only the polish goes on to _XATOL.
-        assert all(res.success and span(res) <= _RACE_XATOL for *_, res in races)
-        assert polish.success and span(polish) <= _XATOL < min(span(res) for *_, res in races)
-        assert fit.direction.components.tobytes() == normalize_direction(
-            direction_from_angles(polish.x)
-        ).components.tobytes()
-        assert (fit.iterations, fit.evaluations) == (
-            sum(res.nit for *_, res in calls),
-            sum(res.nfev for *_, res in calls),
-        )
-
-    def test_sweep_spreads_starts_at_the_first_point_only(self, paper_fit_inputs, monkeypatch):
-        dataset, bw = paper_fit_inputs
-        spread, races = [], []
-        real_spread, real_nm = estimator._spread_starts, estimator._nelder_mead
-
-        def spread_starts(restarts, dim):
-            spread.append((restarts, dim))
-            return real_spread(restarts, dim)
-
-        def nelder_mead(func, simplex, xatol, maxiter):
-            if xatol == _RACE_XATOL:
-                races.append([list(v) for v in simplex])
+            runs.append(([list(v) for v in simplex], xatol, maxiter))
             return real_nm(func, simplex, xatol, maxiter)
 
-        monkeypatch.setattr(estimator, "_spread_starts", spread_starts)
         monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
-        config = FitConfig(t_grid_size=6, optimizer=OptimizerConfig(restarts=3))
+        config = FitConfig(t_grid_size=6, optimizer=OptimizerConfig(max_iter=80))
         _, fits = fit_coefficient_curves(dataset, config, bw)
-        assert spread == [(3, dataset.d - 1)]
-        first = [_initial_simplex(a0) for a0 in real_spread(3, dataset.d - 1)]
-        assert races[:3] == first
-        # Every later point races once, from its left neighbour's angles.
-        assert races[3:] == [
+        # One run per grid point, each to _XATOL under the configured cap.
+        assert [run[1:] for run in runs] == [(_XATOL, 80)] * 6
+        # The first starts at the centre of the angle box; every later one
+        # from its left neighbour's angles.
+        assert [run[0] for run in runs] == [_initial_simplex([0.0] * (dataset.d - 1))] + [
             _initial_simplex(angles_from_direction(fit.direction).tolist()) for fit in fits[:-1]
         ]
 
-    @pytest.mark.parametrize("case", [0, 2, 4, 7, 10])
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 7, 10])
     def test_one_start_gives_the_uninterrupted_run(self, case):
-        # Without a warm start and with one restart the race has a single
-        # runner, so the fit is that start's uninterrupted _XATOL run.
-        dataset, t0, bw, _ = direction_fit_cases()[case]
-        config = FitConfig(optimizer=OptimizerConfig(restarts=1))
-        fit = fit_direction_at(dataset, t0, config, bw)
+        # The fit is its start's uninterrupted _XATOL run: the warm start
+        # if the case has one, else the centre of the angle box.
+        dataset, t0, bw, warm = direction_fit_cases()[case]
+        config = FitConfig()
+        fit = fit_direction_at(dataset, t0, config, bw, warm_start=warm)
         requested = set()
         objective = fit_objective(dataset, t0, bw)
 
@@ -1488,14 +1430,12 @@ class TestRace:
             requested.add(tuple(angles))
             return objective(angles)
 
-        simplex = _initial_simplex(_spread_starts(1, dataset.d - 1)[0])
-        full = _nelder_mead(func, simplex, _XATOL, config.optimizer.max_iter)
+        a0 = [0.0] * (dataset.d - 1) if warm is None else angles_from_direction(warm).tolist()
+        full = _nelder_mead(func, _initial_simplex(a0), _XATOL, config.optimizer.max_iter)
         direction = normalize_direction(direction_from_angles(full.x))
         assert fit.direction.components.tobytes() == direction.components.tobytes()
         value = _LocalObjective(dataset, t0, bw, EPAN).value(direction.components)
         assert np.float64(fit.objective).tobytes() == np.float64(value).tobytes()
         assert fit.converged == (full.success or full.fsim[-1] - full.fsim[0] <= _FLAT_TOL)
         assert fit.objective_calls == len(requested)
-        # The resume re-scores the d vertices (cache hits) and starts its
-        # own iteration count at 1.
-        assert (fit.iterations, fit.evaluations) == (full.nit + 1, full.nfev + dataset.d)
+        assert (fit.iterations, fit.evaluations) == (full.nit, full.nfev)

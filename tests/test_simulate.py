@@ -23,7 +23,7 @@ from sivc.simulate import _band
 SMALL_FIT = FitConfig(
     t_grid_size=5,
     link_grid=(-0.5, 0.5, 21),
-    optimizer=OptimizerConfig(restarts=3, max_iter=100),
+    optimizer=OptimizerConfig(max_iter=100),
 )
 
 
