@@ -1306,6 +1306,46 @@ class TestVertexCache:
         assert fit.evaluations == len(requests) == runs[0].nfev
         assert fit.iterations == runs[0].nit
 
+    @pytest.mark.parametrize("sorted_path", [False, True], ids=["dense", "sorted"])
+    def test_every_evaluation_goes_through_value(self, sorted_path, monkeypatch):
+        # The benchmark times the objective as the calls of
+        # ``_LocalObjective.value``; an evaluation that reached Nelder-Mead
+        # another way would escape that span. The ids name the two sides of
+        # 128 active rows, where the objective once switched from a dense
+        # kernel matrix to the sorted evaluation that now serves both.
+        if sorted_path:
+            dataset, _ = generate_dataset(SimConfig(n=2000, seed=1729), 0)
+            t0, bw, warm = 0.5, select_bandwidths(dataset, EPAN), None
+        else:
+            dataset, t0, bw, warm = direction_fit_cases()[1]
+        returned, seen = {}, []
+        real_nm, real_value = estimator._nelder_mead, _LocalObjective.value
+
+        def nelder_mead(func, *args):
+            def logged(angles):
+                seen.append((tuple(angles), func(angles)))
+                return seen[-1][1]
+
+            return real_nm(logged, *args)
+
+        def value(self, theta):
+            result = real_value(self, theta)
+            returned.setdefault(tuple(theta), []).append(result)
+            return result
+
+        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
+        monkeypatch.setattr(_LocalObjective, "value", value)
+        fit = fit_direction_at(dataset, t0, FitConfig(), bw, warm_start=warm)
+        inside = [(v, f) for v, f in seen if all(abs(a) <= _ANGLE_BOX for a in v)]
+        # Each value Nelder-Mead got for an in-box vertex is the very float
+        # a call of value returned for that vertex's direction.
+        for angles, f in inside:
+            results = returned[tuple(direction_from_angles(angles))]
+            assert any(f is r for r in results)
+        # every distinct in-box vertex, plus the closing re-evaluation
+        assert sum(map(len, returned.values())) == len({v for v, _ in inside}) + 1
+        assert (fit.active_rows >= 128) == sorted_path
+
     def test_diagnostics_record_objective_calls(self):
         config = FitConfig(
             t_grid_size=5,
@@ -1395,6 +1435,42 @@ class TestRace:
             full = _nelder_mead(func, simplex, _XATOL, max_iter)
             assert_resume_is_one_run(race, polish, full)
             assert race.nit < full.nit
+
+    @pytest.mark.parametrize("case", [0, 1, 3, 4, 7, 10])
+    def test_only_the_leader_goes_below_the_race_tolerance(self, case, monkeypatch):
+        # With one start per grid point the fit's run is its own leader: it
+        # is the only Nelder-Mead call, and it goes on to _XATOL, below the
+        # COARSE_XATOL at which a race between several starts would stop
+        # each runner.
+        dataset, t0, bw, warm = direction_fit_cases()[case]
+        calls = []
+        real_nm = estimator._nelder_mead
+
+        def nelder_mead(func, simplex, xatol, maxiter):
+            res = real_nm(func, simplex, xatol, maxiter)
+            calls.append((simplex, xatol, maxiter, res))
+            return res
+
+        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
+        config = FitConfig()
+        fit = fit_direction_at(dataset, t0, config, bw, warm_start=warm)
+        [(start, xatol, maxiter, leader)] = calls
+        a0 = [0.0] * (dataset.d - 1) if warm is None else angles_from_direction(warm).tolist()
+        assert start == _initial_simplex(a0)
+        assert (xatol, maxiter) == (_XATOL, config.optimizer.max_iter)
+
+        def span(res):
+            return np.abs(np.subtract(res.sim, res.x)).max()
+
+        # A runner stopped at the race tolerance from the same start would
+        # still be wider than _XATOL; the leader goes on below it.
+        race = _nelder_mead(fit_objective(dataset, t0, bw), start, COARSE_XATOL, maxiter)
+        assert race.success and span(race) <= COARSE_XATOL
+        assert leader.success and span(leader) <= _XATOL < span(race)
+        assert fit.direction.components.tobytes() == normalize_direction(
+            direction_from_angles(leader.x)
+        ).components.tobytes()
+        assert (fit.iterations, fit.evaluations) == (leader.nit, leader.nfev)
 
     def test_sweep_starts_the_first_point_at_the_centre(self, paper_fit_inputs, monkeypatch):
         dataset, bw = paper_fit_inputs
