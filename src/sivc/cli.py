@@ -63,10 +63,6 @@ def _versions() -> dict:
     }
 
 
-def _num(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 # ---------------------------------------------------------------------------
 # config file handling
 
@@ -102,42 +98,30 @@ def _typed_values(where: str):
         raise ValidationError([(None, f"{where} config: {exc}")]) from exc
 
 
+def _fields(cls) -> set[str]:
+    """The keys a config section for the dataclass ``cls`` may hold."""
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def parse_fit_config(section: dict) -> FitConfig:
-    _require_keys(
-        section,
-        {"t_grid_size", "link_grid", "bandwidths", "kernel", "optimizer"},
-        "fit",
-    )
+    _require_keys(section, _fields(FitConfig), "fit")
     kwargs = dict(section)
     with _typed_values("fit"):
         bw = kwargs.get("bandwidths", "auto")
         if bw != "auto":
-            _require_keys(bw, {"h1", "h2", "h_link"}, "bandwidths", required=True)
+            _require_keys(bw, _fields(Bandwidths), "bandwidths", required=True)
             kwargs["bandwidths"] = Bandwidths(**bw)
         if "kernel" in kwargs:
             kwargs["kernel"] = KernelSpec(kwargs["kernel"])
         if "optimizer" in kwargs:
             opt = kwargs["optimizer"]
-            _require_keys(opt, {"max_iter"}, "optimizer")
+            _require_keys(opt, _fields(OptimizerConfig), "optimizer")
             kwargs["optimizer"] = OptimizerConfig(**opt)
         return FitConfig(**kwargs)
 
 
 def parse_sim_config(section: dict) -> SimConfig:
-    _require_keys(
-        section,
-        {
-            "n",
-            "d",
-            "reps",
-            "censor_target",
-            "noise_sd",
-            "seed",
-            "preset",
-            "constant_direction",
-        },
-        "sim",
-    )
+    _require_keys(section, _fields(SimConfig), "sim")
     with _typed_values("sim"):
         return SimConfig(**section)
 
@@ -281,23 +265,39 @@ def _records(reader, problems: list):
         yield i, record
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
-    """Write one CSV table: a header row, then every row of ``rows``."""
+_BLOCK_ROWS = 1024
+
+
+def _python_values(col: np.ndarray):
+    """The entries of ``col`` as Python numbers, converted lazily
+    ``_BLOCK_ROWS`` at a time, so no table is held in memory at once."""
+    blocks = (col[k : k + _BLOCK_ROWS].tolist() for k in range(0, col.size, _BLOCK_ROWS))
+    return itertools.chain.from_iterable(blocks)
+
+
+def _write_table(path: Path, header: list[str], columns) -> None:
+    """Write one CSV table: a header row, then one row per entry of the
+    equal-length 1-D arrays ``columns``.
+
+    The only place a cell is formatted: a float with 17 significant digits,
+    so identical runs give identical bytes, and an integer or a boolean as
+    an integer. Cells are formatted lazily as the rows are written.
+    """
+    cells = [
+        map("{:d}".format if col.dtype.kind in "biu" else "{:.17g}".format, _python_values(col))
+        for col in columns
+    ]
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*cells, strict=True))
 
 
 def write_dataset_csv(path: Path, dataset: Dataset) -> None:
     _write_table(
         path,
         _dataset_header(dataset.d),
-        (
-            [_num(dataset.y[i]), str(int(dataset.delta[i])), _num(dataset.t[i])]
-            + [_num(v) for v in dataset.x[i]]
-            for i in range(dataset.n)
-        ),
+        [dataset.y, dataset.delta, dataset.t, *dataset.x.T],
     )
 
 
@@ -306,35 +306,24 @@ def write_curves_csv(path: Path, fit: ModelFit) -> None:
     _write_table(
         path,
         ["t0"] + [f"beta_{j}" for j in range(1, matrix.shape[1] + 1)],
-        ([_num(t0)] + [_num(v) for v in matrix[k]] for k, t0 in enumerate(fit.curves.grid)),
+        [fit.curves.grid, *matrix.T],
     )
 
 
 def write_link_csv(path: Path, fit: ModelFit) -> None:
     link = fit.link
     _write_table(
-        path,
-        ["u", "m_hat", "defined"],
-        (
-            [_num(u), _num(m), "0" if np.isnan(m) else "1"]
-            for u, m in zip(link.u_grid, link.m_hat)
-        ),
+        path, ["u", "m_hat", "defined"], [link.u_grid, link.m_hat, ~np.isnan(link.m_hat)]
     )
 
 
 def write_summary_csv(path: Path, summary: SimSummary) -> None:
     d = summary.beta_median.shape[1]
-    header = ["t0"]
-    for j in range(1, d + 1):
-        header += [f"beta_{j}_median", f"beta_{j}_q05", f"beta_{j}_q95"]
-    bands = (summary.beta_median, summary.beta_q05, summary.beta_q95)
+    bands = np.stack((summary.beta_median, summary.beta_q05, summary.beta_q95), axis=2)
     _write_table(
         path,
-        header,
-        (
-            [_num(t0)] + [_num(band[k, j]) for j in range(d) for band in bands]
-            for k, t0 in enumerate(summary.t_grid)
-        ),
+        ["t0"] + [f"beta_{j}_{b}" for j in range(1, d + 1) for b in ("median", "q05", "q95")],
+        [summary.t_grid, *bands.reshape(-1, 3 * d).T],
     )
 
 
@@ -342,40 +331,34 @@ def write_link_summary_csv(path: Path, summary: SimSummary) -> None:
     _write_table(
         path,
         ["u", "m_median", "m_q05", "m_q95", "defined_count"],
-        (
-            [
-                _num(u),
-                _num(summary.m_median[k]),
-                _num(summary.m_q05[k]),
-                _num(summary.m_q95[k]),
-                str(int(summary.m_defined_counts[k])),
-            ]
-            for k, u in enumerate(summary.u_grid)
-        ),
+        [summary.u_grid, summary.m_median, summary.m_q05, summary.m_q95, summary.m_defined_counts],
     )
 
 
 def write_raw_estimates_csv(
     curves_path: Path, link_path: Path, summary: SimSummary
 ) -> None:
+    """Write every replication's curves and link, rep by rep."""
     reps, grid, d = summary.beta_reps.shape
     _write_table(
         curves_path,
         ["rep", "t0"] + [f"beta_{j}" for j in range(1, d + 1)],
-        (
-            [str(r), _num(summary.t_grid[k])] + [_num(v) for v in summary.beta_reps[r, k]]
-            for r in range(reps)
-            for k in range(grid)
-        ),
+        [
+            np.repeat(np.arange(reps), grid),
+            np.tile(summary.t_grid, reps),
+            *summary.beta_reps.reshape(reps * grid, d).T,
+        ],
     )
+    m = summary.m_reps.ravel()
     _write_table(
         link_path,
         ["rep", "u", "m_hat", "defined"],
-        (
-            [str(r), _num(u), _num(v), "1" if np.isfinite(v) else "0"]
-            for r in range(reps)
-            for u, v in zip(summary.u_grid, summary.m_reps[r])
-        ),
+        [
+            np.repeat(np.arange(reps), summary.u_grid.size),
+            np.tile(summary.u_grid, reps),
+            m,
+            np.isfinite(m),
+        ],
     )
 
 

@@ -286,7 +286,8 @@ class _LocalObjective:
     """Profile least-squares objective at one t0, vectorized over the
     rows that carry modifier weight; ``value`` is the O(m log m)
     evaluation described in the module docstring, and it records the
-    count of rows with no leave-one-out data in ``last_skipped``."""
+    count of rows with no leave-one-out data in ``last_skipped``. Its
+    callers silence the overflow warnings of a tiny h1, not ``value``."""
 
     def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
         kt, active, m = _local_weights(dataset, t0, bw, spec)
@@ -386,7 +387,8 @@ def local_objective(
     Rows whose leave-one-out smoother has no local data contribute zero;
     their count is available through the fitting diagnostics.
     """
-    return _LocalObjective(dataset, t0, bw, spec).value(theta.components)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _LocalObjective(dataset, t0, bw, spec).value(theta.components)
 
 
 class _Simplex(NamedTuple):
@@ -541,10 +543,12 @@ def fit_direction_at(
         a0 = angles_from_direction(warm_start).tolist()
     else:
         a0 = [0.0] * (dataset.d - 1)
-    res = _nelder_mead(penalized, _initial_simplex(a0), _XATOL, config.optimizer.max_iter)
-
-    direction = normalize_direction(direction_from_angles(res.x))
-    value = obj.value(direction.components)
+    # A tiny fixed h1 overflows q on the way to a finite value; numpy is
+    # told once per grid point, not per evaluation, not to warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _nelder_mead(penalized, _initial_simplex(a0), _XATOL, config.optimizer.max_iter)
+        direction = normalize_direction(direction_from_angles(res.x))
+        value = obj.value(direction.components)
     return DirectionFit(
         direction,
         value,

@@ -19,6 +19,9 @@ from sivc.cli import (
     write_dataset_csv,
 )
 from sivc.errors import ValidationError
+from sivc.estimator import Bandwidths, FitConfig, LinkEstimate, ModelFit, OptimizerConfig
+from sivc.model import CoefficientCurves, Dataset, UnitDirection
+from sivc.simulate import SimSummary
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +374,39 @@ REJECTED_CONFIG = {
 
 
 class TestConfigErrors:
+    def test_each_section_takes_every_field_of_its_dataclass(self):
+        bandwidths = {"h1": 0.4, "h2": 0.3, "h_link": 0.2}
+        optimizer = {"max_iter": 7}
+        fit = {
+            "t_grid_size": 5,
+            "link_grid": [-1, 1, 11],
+            "bandwidths": bandwidths,
+            "kernel": "epanechnikov",
+            "optimizer": optimizer,
+        }
+        sim = {
+            "n": 50,
+            "d": 3,
+            "reps": 2,
+            "censor_target": 0.1,
+            "noise_sd": 0.5,
+            "seed": 4,
+            "preset": "constant",
+            "constant_direction": [1, 0, 0],
+        }
+        for cls, section in (
+            (FitConfig, fit),
+            (SimConfig, sim),
+            (Bandwidths, bandwidths),
+            (OptimizerConfig, optimizer),
+        ):
+            assert set(section) == {f.name for f in dataclasses.fields(cls)}
+        parsed = cli.parse_fit_config(fit)
+        assert parsed.bandwidths == Bandwidths(**bandwidths)
+        assert parsed.optimizer == OptimizerConfig(**optimizer)
+        assert (parsed.t_grid_size, parsed.link_grid) == (5, (-1.0, 1.0, 11))
+        assert cli.parse_sim_config(sim) == SimConfig(**dict(sim, constant_direction=(1, 0, 0)))
+
     @pytest.mark.parametrize("case", sorted(REJECTED_CONFIG))
     def test_parse_raises_validation_error(self, case):
         doc, message = REJECTED_CONFIG[case]
@@ -511,14 +547,16 @@ class TestReproduceFiguresCommand:
 
 class TestDatasetCsvRoundtrip:
     def test_exact_roundtrip(self, tmp_path):
-        dataset, _ = generate_dataset(SimConfig(n=50, reps=1, seed=44), 0)
-        path = tmp_path / "ds.csv"
-        write_dataset_csv(path, dataset)
-        back = read_dataset_csv(path)
-        assert np.array_equal(back.y, dataset.y)
-        assert np.array_equal(back.delta, dataset.delta)
-        assert np.array_equal(back.x, dataset.x)
-        assert np.array_equal(back.t, dataset.t)
+        # The second size spans three of the writer's conversion blocks.
+        for n in (50, 2 * cli._BLOCK_ROWS + 3):
+            dataset, _ = generate_dataset(SimConfig(n=n, reps=1, seed=44), 0)
+            path = tmp_path / f"ds{n}.csv"
+            write_dataset_csv(path, dataset)
+            back = read_dataset_csv(path)
+            assert np.array_equal(back.y, dataset.y)
+            assert np.array_equal(back.delta, dataset.delta)
+            assert np.array_equal(back.x, dataset.x)
+            assert np.array_equal(back.t, dataset.t)
 
     def test_accepts_plain_string_paths(self, tmp_path):
         dataset, _ = generate_dataset(SimConfig(n=20, reps=1, seed=45), 0)
@@ -715,3 +753,115 @@ def test_written_csv_is_read_in_bulk(tmp_path, monkeypatch, d):
         got, want = getattr(back, name), getattr(dataset, name)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+THIRD = 1 / 3
+TINY = 1e-300
+NAN = float("nan")
+
+
+@pytest.fixture(scope="module")
+def golden_tables(tmp_path_factory):
+    """Every table writer run on hand-built inputs holding -0.0, 1/3, 1e-300,
+    NaN link points, a failed replication and integer flags and counts."""
+    dataset = Dataset(
+        y=[THIRD, -0.0, TINY],
+        delta=[1, 0, 1],
+        t=[0.0, THIRD, 1.0],
+        x=[[-0.0, 1.0], [THIRD, TINY], [2.5, -7.0]],
+    )
+    fit = ModelFit(
+        curves=CoefficientCurves(
+            grid=[0.0, THIRD, 1.0],
+            directions=(
+                UnitDirection([1.0, -0.0]),
+                UnitDirection([1.0, TINY]),
+                UnitDirection([0.6, 0.8]),
+            ),
+        ),
+        link=LinkEstimate(u_grid=[-0.5, -0.0, TINY, THIRD], m_hat=[NAN, THIRD, -0.0, NAN]),
+        synthetic=np.zeros(3),
+        bandwidths=Bandwidths(1.0, 1.0, 1.0),
+        diagnostics={},
+    )
+    summary = SimSummary(
+        t_grid=np.array([0.0, 1.0]),
+        u_grid=np.array([-0.5, THIRD]),
+        beta_median=np.array([[1.0, -0.0], [THIRD, TINY]]),
+        beta_q05=np.array([[0.5, -0.5], [0.25, -0.0]]),
+        beta_q95=np.array([[1.5, 0.5], [0.5, 1.0]]),
+        m_median=np.array([THIRD, NAN]),
+        m_q05=np.array([0.25, NAN]),
+        m_q95=np.array([0.5, NAN]),
+        m_defined_counts=np.array([1, 0]),
+        censoring_rates=np.array([0.25, NAN]),
+        failures=((1, "failed"),),
+        failure_log=(),
+        degraded=False,
+        beta_reps=np.array([[[1.0, -0.0], [THIRD, TINY]], [[NAN, NAN], [NAN, NAN]]]),
+        m_reps=np.array([[THIRD, NAN], [NAN, NAN]]),
+    )
+    out = tmp_path_factory.mktemp("golden")
+    write_dataset_csv(out / "data.csv", dataset)
+    cli.write_curves_csv(out / "curves.csv", fit)
+    cli.write_link_csv(out / "link.csv", fit)
+    cli.write_summary_csv(out / "summary.csv", summary)
+    cli.write_link_summary_csv(out / "link_summary.csv", summary)
+    cli.write_raw_estimates_csv(out / "raw_curves.csv", out / "raw_link.csv", summary)
+    return out
+
+
+# Floats carry 17 significant digits, flags and counts are integers, and
+# the raw tables run rep by rep.
+GOLDEN_TABLES = {
+    "data.csv": [
+        "y,delta,t,x1,x2",
+        "0.33333333333333331,1,0,-0,1",
+        "-0,0,0.33333333333333331,0.33333333333333331,1e-300",
+        "1e-300,1,1,2.5,-7",
+    ],
+    "curves.csv": [
+        "t0,beta_1,beta_2",
+        "0,1,-0",
+        "0.33333333333333331,1,1e-300",
+        "1,0.59999999999999998,0.80000000000000004",
+    ],
+    "link.csv": [
+        "u,m_hat,defined",
+        "-0.5,nan,0",
+        "-0,0.33333333333333331,1",
+        "1e-300,-0,1",
+        "0.33333333333333331,nan,0",
+    ],
+    "summary.csv": [
+        "t0,beta_1_median,beta_1_q05,beta_1_q95,beta_2_median,beta_2_q05,beta_2_q95",
+        "0,1,0.5,1.5,-0,-0.5,0.5",
+        "1,0.33333333333333331,0.25,0.5,1e-300,-0,1",
+    ],
+    "link_summary.csv": [
+        "u,m_median,m_q05,m_q95,defined_count",
+        "-0.5,0.33333333333333331,0.25,0.5,1",
+        "0.33333333333333331,nan,nan,nan,0",
+    ],
+    "raw_curves.csv": [
+        "rep,t0,beta_1,beta_2",
+        "0,0,1,-0",
+        "0,1,0.33333333333333331,1e-300",
+        "1,0,nan,nan",
+        "1,1,nan,nan",
+    ],
+    "raw_link.csv": [
+        "rep,u,m_hat,defined",
+        "0,-0.5,0.33333333333333331,1",
+        "0,0.33333333333333331,nan,0",
+        "1,-0.5,nan,0",
+        "1,0.33333333333333331,nan,0",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TABLES)
+def test_table_bytes(golden_tables, name):
+    expected = "".join(line + "\r\n" for line in GOLDEN_TABLES[name])
+    assert (golden_tables / name).read_bytes() == expected.encode("utf-8")
+
