@@ -545,6 +545,40 @@ class TestReproduceFiguresCommand:
         assert float(rows[-1]["u"]) == 0.5
 
 
+MANIFEST_CASES = {
+    "fit": (["curves.csv", "link.csv", "diagnostics.json"], None),
+    "simulate": (["summary.csv", "link_summary.csv"], 11),
+    "simulate --raw": (["summary.csv", "link_summary.csv", "raw_curves.csv", "raw_link.csv"], 11),
+    "reproduce-figures": (["summary.csv", "link_summary.csv", "fig1.svg", "fig2.svg"], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
+def test_manifest_lists_every_output_last_itself(paper_csv, tmp_path, capsys, case):
+    command, *flags = case.split()
+    out = tmp_path / "out"
+    if command == "fit":
+        config = write_config(tmp_path, {"fit": {"t_grid_size": 5}})
+        args = ["--data", str(paper_csv), "--config", str(config)]
+    elif command == "simulate":
+        args = ["--config", str(write_config(tmp_path, SMALL_SIM)), *flags]
+    else:
+        args = ["--reps", "2", "--seed", "3"]
+    assert main([command, *args, "--out", str(out)]) == EXIT_OK
+    written, seed = MANIFEST_CASES[case]
+    outputs = written + ["manifest.json"]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in outputs]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["command", "config", "seed", "versions", "outputs", "duration_seconds"]
+    assert manifest["command"] == command
+    assert list(manifest["config"]) == (["fit"] if command == "fit" else ["fit", "sim"])
+    assert manifest["seed"] == seed
+    assert list(manifest["versions"]) == ["sivc", "numpy", "python"]
+    assert manifest["outputs"] == outputs
+    assert sorted(path.name for path in out.iterdir()) == sorted(outputs)
+    assert manifest["duration_seconds"] >= 0
+
+
 class TestDatasetCsvRoundtrip:
     def test_exact_roundtrip(self, tmp_path):
         # The second size spans three of the writer's conversion blocks.

@@ -558,6 +558,27 @@ class TestFitDirectionAt:
         assert value == pytest.approx(want, rel=1e-12)
         assert math.isfinite(fit.objective) and fit.converged
 
+    def test_vertices_outside_the_angle_box_are_penalized(self, monkeypatch):
+        # A direction near (0, 1) sits at the edge of the angle box, so
+        # Nelder-Mead asks for vertices past it; the penalty must keep
+        # every fitted direction inside, with a finite objective.
+        outside = []
+
+        def counting(f, *args):
+            def watched(angles):
+                if any(abs(a) > _ANGLE_BOX for a in angles):
+                    outside.append(tuple(angles))
+                return f(angles)
+
+            return _nelder_mead(watched, *args)
+
+        monkeypatch.setattr(estimator, "_nelder_mead", counting)
+        sim = SimConfig(n=500, seed=3, preset="constant", constant_direction=(0.01, 1.0))
+        fit = fit_model(generate_dataset(sim, 0)[0], FitConfig())
+        assert len(outside) >= 1
+        assert all(math.isfinite(v) and v < 1e12 for v in fit.diagnostics["objectives"])
+        assert np.all(fit.curves.matrix[:, 0] > 0)
+
     def test_response_scaling_leaves_argmin_unchanged(self):
         ds = constant_direction_data(seed=4, n=100, direction=(0.8, 0.6))
         scaled = Dataset(y=2.0 * ds.y, delta=ds.delta, x=ds.x, t=ds.t)

@@ -181,6 +181,44 @@ def bands(values):
     return median[0], q05[0], q95[0]
 
 
+def ordered_summary(**overrides):
+    """A two-point, one-replication SimSummary with ordered bands."""
+    beta = np.array([[1.0, 0.0], [0.6, 0.8]])
+    fields = dict(
+        t_grid=np.array([0.0, 1.0]),
+        u_grid=np.array([-0.5, 0.5]),
+        beta_median=beta,
+        beta_q05=beta - 0.1,
+        beta_q95=beta + 0.1,
+        m_median=np.array([0.25, np.nan]),
+        m_q05=np.array([0.0, np.nan]),
+        m_q95=np.array([0.5, np.nan]),
+        m_defined_counts=np.array([1, 0]),
+        censoring_rates=np.array([0.3]),
+        failures=(),
+        failure_log=(),
+        degraded=False,
+        beta_reps=beta[None],
+        m_reps=np.array([[0.25, np.nan]]),
+    )
+    fields.update(overrides)
+    return simulate.SimSummary(**fields)
+
+
+class TestSimSummary:
+    def test_ordered_bands_accepted(self):
+        assert not ordered_summary().degraded
+
+    def test_coefficient_bands_out_of_order_rejected(self):
+        beta_q05 = np.array([[1.1, 0.0], [0.6, 0.8]])
+        with pytest.raises(ValueError, match="quantile bands must be ordered"):
+            ordered_summary(beta_q05=beta_q05)
+
+    def test_link_bands_out_of_order_rejected(self):
+        with pytest.raises(ValueError, match="link bands must be ordered"):
+            ordered_summary(m_q05=np.array([0.3, np.nan]))
+
+
 class TestPointwiseQuantile:
     def test_nearest_rank_low(self):
         assert bands(np.arange(1.0, 101.0))[1] == 5.0
@@ -322,4 +360,23 @@ class TestRunMonteCarlo:
         assert summary.degraded
         assert len(summary.failures) == 3
         assert np.all(np.isnan(summary.beta_median))
-        assert any("failed" in line for line in summary.failure_log)
+        error = "stage 1 (direction curves): insufficient local sample at t0=0.0: 0 rows carry weight"
+        assert summary.failures == tuple((rep, error) for rep in range(3))
+        assert summary.failure_log == tuple(f"rep {rep}: failed ({error})" for rep in range(3))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_log_lists_each_replication_in_order(self, workers):
+        # One iteration leaves every grid point short of convergence, and a
+        # link grid beyond the index's range leaves 10 points without data.
+        fit = FitConfig(optimizer=OptimizerConfig(max_iter=1), link_grid=(5, 6, 10))
+        summary = run_monte_carlo(SimConfig(n=200, reps=3, seed=5), fit, workers=workers)
+        assert summary.failures == ()
+        assert not summary.degraded
+        assert summary.failure_log == tuple(
+            line
+            for rep in range(3)
+            for line in (
+                f"rep {rep}: 21 non-converged grid points",
+                f"rep {rep}: 10 link grid points without local data",
+            )
+        )
