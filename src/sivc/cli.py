@@ -33,7 +33,7 @@ from .simulate import SimConfig, SimSummary, run_monte_carlo
 from .smoothing import KernelSpec
 from .svgplot import Panel, render_figure
 
-__all__ = ["RunManifest", "cmd_fit", "cmd_simulate", "cmd_reproduce_figures", "main"]
+__all__ = ["cmd_fit", "cmd_simulate", "cmd_reproduce_figures", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,26 +41,6 @@ EXIT_IO = 3
 EXIT_ESTIMATION = 4
 
 _DEFAULT_FIGURE_SEED = 12345
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run: inputs, outputs, versions, timing."""
-
-    command: str
-    config: dict
-    seed: Optional[int]
-    versions: dict
-    outputs: tuple[str, ...]
-    duration_seconds: float
-
-
-def _versions() -> dict:
-    return {
-        "sivc": __version__,
-        "numpy": np.__version__,
-        "python": ".".join(str(v) for v in sys.version_info[:3]),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -366,29 +346,37 @@ def write_raw_estimates_csv(
 # commands
 
 
-def _finish_manifest(
+def _write_manifest(
+    out_dir: Path,
     command: str,
     echo: dict,
     seed: Optional[int],
-    out_dir: Path,
     outputs: list[str],
     started: float,
-) -> RunManifest:
-    manifest = RunManifest(
-        command=command,
-        config=echo,
-        seed=seed,
-        versions=_versions(),
-        outputs=tuple(outputs + ["manifest.json"]),
-        duration_seconds=time.monotonic() - started,
-    )
+) -> list[str]:
+    """Write ``manifest.json``, the record of one run: its command, config,
+    seed, versions, outputs and wall time. Returns the names of the files
+    the run wrote, ``manifest.json`` last; ``OSError`` if one is missing."""
+    outputs = outputs + ["manifest.json"]
+    manifest = {
+        "command": command,
+        "config": echo,
+        "seed": seed,
+        "versions": {
+            "sivc": __version__,
+            "numpy": np.__version__,
+            "python": ".".join(str(v) for v in sys.version_info[:3]),
+        },
+        "outputs": outputs,
+        "duration_seconds": time.monotonic() - started,
+    }
     (out_dir / "manifest.json").write_text(
-        json.dumps(dataclasses.asdict(manifest), indent=2) + "\n", encoding="utf-8"
+        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
-    missing = [name for name in manifest.outputs if not (out_dir / name).exists()]
+    missing = [name for name in outputs if not (out_dir / name).exists()]
     if missing:
         raise OSError(f"promised outputs missing after run: {missing}")
-    return manifest
+    return outputs
 
 
 def _run_study(sim: SimConfig, fit: FitConfig, out_dir: Path) -> SimSummary:
@@ -407,7 +395,7 @@ def _run_study(sim: SimConfig, fit: FitConfig, out_dir: Path) -> SimSummary:
     return summary
 
 
-def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> RunManifest:
+def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> list[str]:
     """Fit the model to a CSV file and write curves, link, diagnostics."""
     started = time.monotonic()
     out_dir = Path(out_dir)
@@ -428,19 +416,11 @@ def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> RunManifest:
     (out_dir / "diagnostics.json").write_text(
         json.dumps(diagnostics, indent=2) + "\n", encoding="utf-8"
     )
-    return _finish_manifest(
-        "fit",
-        _config_echo(None, fit_config),
-        None,
-        out_dir,
-        ["curves.csv", "link.csv", "diagnostics.json"],
-        started,
-    )
+    outputs = ["curves.csv", "link.csv", "diagnostics.json"]
+    return _write_manifest(out_dir, "fit", _config_echo(None, fit_config), None, outputs, started)
 
 
-def cmd_simulate(
-    config_path: Path, out_dir: Path, raw: bool = False
-) -> RunManifest:
+def cmd_simulate(config_path: Path, out_dir: Path, raw: bool = False) -> list[str]:
     """Run the Monte Carlo study and write the band summaries."""
     started = time.monotonic()
     out_dir = Path(out_dir)
@@ -454,19 +434,13 @@ def cmd_simulate(
             out_dir / "raw_curves.csv", out_dir / "raw_link.csv", summary
         )
         outputs += ["raw_curves.csv", "raw_link.csv"]
-    return _finish_manifest(
-        "simulate",
-        _config_echo(sim_config, fit_config),
-        sim_config.seed,
-        out_dir,
-        outputs,
-        started,
-    )
+    echo = _config_echo(sim_config, fit_config)
+    return _write_manifest(out_dir, "simulate", echo, sim_config.seed, outputs, started)
 
 
 def cmd_reproduce_figures(
     out_dir: Path, reps: int = 100, seed: int = _DEFAULT_FIGURE_SEED
-) -> RunManifest:
+) -> list[str]:
     """Run the quadratic-link preset and render both figures as SVG."""
     started = time.monotonic()
     out_dir = Path(out_dir)
@@ -506,14 +480,9 @@ def cmd_reproduce_figures(
         ]
     )
     (out_dir / "fig2.svg").write_text(fig2, encoding="utf-8")
-    return _finish_manifest(
-        "reproduce-figures",
-        _config_echo(sim_config, fit_config),
-        seed,
-        out_dir,
-        ["summary.csv", "link_summary.csv", "fig1.svg", "fig2.svg"],
-        started,
-    )
+    outputs = ["summary.csv", "link_summary.csv", "fig1.svg", "fig2.svg"]
+    echo = _config_echo(sim_config, fit_config)
+    return _write_manifest(out_dir, "reproduce-figures", echo, seed, outputs, started)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +526,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "fit":
-            manifest = cmd_fit(args.data, args.config, args.out)
+            outputs = cmd_fit(args.data, args.config, args.out)
         elif args.command == "simulate":
-            manifest = cmd_simulate(args.config, args.out, raw=args.raw)
+            outputs = cmd_simulate(args.config, args.out, raw=args.raw)
         else:
-            manifest = cmd_reproduce_figures(args.out, reps=args.reps, seed=args.seed)
+            outputs = cmd_reproduce_figures(args.out, reps=args.reps, seed=args.seed)
     except (ValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -571,7 +540,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SivcError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    for name in manifest.outputs:
+    for name in outputs:
         print(f"wrote {args.out / name}")
     return EXIT_OK
 

@@ -260,10 +260,7 @@ def angles_from_direction(direction: UnitDirection) -> np.ndarray:
     for k in range(d - 1, 1, -1):
         a = math.asin(float(np.clip(v[k], -1.0, 1.0)))
         angles[k - 1] = a
-        cos_a = math.cos(a)
-        if cos_a <= 0:
-            raise ValueError("direction lies on the hemisphere boundary")
-        v = v[:k] / cos_a
+        v = v[:k] / math.cos(a)
     if d > 1:
         angles[0] = math.atan2(v[1], v[0])
     return angles

@@ -177,10 +177,6 @@ class CoefficientCurves:
         object.__setattr__(self, "_matrix", matrix)
 
     @property
-    def d(self) -> int:
-        return self.directions[0].d
-
-    @property
     def matrix(self) -> np.ndarray:
         """Grid-by-dimension array of direction components."""
         return self._matrix

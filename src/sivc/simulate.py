@@ -194,8 +194,9 @@ def generate_dataset(
     Draw order within the stream: covariates, modifiers, noise,
     censoring times.
     """
+    rep_index = _count(rep_index, "rep_index")
     if rep_index < 0:
-        raise ValueError("rep_index must be nonnegative")
+        raise ValueError(f"rep_index must be non-negative (got {rep_index})")
     if censor_scale is None:
         censor_scale = resolve_censor_scale(config)
     rng = np.random.default_rng((config.seed, rep_index))
@@ -212,17 +213,23 @@ def generate_dataset(
     return dataset, TruthRecord(y_star, censor_times, index, censor_scale)
 
 
-def _run_replication(args) -> tuple[int, dict]:
-    config, fit_config, rep, censor_scale = args
-    dataset, _ = generate_dataset(config, rep, censor_scale)
-    fit = fit_model(dataset, fit_config)
-    return rep, {
-        "beta": fit.curves.matrix,
-        "m_hat": fit.link.m_hat,
-        "censoring_rate": censoring_rate(dataset),
-        "non_converged_points": fit.diagnostics["non_converged_points"],
-        "link_undefined_points": fit.diagnostics["link_undefined_points"],
-    }
+def _replicate(task) -> tuple[int, tuple | str]:
+    """One replication's outcome, ``(rep, result)``: ``result`` is the
+    fitted curves, the link, the censoring rate and the non-converged and
+    link-undefined point counts, or the error text of a failed fit."""
+    config, fit_config, rep, censor_scale = task
+    try:
+        dataset, _ = generate_dataset(config, rep, censor_scale)
+        fit = fit_model(dataset, fit_config)
+    except SivcError as exc:
+        return rep, str(exc)
+    return rep, (
+        fit.curves.matrix,
+        fit.link.m_hat,
+        censoring_rate(dataset),
+        fit.diagnostics["non_converged_points"],
+        fit.diagnostics["link_undefined_points"],
+    )
 
 
 def run_monte_carlo(
@@ -235,10 +242,11 @@ def run_monte_carlo(
     Replications run independently (optionally in a process pool);
     results are keyed by replication index so worker count never changes
     the outcome. A replication whose fit fails entirely is logged and
-    excluded; more than 20% whole-replication failures flips the
-    ``degraded`` flag. Grid points left undefined by some replications
-    are excluded pointwise, with the defined count reported. ``workers``
-    defaults to the cores this process may run on, at most 4.
+    excluded, and the log lists replications in order; more than 20%
+    whole-replication failures flips the ``degraded`` flag. Grid points
+    left undefined by some replications are excluded pointwise, with the
+    defined count reported. ``workers`` defaults to the cores this
+    process may run on, at most 4.
     """
     censor_scale = resolve_censor_scale(sim)
     t_grid = fit.t_grid
@@ -252,39 +260,29 @@ def run_monte_carlo(
             cores = os.cpu_count() or 1
         workers = max(1, min(4, cores))
     tasks = [(sim, fit, rep, censor_scale) for rep in range(reps)]
-    results: list[Optional[dict]] = [None] * reps
-    failures: list[tuple[int, str]] = []
-    failure_log: list[str] = []
     if workers > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_try_replication, tasks))
+            outcomes = list(pool.map(_replicate, tasks))
     else:
-        outcomes = map(_try_replication, tasks)
-    for rep, payload, error in outcomes:
-        if error is not None:
-            failures.append((rep, error))
-        else:
-            results[rep] = payload
-
+        outcomes = map(_replicate, tasks)
     beta_reps = np.full((reps, t_grid.size, sim.d), np.nan)
     m_reps = np.full((reps, u_grid.size), np.nan)
     rates = []
-    for rep, payload in enumerate(results):
-        if payload is None:
+    failures: list[tuple[int, str]] = []
+    failure_log: list[str] = []
+    for rep, result in outcomes:
+        if isinstance(result, str):
+            failures.append((rep, result))
+            failure_log.append(f"rep {rep}: failed ({result})")
             continue
-        beta_reps[rep] = payload["beta"]
-        m_reps[rep] = payload["m_hat"]
-        rates.append(payload["censoring_rate"])
-        if payload["non_converged_points"]:
+        beta_reps[rep], m_reps[rep], rate, non_converged, link_undefined = result
+        rates.append(rate)
+        if non_converged:
+            failure_log.append(f"rep {rep}: {non_converged} non-converged grid points")
+        if link_undefined:
             failure_log.append(
-                f"rep {rep}: {payload['non_converged_points']} non-converged grid points"
+                f"rep {rep}: {link_undefined} link grid points without local data"
             )
-        if payload["link_undefined_points"]:
-            failure_log.append(
-                f"rep {rep}: {payload['link_undefined_points']} link grid points without local data"
-            )
-    for rep, error in sorted(failures):
-        failure_log.append(f"rep {rep}: failed ({error})")
 
     beta_median, beta_q05, beta_q95 = _band(beta_reps)
     m_median, m_q05, m_q95 = _band(m_reps)
@@ -300,21 +298,12 @@ def run_monte_carlo(
         m_q95=m_q95,
         m_defined_counts=m_defined_counts,
         censoring_rates=np.asarray(rates),
-        failures=tuple(sorted(failures)),
+        failures=tuple(failures),
         failure_log=tuple(failure_log),
         degraded=len(failures) > 0.2 * reps,
         beta_reps=beta_reps,
         m_reps=m_reps,
     )
-
-
-def _try_replication(task) -> tuple[int, Optional[dict], Optional[str]]:
-    rep = task[2]
-    try:
-        _, payload = _run_replication(task)
-        return rep, payload, None
-    except SivcError as exc:
-        return rep, None, str(exc)
 
 
 def _band(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

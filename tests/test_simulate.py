@@ -129,6 +129,11 @@ class TestGenerateDataset:
         ds2, _ = generate_dataset(cfg, 1)
         assert not np.array_equal(ds1.y, ds2.y)
 
+    @pytest.mark.parametrize("rep_index", [-1, 1.5, True, "1"])
+    def test_rep_index_must_be_a_non_negative_integer(self, rep_index):
+        with pytest.raises(ValueError, match="rep_index"):
+            generate_dataset(small_sim(), rep_index)
+
     def test_noise_law(self):
         cfg = SimConfig(n=20000, reps=1, seed=5)
         _, truth = generate_dataset(cfg, 0)
