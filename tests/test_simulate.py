@@ -211,9 +211,6 @@ def ordered_summary(**overrides):
 
 
 class TestSimSummary:
-    def test_ordered_bands_accepted(self):
-        assert not ordered_summary().degraded
-
     def test_coefficient_bands_out_of_order_rejected(self):
         beta_q05 = np.array([[1.1, 0.0], [0.6, 0.8]])
         with pytest.raises(ValueError, match="quantile bands must be ordered"):
@@ -363,7 +360,6 @@ class TestRunMonteCarlo:
         )
         summary = run_monte_carlo(small_sim(reps=3), bad_fit, workers=1)
         assert summary.degraded
-        assert len(summary.failures) == 3
         assert np.all(np.isnan(summary.beta_median))
         error = "stage 1 (direction curves): insufficient local sample at t0=0.0: 0 rows carry weight"
         assert summary.failures == tuple((rep, error) for rep in range(3))
