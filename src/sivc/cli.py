@@ -248,29 +248,24 @@ def _records(reader, problems: list):
 _BLOCK_ROWS = 1024
 
 
-def _python_values(col: np.ndarray):
-    """The entries of ``col`` as Python numbers, converted lazily
-    ``_BLOCK_ROWS`` at a time, so no table is held in memory at once."""
-    blocks = (col[k : k + _BLOCK_ROWS].tolist() for k in range(0, col.size, _BLOCK_ROWS))
-    return itertools.chain.from_iterable(blocks)
-
-
 def _write_table(path: Path, header: list[str], columns) -> None:
     """Write one CSV table: a header row, then one row per entry of the
-    equal-length 1-D arrays ``columns``.
+    equal-length 1-D arrays ``columns``, each row ending in CRLF.
 
     The only place a cell is formatted: a float with 17 significant digits,
     so identical runs give identical bytes, and an integer or a boolean as
-    an integer. Cells are formatted lazily as the rows are written.
+    an integer. No cell needs CSV quoting. The rows are formatted and
+    written ``_BLOCK_ROWS`` at a time, so no table is held in memory at once.
     """
-    cells = [
-        map("{:d}".format if col.dtype.kind in "biu" else "{:.17g}".format, _python_values(col))
-        for col in columns
-    ]
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"{path}: columns of unequal lengths {[len(col) for col in columns]}")
+    row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g" for col in columns) + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*cells, strict=True))
+        handle.write(",".join(header) + "\r\n")
+        for k in range(0, n, _BLOCK_ROWS):
+            block = [col[k : k + _BLOCK_ROWS].tolist() for col in columns]
+            handle.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def write_dataset_csv(path: Path, dataset: Dataset) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -261,6 +260,9 @@ def run_monte_carlo(
         workers = max(1, min(4, cores))
     tasks = [(sim, fit, rep, censor_scale) for rep in range(reps)]
     if workers > 1 and reps > 1:
+        # Imported here: it loads multiprocessing, which only a pool needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replicate, tasks))
     else:

@@ -40,10 +40,15 @@ sorted prefix-sum evaluation as it stood before its numpy calls were
 cut, kept verbatim, so a rewrite that changes any value or skipped-row
 count by a single bit shows. Its ``dense_value`` is the m x m kernel
 matrix formula, which the sorted evaluation must match to rounding.
+
+``reference_write_table`` is the reference for ``sivc.cli._write_table``:
+the ``csv`` module writing cells formatted one by one with ``str.format``,
+whose bytes the block writer must match exactly.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -332,3 +337,17 @@ class ReferenceObjective:
         self.last_skipped = m - int(np.count_nonzero(valid))
         resid = y[valid] - num[valid] / den[valid]
         return float(np.sum(kt[valid] * resid * resid) / self.norm)
+
+
+def reference_write_table(path, header, columns) -> None:
+    """The table writer as it stood before it formatted whole blocks: each
+    cell through ``"{:d}"`` (integer and boolean columns) or ``"{:.17g}"``,
+    each row through ``csv.writer``."""
+    cells = [
+        map("{:d}".format if col.dtype.kind in "biu" else "{:.17g}".format, col.tolist())
+        for col in columns
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from oracle import reference_write_table
 
 from sivc import SimConfig, cli, generate_dataset
 from sivc.cli import (
@@ -598,6 +599,33 @@ class TestDatasetCsvRoundtrip:
         write_dataset_csv(path, dataset)
         back = read_dataset_csv(path)
         assert back.n == dataset.n
+
+
+class TestTableWriter:
+    def test_bytes_match_the_reference_writer(self, tmp_path):
+        # Three formatting blocks, the last one partial.
+        n = 2 * cli._BLOCK_ROWS + 3
+        rng = np.random.default_rng(21)
+        specials = np.resize([-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, np.nan], n)
+        spread = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        spread[::7] = specials[::7]
+        columns = [
+            specials,
+            spread,
+            rng.integers(-(10**12), 10**12, n),
+            rng.random(n) < 0.5,
+        ]
+        header = ["a", "b", "count", "defined"]
+        cli._write_table(tmp_path / "new.csv", header, columns)
+        reference_write_table(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_unequal_columns_raise_before_writing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        n = cli._BLOCK_ROWS + 1
+        with pytest.raises(ValueError):
+            cli._write_table(path, ["a", "b"], [np.zeros(n), np.zeros(n - 1)])
+        assert not path.exists()
 
 
 def csv_file(tmp_path, text):

@@ -30,7 +30,8 @@ def test_module_all_resolves(module):
 
 
 # Blocks scipy (any ``import scipy`` raises), then fits a small generated CSV
-# through the CLI.
+# through the CLI and reports which scipy and multiprocessing modules got
+# loaded: a fit builds no process pool.
 _NO_SCIPY_FIT = """
 import json, sys
 sys.modules["scipy"] = None
@@ -40,8 +41,9 @@ write_dataset_csv("data.csv", sivc.generate_dataset(sivc.SimConfig(n=200, reps=1
 with open("config.json", "w") as handle:
     json.dump({"fit": {"t_grid_size": 5}}, handle)
 code = main(["fit", "--data", "data.csv", "--config", "config.json", "--out", "out"])
-loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
-print(json.dumps({"code": code, "scipy_loaded": loaded}))
+def loaded(package):
+    return [m for m, mod in sys.modules.items() if m.split(".")[0] == package and mod is not None]
+print(json.dumps({"code": code, "scipy_loaded": loaded("scipy"), "multiprocessing_loaded": loaded("multiprocessing")}))
 """
 
 
@@ -57,6 +59,10 @@ def test_cli_fit_runs_with_scipy_blocked(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "scipy_loaded": []}
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "code": 0,
+        "scipy_loaded": [],
+        "multiprocessing_loaded": [],
+    }
     for name in ("curves.csv", "link.csv", "diagnostics.json", "manifest.json"):
         assert (tmp_path / "out" / name).stat().st_size > 0, name

@@ -1,5 +1,6 @@
 """Tests for the data generator, replication runner, and quantile bands."""
 
+import concurrent.futures
 import math
 import os
 import warnings
@@ -322,7 +323,7 @@ class TestRunMonteCarlo:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return pools
 
     @pytest.mark.parametrize("usable, want", [({0}, []), ({0, 2, 5}, [3]), (set(range(8)), [4])])
