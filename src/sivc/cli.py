@@ -119,13 +119,6 @@ def load_config(path: Path) -> dict:
     return doc
 
 
-def _config_echo(sim: Optional[SimConfig], fit: FitConfig) -> dict:
-    echo = {"fit": dataclasses.asdict(fit)}
-    if sim is not None:
-        echo["sim"] = dataclasses.asdict(sim)
-    return echo
-
-
 # ---------------------------------------------------------------------------
 # CSV I/O
 
@@ -344,19 +337,23 @@ def write_raw_estimates_csv(
 def _write_manifest(
     out_dir: Path,
     command: str,
-    echo: dict,
-    seed: Optional[int],
+    fit: FitConfig,
+    sim: Optional[SimConfig],
     outputs: list[str],
     started: float,
 ) -> list[str]:
-    """Write ``manifest.json``, the record of one run: its command, config,
-    seed, versions, outputs and wall time. Returns the names of the files
-    the run wrote, ``manifest.json`` last; ``OSError`` if one is missing."""
+    """Write ``manifest.json``, the record of one run: its command, its
+    configs (``fit``, then ``sim`` if the run had one), the seed of ``sim``,
+    versions, outputs and wall time. Returns the names of the files the run
+    wrote, ``manifest.json`` last; ``OSError`` if one is missing."""
     outputs = outputs + ["manifest.json"]
+    config = {"fit": dataclasses.asdict(fit)}
+    if sim is not None:
+        config["sim"] = dataclasses.asdict(sim)
     manifest = {
         "command": command,
-        "config": echo,
-        "seed": seed,
+        "config": config,
+        "seed": None if sim is None else sim.seed,
         "versions": {
             "sivc": __version__,
             "numpy": np.__version__,
@@ -393,7 +390,6 @@ def _run_study(sim: SimConfig, fit: FitConfig, out_dir: Path) -> SimSummary:
 def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> list[str]:
     """Fit the model to a CSV file and write curves, link, diagnostics."""
     started = time.monotonic()
-    out_dir = Path(out_dir)
     doc = load_config(config_path)
     fit_config = parse_fit_config(doc.get("fit", {}))
     dataset = read_dataset_csv(data_path)
@@ -412,13 +408,12 @@ def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> list[str]:
         json.dumps(diagnostics, indent=2) + "\n", encoding="utf-8"
     )
     outputs = ["curves.csv", "link.csv", "diagnostics.json"]
-    return _write_manifest(out_dir, "fit", _config_echo(None, fit_config), None, outputs, started)
+    return _write_manifest(out_dir, "fit", fit_config, None, outputs, started)
 
 
-def cmd_simulate(config_path: Path, out_dir: Path, raw: bool = False) -> list[str]:
+def cmd_simulate(config_path: Path, out_dir: Path, raw: bool) -> list[str]:
     """Run the Monte Carlo study and write the band summaries."""
     started = time.monotonic()
-    out_dir = Path(out_dir)
     doc = load_config(config_path)
     sim_config = parse_sim_config(doc.get("sim", {}))
     fit_config = parse_fit_config(doc.get("fit", {}))
@@ -429,16 +424,12 @@ def cmd_simulate(config_path: Path, out_dir: Path, raw: bool = False) -> list[st
             out_dir / "raw_curves.csv", out_dir / "raw_link.csv", summary
         )
         outputs += ["raw_curves.csv", "raw_link.csv"]
-    echo = _config_echo(sim_config, fit_config)
-    return _write_manifest(out_dir, "simulate", echo, sim_config.seed, outputs, started)
+    return _write_manifest(out_dir, "simulate", fit_config, sim_config, outputs, started)
 
 
-def cmd_reproduce_figures(
-    out_dir: Path, reps: int = 100, seed: int = _DEFAULT_FIGURE_SEED
-) -> list[str]:
+def cmd_reproduce_figures(out_dir: Path, reps: int, seed: int) -> list[str]:
     """Run the quadratic-link preset and render both figures as SVG."""
     started = time.monotonic()
-    out_dir = Path(out_dir)
     sim_config = SimConfig(reps=reps, seed=seed)
     fit_config = FitConfig()
     summary = _run_study(sim_config, fit_config, out_dir)
@@ -476,8 +467,7 @@ def cmd_reproduce_figures(
     )
     (out_dir / "fig2.svg").write_text(fig2, encoding="utf-8")
     outputs = ["summary.csv", "link_summary.csv", "fig1.svg", "fig2.svg"]
-    echo = _config_echo(sim_config, fit_config)
-    return _write_manifest(out_dir, "reproduce-figures", echo, seed, outputs, started)
+    return _write_manifest(out_dir, "reproduce-figures", fit_config, sim_config, outputs, started)
 
 
 # ---------------------------------------------------------------------------

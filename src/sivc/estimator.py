@@ -576,7 +576,7 @@ def fit_coefficient_curves(
         fit = fit_direction_at(dataset, float(t0), config, bw, warm_start=warm)
         fits.append(fit)
         warm = fit.direction
-    curves = CoefficientCurves(grid=grid, directions=tuple(f.direction for f in fits))
+    curves = CoefficientCurves(grid=grid, matrix=[f.direction.components for f in fits])
     return curves, fits
 
 

@@ -146,40 +146,30 @@ class UnitDirection:
         if not c[0] > 0:
             raise ValueError("first component must be strictly positive")
 
-    @property
-    def d(self) -> int:
-        return self.components.size
-
 
 @dataclass(frozen=True)
 class CoefficientCurves:
-    """Direction curves sampled on an ascending grid over [0, 1]."""
+    """Direction curves sampled on an ascending grid over [0, 1]: row k of
+    the grid-by-dimension ``matrix`` is the unit direction at ``grid[k]``."""
 
     grid: np.ndarray
-    directions: tuple[UnitDirection, ...] = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         grid = _frozen(self.grid)
+        matrix = _frozen(self.matrix)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "directions", tuple(self.directions))
+        object.__setattr__(self, "matrix", matrix)
         if grid.ndim != 1 or grid.size < 1:
             raise ValueError("grid must be a non-empty vector")
         if not np.all((grid >= 0) & (grid <= 1)):
             raise ValueError("grid points must lie in [0, 1]")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly ascending")
-        if len(self.directions) != grid.size:
+        if matrix.ndim != 2 or matrix.shape[0] != grid.size:
             raise ValueError("one direction required per grid point")
-        dims = {u.d for u in self.directions}
-        if len(dims) > 1:
-            raise ValueError("directions must share a common dimension")
-        matrix = _frozen([u.components for u in self.directions])
-        object.__setattr__(self, "_matrix", matrix)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Grid-by-dimension array of direction components."""
-        return self._matrix
+        for row in matrix:
+            UnitDirection(row)
 
 
 def normalize_direction(v: Sequence[float] | np.ndarray) -> UnitDirection:

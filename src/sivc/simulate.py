@@ -127,7 +127,6 @@ class TruthRecord:
     y_star: np.ndarray
     censor_times: Optional[np.ndarray]
     index: np.ndarray
-    censor_scale: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -204,12 +203,12 @@ def generate_dataset(
         dataset = Dataset(
             y=y_star, delta=np.ones(config.n, dtype=int), x=x, t=ts
         )
-        return dataset, TruthRecord(y_star, None, index, None)
+        return dataset, TruthRecord(y_star, None, index)
     censor_times = rng.uniform(0.0, censor_scale, config.n)
     y = np.minimum(y_star, censor_times)
     delta = (y_star < censor_times).astype(int)
     dataset = Dataset(y=y, delta=delta, x=x, t=ts)
-    return dataset, TruthRecord(y_star, censor_times, index, censor_scale)
+    return dataset, TruthRecord(y_star, censor_times, index)
 
 
 def _replicate(task) -> tuple[int, tuple | str]:

@@ -21,7 +21,7 @@ from sivc.cli import (
 )
 from sivc.errors import ValidationError
 from sivc.estimator import Bandwidths, FitConfig, LinkEstimate, ModelFit, OptimizerConfig
-from sivc.model import CoefficientCurves, Dataset, UnitDirection
+from sivc.model import CoefficientCurves, Dataset
 from sivc.simulate import SimSummary
 
 
@@ -835,11 +835,7 @@ def golden_tables(tmp_path_factory):
     fit = ModelFit(
         curves=CoefficientCurves(
             grid=[0.0, THIRD, 1.0],
-            directions=(
-                UnitDirection([1.0, -0.0]),
-                UnitDirection([1.0, TINY]),
-                UnitDirection([0.6, 0.8]),
-            ),
+            matrix=[[1.0, -0.0], [1.0, TINY], [0.6, 0.8]],
         ),
         link=LinkEstimate(u_grid=[-0.5, -0.0, TINY, THIRD], m_hat=[NAN, THIRD, -0.0, NAN]),
         synthetic=np.zeros(3),

@@ -21,6 +21,7 @@ from sivc import (
     LinkEstimate,
     OptimizerConfig,
     SimConfig,
+    UnitDirection,
     angles_from_direction,
     compute_index,
     direction_from_angles,
@@ -632,15 +633,15 @@ class TestFitCoefficientCurves:
         config = FitConfig(t_grid_size=2)
         curves, fits = fit_coefficient_curves(ds, config, Bandwidths(0.4, 0.5, 0.4))
         assert curves.grid.tolist() == [0.0, 1.0]
-        assert len(curves.directions) == 2
+        assert curves.matrix.shape == (2, 2)
         assert len(fits) == 2
 
     def test_constant_direction_recovery_full_grid(self):
         ds = constant_direction_data(seed=6, n=300, direction=(0.6, 0.8), noise_sd=0.05)
         config = FitConfig(t_grid_size=11)
         curves, _ = fit_coefficient_curves(ds, config, select_bandwidths(ds, EPAN))
-        for u in curves.directions:
-            assert angular_error(u, (0.6, 0.8)) < 0.05
+        for row in curves.matrix:
+            assert angular_error(UnitDirection(row), (0.6, 0.8)) < 0.05
 
     def test_cold_start_mode_matches_truth_too(self):
         # every grid point fitted on its own, without a warm start
@@ -688,9 +689,10 @@ class TestComputeIndex:
         for grid in (np.linspace(0.0, 1.0, 21), np.linspace(0.2, 0.8, 7)):
             curves = CoefficientCurves(
                 grid=grid,
-                directions=tuple(
-                    normalize_direction(rng.normal(size=d) * np.sign(rng.normal())) for _ in grid
-                ),
+                matrix=[
+                    normalize_direction(rng.normal(size=d) * np.sign(rng.normal())).components
+                    for _ in grid
+                ],
             )
             t = np.concatenate([rng.uniform(0, 1, 400), grid, [0.0, 1.0]])
             ds = Dataset(
@@ -704,7 +706,7 @@ class TestComputeIndex:
     def test_univariate_covariate_interpolates_nothing(self, monkeypatch):
         ds = line_dataset(np.linspace(-1.0, 1.0, 40), t=np.linspace(0.0, 1.0, 40))
         grid = np.linspace(0.0, 1.0, 21)
-        curves = CoefficientCurves(grid=grid, directions=(normalize_direction([1.0]),) * 21)
+        curves = CoefficientCurves(grid=grid, matrix=np.ones((21, 1)))
 
         def fail(*args):
             raise AssertionError("the curves were evaluated at d = 1")
@@ -715,7 +717,7 @@ class TestComputeIndex:
     def make_curves(self, d0, d1):
         return CoefficientCurves(
             grid=np.array([0.0, 1.0]),
-            directions=(normalize_direction(d0), normalize_direction(d1)),
+            matrix=[normalize_direction(d0).components, normalize_direction(d1).components],
         )
 
     def test_axis_aligned(self):

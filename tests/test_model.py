@@ -167,10 +167,10 @@ class TestValidateDataset:
 def curves_fixture(d0, d1):
     return CoefficientCurves(
         grid=np.array([0.0, 1.0]),
-        directions=(
-            normalize_direction(np.asarray(d0)),
-            normalize_direction(np.asarray(d1)),
-        ),
+        matrix=[
+            normalize_direction(np.asarray(d0)).components,
+            normalize_direction(np.asarray(d1)).components,
+        ],
     )
 
 
@@ -213,10 +213,10 @@ class TestEvaluateCurves:
     def test_partial_grid_clamps_to_ends(self):
         curves = CoefficientCurves(
             grid=np.array([0.25, 0.75]),
-            directions=(
-                normalize_direction([1.0, 0.0]),
-                normalize_direction([0.6, 0.8]),
-            ),
+            matrix=[
+                normalize_direction([1.0, 0.0]).components,
+                normalize_direction([0.6, 0.8]).components,
+            ],
         )
         assert np.allclose(evaluate_curves(curves, 0.0), [1.0, 0.0])
         assert np.allclose(evaluate_curves(curves, 1.0), [0.6, 0.8])
@@ -264,7 +264,7 @@ OWNED_ARRAYS = {
     "UnitDirection": (UnitDirection, lambda: {"components": np.array([0.6, 0.8])}),
     "CoefficientCurves": (
         CoefficientCurves,
-        lambda: {"grid": np.array([0.0, 1.0]), "directions": (UnitDirection(np.array([1.0])),) * 2},
+        lambda: {"grid": np.array([0.0, 1.0]), "matrix": np.array([[1.0], [1.0]])},
     ),
     "LinkEstimate": (
         LinkEstimate,
