@@ -99,14 +99,15 @@ def _segment_table(curve: SurvivalCurve):
 
     Returns (pts, seg, prefix): the curve is constant equal to seg[k] on
     (pts[k], pts[k+1]] with pts[0] = 0, and prefix[k] is the integral of
-    1/curve over [0, pts[k]] (inf once a zero segment is crossed).
+    1/curve over [0, pts[k]] (inf once a zero segment is crossed, or on
+    overflow).
     """
     pos = curve.jump_times > 0
     pts = np.concatenate(([0.0], curve.jump_times[pos]))
     n_nonpos = int(np.count_nonzero(~pos))
     start = 1.0 if n_nonpos == 0 else float(curve.values[n_nonpos - 1])
     seg = np.concatenate(([start], curve.values[pos]))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         prefix = np.concatenate(([0.0], np.cumsum(np.diff(pts) / seg[:-1])))
     return pts, seg, prefix
 
@@ -118,7 +119,7 @@ def synthetic_responses(dataset: Dataset, curve: SurvivalCurve) -> np.ndarray:
     for y_i <= 0. Raises ``ValidationError`` naming the first censored
     row with y_i < 0, which no nonnegative censoring time can produce,
     and ``EstimationError`` (naming the first offending row) when G-hat
-    vanishes strictly inside some [0, y_i).
+    vanishes strictly inside some [0, y_i) or when T*_i overflows.
     """
     y = dataset.y
     censored_negative = np.flatnonzero((dataset.delta == 0) & (y < 0))
@@ -129,17 +130,21 @@ def synthetic_responses(dataset: Dataset, curve: SurvivalCurve) -> np.ndarray:
     pts, seg, prefix = _segment_table(curve)
     out = np.minimum(y, 0.0)
     positive = y > 0
+    rows = np.flatnonzero(positive)
+    # pts[k] < y_i <= pts[k + 1], so the last interval, (pts[k], y_i], is
+    # never empty; G-hat is non-increasing, so it vanishes inside [0, y_i)
+    # exactly when it is 0 there.
     k = np.searchsorted(pts[1:], y[positive], side="left")
-    base = prefix[k]
-    last_pt = pts[k]
     seg_val = seg[k]
-    tail_width = y[positive] - last_pt
-    bad = ~np.isfinite(base) | ((tail_width > 0) & (seg_val <= 0.0))
-    if np.any(bad):
-        rows = np.flatnonzero(positive)[bad]
-        raise EstimationError(f"unbounded synthetic weight at row {int(rows[0])}")
-    tail = np.where(tail_width > 0, tail_width / np.where(seg_val > 0, seg_val, 1.0), 0.0)
-    out[positive] = base + tail
+    unbounded = seg_val <= 0.0
+    if np.any(unbounded):
+        raise EstimationError(f"unbounded synthetic weight at row {int(rows[unbounded][0])}")
+    with np.errstate(over="ignore"):
+        values = prefix[k] + (y[positive] - pts[k]) / seg_val
+    overflow = ~np.isfinite(values)
+    if np.any(overflow):
+        raise EstimationError(f"synthetic response overflows at row {int(rows[overflow][0])}")
+    out[positive] = values
     return out
 
 

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -403,9 +404,15 @@ def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> list[str]:
         "censoring_rate": censoring_rate(dataset),
         "bandwidths": dataclasses.asdict(fit.bandwidths),
         **fit.diagnostics,
+        # An objective that overflowed is written as null, as d = 1's
+        # unscored ones are, so the file stays strict JSON.
+        "objectives": [
+            v if v is not None and math.isfinite(v) else None
+            for v in fit.diagnostics["objectives"]
+        ],
     }
     (out_dir / "diagnostics.json").write_text(
-        json.dumps(diagnostics, indent=2) + "\n", encoding="utf-8"
+        json.dumps(diagnostics, indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )
     outputs = ["curves.csv", "link.csv", "diagnostics.json"]
     return _write_manifest(out_dir, "fit", fit_config, None, outputs, started)

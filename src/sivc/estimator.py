@@ -517,8 +517,6 @@ def fit_direction_at(
         m = _local_weights(dataset, t0, bw, config.kernel)[2]
         direction = UnitDirection(components=np.array([1.0]))
         return DirectionFit(direction, None, 0, True, None, 0, m, 0)
-    obj = _LocalObjective(dataset, t0, bw, config.kernel)
-
     # Nelder-Mead asks again for vertices it has evaluated (in one
     # dimension a failed inside contraction is followed by a shrink to the
     # same point), so each distinct vertex is computed once per t0.
@@ -540,9 +538,11 @@ def fit_direction_at(
         a0 = angles_from_direction(warm_start).tolist()
     else:
         a0 = [0.0] * (dataset.d - 1)
-    # A tiny fixed h1 overflows q on the way to a finite value; numpy is
-    # told once per grid point, not per evaluation, not to warn of it.
+    # A tiny fixed h1 overflows q on the way to a finite value, and
+    # responses near 1e308 overflow the centring mean; numpy is told once
+    # per grid point, not per evaluation, not to warn of either.
     with np.errstate(over="ignore", invalid="ignore"):
+        obj = _LocalObjective(dataset, t0, bw, config.kernel)
         res = _nelder_mead(penalized, _initial_simplex(a0), _XATOL, config.optimizer.max_iter)
         direction = normalize_direction(direction_from_angles(res.x))
         value = obj.value(direction.components)
@@ -599,7 +599,9 @@ def fit_link(
     """Nadaraya-Watson estimate of the link from (index, synthetic) pairs
     with bandwidth ``h_link``, each grid point over its sorted window.
 
-    Grid points with no local data are NaN.
+    Grid points with no local data are NaN. Raises ``EstimationError``
+    naming the first grid point whose window sum overflows (synthetic
+    responses near 1e308).
     """
     index = np.asarray(index, dtype=float)
     synthetic = np.asarray(synthetic, dtype=float)
@@ -617,11 +619,15 @@ def fit_link(
     lo = np.searchsorted(p, u_grid - h_link, side="left").tolist()
     hi = np.searchsorted(p, u_grid + h_link, side="right").tolist()
     m_hat = np.full(u_grid.size, np.nan)
-    for k, (u0, a, b) in enumerate(zip(u_grid.tolist(), lo, hi)):
-        w = kernel_values(config.kernel, (u0 - p[a:b]) / h_link)
-        total = float(w.sum())
-        if total > 0:
-            m_hat[k] = float(w @ ys[a:b]) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (u0, a, b) in enumerate(zip(u_grid.tolist(), lo, hi)):
+            w = kernel_values(config.kernel, (u0 - p[a:b]) / h_link)
+            total = float(w.sum())
+            if total > 0:
+                value = float(w @ ys[a:b]) / total
+                if not math.isfinite(value):
+                    raise EstimationError(f"link window sum overflows at u0={u0}")
+                m_hat[k] = value
     return LinkEstimate(u_grid=u_grid, m_hat=m_hat)
 
 

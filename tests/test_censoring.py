@@ -2,6 +2,7 @@
 censoring calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,28 @@ class TestSyntheticResponses:
         ds = surv_dataset([0.5, 2.0], [1, 1])
         with pytest.raises(EstimationError, match="unbounded synthetic weight at row 1$"):
             synthetic_responses(ds, curve)
+
+    @pytest.mark.parametrize(
+        "y, delta, row",
+        [
+            # G-hat = 0.75 after the censoring at 1: 1.5e308 / 0.75 overflows
+            # on the row's last interval.
+            ([1.0, 2.0, 1.5e308, 3.0], [0, 1, 1, 1], 2),
+            # The integral up to the censoring at 1.5e308 overflows, so every
+            # row beyond it does too; row 0 is named, not row 2.
+            ([1.6e308, 1.0, 1.5e308], [1, 0, 0], 0),
+        ],
+        ids=["last-interval", "prefix"],
+    )
+    def test_overflowing_response_names_row_without_warning(self, y, delta, row):
+        ds = surv_dataset(y, delta)
+        curve = estimate_censoring_survival(ds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                EstimationError, match=f"synthetic response overflows at row {row}$"
+            ):
+                synthetic_responses(ds, curve)
 
     def test_zero_value_at_own_endpoint_is_fine(self):
         # the largest observation being the censoring that drives the

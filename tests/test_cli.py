@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -91,6 +92,49 @@ class TestFitCommand:
         assert diagnostics["converged"] == [True] * 5
         assert all(m >= 2 for m in diagnostics["active_rows"])
         assert [row["beta_1"] for row in read_rows(out / "curves.csv")] == ["1"] * 5
+
+    def test_overflowing_objectives_are_written_as_null(self, tmp_path):
+        # Uncensored responses near 1e160 square to infinity in every
+        # objective, so no grid point converges; the fit still succeeds.
+        dataset, _ = generate_dataset(SimConfig(n=500, seed=1729), 0)
+        data = tmp_path / "scaled.csv"
+        write_dataset_csv(
+            data,
+            Dataset(
+                y=dataset.y * 1e160, delta=np.ones(dataset.n, dtype=int), x=dataset.x, t=dataset.t
+            ),
+        )
+        config = write_config(tmp_path, {"fit": {"t_grid_size": 5}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise AssertionError(f"diagnostics.json holds {name}")
+
+        diagnostics = json.loads((out / "diagnostics.json").read_text(), parse_constant=reject)
+        assert diagnostics["objectives"] == [None] * 5
+        assert diagnostics["non_converged_points"] == 5
+
+    def test_overflow_in_stage_2_exits_4_on_one_line(self, tmp_path, capsys):
+        # 1e308 is a valid response, but its synthetic response overflows.
+        dataset, _ = generate_dataset(SimConfig(n=500, seed=1729), 0)
+        y = dataset.y.copy()
+        y[0] = 1e308
+        data = tmp_path / "huge.csv"
+        write_dataset_csv(data, Dataset(y=y, delta=dataset.delta, x=dataset.x, t=dataset.t))
+        config = write_config(tmp_path, {"fit": {"t_grid_size": 5}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["fit", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+            )
+        assert code == EXIT_ESTIMATION
+        assert capsys.readouterr().err == (
+            "estimation error: stage 2 (synthetic link): synthetic response overflows at row 0\n"
+        )
 
     def test_curves_csv_roundtrips_to_12_digits(self, paper_csv, tmp_path):
         from sivc import FitConfig, fit_model

@@ -1,5 +1,6 @@
 """Tests for the two-stage estimator."""
 
+import dataclasses
 import math
 import warnings
 import weakref
@@ -780,6 +781,15 @@ class TestFitLink:
         assert np.all(defined >= synthetic.min() - 1e-12)
         assert np.all(defined <= synthetic.max() + 1e-12)
 
+    def test_overflowing_window_sum_names_grid_point_without_warning(self):
+        index = np.linspace(-1.0, 1.0, 50)
+        synthetic = np.full(50, 1.7e308)
+        config = FitConfig(link_grid=(-0.5, 0.5, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match=r"link window sum overflows at u0=-0\.5$"):
+                fit_link(index, synthetic, config, 0.3)
+
     def test_link_estimate_invariants(self):
         with pytest.raises(ValueError):
             LinkEstimate(u_grid=np.array([0.0, 0.0]), m_hat=np.array([1.0, 2.0]))
@@ -845,6 +855,29 @@ class TestFitLinkOracle:
         assert np.all(err <= 1e-12 * scale[want_defined])
 
 
+class TestRowOrderInvariance:
+    """A fit does not depend on the order of the rows. The curves and the
+    link keep their bits on this data; the objectives and the bandwidths
+    come from sums taken in row order (the centring ``y.mean()``,
+    ``np.std``), so they may move in the last bits."""
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    @pytest.mark.parametrize("seed", [1729, 8191])
+    def test_permuted_rows_give_the_same_fit(self, n, seed):
+        ds, _ = generate_dataset(SimConfig(n=n, seed=seed), 0)
+        perm = np.random.default_rng(seed).permutation(n)
+        permuted = Dataset(y=ds.y[perm], delta=ds.delta[perm], x=ds.x[perm], t=ds.t[perm])
+        fit, refit = fit_model(ds, FitConfig()), fit_model(permuted, FitConfig())
+        np.testing.assert_allclose(refit.curves.matrix, fit.curves.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(refit.link.m_hat, fit.link.m_hat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            refit.diagnostics["objectives"], fit.diagnostics["objectives"], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            dataclasses.astuple(refit.bandwidths), dataclasses.astuple(fit.bandwidths), rtol=1e-12
+        )
+
+
 class TestFitModel:
     def small_config(self):
         return FitConfig(
@@ -862,6 +895,19 @@ class TestFitModel:
         ds = Dataset(y=y, delta=np.ones(n, dtype=int), x=x, t=t)
         fit = fit_model(ds, self.small_config())
         assert np.array_equal(fit.synthetic, y)
+
+    def test_responses_near_the_float_maximum_fail_stage_2_without_warning(self):
+        # Uncensored, so T* = y and the link windows over these rows overflow;
+        # Stage 1 centres y on its mean, which overflows too.
+        ds, truth = generate_dataset(SimConfig(n=500, seed=1729), 0)
+        y = np.where(np.abs(truth.index) < 0.05, 1.7e308, ds.y)
+        big = Dataset(y=y, delta=np.ones(ds.n, dtype=int), x=ds.x, t=ds.t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                EstimationError, match=r"^stage 2 \(synthetic link\): link window sum overflows"
+            ):
+                fit_model(big, self.small_config())
 
     def test_deterministic(self):
         ds = constant_direction_data(seed=23, n=80, direction=(0.6, 0.8), noise_sd=0.1)
