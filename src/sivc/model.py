@@ -141,7 +141,8 @@ class UnitDirection:
         if c.ndim != 1 or c.size < 1:
             raise ValueError("direction must be a non-empty vector")
         norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        # A NaN norm fails this test too.
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise ValueError(f"direction norm {norm!r} is not 1 within {UNIT_NORM_TOL}")
         if not c[0] > 0:
             raise ValueError("first component must be strictly positive")

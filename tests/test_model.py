@@ -174,6 +174,21 @@ def curves_fixture(d0, d1):
     )
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1.0, 0.0]], "one direction required per grid point"),
+        ([1.0, 1.0], "one direction required per grid point"),
+        ([[1.0, 0.0], [0.6, 0.7]], "direction norm"),
+        ([[1.0, 0.0], [-0.6, 0.8]], "first component must be strictly positive"),
+        ([[1.0, 0.0], [1.0, np.nan]], "direction norm nan is not 1"),
+    ],
+)
+def test_curves_check_every_row_of_the_matrix(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        CoefficientCurves(grid=np.array([0.0, 1.0]), matrix=matrix)
+
+
 class TestEvaluateCurves:
     def test_exact_grid_hit(self):
         curves = curves_fixture([1.0, 0.0], [0.6, 0.8])
