@@ -200,10 +200,12 @@ def main(argv: list[str] | None = None) -> int:
         name for name in ours.keys() | theirs.keys() if ours.get(name) != theirs.get(name)
     )
     for name in differ:
-        side = "differs" if name in ours and name in theirs else (
-            "only here" if name in ours else f"only in {args.against}"
-        )
-        print(f"{side}: {name}")
+        if name not in theirs:
+            print(f"only here: {name}")
+        elif name not in ours:
+            print(f"only in {args.against}: {name}")
+        else:
+            print(f"differs: {name}")
     print(f"{len(ours)} files here, {len(theirs)} in {args.against}, {len(differ)} differ")
     return 1 if differ else 0
 
