@@ -1,10 +1,14 @@
 """Golden values: small fixed-seed fits against ``golden_fits.json``.
 
-The file holds the curves, the link and the objectives of each case. They
-are compared at relative 1e-12 rather than bit for bit, so another BLAS
-or CPU does not fail the test but a change to the estimator does. A
-change that moves them regenerates the file with
-``python tools/byte_gate.py --golden`` and says so.
+The file holds the curves, the link and the objectives of each case, and
+the numpy version that computed them. Each array is compared at relative
+1e-12 plus an absolute 1e-12 times its largest magnitude, so a link
+estimate near zero is held to the scale of its array. The tolerance
+absorbs last-bit differences in sums; it does not absorb a Nelder-Mead
+search that takes another branch, so under another numpy or BLAS the test
+may fail without a change to the estimator. A change that moves these
+numbers regenerates the file with ``python tools/byte_gate.py --golden``
+and says so.
 """
 
 import json
@@ -22,8 +26,10 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_fits.json").read_text(encod
 def assert_golden(actual, expected):
     # null in the file is NaN; assert_allclose requires NaN at the same
     # positions on both sides.
+    expected = np.array(expected, dtype=float)
+    scale = np.max(np.abs(expected[np.isfinite(expected)]), initial=0.0)
     np.testing.assert_allclose(
-        np.asarray(actual, dtype=float), np.array(expected, dtype=float), rtol=1e-12, atol=0
+        np.asarray(actual, dtype=float), expected, rtol=1e-12, atol=1e-12 * scale
     )
 
 

@@ -3,7 +3,6 @@
 Usage, from the root of a checkout:
 
     python tools/byte_gate.py                  # print "sha256  path" per file
-    python tools/byte_gate.py --out DIR        # the same, keeping the files in DIR
     python tools/byte_gate.py --against PATH   # compare with the checkout at PATH
     python tools/byte_gate.py --golden         # rewrite tests/golden_fits.json
 
@@ -24,8 +23,9 @@ field that differs between identical runs. ``--against`` lists every file
 that differs or exists on one side only, and exits 1 if there is any.
 
 ``--golden`` writes the curves, link and objectives of the small fits
-that ``tests/test_golden.py`` compares at relative 1e-12. A change that
-moves a fixed-seed number regenerates the file and says so.
+that ``tests/test_golden.py`` compares, with the Python and numpy
+versions that computed them. A change that moves a fixed-seed number
+regenerates the file and says so.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -146,6 +147,8 @@ def matrix_of(checkout: Path, out: Path) -> dict[str, str]:
 def write_golden(path: Path) -> None:
     """Fit every golden case with the ``sivc`` on ``sys.path`` and write
     the values that ``tests/test_golden.py`` compares."""
+    import numpy as np
+
     from sivc import fit_model, generate_dataset
     from sivc.cli import parse_fit_config, parse_sim_config
 
@@ -167,7 +170,9 @@ def write_golden(path: Path) -> None:
         })
     doc = {
         "note": "Written by tools/byte_gate.py --golden: replication 0 of each case, "
-        "compared by tests/test_golden.py at relative 1e-12; null is NaN.",
+        "compared by tests/test_golden.py at relative 1e-12 plus absolute 1e-12 "
+        "times each array's largest magnitude; null is NaN.",
+        "written_with": {"python": platform.python_version(), "numpy": np.__version__},
         "cases": cases,
     }
     path.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="utf-8")
@@ -175,7 +180,6 @@ def write_golden(path: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, help="keep this checkout's files in OUT")
     parser.add_argument("--against", type=Path, metavar="PATH", help="checkout to compare with")
     parser.add_argument("--golden", action="store_true", help=f"rewrite {GOLDEN_PATH.name}")
     parser.add_argument("--write", type=Path, help=argparse.SUPPRESS)
@@ -189,8 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {GOLDEN_PATH}")
         return 0
     with tempfile.TemporaryDirectory() as scratch:
-        out = args.out or Path(scratch) / "this"
-        ours = matrix_of(ROOT, out)
+        ours = matrix_of(ROOT, Path(scratch) / "this")
         for name, sha in ours.items():
             print(f"{sha}  {name}")
         if args.against is None:
