@@ -289,8 +289,6 @@ class _LocalObjective:
     def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
         kt, active, m = _local_weights(dataset, t0, bw, spec)
         self.x = dataset.x[active]
-        self.y = dataset.y[active]
-        self.kt = kt[active]
         self.h1 = bw.h1
         self.spec = spec
         self.norm = dataset.n * bw.h2
@@ -299,8 +297,9 @@ class _LocalObjective:
         # Residuals are shift-invariant in y; centring keeps the window
         # sums of kt y q^k small. The rows kt, kt yc and yc are gathered
         # into sorted order by one take.
-        yc = self.y - self.y.mean()
-        self._rows = np.stack((self.kt, self.kt * yc, yc))
+        kt, y = kt[active], dataset.y[active]
+        yc = y - y.mean()
+        self._rows = np.stack((kt, kt * yc, yc))
         # Prefix sums of {kt, kt yc} x {1, q, q^2}, from the left and from
         # the right, and the two window ends that are read from them; the
         # zero column 0 is never written.

@@ -135,39 +135,34 @@ class SimSummary:
 
     ``beta_reps`` has shape (reps, grid, d) and ``m_reps`` shape
     (reps, link grid); failed replications hold NaN rows and are listed
-    in ``failures``. Band arrays hold NaN where no replication produced
-    a defined value.
+    in ``failures``. The bands, the link's defined counts and
+    ``degraded`` are derived from these; band arrays hold NaN where no
+    replication produced a defined value.
     """
 
     t_grid: np.ndarray
     u_grid: np.ndarray
-    beta_median: np.ndarray
-    beta_q05: np.ndarray
-    beta_q95: np.ndarray
-    m_median: np.ndarray
-    m_q05: np.ndarray
-    m_q95: np.ndarray
-    m_defined_counts: np.ndarray
     censoring_rates: np.ndarray
     failures: tuple[tuple[int, str], ...]
     failure_log: tuple[str, ...]
-    degraded: bool
     beta_reps: np.ndarray = field(repr=False)
     m_reps: np.ndarray = field(repr=False)
+    beta_median: np.ndarray = field(init=False)
+    beta_q05: np.ndarray = field(init=False)
+    beta_q95: np.ndarray = field(init=False)
+    m_median: np.ndarray = field(init=False)
+    m_q05: np.ndarray = field(init=False)
+    m_q95: np.ndarray = field(init=False)
+    m_defined_counts: np.ndarray = field(init=False)
+    degraded: bool = field(init=False)
 
     def __post_init__(self):
-        ok = np.isfinite(self.beta_median) & np.isfinite(self.beta_q05) & np.isfinite(self.beta_q95)
-        if not np.all(
-            (self.beta_q05[ok] <= self.beta_median[ok])
-            & (self.beta_median[ok] <= self.beta_q95[ok])
-        ):
-            raise ValueError("quantile bands must be ordered q05 <= median <= q95")
-        ok_m = self.m_defined_counts > 0
-        if not np.all(
-            (self.m_q05[ok_m] <= self.m_median[ok_m])
-            & (self.m_median[ok_m] <= self.m_q95[ok_m])
-        ):
-            raise ValueError("link bands must be ordered q05 <= median <= q95")
+        for prefix, reps in (("beta", self.beta_reps), ("m", self.m_reps)):
+            for name, band in zip(("median", "q05", "q95"), _band(reps)):
+                object.__setattr__(self, f"{prefix}_{name}", band)
+        defined = np.count_nonzero(np.isfinite(self.m_reps), axis=0)
+        object.__setattr__(self, "m_defined_counts", defined)
+        object.__setattr__(self, "degraded", len(self.failures) > 0.2 * len(self.m_reps))
 
 
 @lru_cache(maxsize=32)
@@ -285,23 +280,12 @@ def run_monte_carlo(
                 f"rep {rep}: {link_undefined} link grid points without local data"
             )
 
-    beta_median, beta_q05, beta_q95 = _band(beta_reps)
-    m_median, m_q05, m_q95 = _band(m_reps)
-    m_defined_counts = np.count_nonzero(np.isfinite(m_reps), axis=0)
     return SimSummary(
         t_grid=t_grid,
         u_grid=u_grid,
-        beta_median=beta_median,
-        beta_q05=beta_q05,
-        beta_q95=beta_q95,
-        m_median=m_median,
-        m_q05=m_q05,
-        m_q95=m_q95,
-        m_defined_counts=m_defined_counts,
         censoring_rates=np.asarray(rates),
         failures=tuple(failures),
         failure_log=tuple(failure_log),
-        degraded=len(failures) > 0.2 * reps,
         beta_reps=beta_reps,
         m_reps=m_reps,
     )

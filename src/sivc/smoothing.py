@@ -83,13 +83,19 @@ def rule_of_thumb_bandwidth(xs: np.ndarray, constant: float = 1.06) -> float:
     The default 1.06 is the rule's constant for the gaussian kernel;
     ``select_bandwidths`` passes the Epanechnikov one where it wants that
     kernel's own reference bandwidth. Raises ``EstimationError`` when the
-    coordinate has zero sample variance.
+    coordinate has zero sample variance or a sample sd that is not finite
+    (a finite value near 1e300 squares to infinity).
     """
     xs = np.asarray(xs, dtype=float)
     n = xs.size
     if n < 2:
         raise ValueError("need at least 2 observations")
-    sd = float(np.std(xs, ddof=1))
+    # An infinite mean (the pilot projection of covariates near the float
+    # maximum) leaves inf - inf in the deviations.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(xs, ddof=1))
+    if not np.isfinite(sd):
+        raise EstimationError(f"bandwidth is not finite: the sample sd overflows (got {sd})")
     if sd == 0.0:
         raise EstimationError("degenerate predictor: zero sample variance")
     return constant * sd * n ** (-0.2)
@@ -117,7 +123,8 @@ def select_bandwidths(dataset: Dataset, spec: KernelSpec) -> Bandwidths:
     if dataset.n < 10:
         raise ValueError(f"bandwidth selection needs n >= 10 (got {dataset.n})")
     pilot = normalize_direction(np.ones(dataset.d)).components
-    index = dataset.x @ pilot
+    with np.errstate(over="ignore"):
+        index = dataset.x @ pilot
     return Bandwidths(
         h1=rule_of_thumb_bandwidth(index, 2.34),
         h2=rule_of_thumb_bandwidth(dataset.t, 2.34),

@@ -136,6 +136,33 @@ class TestFitCommand:
             "estimation error: stage 2 (synthetic link): synthetic response overflows at row 0\n"
         )
 
+    @pytest.mark.parametrize(
+        "row, sd",
+        [
+            # 1e300 is a valid covariate, but its square overflows;
+            ([1e300, 0.0], "inf"),
+            # the pilot projection of this row overflows itself.
+            ([1.5e308, 1.5e308], "nan"),
+        ],
+        ids=["square", "projection"],
+    )
+    def test_overflowing_bandwidth_exits_4_on_one_line(self, tmp_path, capsys, row, sd):
+        dataset, _ = generate_dataset(SimConfig(n=500, seed=1729), 0)
+        x = dataset.x.copy()
+        x[0] = row
+        data = tmp_path / "huge.csv"
+        write_dataset_csv(data, Dataset(y=dataset.y, delta=dataset.delta, x=x, t=dataset.t))
+        config = write_config(tmp_path, {"fit": {}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["fit", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
+            )
+        assert code == EXIT_ESTIMATION
+        assert capsys.readouterr().err == (
+            f"estimation error: bandwidth is not finite: the sample sd overflows (got {sd})\n"
+        )
+
     def test_curves_csv_roundtrips_to_12_digits(self, paper_csv, tmp_path):
         from sivc import FitConfig, fit_model
 
@@ -524,7 +551,7 @@ def test_degraded_study_warns(tmp_path, capsys, monkeypatch, command):
     study = cli.run_monte_carlo
 
     def degraded(*args, **kwargs):
-        return dataclasses.replace(study(*args, **kwargs), degraded=True)
+        return dataclasses.replace(study(*args, **kwargs), failures=((0, "injected"),))
 
     monkeypatch.setattr(cli, "run_monte_carlo", degraded)
     if command == "simulate":
@@ -533,7 +560,7 @@ def test_degraded_study_warns(tmp_path, capsys, monkeypatch, command):
     else:
         args = ["--reps", "2", "--seed", "3"]
     assert main([command, *args, "--out", str(tmp_path / "o")]) == EXIT_OK
-    assert "warning: 0 of 2 replications failed; summary is degraded" in capsys.readouterr().err
+    assert "warning: 1 of 2 replications failed; summary is degraded" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -886,22 +913,24 @@ def golden_tables(tmp_path_factory):
         bandwidths=Bandwidths(1.0, 1.0, 1.0),
         diagnostics={},
     )
+    # Three defined replications give each nearest-rank band its own
+    # replication (q05, median, q95 are the 1st, 2nd and 3rd smallest);
+    # replication 1 failed.
     summary = SimSummary(
         t_grid=np.array([0.0, 1.0]),
         u_grid=np.array([-0.5, THIRD]),
-        beta_median=np.array([[1.0, -0.0], [THIRD, TINY]]),
-        beta_q05=np.array([[0.5, -0.5], [0.25, -0.0]]),
-        beta_q95=np.array([[1.5, 0.5], [0.5, 1.0]]),
-        m_median=np.array([THIRD, NAN]),
-        m_q05=np.array([0.25, NAN]),
-        m_q95=np.array([0.5, NAN]),
-        m_defined_counts=np.array([1, 0]),
         censoring_rates=np.array([0.25, NAN]),
         failures=((1, "failed"),),
         failure_log=(),
-        degraded=False,
-        beta_reps=np.array([[[1.0, -0.0], [THIRD, TINY]], [[NAN, NAN], [NAN, NAN]]]),
-        m_reps=np.array([[THIRD, NAN], [NAN, NAN]]),
+        beta_reps=np.array(
+            [
+                [[1.0, -0.0], [THIRD, TINY]],
+                [[NAN, NAN], [NAN, NAN]],
+                [[0.5, -0.5], [0.25, -0.0]],
+                [[1.5, 0.5], [0.5, 1.0]],
+            ]
+        ),
+        m_reps=np.array([[THIRD, NAN], [NAN, NAN], [0.25, NAN], [0.5, NAN]]),
     )
     out = tmp_path_factory.mktemp("golden")
     write_dataset_csv(out / "data.csv", dataset)
@@ -942,7 +971,7 @@ GOLDEN_TABLES = {
     ],
     "link_summary.csv": [
         "u,m_median,m_q05,m_q95,defined_count",
-        "-0.5,0.33333333333333331,0.25,0.5,1",
+        "-0.5,0.33333333333333331,0.25,0.5,3",
         "0.33333333333333331,nan,nan,nan,0",
     ],
     "raw_curves.csv": [
@@ -951,6 +980,10 @@ GOLDEN_TABLES = {
         "0,1,0.33333333333333331,1e-300",
         "1,0,nan,nan",
         "1,1,nan,nan",
+        "2,0,0.5,-0.5",
+        "2,1,0.25,-0",
+        "3,0,1.5,0.5",
+        "3,1,0.5,1",
     ],
     "raw_link.csv": [
         "rep,u,m_hat,defined",
@@ -958,6 +991,10 @@ GOLDEN_TABLES = {
         "0,0.33333333333333331,nan,0",
         "1,-0.5,nan,0",
         "1,0.33333333333333331,nan,0",
+        "2,-0.5,0.25,1",
+        "2,0.33333333333333331,nan,0",
+        "3,-0.5,0.5,1",
+        "3,0.33333333333333331,nan,0",
     ],
 }
 

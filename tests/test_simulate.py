@@ -187,39 +187,59 @@ def bands(values):
     return median[0], q05[0], q95[0]
 
 
-def ordered_summary(**overrides):
-    """A two-point, one-replication SimSummary with ordered bands."""
-    beta = np.array([[1.0, 0.0], [0.6, 0.8]])
-    fields = dict(
-        t_grid=np.array([0.0, 1.0]),
-        u_grid=np.array([-0.5, 0.5]),
-        beta_median=beta,
-        beta_q05=beta - 0.1,
-        beta_q95=beta + 0.1,
-        m_median=np.array([0.25, np.nan]),
-        m_q05=np.array([0.0, np.nan]),
-        m_q95=np.array([0.5, np.nan]),
-        m_defined_counts=np.array([1, 0]),
-        censoring_rates=np.array([0.3]),
-        failures=(),
-        failure_log=(),
-        degraded=False,
-        beta_reps=beta[None],
-        m_reps=np.array([[0.25, np.nan]]),
+def summary_of(failed):
+    """A hand-built five-replication SimSummary whose ``failed``
+    replications hold NaN rows, with one more undefined link point."""
+    rng = np.random.default_rng(12)
+    beta_reps = rng.normal(size=(5, 3, 2))
+    m_reps = rng.normal(size=(5, 4))
+    m_reps[0, 2] = np.nan
+    beta_reps[list(failed)] = np.nan
+    m_reps[list(failed)] = np.nan
+    return simulate.SimSummary(
+        t_grid=np.linspace(0.0, 1.0, 3),
+        u_grid=np.linspace(-1.0, 1.0, 4),
+        censoring_rates=np.full(5 - len(failed), 0.3),
+        failures=tuple((rep, "failed") for rep in failed),
+        failure_log=tuple(f"rep {rep}: failed (failed)" for rep in failed),
+        beta_reps=beta_reps,
+        m_reps=m_reps,
     )
-    fields.update(overrides)
-    return simulate.SimSummary(**fields)
 
 
 class TestSimSummary:
-    def test_coefficient_bands_out_of_order_rejected(self):
-        beta_q05 = np.array([[1.1, 0.0], [0.6, 0.8]])
-        with pytest.raises(ValueError, match="quantile bands must be ordered"):
-            ordered_summary(beta_q05=beta_q05)
+    def test_bands_counts_and_degraded_are_derived_from_the_replications(self):
+        summary = summary_of([3])
+        bands = (*_band(summary.beta_reps), *_band(summary.m_reps))
+        got = (
+            summary.beta_median,
+            summary.beta_q05,
+            summary.beta_q95,
+            summary.m_median,
+            summary.m_q05,
+            summary.m_q95,
+        )
+        for band, want in zip(got, bands, strict=True):
+            assert band.tobytes() == want.tobytes()
+        assert summary.m_defined_counts.tolist() == [4, 4, 3, 4]
+        # Degraded means more than 20% failed: 1 of 5 is not, 2 of 5 are.
+        assert not summary.degraded
+        assert summary_of([1, 3]).degraded
 
-    def test_link_bands_out_of_order_rejected(self):
-        with pytest.raises(ValueError, match="link bands must be ordered"):
-            ordered_summary(m_q05=np.array([0.3, np.nan]))
+    @pytest.mark.parametrize("name", ["beta_median", "degraded"])
+    def test_derived_fields_are_not_arguments(self, name):
+        summary = summary_of([])
+        with pytest.raises(TypeError):
+            simulate.SimSummary(
+                t_grid=summary.t_grid,
+                u_grid=summary.u_grid,
+                censoring_rates=summary.censoring_rates,
+                failures=(),
+                failure_log=(),
+                beta_reps=summary.beta_reps,
+                m_reps=summary.m_reps,
+                **{name: getattr(summary, name)},
+            )
 
 
 class TestPointwiseQuantile:

@@ -1,6 +1,7 @@
 """Tests for kernels, the Nadaraya-Watson link smoother, and bandwidth selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,15 @@ class TestBandwidthSelection:
     def test_degenerate_predictor(self):
         with pytest.raises(EstimationError, match="degenerate predictor: zero sample variance"):
             rule_of_thumb_bandwidth(np.full(20, 3.0))
+
+    def test_overflowing_sd_is_an_estimation_error(self):
+        # 1e300 is finite, but its square is not; numpy must not warn.
+        xs = np.linspace(0.0, 1.0, 20)
+        xs[0] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="^bandwidth is not finite: "):
+                rule_of_thumb_bandwidth(xs)
 
     def test_select_bandwidths_rule_of_thumb(self):
         rng = np.random.default_rng(9)
