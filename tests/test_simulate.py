@@ -201,7 +201,7 @@ def summary_of(failed):
         u_grid=np.linspace(-1.0, 1.0, 4),
         censoring_rates=np.full(5 - len(failed), 0.3),
         failures=tuple((rep, "failed") for rep in failed),
-        failure_log=tuple(f"rep {rep}: failed (failed)" for rep in failed),
+        failure_log=(),
         beta_reps=beta_reps,
         m_reps=m_reps,
     )
