@@ -162,10 +162,13 @@ def calibrate_censoring(target_rate: float, dgp, seed: int = 0) -> float:
         raise ValueError(f"target rate must lie in (0, 1) (got {target_rate})")
     rng = np.random.default_rng(seed)
     latent = np.asarray(dgp.draw_latent(rng, _PROBE_N), dtype=float)
+    # np.clip copies, so the caller's array is never written; every
+    # bisection step reuses one scratch buffer.
     clipped = np.clip(latent, 0.0, None)
+    buf = np.empty_like(clipped)
 
     def rate(c: float) -> float:
-        return float(np.mean(np.minimum(clipped, c)) / c)
+        return float(np.mean(np.minimum(clipped, c, out=buf)) / c)
 
     lo, hi = 1e-6, 1e6
     if not (rate(lo) >= target_rate >= rate(hi)):

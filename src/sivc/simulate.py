@@ -38,6 +38,9 @@ __all__ = [
 
 _PRESETS = ("paper", "constant")
 _CALIBRATION_STREAM = 0x5EEDCA1
+# Rows per block of the true index: bounds the direction temporaries of
+# the 100 000-draw calibration probe to one block.
+_INDEX_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -108,16 +111,30 @@ class SimConfig:
     def draw_latent(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Latent (uncensored) responses from the preset; used to
         calibrate the censoring scale."""
-        return self._draw(rng, size)[3]
+        index = self._draw_index(rng, size)[2]
+        return self._draw_latent_at(rng, index)
 
-    def _draw(self, rng: np.random.Generator, size: int):
-        """Covariates, modifiers, true index and latent responses of
-        ``size`` rows; the draws are covariates, modifiers, then noise."""
+    def _draw_index(self, rng: np.random.Generator, size: int):
+        """Covariates, modifiers and true index of ``size`` rows; the
+        draws are covariates, then modifiers. The index is computed in
+        blocks of ``_INDEX_BLOCK`` rows, so the direction matrix is never
+        held for all rows at once."""
         x = rng.standard_normal((size, self.d))
         ts = rng.uniform(0.0, 1.0, size)
-        eps = rng.normal(0.0, self.noise_sd, size)
-        index = np.einsum("ij,ij->i", x, self.true_directions(ts))
-        return x, ts, index, self.true_link(index) + eps
+        index = np.empty(size)
+        for start in range(0, size, _INDEX_BLOCK):
+            rows = slice(start, start + _INDEX_BLOCK)
+            np.einsum("ij,ij->i", x[rows], self.true_directions(ts[rows]), out=index[rows])
+        return x, ts, index
+
+    def _draw_latent_at(self, rng: np.random.Generator, index: np.ndarray) -> np.ndarray:
+        """Latent responses at the true index: the noise, drawn after
+        ``_draw_index``'s covariates and modifiers, plus the link. The
+        sum is formed in the noise array, which gives the bits of
+        link + noise while holding one array fewer."""
+        latent = rng.normal(0.0, self.noise_sd, index.size)
+        latent += self.true_link(index)
+        return latent
 
 
 @dataclass(frozen=True)
@@ -193,7 +210,8 @@ def generate_dataset(
     if censor_scale is None:
         censor_scale = resolve_censor_scale(config)
     rng = np.random.default_rng((config.seed, rep_index))
-    x, ts, index, y_star = config._draw(rng, config.n)
+    x, ts, index = config._draw_index(rng, config.n)
+    y_star = config._draw_latent_at(rng, index)
     if config.censor_target == 0.0:
         dataset = Dataset(
             y=y_star, delta=np.ones(config.n, dtype=int), x=x, t=ts

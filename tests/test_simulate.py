@@ -1,8 +1,10 @@
 """Tests for the data generator, replication runner, and quantile bands."""
 
 import concurrent.futures
+import dataclasses
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from sivc import (
     FitConfig,
     OptimizerConfig,
     SimConfig,
+    calibrate_censoring,
     censoring_rate,
     generate_dataset,
     resolve_censor_scale,
@@ -173,6 +176,63 @@ class TestGenerateDataset:
         c1 = resolve_censor_scale(cfg)
         c2 = resolve_censor_scale(cfg)
         assert c1 == c2 and c1 > 0
+
+
+PAPER = SimConfig(seed=1729)
+CONSTANT_D1 = SimConfig(preset="constant", d=1, constant_direction=(1.0,), seed=1729)
+CONSTANT_D5 = SimConfig(
+    preset="constant",
+    d=5,
+    constant_direction=(1.0, 0.5, -0.5, 0.25, 0.25),
+    seed=8191,
+)
+
+
+class TestCensoringCalibration:
+    # Read on numpy 2.4.6: the probe's draws and sums are numpy's, so
+    # another numpy may move the last bits.
+    @pytest.mark.parametrize(
+        "cfg, scale",
+        [
+            (PAPER, "0x1.73160229117e4p+1"),
+            (SimConfig(seed=8191), "0x1.7179022afdecap+1"),
+            (CONSTANT_D1, "0x1.23c3b3a3c644fp+0"),
+            (CONSTANT_D5, "0x1.1ed5bf8d770d3p+0"),
+        ],
+        ids=["paper_seed1729", "paper_seed8191", "constant_d1", "constant_d5"],
+    )
+    def test_calibrated_scale_is_pinned(self, cfg, scale):
+        assert resolve_censor_scale(cfg).hex() == scale
+
+    @pytest.mark.parametrize("rep", [0, 3])
+    @pytest.mark.parametrize(
+        "cfg",
+        [PAPER, dataclasses.replace(CONSTANT_D1, n=20_000), CONSTANT_D5],
+        ids=["paper", "constant_d1_n20000", "constant_d5"],
+    )
+    def test_calibration_and_data_share_one_stream(self, cfg, rep):
+        latent = cfg.draw_latent(np.random.default_rng((cfg.seed, rep)), cfg.n)
+        _, truth = generate_dataset(cfg, rep)
+        assert latent.tobytes() == truth.y_star.tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg, bound_mb",
+        [(PAPER, 3.7), (CONSTANT_D1, 2.7), (CONSTANT_D5, 6.2)],
+        ids=["paper", "constant_d1", "constant_d5"],
+    )
+    def test_probe_peak_memory_is_bounded(self, cfg, bound_mb):
+        # The first generator imports numpy.random's modules; keep that
+        # out of the traced peak.
+        np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            calibrate_censoring(
+                0.3, cfg, seed=(cfg.seed, simulate._CALIBRATION_STREAM)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
 
 def nearest_rank(values, p):
