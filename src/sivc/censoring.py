@@ -162,9 +162,11 @@ def calibrate_censoring(target_rate: float, dgp, seed: int = 0) -> float:
         raise ValueError(f"target rate must lie in (0, 1) (got {target_rate})")
     rng = np.random.default_rng(seed)
     latent = np.asarray(dgp.draw_latent(rng, _PROBE_N), dtype=float)
-    # np.clip copies, so the caller's array is never written; every
-    # bisection step reuses one scratch buffer.
+    # np.clip copies, so the caller's array is never written and the
+    # probe can be dropped at once; every bisection step reuses one
+    # scratch buffer.
     clipped = np.clip(latent, 0.0, None)
+    del latent
     buf = np.empty_like(clipped)
 
     def rate(c: float) -> float:

@@ -10,10 +10,16 @@ identity link, which gives a known-truth oracle for direction recovery.
 Every replication draws from its own stream seeded by (master seed,
 replication index), so results do not depend on execution order or
 worker count; aggregation happens in replication order on one thread.
+
+A stream holds all covariates, then all modifiers, then the noise, then
+the censoring times. ``SimConfig._index_blocks`` walks the first two a
+block of rows at a time with twin generators: a copy of the stream reads
+the covariates while the stream skips past them to the modifiers.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -38,8 +44,10 @@ __all__ = [
 
 _PRESETS = ("paper", "constant")
 _CALIBRATION_STREAM = 0x5EEDCA1
-# Rows per block of the true index: bounds the direction temporaries of
-# the 100 000-draw calibration probe to one block.
+# Rows per block of the covariate and modifier walk: bounds what the
+# 100 000-draw calibration probe holds beside its index to one block. A
+# normal draw takes a variable number of raw outputs, so the stream cannot
+# jump past the covariates: it draws and drops them (the skip pass).
 _INDEX_BLOCK = 8192
 
 
@@ -111,30 +119,45 @@ class SimConfig:
     def draw_latent(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Latent (uncensored) responses from the preset; used to
         calibrate the censoring scale."""
-        index = self._draw_index(rng, size)[2]
-        return self._draw_latent_at(rng, index)
+        index = self._draw_index(rng, size, keep_draws=False)[2]
+        return self._draw_latent_at(rng, index, out=index)
 
-    def _draw_index(self, rng: np.random.Generator, size: int):
-        """Covariates, modifiers and true index of ``size`` rows; the
-        draws are covariates, then modifiers. The index is computed in
-        blocks of ``_INDEX_BLOCK`` rows, so the direction matrix is never
-        held for all rows at once."""
-        x = rng.standard_normal((size, self.d))
-        ts = rng.uniform(0.0, 1.0, size)
-        index = np.empty(size)
+    def _index_blocks(self, rng: np.random.Generator, size: int):
+        """Yield ``(rows, x, ts)``, ``_INDEX_BLOCK`` rows at a time, with
+        the bits of one call for all covariates, then one for all
+        modifiers. The covariates come from a copy of ``rng``; ``rng``
+        first skips them, and is left where the noise starts."""
+        covariates = copy.deepcopy(rng)
         for start in range(0, size, _INDEX_BLOCK):
-            rows = slice(start, start + _INDEX_BLOCK)
-            np.einsum("ij,ij->i", x[rows], self.true_directions(ts[rows]), out=index[rows])
+            rng.standard_normal((min(_INDEX_BLOCK, size - start), self.d))
+        for start in range(0, size, _INDEX_BLOCK):
+            m = min(_INDEX_BLOCK, size - start)
+            x = covariates.standard_normal((m, self.d))
+            yield slice(start, start + m), x, rng.uniform(0.0, 1.0, m)
+
+    def _draw_index(self, rng: np.random.Generator, size: int, keep_draws: bool):
+        """``(x, ts, index)`` of ``size`` rows, the index computed a block
+        at a time; ``x`` and ``ts`` are None unless ``keep_draws``."""
+        x = np.empty((size, self.d)) if keep_draws else None
+        ts = np.empty(size) if keep_draws else None
+        index = np.empty(size)
+        for rows, x_rows, ts_rows in self._index_blocks(rng, size):
+            np.einsum("ij,ij->i", x_rows, self.true_directions(ts_rows), out=index[rows])
+            if keep_draws:
+                x[rows] = x_rows
+                ts[rows] = ts_rows
         return x, ts, index
 
-    def _draw_latent_at(self, rng: np.random.Generator, index: np.ndarray) -> np.ndarray:
-        """Latent responses at the true index: the noise, drawn after
-        ``_draw_index``'s covariates and modifiers, plus the link. The
-        sum is formed in the noise array, which gives the bits of
-        link + noise while holding one array fewer."""
-        latent = rng.normal(0.0, self.noise_sd, index.size)
-        latent += self.true_link(index)
-        return latent
+    def _draw_latent_at(
+        self, rng: np.random.Generator, index: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Latent responses at the true index, noise plus link, written a
+        block at a time into ``out``, which may be ``index`` itself."""
+        for start in range(0, index.size, _INDEX_BLOCK):
+            rows = slice(start, start + _INDEX_BLOCK)
+            link = self.true_link(index[rows])
+            np.add(rng.normal(0.0, self.noise_sd, link.size), link, out=out[rows])
+        return out
 
 
 @dataclass(frozen=True)
@@ -210,8 +233,8 @@ def generate_dataset(
     if censor_scale is None:
         censor_scale = resolve_censor_scale(config)
     rng = np.random.default_rng((config.seed, rep_index))
-    x, ts, index = config._draw_index(rng, config.n)
-    y_star = config._draw_latent_at(rng, index)
+    x, ts, index = config._draw_index(rng, config.n, keep_draws=True)
+    y_star = config._draw_latent_at(rng, index, out=np.empty(config.n))
     if config.censor_target == 0.0:
         dataset = Dataset(
             y=y_star, delta=np.ones(config.n, dtype=int), x=x, t=ts

@@ -41,6 +41,11 @@ cut, kept verbatim, so a rewrite that changes any value or skipped-row
 count by a single bit shows. Its ``dense_value`` is the m x m kernel
 matrix formula, which the sorted evaluation must match to rounding.
 
+``reference_draws`` is the reference for the draws of
+``sivc.generate_dataset`` and ``SimConfig.draw_latent``: one call per
+kind of draw over every row, in the stream's order, which their
+block-wise walk must match bit for bit.
+
 ``reference_write_table`` is the reference for ``sivc.cli._write_table``:
 the ``csv`` module writing cells formatted one by one with ``str.format``,
 whose bytes the block writer must match exactly.
@@ -337,6 +342,18 @@ class ReferenceObjective:
         self.last_skipped = m - int(np.count_nonzero(valid))
         resid = y[valid] - num[valid] / den[valid]
         return float(np.sum(kt[valid] * resid * resid) / self.norm)
+
+
+def reference_draws(config, rng, size: int, censor_scale: float):
+    """``(x, t, index, y_star, censor_times)`` of ``size`` rows drawn as
+    the study's stream lays them out, one call each: all covariates, then
+    all modifiers, then the noise, then the censoring times."""
+    x = rng.standard_normal((size, config.d))
+    t = rng.uniform(0.0, 1.0, size)
+    index = np.einsum("ij,ij->i", x, config.true_directions(t))
+    y_star = config.true_link(index) + rng.normal(0.0, config.noise_sd, size)
+    censor_times = rng.uniform(0.0, censor_scale, size)
+    return x, t, index, y_star, censor_times
 
 
 def reference_write_table(path, header, columns) -> None:

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracle import reference_draws
 from sivc import (
     Bandwidths,
     FitConfig,
@@ -186,6 +187,12 @@ CONSTANT_D5 = SimConfig(
     constant_direction=(1.0, 0.5, -0.5, 0.25, 0.25),
     seed=8191,
 )
+CONSTANT_D8 = SimConfig(
+    preset="constant",
+    d=8,
+    constant_direction=(1.0, -0.5, 0.5, 0.25, -0.25, 0.125, 0.5, -1.0),
+    seed=1729,
+)
 
 
 class TestCensoringCalibration:
@@ -215,12 +222,13 @@ class TestCensoringCalibration:
         _, truth = generate_dataset(cfg, rep)
         assert latent.tobytes() == truth.y_star.tobytes()
 
+    # The probe's index, the latent values written into it and one block
+    # of covariates and directions at a time, whatever d is.
     @pytest.mark.parametrize(
-        "cfg, bound_mb",
-        [(PAPER, 3.7), (CONSTANT_D1, 2.7), (CONSTANT_D5, 6.2)],
-        ids=["paper", "constant_d1", "constant_d5"],
+        "cfg", [PAPER, CONSTANT_D1, CONSTANT_D5, CONSTANT_D8],
+        ids=["paper", "constant_d1", "constant_d5", "constant_d8"],
     )
-    def test_probe_peak_memory_is_bounded(self, cfg, bound_mb):
+    def test_probe_peak_memory_is_bounded(self, cfg):
         # The first generator imports numpy.random's modules; keep that
         # out of the traced peak.
         np.random.default_rng(0)
@@ -232,7 +240,38 @@ class TestCensoringCalibration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_mb * 1e6
+        assert peak <= 2.1e6
+
+
+# Block edges of the index walk, and a first and a last partial block.
+@pytest.mark.parametrize("n", [10, 8191, 8192, 8193, 16385, 24577])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        PAPER,
+        CONSTANT_D1,
+        SimConfig(preset="constant", d=2, constant_direction=(0.6, -0.8), seed=8191),
+        CONSTANT_D5,
+    ],
+    ids=["paper", "constant_d1", "constant_d2", "constant_d5"],
+)
+class TestStreamLayout:
+    def test_dataset_matches_one_call_draws(self, cfg, n):
+        cfg = dataclasses.replace(cfg, n=n)
+        ds, truth = generate_dataset(cfg, 2, censor_scale=1.5)
+        x, t, index, y_star, censor_times = reference_draws(
+            cfg, np.random.default_rng((cfg.seed, 2)), n, 1.5
+        )
+        got = (ds.x, ds.t, truth.index, truth.y_star, truth.censor_times)
+        for a, b in zip(got, (x, t, index, y_star, censor_times), strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert ds.y.tobytes() == np.minimum(y_star, censor_times).tobytes()
+        assert ds.delta.tobytes() == (y_star < censor_times).astype(int).tobytes()
+
+    def test_latent_draws_match_one_call_draws(self, cfg, n):
+        latent = cfg.draw_latent(np.random.default_rng(5), n)
+        y_star = reference_draws(cfg, np.random.default_rng(5), n, 1.0)[3]
+        assert latent.tobytes() == y_star.tobytes()
 
 
 def nearest_rank(values, p):
