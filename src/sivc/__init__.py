@@ -51,7 +51,6 @@ from .simulate import (
 )
 from .smoothing import (
     Bandwidths,
-    KernelSpec,
     kernel_values,
     rule_of_thumb_bandwidth,
     select_bandwidths,

@@ -78,6 +78,7 @@ def estimate_censoring_survival(dataset: Dataset) -> SurvivalCurve:
     factor (1 - d_c / n_c). Rows with delta == 1 tied at c stay in the
     risk set: events are taken to occur just before censorings.
     """
+    # Both sorts return values alone, so no tie order can reach a sum.
     y_sorted = np.sort(dataset.y)
     censored = dataset.y[dataset.delta == 0]
     if censored.size == 0:

@@ -31,7 +31,6 @@ from .errors import SivcError, ValidationError
 from .estimator import Bandwidths, FitConfig, ModelFit, OptimizerConfig, fit_model
 from .model import Dataset, censoring_rate
 from .simulate import SimConfig, SimSummary, run_monte_carlo
-from .smoothing import KernelSpec
 from .svgplot import Panel, render_figure
 
 __all__ = ["cmd_fit", "cmd_simulate", "cmd_reproduce_figures", "main"]
@@ -92,8 +91,6 @@ def parse_fit_config(section: dict) -> FitConfig:
         if bw != "auto":
             _require_keys(bw, _fields(Bandwidths), "bandwidths", required=True)
             kwargs["bandwidths"] = Bandwidths(**bw)
-        if "kernel" in kwargs:
-            kwargs["kernel"] = KernelSpec(kwargs["kernel"])
         if "optimizer" in kwargs:
             opt = kwargs["optimizer"]
             _require_keys(opt, _fields(OptimizerConfig), "optimizer")

@@ -76,13 +76,20 @@ its modifier value, and smooths the synthetic responses on that index by
 Nadaraya-Watson to estimate the link. With the index sorted once, each
 link grid point sums over its ``searchsorted`` window [u0 - h_link,
 u0 + h_link] only, which holds every row of non-zero weight.
+
+A sort whose order reaches a sum is stable, so tied values keep their
+row order. Reordering a sum changes its last bits, and the order in
+which numpy's default sort leaves tied values depends on the CPU, so
+without it a fit on tied data (a discrete covariate, duplicated rows)
+would write other bytes on another CPU. Stage 1's projections, the
+link's index and ``_nelder_mead``'s vertices are all sorted stably.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -98,7 +105,7 @@ from .model import (
     evaluate_curves,
     normalize_direction,
 )
-from .smoothing import Bandwidths, KernelSpec, kernel_values, select_bandwidths
+from .smoothing import Bandwidths, kernel_values, select_bandwidths
 
 __all__ = [
     "OptimizerConfig",
@@ -143,12 +150,15 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for the two-stage fit."""
+    """Settings for the two-stage fit. ``kernel`` names the one kernel
+    family the fit smooths with (see ``sivc.smoothing``); it is a
+    constant, not a setting."""
+
+    kernel: ClassVar[str] = "epanechnikov"
 
     t_grid_size: int = 21
     link_grid: tuple[float, float, int] = (-0.5, 0.5, 100)
     bandwidths: Bandwidths | str = "auto"
-    kernel: KernelSpec = KernelSpec("epanechnikov")
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
@@ -170,8 +180,6 @@ class FitConfig:
             raise ValueError("link_grid count must be at least 2")
         if not (self.bandwidths == "auto" or isinstance(self.bandwidths, Bandwidths)):
             raise ValueError('bandwidths must be a Bandwidths instance or "auto"')
-        if not isinstance(self.kernel, KernelSpec):
-            raise ValueError("kernel must be a KernelSpec instance")
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -266,12 +274,12 @@ def angles_from_direction(direction: UnitDirection) -> np.ndarray:
     return angles
 
 
-def _local_weights(dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
+def _local_weights(dataset: Dataset, t0: float, bw: Bandwidths):
     """Modifier weights at t0, the mask of rows they are non-zero on and
     its count; ``EstimationError`` when fewer than 2 rows carry weight."""
     if not 0.0 <= float(t0) <= 1.0:
         raise ValueError(f"t0 must lie in [0, 1] (got {t0})")
-    kt = kernel_values(spec, (dataset.t - t0) / bw.h2)
+    kt = kernel_values(FitConfig.kernel, (dataset.t - t0) / bw.h2)
     active = kt > 0
     m = int(np.count_nonzero(active))
     if m < 2:
@@ -286,11 +294,10 @@ class _LocalObjective:
     count of rows with no leave-one-out data in ``last_skipped``. Its
     callers silence the overflow warnings of a tiny h1, not ``value``."""
 
-    def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
-        kt, active, m = _local_weights(dataset, t0, bw, spec)
+    def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths):
+        kt, active, m = _local_weights(dataset, t0, bw)
         self.x = dataset.x[active]
         self.h1 = bw.h1
-        self.spec = spec
         self.norm = dataset.n * bw.h2
         self.m = m
         self.last_skipped = 0
@@ -359,7 +366,7 @@ class _LocalObjective:
         suspect = ~(den >= _EXPANSION_GUARD * _EPS * scale)
         suspect &= valid
         for i in suspect.nonzero()[0]:
-            w = kernel_values(self.spec, (p - p[i]) / h1) * kt
+            w = kernel_values(FitConfig.kernel, (p - p[i]) / h1) * kt
             w[i] = 0.0
             den[i] = w.sum()
             num[i] = w @ y
@@ -376,15 +383,16 @@ def local_objective(
     t0: float,
     theta: UnitDirection,
     bw: Bandwidths,
-    spec: KernelSpec,
+    spec: str,
 ) -> float:
-    """Leave-one-out profile least-squares score of a candidate direction.
+    """Leave-one-out profile least-squares score of a candidate direction;
+    ``spec`` is ignored.
 
     Rows whose leave-one-out smoother has no local data contribute zero;
     their count is available through the fitting diagnostics.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _LocalObjective(dataset, t0, bw, spec).value(theta.components)
+        return _LocalObjective(dataset, t0, bw).value(theta.components)
 
 
 class _Simplex(NamedTuple):
@@ -513,7 +521,7 @@ def fit_direction_at(
     if dataset.n < 10:
         raise ValueError(f"direction fitting needs n >= 10 (got {dataset.n})")
     if dataset.d == 1:
-        m = _local_weights(dataset, t0, bw, config.kernel)[2]
+        m = _local_weights(dataset, t0, bw)[2]
         direction = UnitDirection(components=np.array([1.0]))
         return DirectionFit(direction, None, 0, True, None, 0, m, 0)
     # Nelder-Mead asks again for vertices it has evaluated (in one
@@ -541,7 +549,7 @@ def fit_direction_at(
     # responses near 1e308 overflow the centring mean; numpy is told once
     # per grid point, not per evaluation, not to warn of either.
     with np.errstate(over="ignore", invalid="ignore"):
-        obj = _LocalObjective(dataset, t0, bw, config.kernel)
+        obj = _LocalObjective(dataset, t0, bw)
         res = _nelder_mead(penalized, _initial_simplex(a0), _XATOL, config.optimizer.max_iter)
         direction = normalize_direction(direction_from_angles(res.x))
         value = obj.value(direction.components)
@@ -609,8 +617,10 @@ def fit_link(
     if not h_link > 0:
         raise ValueError("bandwidth must be positive")
     u_grid = config.u_grid
-    # Ties only reorder a sum, so they need no stable sort.
-    order = np.argsort(index)
+    # Tied index values keep their row order: the order of a window's
+    # rows reaches its sums, and the default sort's tie order depends on
+    # the CPU.
+    order = np.argsort(index, kind="stable")
     p, ys = index[order], synthetic[order]
     # A weight is non-zero only where |u0 - p| < h exactly, as rounding
     # is monotone, and round-to-nearest puts every such p inside the
@@ -620,7 +630,7 @@ def fit_link(
     m_hat = np.full(u_grid.size, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (u0, a, b) in enumerate(zip(u_grid.tolist(), lo, hi)):
-            w = kernel_values(config.kernel, (u0 - p[a:b]) / h_link)
+            w = kernel_values(FitConfig.kernel, (u0 - p[a:b]) / h_link)
             total = float(w.sum())
             if total > 0:
                 value = float(w @ ys[a:b]) / total
@@ -639,7 +649,7 @@ def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
     """
     bw = config.bandwidths
     if not isinstance(bw, Bandwidths):
-        bw = select_bandwidths(dataset, config.kernel)
+        bw = select_bandwidths(dataset, FitConfig.kernel)
     try:
         curves, fits = fit_coefficient_curves(dataset, config, bw)
     except SivcError as exc:

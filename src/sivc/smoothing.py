@@ -2,6 +2,10 @@
 
 Provides the Epanechnikov kernel and bandwidth selection by the normal
 reference rule, with one constant per role (see ``select_bandwidths``).
+The kernel is fixed, not a setting: its compact support makes empty
+neighborhoods detectable and bounds each link grid point's window, and
+it is a quadratic on that support, which lets the direction fit's
+leave-one-out objective run in O(m log m) from sorted prefix sums.
 The smoothers that use them live in ``sivc.estimator``:
 the product-kernel profile smoother of the direction fit, and the link's
 univariate Nadaraya-Watson regression, which smooths each grid point
@@ -21,32 +25,11 @@ from .errors import EstimationError
 from .model import Dataset, _real, normalize_direction
 
 __all__ = [
-    "KernelSpec",
     "Bandwidths",
     "kernel_values",
     "rule_of_thumb_bandwidth",
     "select_bandwidths",
 ]
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family used for all smoothing steps: Epanechnikov only.
-
-    Its compact support makes empty neighborhoods detectable and bounds
-    each link grid point's window, and it is a quadratic on that support,
-    which lets the direction fit's leave-one-out objective run in
-    O(m log m) from sorted prefix sums. The type stays so that configs
-    and callers naming the family keep working.
-    """
-
-    family: str
-
-    def __post_init__(self):
-        if self.family != "epanechnikov":
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; expected 'epanechnikov'"
-            )
 
 
 @dataclass(frozen=True)
@@ -65,8 +48,9 @@ class Bandwidths:
             object.__setattr__(self, name, v)
 
 
-def kernel_values(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Vectorized Epanechnikov weights K(u) = 0.75 (1 - u^2) on |u| < 1."""
+def kernel_values(spec: str, u: np.ndarray) -> np.ndarray:
+    """Vectorized Epanechnikov weights K(u) = 0.75 (1 - u^2) on |u| < 1;
+    ``spec`` is ignored."""
     u = np.asarray(u, dtype=float)
     # 1 - u^2 is negative exactly when |u| > 1 and fmax sends NaN to 0,
     # so clipping at 0 is the support test; asarray keeps 0-d input an
@@ -101,8 +85,9 @@ def rule_of_thumb_bandwidth(xs: np.ndarray, constant: float = 1.06) -> float:
     return constant * sd * n ** (-0.2)
 
 
-def select_bandwidths(dataset: Dataset, spec: KernelSpec) -> Bandwidths:
-    """Bandwidths for the profile fit and the link smoother.
+def select_bandwidths(dataset: Dataset, spec: str) -> Bandwidths:
+    """Bandwidths for the profile fit and the link smoother; ``spec`` is
+    ignored.
 
     The normal reference rule per smoothing direction: the modifier
     bandwidth h2 from sd(t), and the index bandwidths h1 and h_link from

@@ -62,7 +62,7 @@ from typing import Callable, Tuple
 import numpy as np
 from scipy import integrate, optimize, special
 
-from sivc import Bandwidths, Dataset, KernelSpec
+from sivc import Bandwidths, Dataset, FitConfig
 from sivc.estimator import _EPS, _EXPANSION_GUARD, _local_weights
 from sivc.smoothing import kernel_values
 
@@ -261,13 +261,12 @@ class ReferenceObjective:
     formula, and the sorted evaluation with the set-up it had before it
     was rewritten with fewer numpy calls (both verbatim)."""
 
-    def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths, spec: KernelSpec):
-        kt, active, m = _local_weights(dataset, t0, bw, spec)
+    def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths):
+        kt, active, m = _local_weights(dataset, t0, bw)
         self.x = dataset.x[active]
         self.y = dataset.y[active]
         self.kt = kt[active]
         self.h1 = bw.h1
-        self.spec = spec
         self.norm = dataset.n * bw.h2
         self.m = m
         self.last_skipped = 0
@@ -281,7 +280,7 @@ class ReferenceObjective:
         proj = self.x @ theta_components
         u = proj[None, :] - proj[:, None]
         u /= self.h1
-        w = kernel_values(self.spec, u)
+        w = kernel_values(FitConfig.kernel, u)
         w *= self.kt[None, :]
         # Zero the self weight instead of subtracting it from the row sum,
         # which would lose neighbour weights below its rounding.
@@ -335,7 +334,7 @@ class ReferenceObjective:
         # den too close to it is recomputed from its kernel weights.
         scale = (1.0 + 2.0 * q2) * (top[0] + bottom[0]) + 2.0 * (top[4] + bottom[4])
         for i in np.flatnonzero(valid & (den < _EXPANSION_GUARD * _EPS * scale)):
-            w = kernel_values(self.spec, (p - p[i]) / h1) * kt
+            w = kernel_values(FitConfig.kernel, (p - p[i]) / h1) * kt
             w[i] = 0.0
             den[i] = w.sum()
             num[i] = w @ y

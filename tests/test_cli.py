@@ -425,6 +425,16 @@ REJECTED_CONFIG = {
         {"fit": {"optimizer": {"tol": 1e-8}}},
         "unknown optimizer config keys: ['tol']",
     ),
+    # The kernel is a constant of the fit, so any kernel value is an
+    # unknown key, the one family it smooths with included.
+    "kernel-epanechnikov": (
+        {"fit": {"kernel": "epanechnikov"}},
+        "unknown fit config keys: ['kernel']",
+    ),
+    "kernel-gaussian": (
+        {"fit": {"kernel": "gaussian"}},
+        "unknown fit config keys: ['kernel']",
+    ),
     "h1-a-boolean": (
         {"fit": {"bandwidths": {"h1": True, "h2": 1, "h_link": 1}}},
         "fit config: h1 must be a finite number (got True)",
@@ -453,7 +463,6 @@ class TestConfigErrors:
             "t_grid_size": 5,
             "link_grid": [-1, 1, 11],
             "bandwidths": bandwidths,
-            "kernel": "epanechnikov",
             "optimizer": optimizer,
         }
         sim = {
@@ -528,7 +537,8 @@ class TestConfigErrors:
         data = ["--data", str(paper_csv)] if command == "fit" else []
         code = main([command, *data, "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
-        assert "unknown kernel family 'gaussian'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "validation error: unknown fit config keys: ['kernel']\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "reproduce-figures"])

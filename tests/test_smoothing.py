@@ -14,7 +14,6 @@ from sivc import (
     Dataset,
     EstimationError,
     FitConfig,
-    KernelSpec,
     fit_link,
     kernel_values,
     normalize_direction,
@@ -22,15 +21,15 @@ from sivc import (
     select_bandwidths,
 )
 
-EPAN = KernelSpec("epanechnikov")
+EPAN = FitConfig.kernel
 
 
-def link_at(xs, ys, x0, h, spec, other=None):
+def link_at(xs, ys, x0, h, other=None):
     """``fit_link`` on a two-point grid, x0 and ``other`` (x0 + 1 by
     default): the estimate at x0, NaN where it is undefined."""
     other = x0 + 1.0 if other is None else other
     lo, hi = sorted((x0, other))
-    config = FitConfig(link_grid=(lo, hi, 2), kernel=spec)
+    config = FitConfig(link_grid=(lo, hi, 2))
     link = fit_link(np.asarray(xs, float), np.asarray(ys, float), config, h)
     k = 0 if x0 == lo else 1
     assert link.u_grid[k] == x0
@@ -54,19 +53,13 @@ class TestKernelWeight:
     def test_epanechnikov_outside_support(self):
         assert kernel_values(EPAN, np.array([1.5, -1.0])).tolist() == [0.0, 0.0]
 
-    def test_unknown_family_rejected(self):
-        for family in ("triangular", "gaussian"):
-            with pytest.raises(ValueError, match=f"unknown kernel family '{family}'"):
-                KernelSpec(family)
-
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     def test_even_and_nonnegative(self, u):
         assert kernel_values(EPAN, u) == kernel_values(EPAN, -u)
         assert kernel_values(EPAN, u) >= 0.0
 
-    @pytest.mark.parametrize("spec", [EPAN])
-    def test_unit_mass(self, spec):
-        mass, _ = integrate.quad(lambda u: float(kernel_values(spec, u)), -40, 40, limit=200)
+    def test_unit_mass(self):
+        mass, _ = integrate.quad(lambda u: float(kernel_values(EPAN, u)), -40, 40, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_epanechnikov_bitwise_equal_to_support_test(self):
@@ -103,27 +96,27 @@ class TestNWEstimate:
     def test_constant_responses(self):
         xs = np.array([0.0, 0.3, 0.7])
         ys = np.full(3, 4.25)
-        assert link_at(xs, ys, 0.4, 0.5, EPAN) == pytest.approx(4.25)
+        assert link_at(xs, ys, 0.4, 0.5) == pytest.approx(4.25)
 
     def test_single_point(self):
-        assert link_at([0.0], [5.0], 0.0, 1.0, EPAN) == 5.0
+        assert link_at([0.0], [5.0], 0.0, 1.0) == 5.0
 
     def test_wide_bandwidth_limit_is_mean(self):
-        est = link_at([0.0, 1.0], [1.0, 3.0], 0.0, 1e6, EPAN)
+        est = link_at([0.0, 1.0], [1.0, 3.0], 0.0, 1e6)
         assert est == pytest.approx(2.0, abs=1e-6)
 
     def test_no_local_data_carries_x0(self):
         # The grid point with no rows in reach is marked, its neighbour
         # with rows in reach is not.
-        assert math.isnan(link_at([0.0, 0.1], [1.0, 2.0], 9.0, 0.5, EPAN, other=0.0))
-        assert link_at([0.0, 0.1], [1.0, 2.0], 0.0, 0.5, EPAN, other=9.0) > 1.0
+        assert math.isnan(link_at([0.0, 0.1], [1.0, 2.0], 9.0, 0.5, other=0.0))
+        assert link_at([0.0, 0.1], [1.0, 2.0], 0.0, 0.5, other=9.0) > 1.0
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-2, 2, 40)
         ys = rng.normal(size=40)
         for x0 in (-1.0, 0.0, 0.5):
-            assert link_at(xs, ys, x0, 0.8, EPAN) == pytest.approx(
+            assert link_at(xs, ys, x0, 0.8) == pytest.approx(
                 naive_nw(xs, ys, x0, 0.8, EPAN), rel=1e-12
             )
 
@@ -134,7 +127,7 @@ class TestNWEstimate:
         xs = rng.uniform(-1, 1, 25)
         ys = rng.normal(size=25)
         x0 = float(rng.uniform(-1, 1))
-        est = link_at(xs, ys, x0, h, EPAN)
+        est = link_at(xs, ys, x0, h)
         if math.isnan(est):
             return
         w = kernel_values(EPAN, (x0 - xs) / h)

@@ -11,6 +11,10 @@ The matrix, for seeds 1729 and 8191:
 - ``sivc fit`` with the default config on replication 0 of the paper
   preset at n = 100 / 500 / 2 000 and of the constant preset at
   d = 1 / 3 / 5 (n = 500), each with its input CSV;
+- ``sivc fit`` with the default config on two inputs whose fitted index
+  ties, so a sort's tie order would reach the link's sums: the d = 1
+  constant preset with its covariate rounded to a multiple of 0.25, and
+  d = 2 noise with every row duplicated and its response shifted by 1;
 - ``sivc simulate --raw`` (n = 200, 4 replications) with ``max_iter`` 3
   and a link grid wider than the index, so the failure log holds
   non-converged grid points for every replication and link points
@@ -24,8 +28,9 @@ that differs or exists on one side only, and exits 1 if there is any.
 
 ``--golden`` writes the curves, link and objectives of the small fits
 that ``tests/test_golden.py`` compares, with the Python and numpy
-versions that computed them. A change that moves a fixed-seed number
-regenerates the file and says so.
+versions that computed them. A case with an ``x_step`` rounds its
+covariates to multiples of it before the fit. A change that moves a
+fixed-seed number regenerates the file and says so.
 """
 
 from __future__ import annotations
@@ -53,15 +58,19 @@ STUDY = {
     "fit": {"link_grid": [-3.0, 3.0, 50], "optimizer": {"max_iter": 3}},
 }
 
+TIED_STEP = 0.25
+
 # Small fits pinned in tests/golden_fits.json: (name, sim config, fit
-# config), each fitted on replication 0. The wide link grid of the second
-# puts NaN at its ends.
+# config, covariate rounding step or None), each fitted on replication 0.
+# The wide link grid of the second puts NaN at its ends; the rounded
+# covariate of the last ties the index.
 GOLDEN_CASES = (
-    ("paper_n100_seed1729", {"n": 100, "seed": 1729}, {}),
+    ("paper_n100_seed1729", {"n": 100, "seed": 1729}, {}, None),
     (
         "paper_n300_seed8191_wide_link",
         {"n": 300, "seed": 8191},
         {"t_grid_size": 11, "link_grid": [-3.0, 3.0, 41]},
+        None,
     ),
     (
         "constant_d3_n200_seed1729",
@@ -73,6 +82,13 @@ GOLDEN_CASES = (
             "constant_direction": [1.0, 0.5, -0.5],
         },
         {"t_grid_size": 11},
+        None,
+    ),
+    (
+        "constant_d1_n300_seed1729_tied",
+        {"n": 300, "d": 1, "seed": 1729, "preset": "constant", "constant_direction": [1.0]},
+        {"t_grid_size": 11},
+        TIED_STEP,
     ),
 )
 
@@ -85,6 +101,35 @@ def _run(args: list[str]) -> None:
         code = main(args)
     if code != 0:
         raise SystemExit(f"sivc {' '.join(args)} exited with {code}")
+
+
+def rounded_covariates(dataset, step: float):
+    """``dataset`` with every covariate rounded to a multiple of ``step``."""
+    import numpy as np
+
+    from sivc import Dataset
+
+    x = np.round(dataset.x / step) * step
+    return Dataset(y=dataset.y, delta=dataset.delta, x=x, t=dataset.t)
+
+
+def duplicated_rows(seed: int):
+    """100 rows of d = 2 noise, each twice, the copy's response shifted
+    by 1: every fitted index value ties with its copy's."""
+    import numpy as np
+
+    from sivc import Dataset
+
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(100, 2))
+    t = rng.uniform(0, 1, 100)
+    y = rng.normal(size=100)
+    return Dataset(
+        y=np.concatenate([y, y + 1.0]),
+        delta=np.ones(200, dtype=int),
+        x=np.vstack([x, x]),
+        t=np.concatenate([t, t]),
+    )
 
 
 def write_matrix(out: Path) -> None:
@@ -103,10 +148,13 @@ def write_matrix(out: Path) -> None:
             sims[f"constant_d{len(direction)}"] = SimConfig(
                 d=len(direction), seed=seed, preset="constant", constant_direction=direction
             )
-        for name, sim in sims.items():
+        datasets = {name: generate_dataset(sim, 0)[0] for name, sim in sims.items()}
+        datasets["tied_d1"] = rounded_covariates(datasets["constant_d1"], TIED_STEP)
+        datasets["tied_d2"] = duplicated_rows(seed)
+        for name, dataset in datasets.items():
             case = base / name
             case.mkdir(parents=True)
-            write_dataset_csv(case / "data.csv", generate_dataset(sim, 0)[0])
+            write_dataset_csv(case / "data.csv", dataset)
             data = str(case / "data.csv")
             _run(["fit", "--data", data, "--config", str(fit_config), "--out", str(case / "fit")])
         study = {"sim": {**STUDY["sim"], "seed": seed}, "fit": STUDY["fit"]}
@@ -157,13 +205,15 @@ def write_golden(path: Path) -> None:
         return [None if v is None or v != v else v for v in values]
 
     cases = []
-    for name, sim, fit in GOLDEN_CASES:
+    for name, sim, fit, step in GOLDEN_CASES:
         dataset, _ = generate_dataset(parse_sim_config(sim), 0)
+        case = {"name": name, "sim": sim, "fit": fit}
+        if step is not None:
+            dataset = rounded_covariates(dataset, step)
+            case["x_step"] = step
         result = fit_model(dataset, parse_fit_config(fit))
         cases.append({
-            "name": name,
-            "sim": sim,
-            "fit": fit,
+            **case,
             "curves": result.curves.matrix.tolist(),
             "link": plain(result.link.m_hat.tolist()),
             "objectives": plain(result.diagnostics["objectives"]),
