@@ -23,7 +23,6 @@ from .estimator import (
     FitConfig,
     LinkEstimate,
     ModelFit,
-    OptimizerConfig,
     angles_from_direction,
     compute_index,
     direction_from_angles,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .model import Dataset, _frozen
+from .model import Dataset, _check_ascending, _frozen
 
 __all__ = [
     "SurvivalCurve",
@@ -59,11 +59,7 @@ class SurvivalCurve:
         object.__setattr__(self, "values", values)
         if jumps.ndim != 1 or values.ndim != 1 or jumps.size != values.size:
             raise ValueError("jump_times and values must be equal-length vectors")
-        # NaN compares False, so each test asks that every entry passes.
-        if not np.all(np.isfinite(jumps)):
-            raise ValueError("jump times must be finite")
-        if not np.all(np.diff(jumps) > 0):
-            raise ValueError("jump times must be strictly ascending")
+        _check_ascending(jumps, "jump times")
         if not np.all((values >= 0) & (values <= 1)):
             raise ValueError("survival values must lie in [0, 1]")
         if np.any(np.diff(values) > 0):

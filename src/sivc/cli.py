@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SivcError, ValidationError
-from .estimator import Bandwidths, FitConfig, ModelFit, OptimizerConfig, fit_model
+from .estimator import Bandwidths, FitConfig, ModelFit, fit_model
 from .model import Dataset, censoring_rate
 from .simulate import SimConfig, SimSummary, run_monte_carlo
 from .svgplot import Panel, render_figure
@@ -91,10 +91,6 @@ def parse_fit_config(section: dict) -> FitConfig:
         if bw != "auto":
             _require_keys(bw, _fields(Bandwidths), "bandwidths", required=True)
             kwargs["bandwidths"] = Bandwidths(**bw)
-        if "optimizer" in kwargs:
-            opt = kwargs["optimizer"]
-            _require_keys(opt, _fields(OptimizerConfig), "optimizer")
-            kwargs["optimizer"] = OptimizerConfig(**opt)
         return FitConfig(**kwargs)
 
 

@@ -99,6 +99,7 @@ from .model import (
     CoefficientCurves,
     Dataset,
     UnitDirection,
+    _check_ascending,
     _count,
     _frozen,
     _real,
@@ -108,7 +109,6 @@ from .model import (
 from .smoothing import Bandwidths, kernel_values, select_bandwidths
 
 __all__ = [
-    "OptimizerConfig",
     "FitConfig",
     "LinkEstimate",
     "DirectionFit",
@@ -136,30 +136,18 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Nelder-Mead settings: ``max_iter`` caps the iterations of the one
-    run at each grid point."""
-
-    max_iter: int = 150
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-@dataclass(frozen=True)
 class FitConfig:
-    """Settings for the two-stage fit. ``kernel`` names the one kernel
-    family the fit smooths with (see ``sivc.smoothing``); it is a
-    constant, not a setting."""
+    """Settings for the two-stage fit. ``max_iter`` caps the iterations
+    of the one Nelder-Mead run at each grid point. ``kernel`` names the
+    one kernel family the fit smooths with (see ``sivc.smoothing``); it
+    is a constant, not a setting."""
 
     kernel: ClassVar[str] = "epanechnikov"
 
     t_grid_size: int = 21
     link_grid: tuple[float, float, int] = (-0.5, 0.5, 100)
     bandwidths: Bandwidths | str = "auto"
-    optimizer: OptimizerConfig = OptimizerConfig()
+    max_iter: int = 150
 
     def __post_init__(self):
         object.__setattr__(self, "t_grid_size", _count(self.t_grid_size, "t_grid_size"))
@@ -178,6 +166,15 @@ class FitConfig:
             raise ValueError("link_grid min must be below max")
         if count < 2:
             raise ValueError("link_grid count must be at least 2")
+        # The grid LinkEstimate will hold: linspace turns a span too wide
+        # for a float into NaN, and a step below the smallest float into
+        # repeated points.
+        with np.errstate(all="ignore"):
+            u = self.u_grid
+        _check_ascending(u, "link_grid points")
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if not (self.bandwidths == "auto" or isinstance(self.bandwidths, Bandwidths)):
             raise ValueError('bandwidths must be a Bandwidths instance or "auto"')
 
@@ -205,10 +202,7 @@ class LinkEstimate:
         object.__setattr__(self, "m_hat", m)
         if u.shape != m.shape or u.ndim != 1:
             raise ValueError("u_grid and m_hat must be equal-length vectors")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("u_grid must be finite")
-        if not np.all(np.diff(u) > 0):
-            raise ValueError("u_grid must be strictly ascending")
+        _check_ascending(u, "u_grid")
         if np.any(np.isinf(m)):
             raise ValueError("link estimates must be finite or NaN")
 
@@ -550,7 +544,7 @@ def fit_direction_at(
     # per grid point, not per evaluation, not to warn of either.
     with np.errstate(over="ignore", invalid="ignore"):
         obj = _LocalObjective(dataset, t0, bw)
-        res = _nelder_mead(penalized, _initial_simplex(a0), _XATOL, config.optimizer.max_iter)
+        res = _nelder_mead(penalized, _initial_simplex(a0), _XATOL, config.max_iter)
         direction = normalize_direction(direction_from_angles(res.x))
         value = obj.value(direction.components)
     return DirectionFit(

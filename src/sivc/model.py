@@ -42,6 +42,18 @@ def _frozen(value, dtype=float) -> np.ndarray:
     return a
 
 
+def _check_ascending(values: np.ndarray, what: str) -> None:
+    """Raise unless every entry of ``values`` is finite and each steps up
+    from the one before. NaN compares False, so each test asks that every
+    entry passes; a step too wide for a float still steps up."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    with np.errstate(over="ignore"):
+        ascending = np.all(np.diff(values) > 0)
+    if not ascending:
+        raise ValueError(f"{what} must be strictly ascending")
+
+
 def _count(value, name: str) -> int:
     """``value`` as an int; a count is never rounded or read from a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

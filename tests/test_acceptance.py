@@ -392,7 +392,7 @@ class TestCriterion7Determinism:
         "fit": {
             "t_grid_size": 5,
             "link_grid": [-0.5, 0.5, 21],
-            "optimizer": {"max_iter": 100},
+            "max_iter": 100,
         },
     }
 

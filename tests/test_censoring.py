@@ -101,6 +101,14 @@ class TestKaplanMeier:
         with pytest.raises(ValueError, match=message):
             SurvivalCurve(jump_times=np.array(jumps), values=np.array(values))
 
+    def test_curve_type_takes_a_step_too_wide_for_a_float(self):
+        # The step from -1e308 to 1e308 overflows to inf, which still steps
+        # up: the jump times are accepted without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = SurvivalCurve(jump_times=np.array([-1e308, 1e308]), values=np.array([0.5, 0.4]))
+        assert curve.jump_times.tolist() == [-1e308, 1e308]
+
 
 class TestSyntheticResponses:
     def test_identity_without_censoring(self):

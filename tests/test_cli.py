@@ -21,7 +21,7 @@ from sivc.cli import (
     write_dataset_csv,
 )
 from sivc.errors import ValidationError
-from sivc.estimator import Bandwidths, FitConfig, LinkEstimate, ModelFit, OptimizerConfig
+from sivc.estimator import Bandwidths, FitConfig, LinkEstimate, ModelFit
 from sivc.model import CoefficientCurves, Dataset
 from sivc.simulate import SimSummary
 
@@ -50,7 +50,7 @@ SMALL_SIM = {
     "fit": {
         "t_grid_size": 5,
         "link_grid": [-0.5, 0.5, 21],
-        "optimizer": {"max_iter": 100},
+        "max_iter": 100,
     },
 }
 
@@ -326,9 +326,15 @@ class TestSimulateCommand:
 REJECTED_CONFIG = {
     "fit-not-an-object": ({"fit": []}, "fit config must be a JSON object (got [])"),
     "sim-not-an-object": ({"sim": "x"}, 'sim config must be a JSON object (got "x")'),
+    # max_iter is a field of the fit section; the former optimizer
+    # section is an unknown key, whatever it holds.
     "optimizer-not-an-object": (
         {"fit": {"optimizer": 3}},
-        "optimizer config must be a JSON object (got 3)",
+        "unknown fit config keys: ['optimizer']",
+    ),
+    "optimizer-max_iter": (
+        {"fit": {"optimizer": {"max_iter": 100}}},
+        "unknown fit config keys: ['optimizer']",
     ),
     "bandwidths-not-an-object": (
         {"fit": {"bandwidths": "foo"}},
@@ -354,10 +360,15 @@ REJECTED_CONFIG = {
         {"sim": {"constant_direction": 3}},
         'sim config: constant_direction is only for the "constant" preset (got 3)',
     ),
-    # Each grid point runs once, so any restarts value is an unknown key.
+    # Each grid point runs once, so a restarts key is unknown, in the fit
+    # section or in the former optimizer section.
     "restarts-null": (
         {"fit": {"optimizer": {"restarts": None}}},
-        "unknown optimizer config keys: ['restarts']",
+        "unknown fit config keys: ['optimizer']",
+    ),
+    "restarts-in-fit": (
+        {"fit": {"restarts": 4}},
+        "unknown fit config keys: ['restarts']",
     ),
     "t_grid_size-null": (
         {"fit": {"t_grid_size": None}},
@@ -415,15 +426,29 @@ REJECTED_CONFIG = {
     ),
     "restarts-a-boolean": (
         {"fit": {"optimizer": {"restarts": True}}},
-        "unknown optimizer config keys: ['restarts']",
+        "unknown fit config keys: ['optimizer']",
     ),
     "restarts-a-string": (
         {"fit": {"optimizer": {"restarts": "3"}}},
-        "unknown optimizer config keys: ['restarts']",
+        "unknown fit config keys: ['optimizer']",
     ),
     "tol-removed": (
         {"fit": {"optimizer": {"tol": 1e-8}}},
-        "unknown optimizer config keys: ['tol']",
+        "unknown fit config keys: ['optimizer']",
+    ),
+    "tol-in-fit": (
+        {"fit": {"tol": 1e-8}},
+        "unknown fit config keys: ['tol']",
+    ),
+    # Ends that linspace cannot turn into a grid: the span overflows, or
+    # the step is below the smallest float.
+    "link_grid-span-overflows": (
+        {"fit": {"link_grid": [-1e308, 1e308, 5]}},
+        "fit config: link_grid points must be finite",
+    ),
+    "link_grid-step-underflows": (
+        {"fit": {"link_grid": [0, 5e-324, 3]}},
+        "fit config: link_grid points must be strictly ascending",
     ),
     # The kernel is a constant of the fit, so any kernel value is an
     # unknown key, the one family it smooths with included.
@@ -458,12 +483,11 @@ REJECTED_CONFIG = {
 class TestConfigErrors:
     def test_each_section_takes_every_field_of_its_dataclass(self):
         bandwidths = {"h1": 0.4, "h2": 0.3, "h_link": 0.2}
-        optimizer = {"max_iter": 7}
         fit = {
             "t_grid_size": 5,
             "link_grid": [-1, 1, 11],
             "bandwidths": bandwidths,
-            "optimizer": optimizer,
+            "max_iter": 7,
         }
         sim = {
             "n": 50,
@@ -479,13 +503,11 @@ class TestConfigErrors:
             (FitConfig, fit),
             (SimConfig, sim),
             (Bandwidths, bandwidths),
-            (OptimizerConfig, optimizer),
         ):
             assert set(section) == {f.name for f in dataclasses.fields(cls)}
         parsed = cli.parse_fit_config(fit)
         assert parsed.bandwidths == Bandwidths(**bandwidths)
-        assert parsed.optimizer == OptimizerConfig(**optimizer)
-        assert (parsed.t_grid_size, parsed.link_grid) == (5, (-1.0, 1.0, 11))
+        assert (parsed.t_grid_size, parsed.link_grid, parsed.max_iter) == (5, (-1.0, 1.0, 11), 7)
         assert cli.parse_sim_config(sim) == SimConfig(**dict(sim, constant_direction=(1, 0, 0)))
 
     @pytest.mark.parametrize("case", sorted(REJECTED_CONFIG))
@@ -506,13 +528,23 @@ class TestConfigErrors:
             if "sim" not in REJECTED_CONFIG[case][0]
         ],
     )
-    def test_command_exits_2(self, paper_csv, tmp_path, capsys, command, case):
+    def test_command_exits_2(self, paper_csv, tmp_path, capsys, monkeypatch, command, case):
+        # The config is refused on one line, with no numpy warning, before
+        # any fit or study runs.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli, "fit_model", no_fit)
+        monkeypatch.setattr(cli, "run_monte_carlo", no_fit)
         doc, message = REJECTED_CONFIG[case]
         config = write_config(tmp_path, doc)
         data = ["--data", str(paper_csv)] if command == "fit" else []
-        code = main([command, *data, "--config", str(config), "--out", str(tmp_path / "o")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, *data, "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert caught == []
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

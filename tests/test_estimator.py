@@ -19,7 +19,6 @@ from sivc import (
     EstimationError,
     FitConfig,
     LinkEstimate,
-    OptimizerConfig,
     SimConfig,
     UnitDirection,
     angles_from_direction,
@@ -529,7 +528,7 @@ class TestFitDirectionAt:
         assert math.isnan(fit.objective)
         assert not fit.converged
         # The one run goes on to the cap.
-        assert fit.iterations == config.optimizer.max_iter
+        assert fit.iterations == config.max_iter
 
     def test_tiny_h1_with_tied_projections_stays_finite(self):
         # At h1 = 1e-300 the sorted evaluation's q overflows and its sums
@@ -802,6 +801,14 @@ class TestFitLink:
         with pytest.raises(ValueError, match="u_grid must be finite"):
             LinkEstimate(u_grid=np.array(u_grid), m_hat=np.zeros(len(u_grid)))
 
+    def test_link_estimate_takes_a_step_too_wide_for_a_float(self):
+        # The step from -1e308 to 1e308 overflows to inf, which still steps
+        # up: the grid is accepted without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            link = LinkEstimate(u_grid=np.array([-1e308, 1e308]), m_hat=np.zeros(2))
+        assert link.u_grid.tolist() == [-1e308, 1e308]
+
 
 def link_cases():
     """(name, index, synthetic, link_grid, h): random index values and
@@ -897,7 +904,7 @@ class TestFitModel:
         return FitConfig(
             t_grid_size=5,
             link_grid=(-0.5, 0.5, 21),
-            optimizer=OptimizerConfig(max_iter=100),
+            max_iter=100,
         )
 
     def test_uncensored_synthetic_equals_response(self):
@@ -1041,14 +1048,13 @@ class TestFitConfigValidation:
         ],
     )
     def test_counts_must_be_integers(self, kwargs, field):
-        config = OptimizerConfig if field == "max_iter" else FitConfig
         # Counts must be integers; the other fields say what they need.
         need = {
             "link_grid min": "be a finite number",
             "link_grid": r"hold 3 values \[min, max, count\]",
         }.get(field, "be an integer")
         with pytest.raises(ValueError, match=f"^{field} must {need}"):
-            config(**kwargs)
+            FitConfig(**kwargs)
 
     def test_numpy_integer_counts_are_ints(self):
         config = FitConfig(t_grid_size=np.int64(5), link_grid=(-1, 1, np.int32(7)))
@@ -1057,10 +1063,17 @@ class TestFitConfigValidation:
 
     def test_rejects_bad_optimizer(self):
         with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
-            OptimizerConfig(max_iter=0)
-        # Each grid point runs once, so there are no restarts to set.
+            FitConfig(max_iter=0)
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer \(got True\)$"):
+            FitConfig(max_iter=True)
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer \(got 2.5\)$"):
+            FitConfig(max_iter=2.5)
+        # Each grid point runs once, so there are no restarts to set, and
+        # the iteration cap has no section of its own.
         with pytest.raises(TypeError, match="restarts"):
-            OptimizerConfig(restarts=1)
+            FitConfig(restarts=1)
+        with pytest.raises(TypeError, match="optimizer"):
+            FitConfig(optimizer=None)
 
 
 def concatenated_direction(angles):
@@ -1436,7 +1449,7 @@ class TestVertexCache:
         config = FitConfig(
             t_grid_size=5,
             link_grid=(-0.5, 0.5, 21),
-            optimizer=OptimizerConfig(max_iter=100),
+            max_iter=100,
         )
         ds = constant_direction_data(seed=24, n=80, direction=(0.6, 0.8), noise_sd=0.1)
         diag = fit_model(ds, config).diagnostics
@@ -1514,7 +1527,7 @@ class TestRace:
     def test_resume_matches_one_run_on_the_objective(self, paper_fit_inputs, t0):
         dataset, bw = paper_fit_inputs
         func = fit_objective(dataset, t0, bw)
-        max_iter = OptimizerConfig().max_iter
+        max_iter = FitConfig().max_iter
         for a0 in ([0.3], [-1.2], [-0.4], [0.0], [0.4], [1.2]):
             simplex = _initial_simplex(a0)
             race, polish = race_then_resume(func, simplex, max_iter)
@@ -1543,7 +1556,7 @@ class TestRace:
         [(start, xatol, maxiter, leader)] = calls
         a0 = [0.0] * (dataset.d - 1) if warm is None else angles_from_direction(warm).tolist()
         assert start == _initial_simplex(a0)
-        assert (xatol, maxiter) == (_XATOL, config.optimizer.max_iter)
+        assert (xatol, maxiter) == (_XATOL, config.max_iter)
 
         def span(res):
             return np.abs(np.subtract(res.sim, res.x)).max()
@@ -1568,7 +1581,7 @@ class TestRace:
             return real_nm(func, simplex, xatol, maxiter)
 
         monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
-        config = FitConfig(t_grid_size=6, optimizer=OptimizerConfig(max_iter=80))
+        config = FitConfig(t_grid_size=6, max_iter=80)
         _, fits = fit_coefficient_curves(dataset, config, bw)
         # One run per grid point, each to _XATOL under the configured cap.
         assert [run[1:] for run in runs] == [(_XATOL, 80)] * 6
@@ -1593,7 +1606,7 @@ class TestRace:
             return objective(angles)
 
         a0 = [0.0] * (dataset.d - 1) if warm is None else angles_from_direction(warm).tolist()
-        full = _nelder_mead(func, _initial_simplex(a0), _XATOL, config.optimizer.max_iter)
+        full = _nelder_mead(func, _initial_simplex(a0), _XATOL, config.max_iter)
         direction = normalize_direction(direction_from_angles(full.x))
         assert fit.direction.components.tobytes() == direction.components.tobytes()
         value = _LocalObjective(dataset, t0, bw).value(direction.components)

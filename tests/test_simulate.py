@@ -14,7 +14,6 @@ from oracle import reference_draws
 from sivc import (
     Bandwidths,
     FitConfig,
-    OptimizerConfig,
     SimConfig,
     calibrate_censoring,
     censoring_rate,
@@ -28,7 +27,7 @@ from sivc.simulate import _band
 SMALL_FIT = FitConfig(
     t_grid_size=5,
     link_grid=(-0.5, 0.5, 21),
-    optimizer=OptimizerConfig(max_iter=100),
+    max_iter=100,
 )
 
 
@@ -489,7 +488,7 @@ class TestRunMonteCarlo:
     def test_failure_log_lists_each_replication_in_order(self, workers):
         # One iteration leaves every grid point short of convergence, and a
         # link grid beyond the index's range leaves 10 points without data.
-        fit = FitConfig(optimizer=OptimizerConfig(max_iter=1), link_grid=(5, 6, 10))
+        fit = FitConfig(max_iter=1, link_grid=(5, 6, 10))
         summary = run_monte_carlo(SimConfig(n=200, reps=3, seed=5), fit, workers=workers)
         assert summary.failures == ()
         assert not summary.degraded

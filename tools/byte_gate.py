@@ -55,7 +55,7 @@ PAPER_N = (100, 500, 2000)
 CONSTANT_DIRECTIONS = ((1.0,), (1.0, 0.5, -0.5), (1.0, 0.5, -0.5, 0.25, 0.25))
 STUDY = {
     "sim": {"n": 200, "reps": 4},
-    "fit": {"link_grid": [-3.0, 3.0, 50], "optimizer": {"max_iter": 3}},
+    "fit": {"link_grid": [-3.0, 3.0, 50], "max_iter": 3},
 }
 
 TIED_STEP = 0.25
