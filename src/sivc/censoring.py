@@ -174,7 +174,6 @@ def calibrate_censoring(target_rate: float, dgp, seed: int = 0) -> float:
         raise EstimationError(
             f"no c in [{lo}, {hi}] achieves censoring rate {target_rate}"
         )
-    c = 0.5 * (lo + hi)
     for _ in range(200):
         c = 0.5 * (lo + hi)
         if hi - lo <= 1e-12 * max(1.0, hi):

@@ -153,6 +153,7 @@ class FitConfig:
         object.__setattr__(self, "t_grid_size", _count(self.t_grid_size, "t_grid_size"))
         if self.t_grid_size < 2:
             raise ValueError("t_grid_size must be at least 2")
+        self.t_grid  # built now, so a count numpy cannot build is rejected here
         try:
             lo, hi, count = self.link_grid
         except (TypeError, ValueError):
@@ -180,12 +181,22 @@ class FitConfig:
 
     @property
     def t_grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.t_grid_size)
+        return _grid(0.0, 1.0, self.t_grid_size, "t_grid_size")
 
     @property
     def u_grid(self) -> np.ndarray:
         lo, hi, count = self.link_grid
+        return _grid(lo, hi, count, "link_grid count")
+
+
+def _grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
+    """``count`` evenly spaced points from ``lo`` to ``hi``. A count whose
+    array numpy cannot build (too big for an index or for memory) is a
+    ``ValueError`` naming ``name``."""
+    try:
         return np.linspace(lo, hi, count)
+    except (IndexError, ValueError, MemoryError):
+        raise ValueError(f"{name} is too large for numpy to build its grid (got {count})") from None
 
 
 @dataclass(frozen=True)

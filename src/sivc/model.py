@@ -177,8 +177,7 @@ class CoefficientCurves:
             raise ValueError("grid must be a non-empty vector")
         if not np.all((grid >= 0) & (grid <= 1)):
             raise ValueError("grid points must lie in [0, 1]")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly ascending")
+        _check_ascending(grid, "grid")
         if matrix.ndim != 2 or matrix.shape[0] != grid.size:
             raise ValueError("one direction required per grid point")
         for row in matrix:

@@ -119,7 +119,9 @@ class SimConfig:
     def draw_latent(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Latent (uncensored) responses from the preset; used to
         calibrate the censoring scale."""
-        index = self._draw_index(rng, size, keep_draws=False)[2]
+        index = np.empty(size)
+        for rows, x, ts in self._index_blocks(rng, size):
+            np.einsum("ij,ij->i", x, self.true_directions(ts), out=index[rows])
         return self._draw_latent_at(rng, index, out=index)
 
     def _index_blocks(self, rng: np.random.Generator, size: int):
@@ -134,19 +136,6 @@ class SimConfig:
             m = min(_INDEX_BLOCK, size - start)
             x = covariates.standard_normal((m, self.d))
             yield slice(start, start + m), x, rng.uniform(0.0, 1.0, m)
-
-    def _draw_index(self, rng: np.random.Generator, size: int, keep_draws: bool):
-        """``(x, ts, index)`` of ``size`` rows, the index computed a block
-        at a time; ``x`` and ``ts`` are None unless ``keep_draws``."""
-        x = np.empty((size, self.d)) if keep_draws else None
-        ts = np.empty(size) if keep_draws else None
-        index = np.empty(size)
-        for rows, x_rows, ts_rows in self._index_blocks(rng, size):
-            np.einsum("ij,ij->i", x_rows, self.true_directions(ts_rows), out=index[rows])
-            if keep_draws:
-                x[rows] = x_rows
-                ts[rows] = ts_rows
-        return x, ts, index
 
     def _draw_latent_at(
         self, rng: np.random.Generator, index: np.ndarray, out: np.ndarray
@@ -233,18 +222,19 @@ def generate_dataset(
     if censor_scale is None:
         censor_scale = resolve_censor_scale(config)
     rng = np.random.default_rng((config.seed, rep_index))
-    x, ts, index = config._draw_index(rng, config.n, keep_draws=True)
+    x, ts, index = np.empty((config.n, config.d)), np.empty(config.n), np.empty(config.n)
+    for rows, x_rows, ts_rows in config._index_blocks(rng, config.n):
+        np.einsum("ij,ij->i", x_rows, config.true_directions(ts_rows), out=index[rows])
+        x[rows] = x_rows
+        ts[rows] = ts_rows
     y_star = config._draw_latent_at(rng, index, out=np.empty(config.n))
     if config.censor_target == 0.0:
-        dataset = Dataset(
-            y=y_star, delta=np.ones(config.n, dtype=int), x=x, t=ts
-        )
-        return dataset, TruthRecord(y_star, None, index)
-    censor_times = rng.uniform(0.0, censor_scale, config.n)
-    y = np.minimum(y_star, censor_times)
-    delta = (y_star < censor_times).astype(int)
-    dataset = Dataset(y=y, delta=delta, x=x, t=ts)
-    return dataset, TruthRecord(y_star, censor_times, index)
+        censor_times, y, delta = None, y_star, np.ones(config.n, dtype=int)
+    else:
+        censor_times = rng.uniform(0.0, censor_scale, config.n)
+        y = np.minimum(y_star, censor_times)
+        delta = (y_star < censor_times).astype(int)
+    return Dataset(y=y, delta=delta, x=x, t=ts), TruthRecord(y_star, censor_times, index)
 
 
 def _replicate(task) -> tuple[int, tuple | str]:

@@ -450,6 +450,29 @@ REJECTED_CONFIG = {
         {"fit": {"link_grid": [0, 5e-324, 3]}},
         "fit config: link_grid points must be strictly ascending",
     ),
+    "link_grid-one-point": (
+        {"fit": {"link_grid": [-1, 1, 1]}},
+        "fit config: link_grid count must be at least 2",
+    ),
+    # Counts numpy refuses before it allocates anything: one too big for
+    # an index, and one whose array is too big for any memory.
+    "link_grid-count-2**63-1": (
+        {"fit": {"link_grid": [-1, 1, 2**63 - 1]}},
+        "fit config: link_grid count is too large for numpy to build its grid "
+        f"(got {2**63 - 1})",
+    ),
+    "link_grid-count-2**62": (
+        {"fit": {"link_grid": [-1, 1, 2**62]}},
+        f"fit config: link_grid count is too large for numpy to build its grid (got {2**62})",
+    ),
+    "t_grid_size-2**63-1": (
+        {"fit": {"t_grid_size": 2**63 - 1}},
+        f"fit config: t_grid_size is too large for numpy to build its grid (got {2**63 - 1})",
+    ),
+    "t_grid_size-2**62": (
+        {"fit": {"t_grid_size": 2**62}},
+        f"fit config: t_grid_size is too large for numpy to build its grid (got {2**62})",
+    ),
     # The kernel is a constant of the fit, so any kernel value is an
     # unknown key, the one family it smooths with included.
     "kernel-epanechnikov": (
@@ -471,6 +494,10 @@ REJECTED_CONFIG = {
     "constant_direction-a-number-on-constant": (
         {"sim": {"preset": "constant", "constant_direction": 3}},
         "sim config: constant_direction must be a list of numbers (got 3)",
+    ),
+    "constant_direction-shorter-than-d": (
+        {"sim": {"preset": "constant", "d": 3, "constant_direction": [1, 0]}},
+        "sim config: constant_direction length must equal d",
     ),
     # JSON 1e400 parses to inf.
     "noise_sd-infinite": (
@@ -572,6 +599,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err == "validation error: unknown fit config keys: ['kernel']\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_config_holding_a_json_array_exits_2(self, paper_csv, tmp_path, capsys, command):
+        config = write_config(tmp_path, [{"fit": {}}])
+        data = ["--data", str(paper_csv)] if command == "fit" else []
+        code = main([command, *data, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"validation error: config {config}: expected a JSON object\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_fit_on_nine_rows_with_fixed_bandwidths_exits_2(self, tmp_path, capsys):
+        # Fixed bandwidths skip the selection rule, which would refuse the
+        # nine rows first; the direction fit refuses them instead.
+        ds, _ = generate_dataset(SimConfig(n=10, reps=1, seed=3), 0)
+        data = tmp_path / "nine.csv"
+        write_dataset_csv(data, Dataset(y=ds.y[:9], delta=ds.delta[:9], x=ds.x[:9], t=ds.t[:9]))
+        bandwidths = {"h1": 0.5, "h2": 0.3, "h_link": 0.3}
+        config = write_config(tmp_path, {"fit": {"bandwidths": bandwidths}})
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "validation error: direction fitting needs n >= 10 (got 9)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "reproduce-figures"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
@@ -893,6 +945,12 @@ class TestDatasetCsvContract:
         with pytest.raises(ValidationError) as info:
             read_dataset_csv(csv_file(tmp_path, text))
         assert info.value.problems == problems
+
+    def test_empty_file(self, tmp_path):
+        path = csv_file(tmp_path, "")
+        with pytest.raises(ValidationError) as info:
+            read_dataset_csv(path)
+        assert info.value.problems == [(None, f"{path}: empty file")]
 
     def test_blank_line_found_at_any_offset_of_a_long_file(self, tmp_path):
         # The file is long enough to be read in pieces; the line ending

@@ -794,6 +794,20 @@ class TestFitLink:
         with pytest.raises(ValueError):
             LinkEstimate(u_grid=np.array([0.0, 1.0]), m_hat=np.array([np.inf, 2.0]))
 
+    @pytest.mark.parametrize("sizes", [(3, 2), (2, 3)])
+    def test_unequal_lengths_are_rejected(self, sizes):
+        a, b = np.linspace(0.0, 1.0, sizes[0]), np.zeros(sizes[1])
+        with pytest.raises(ValueError, match="^u_grid and m_hat must be equal-length vectors$"):
+            LinkEstimate(u_grid=a, m_hat=b)
+        with pytest.raises(ValueError, match="^index and synthetic must be equal-length vectors$"):
+            fit_link(a, b, FitConfig(), 0.3)
+
+    @pytest.mark.parametrize("h_link", [0.0, -0.3, np.nan])
+    def test_fit_link_rejects_a_bandwidth_not_above_0(self, h_link):
+        index = np.linspace(-1.0, 1.0, 20)
+        with pytest.raises(ValueError, match="^bandwidth must be positive$"):
+            fit_link(index, index**2, FitConfig(), h_link)
+
     @pytest.mark.parametrize(
         "u_grid", [[0.0, np.nan, 1.0], [np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0]]
     )

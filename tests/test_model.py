@@ -189,6 +189,23 @@ def test_curves_check_every_row_of_the_matrix(matrix, message):
         CoefficientCurves(grid=np.array([0.0, 1.0]), matrix=matrix)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([], "grid must be a non-empty vector"),
+        ([[0.0, 1.0]], "grid must be a non-empty vector"),
+        ([0.0, 1.5], r"grid points must lie in \[0, 1\]"),
+        ([-0.5, 1.0], r"grid points must lie in \[0, 1\]"),
+        ([0.0, np.nan], r"grid points must lie in \[0, 1\]"),
+        ([0.5, 0.5], "grid must be strictly ascending"),
+        ([1.0, 0.0], "grid must be strictly ascending"),
+    ],
+)
+def test_curves_grid_is_a_vector_ascending_in_the_unit_interval(grid, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CoefficientCurves(grid=np.array(grid), matrix=np.ones((2, 1)))
+
+
 class TestEvaluateCurves:
     def test_exact_grid_hit(self):
         curves = curves_fixture([1.0, 0.0], [0.6, 0.8])

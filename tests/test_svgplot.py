@@ -1,8 +1,9 @@
-"""Tests of the SVG renderer's text escaping."""
+"""Tests of the SVG renderer: its text escaping and its input."""
 
 from xml.sax import saxutils
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -70,3 +71,8 @@ def test_reproduce_figures_svgs_unchanged(tmp_path, monkeypatch):
     assert main(args + ["--out", str(tmp_path / "sax")]) == 0
     for name in ("fig1.svg", "fig2.svg"):
         assert (tmp_path / "html" / name).read_bytes() == (tmp_path / "sax" / name).read_bytes()
+
+
+def test_render_figure_needs_a_panel():
+    with pytest.raises(ValueError, match="^at least one panel is required$"):
+        render_figure([])
