@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -102,7 +103,11 @@ def parse_sim_config(section: dict) -> SimConfig:
 
 def load_config(path: Path) -> dict:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # The whole file is decoded at once, so the offset is the file's.
+        raise ValidationError([(None, f"config {path}: {_not_utf8(exc)}")]) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -184,37 +189,66 @@ def _scan_rows(path: Path) -> np.ndarray:
     """Row-by-row reader: the authority on what the CSV contract accepts.
 
     Returns the data rows as ``_bulk_rows`` does, one float array."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError([(None, f"{path}: empty file")])
-        except csv.Error as exc:
-            raise ValidationError([(None, f"{path}: unreadable header ({exc})")]) from None
-        d = len(header) - 3
-        if d < 1 or header != _dataset_header(d):
-            raise ValidationError(
-                [(None, f"{path}: header must be y,delta,t,x1,...,xd (got {header})")]
-            )
-        rows = []
-        problems = []
-        for i, record in _records(reader, problems):
-            if len(record) != len(header):
-                problems.append((i, f"expected {len(header)} fields, got {len(record)}"))
-                continue
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                y = float(record[0])
-                delta = record[1].strip()
-                if delta not in ("0", "1"):
-                    problems.append((i, f"delta must be 0 or 1 (got {record[1]!r})"))
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError([(None, f"{path}: empty file")])
+            except csv.Error as exc:
+                raise ValidationError([(None, f"{path}: unreadable header ({exc})")]) from None
+            d = len(header) - 3
+            if d < 1 or header != _dataset_header(d):
+                raise ValidationError(
+                    [(None, f"{path}: header must be y,delta,t,x1,...,xd (got {header})")]
+                )
+            rows = []
+            problems = []
+            for i, record in _records(reader, problems):
+                if len(record) != len(header):
+                    problems.append((i, f"expected {len(header)} fields, got {len(record)}"))
                     continue
-                rows.append([y, float(delta), *map(float, record[2:])])
-            except ValueError:
-                problems.append((i, f"non-numeric field in {record!r}"))
-        if problems:
-            raise ValidationError(problems)
+                try:
+                    y = float(record[0])
+                    delta = record[1].strip()
+                    if delta not in ("0", "1"):
+                        problems.append((i, f"delta must be 0 or 1 (got {record[1]!r})"))
+                        continue
+                    rows.append([y, float(delta), *map(float, record[2:])])
+                except ValueError:
+                    problems.append((i, f"non-numeric field in {record!r}"))
+    except UnicodeDecodeError:
+        raise _undecodable_csv(path) from None
+    if problems:
+        raise ValidationError(problems)
     return np.array(rows, dtype=float).reshape(-1, len(header))
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"byte {exc.start} is not UTF-8 ({exc.reason})"
+
+
+def _undecodable_csv(path: Path) -> ValidationError:
+    """The error for a data file that is not UTF-8, naming its first byte
+    that does not decode and the data row that holds it, numbered as
+    ``_records`` numbers them. The reader decodes in buffers, so its own
+    error gives no file offset; the file is read once more, on this error
+    path only."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The records of the text before the bad byte, the header first;
+        # one more character ends the record holding the byte, cut off or
+        # not yet begun there.
+        before = io.StringIO(raw[: exc.start].decode("utf-8") + "?", newline="")
+        unsplit = []
+        row = sum(1 for _ in _records(csv.reader(before), unsplit)) - 2
+        # A record the csv module cannot split ends the count: no row then.
+        row = row if row >= 0 and not unsplit else None
+        return ValidationError([(row, f"{path}: {_not_utf8(exc)}")])
+    return ValidationError([(None, f"{path}: changed while it was read")])
 
 
 def _records(reader, problems: list):

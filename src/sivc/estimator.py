@@ -401,18 +401,15 @@ def local_objective(
 
 
 class _Simplex(NamedTuple):
-    """Nelder-Mead outcome: the best vertex and its value, the iteration
-    and evaluation counts, whether it stopped before the iteration cap,
-    the final vertex values in ascending order and the vertices in the
-    same order."""
+    """Nelder-Mead outcome: the best vertex, the iteration and evaluation
+    counts, whether it stopped before the iteration cap, and the final
+    vertex values in ascending order."""
 
     x: tuple[float, ...]
-    fun: float
     nit: int
     nfev: int
     success: bool
     fsim: tuple[float, ...]
-    sim: tuple[tuple[float, ...], ...]
 
 
 def _rank(vertex: tuple[float, list[float]]) -> tuple[bool, float]:
@@ -489,11 +486,7 @@ def _nelder_mead(
                 nfev += n
         nit += 1
         verts.sort(key=_rank)
-    fsim = tuple(f for f, _ in verts)
-    # numpy's min, which SciPy reports, is NaN if any value is.
-    fun = math.nan if fsim[-1] != fsim[-1] else fsim[0]
-    sim = tuple(tuple(x) for _, x in verts)
-    return _Simplex(sim[0], fun, nit, nfev, nit < maxiter, fsim, sim)
+    return _Simplex(tuple(verts[0][1]), nit, nfev, nit < maxiter, tuple(f for f, _ in verts))
 
 
 def _initial_simplex(a0: list[float]) -> list[list[float]]:
@@ -650,8 +643,20 @@ def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
 
     Deterministic given (dataset, config): the optimizer starts from the
     centre of the angle box and then from the warm starts, so no
-    randomness enters the fit.
+    randomness enters the fit. Raises ``EstimationError`` before either
+    stage when the data cannot identify the model: no uncensored row
+    (the censoring survival then falls to 0 at the largest response, and
+    the synthetic responses say nothing of the latent ones), or a constant
+    covariate column (the direction is then identified only up to that
+    column's coefficient).
     """
+    if not np.any(dataset.delta):
+        raise EstimationError("no uncensored row: every row has delta = 0")
+    constant = np.flatnonzero(np.ptp(dataset.x, axis=0) == 0)
+    if constant.size:
+        raise EstimationError(
+            f"covariate x{constant[0] + 1} is constant, so the direction is not identified"
+        )
     bw = config.bandwidths
     if not isinstance(bw, Bandwidths):
         bw = select_bandwidths(dataset, FitConfig.kernel)

@@ -163,6 +163,49 @@ class TestFitCommand:
             f"estimation error: bandwidth is not finite: the sample sd overflows (got {sd})\n"
         )
 
+    @pytest.mark.parametrize(
+        "case, code, message",
+        [
+            pytest.param(
+                "not-utf-8",
+                EXIT_VALIDATION,
+                "validation error: row {row}: {data}: byte 20013 is not UTF-8 (invalid start byte)",
+                id="not-utf-8",
+            ),
+            pytest.param(
+                "all-censored",
+                EXIT_ESTIMATION,
+                "estimation error: no uncensored row: every row has delta = 0",
+                id="all-censored",
+            ),
+            pytest.param(
+                "constant-x2",
+                EXIT_ESTIMATION,
+                "estimation error: covariate x2 is constant, so the direction is not identified",
+                id="constant-x2",
+            ),
+        ],
+    )
+    def test_refused_input_exits_on_one_line(self, tmp_path, capsys, case, code, message):
+        dataset, _ = generate_dataset(SimConfig(n=300, seed=1729), 0)
+        delta, x = dataset.delta, dataset.x.copy()
+        if case == "all-censored":
+            delta = np.zeros(dataset.n, dtype=int)
+        elif case == "constant-x2":
+            x[:, 1] = 0.25
+        data = tmp_path / "refused.csv"
+        write_dataset_csv(data, Dataset(y=np.abs(dataset.y), delta=delta, x=x, t=dataset.t))
+        raw = data.read_bytes()
+        if case == "not-utf-8":
+            # Past the reader's first buffer; rows count from 0 after the header.
+            data.write_bytes(raw[:20013] + b"\xff" + raw[20014:])
+        config = write_config(tmp_path, {"fit": {}})
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == code
+        row = raw[:20013].count(b"\n") - 1
+        assert capsys.readouterr().err == message.format(row=row, data=data) + "\n"
+        assert not out.exists()
+
     def test_curves_csv_roundtrips_to_12_digits(self, paper_csv, tmp_path):
         from sivc import FitConfig, fit_model
 
@@ -610,6 +653,17 @@ class TestConfigErrors:
         assert err == f"validation error: config {config}: expected a JSON object\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_config_that_is_not_utf8_exits_2(self, paper_csv, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"fit": {"t_grid_size": 5}}\n\xff\n')
+        data = ["--data", str(paper_csv)] if command == "fit" else []
+        code = main([command, *data, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"validation error: config {config}: byte 28 is not UTF-8 (invalid start byte)\n"
+        assert not (tmp_path / "o").exists()
+
     def test_fit_on_nine_rows_with_fixed_bandwidths_exits_2(self, tmp_path, capsys):
         # Fixed bandwidths skip the selection rule, which would refuse the
         # nine rows first; the direction fit refuses them instead.
@@ -794,14 +848,17 @@ class TestTableWriter:
 
 
 def csv_file(tmp_path, text):
+    # A lone surrogate U+DC80..U+DCFF writes the byte 0x80..0xff alone,
+    # which is not UTF-8.
     path = tmp_path / "in.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
 # The reader's contract: each accepted file with the rows it must give,
 # as (y, delta, t, x) with x a tuple, and each rejected file with the
-# exact problems list of its ValidationError.
+# exact problems list of its ValidationError, ``{path}`` standing for the
+# file's path.
 ACCEPTED_CSV = {
     "crlf": (
         "y,delta,t,x1\r\n1,1,0.5,0.2\r\n2,0,0.4,0.1\r\n",
@@ -840,6 +897,10 @@ ACCEPTED_CSV = {
         ],
     ),
 }
+
+# Text before a byte that is not UTF-8, past the reader's first buffer
+# and after a record that spans two lines.
+NOT_UTF8_HEAD = 'y,delta,t,x1\n"1\n",1,0.5,0.2\n' + "0.5,1,0.5,0.2\n" * 1500 + "2,0,0.4,0.1"
 
 REJECTED_CSV = {
     "header-only": (
@@ -923,6 +984,15 @@ REJECTED_CSV = {
         "y,delta,t,x1\nnan,1,0.5,0.2\n-inf,0,0.4,0.1\n3,0,0.4,0.1\n",
         [(0, "response must be finite"), (1, "response must be finite")],
     ),
+    # The row is counted in records and the byte from the start of the file.
+    "not-utf-8": (
+        NOT_UTF8_HEAD + "\udcff\n3,0,0.4,0.1\n",
+        [(1501, f"{{path}}: byte {len(NOT_UTF8_HEAD)} is not UTF-8 (invalid start byte)")],
+    ),
+    "not-utf-8-in-header": (
+        "y,delta,t,x\udce91\n1,1,0.5,0.2\n2,0,0.4,0.1\n",
+        [(None, "{path}: byte 11 is not UTF-8 (invalid continuation byte)")],
+    ),
 }
 
 
@@ -942,9 +1012,10 @@ class TestDatasetCsvContract:
     @pytest.mark.parametrize("case", sorted(REJECTED_CSV))
     def test_rejected(self, tmp_path, case):
         text, problems = REJECTED_CSV[case]
+        path = csv_file(tmp_path, text)
         with pytest.raises(ValidationError) as info:
-            read_dataset_csv(csv_file(tmp_path, text))
-        assert info.value.problems == problems
+            read_dataset_csv(path)
+        assert info.value.problems == [(i, p.replace("{path}", str(path))) for i, p in problems]
 
     def test_empty_file(self, tmp_path):
         path = csv_file(tmp_path, "")

@@ -1032,6 +1032,50 @@ class TestFitModel:
         with pytest.raises(EstimationError, match="stage 1"):
             fit_model(ds, config)
 
+    @staticmethod
+    def refused_before_stage_1(monkeypatch, ds, bandwidths):
+        """The EstimationError ``fit_model`` raises before it selects a
+        bandwidth or fits a direction."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("the fit went on")
+
+        monkeypatch.setattr(estimator, "select_bandwidths", never)
+        monkeypatch.setattr(estimator, "fit_coefficient_curves", never)
+        with pytest.raises(EstimationError) as excinfo:
+            fit_model(ds, FitConfig(bandwidths=bandwidths))
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("bandwidths", ["auto", Bandwidths(h1=0.5, h2=0.3, h_link=0.3)])
+    def test_no_uncensored_row_is_refused(self, monkeypatch, bandwidths):
+        ds, _ = generate_dataset(SimConfig(n=300, seed=1729), 0)
+        censored = Dataset(y=np.abs(ds.y), delta=np.zeros(ds.n, dtype=int), x=ds.x, t=ds.t)
+        message = self.refused_before_stage_1(monkeypatch, censored, bandwidths)
+        assert message == "no uncensored row: every row has delta = 0"
+
+    @pytest.mark.parametrize("bandwidths", ["auto", Bandwidths(h1=0.5, h2=0.3, h_link=0.3)])
+    @pytest.mark.parametrize("d, column", [(1, 0), (2, 1), (3, 0), (3, 2)])
+    def test_constant_covariate_is_refused_by_name(self, monkeypatch, bandwidths, d, column):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(40, d))
+        x[:, column] = -1.5
+        ds = Dataset(
+            y=rng.normal(size=40), delta=np.ones(40, dtype=int), x=x, t=rng.uniform(size=40)
+        )
+        message = self.refused_before_stage_1(monkeypatch, ds, bandwidths)
+        assert message == f"covariate x{column + 1} is constant, so the direction is not identified"
+
+    def test_constant_modifier_keeps_its_message(self):
+        rng = np.random.default_rng(28)
+        ds = Dataset(
+            y=rng.normal(size=40),
+            delta=np.ones(40, dtype=int),
+            x=rng.normal(size=(40, 2)),
+            t=np.full(40, 0.5),
+        )
+        with pytest.raises(EstimationError, match="^degenerate predictor: zero sample variance$"):
+            fit_model(ds, FitConfig())
+
 
 class TestFitConfigValidation:
     def test_rejects_bad_grid(self):
@@ -1125,20 +1169,13 @@ def scipy_nelder_mead(func, simplex, xatol, maxiter, fatol=math.inf):
         options={"initial_simplex": sim, "xatol": xatol, "fatol": fatol, "maxiter": maxiter},
     )
     return _Simplex(
-        tuple(res.x),
-        res.fun,
-        res.nit,
-        res.nfev,
-        bool(res.success),
-        tuple(res.final_simplex[1]),
-        res.final_simplex[0],
+        tuple(res.x), res.nit, res.nfev, bool(res.success), tuple(res.final_simplex[1])
     )
 
 
 def assert_same_run(ours, ref):
-    """Equal bit for bit: x, fun, fsim as IEEE bytes, counts and flag exactly."""
+    """Equal bit for bit: x and fsim as IEEE bytes, counts and flag exactly."""
     assert np.asarray(ours.x, dtype=float).tobytes() == np.asarray(ref.x, dtype=float).tobytes()
-    assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
     assert np.asarray(ours.fsim, dtype=float).tobytes() == np.asarray(ref.fsim, dtype=float).tobytes()
     assert (ours.nit, ours.nfev, ours.success) == (ref.nit, ref.nfev, ref.success)
 
@@ -1225,7 +1262,7 @@ def nm_cases():
     cases += [
         ("shrink-finds-well-2", nm_well, well_start, 2, {"maxiter", "shrink"}),
         ("zero-sign-1", nm_zero_sign, [[-0.0], [0.0]], 10, {"maxiter", "shrink", "zero-span"}),
-        # Capped with a NaN vertex left: fun is NaN, x the best number.
+        # Capped with a NaN vertex left: fsim ends in NaN, x is the best number.
         ("nan-capped-1", nm_nan_region, nm_start(1, seed=0), 3, {"nan", "maxiter"}),
     ]
     return cases
@@ -1305,7 +1342,7 @@ class TestNelderMead:
         # tolerance test, so the run goes on to the cap.
         res = _nelder_mead(lambda x: math.nan, [[0.0], [0.1]], 1.0, 20)
         assert (res.nit, res.success) == (20, False)
-        assert math.isnan(res.fun)
+        assert all(math.isnan(f) for f in res.fsim)
 
     def test_ties_keep_their_order(self):
         res = _nelder_mead(lambda x: 1.0, [[0.3, 0.0], [0.1, 0.0], [0.2, 0.0]], 1e-5, 2)
@@ -1479,28 +1516,6 @@ class TestVertexCache:
         assert fit_model(flat, config).diagnostics["objective_calls"] == [0] * 5
 
 
-# A coarse first leg for the resume checks, ten times the fit's _XATOL.
-COARSE_XATOL = 1e-2
-
-
-def race_then_resume(func, simplex, maxiter):
-    """A run to COARSE_XATOL, then a resume of it to _XATOL from its final
-    simplex with the iterations it has left."""
-    race = _nelder_mead(func, simplex, COARSE_XATOL, maxiter)
-    return race, _nelder_mead(func, race.sim, _XATOL, maxiter - race.nit + 1)
-
-
-def assert_resume_is_one_run(race, polish, full):
-    """The resumed run ends where the uninterrupted one does, bit for bit;
-    its counts add up to the uninterrupted run's, the resume's re-scoring
-    of the N + 1 vertices and its first iteration aside."""
-    resumed = polish._replace(
-        nit=race.nit + polish.nit - 1, nfev=race.nfev + polish.nfev - len(full.sim)
-    )
-    assert_same_run(resumed, full)
-    assert np.asarray(polish.sim, dtype=float).tobytes() == np.asarray(full.sim, dtype=float).tobytes()
-
-
 def fit_objective(dataset, t0, bw):
     """The penalized angle objective ``fit_direction_at`` minimizes."""
     obj = _LocalObjective(dataset, t0, bw)
@@ -1521,69 +1536,10 @@ def paper_fit_inputs():
 
 
 class TestRace:
-    """Stage 1 runs Nelder-Mead once per grid point, from the warm start
-    or the centre of the angle box. ``_nelder_mead`` keeps no state but
-    its sorted simplex and iteration count, so a run stopped at a coarse
-    tolerance and resumed from its final simplex takes the steps of one
-    uninterrupted run, as a search that races several starts would need."""
-
-    @pytest.mark.parametrize(
-        "func, simplex, maxiter",
-        [case[1:4] for case in nm_cases()],
-        ids=[case[0] for case in nm_cases()],
-    )
-    def test_resume_matches_one_run_on_the_test_functions(self, func, simplex, maxiter):
-        race, polish = race_then_resume(func, simplex, maxiter)
-        full = _nelder_mead(func, simplex, _XATOL, maxiter)
-        assert_resume_is_one_run(race, polish, full)
-
-    @pytest.mark.parametrize("t0", [0.0, 0.2, 0.45, 0.7, 1.0])
-    def test_resume_matches_one_run_on_the_objective(self, paper_fit_inputs, t0):
-        dataset, bw = paper_fit_inputs
-        func = fit_objective(dataset, t0, bw)
-        max_iter = FitConfig().max_iter
-        for a0 in ([0.3], [-1.2], [-0.4], [0.0], [0.4], [1.2]):
-            simplex = _initial_simplex(a0)
-            race, polish = race_then_resume(func, simplex, max_iter)
-            full = _nelder_mead(func, simplex, _XATOL, max_iter)
-            assert_resume_is_one_run(race, polish, full)
-            assert race.nit < full.nit
-
-    @pytest.mark.parametrize("case", [0, 1, 3, 4, 7, 10])
-    def test_only_the_leader_goes_below_the_race_tolerance(self, case, monkeypatch):
-        # With one start per grid point the fit's run is its own leader: it
-        # is the only Nelder-Mead call, and it goes on to _XATOL, below the
-        # COARSE_XATOL at which a race between several starts would stop
-        # each runner.
-        dataset, t0, bw, warm = direction_fit_cases()[case]
-        calls = []
-        real_nm = estimator._nelder_mead
-
-        def nelder_mead(func, simplex, xatol, maxiter):
-            res = real_nm(func, simplex, xatol, maxiter)
-            calls.append((simplex, xatol, maxiter, res))
-            return res
-
-        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
-        config = FitConfig()
-        fit = fit_direction_at(dataset, t0, config, bw, warm_start=warm)
-        [(start, xatol, maxiter, leader)] = calls
-        a0 = [0.0] * (dataset.d - 1) if warm is None else angles_from_direction(warm).tolist()
-        assert start == _initial_simplex(a0)
-        assert (xatol, maxiter) == (_XATOL, config.max_iter)
-
-        def span(res):
-            return np.abs(np.subtract(res.sim, res.x)).max()
-
-        # A runner stopped at the race tolerance from the same start would
-        # still be wider than _XATOL; the leader goes on below it.
-        race = _nelder_mead(fit_objective(dataset, t0, bw), start, COARSE_XATOL, maxiter)
-        assert race.success and span(race) <= COARSE_XATOL
-        assert leader.success and span(leader) <= _XATOL < span(race)
-        assert fit.direction.components.tobytes() == normalize_direction(
-            direction_from_angles(leader.x)
-        ).components.tobytes()
-        assert (fit.iterations, fit.evaluations) == (leader.nit, leader.nfev)
+    """Stage 1 runs Nelder-Mead once per grid point, to ``_XATOL`` under
+    the configured iteration cap, from the left neighbour's direction or,
+    at the first grid point, from the centre of the angle box; the fit is
+    that one run's best vertex."""
 
     def test_sweep_starts_the_first_point_at_the_centre(self, paper_fit_inputs, monkeypatch):
         dataset, bw = paper_fit_inputs
