@@ -109,7 +109,9 @@ def load_config(path: Path) -> dict:
         # The whole file is decoded at once, so the offset is the file's.
         raise ValidationError([(None, f"config {path}: {_not_utf8(exc)}")]) from None
     try:
-        doc = json.loads(text)
+        # A leading byte order mark is skipped. Decoding as utf-8-sig would
+        # count the offset of a bad byte after it, not from the file's start.
+        doc = json.loads(text.removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise ValidationError([(None, f"config {path}: invalid JSON ({exc})")])
     if not isinstance(doc, dict):
@@ -140,7 +142,7 @@ def read_dataset_csv(path: Path) -> Dataset:
 
     The data rows are parsed in bulk by numpy. A file the bulk parse refuses
     goes through the row scanner, which decides what is accepted and
-    names every offending row.
+    names every offending row. A leading UTF-8 byte order mark is skipped.
     """
     path = Path(path)
     rows = _bulk_rows(path)
@@ -161,7 +163,7 @@ def _bulk_rows(path: Path) -> Optional[np.ndarray]:
     accepts, numpy's parse gives the bits ``float()`` gives.
     """
     try:
-        with path.open(encoding="utf-8") as handle:
+        with path.open(encoding="utf-8-sig") as handle:
             tail = ""
             while chunk := handle.read(1 << 16):
                 if "\n\n" in tail + chunk or any(c in chunk for c in _SEPARATORS):
@@ -190,7 +192,7 @@ def _scan_rows(path: Path) -> np.ndarray:
 
     Returns the data rows as ``_bulk_rows`` does, one float array."""
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)

@@ -12,9 +12,9 @@ replication index), so results do not depend on execution order or
 worker count; aggregation happens in replication order on one thread.
 
 A stream holds all covariates, then all modifiers, then the noise, then
-the censoring times. ``SimConfig._index_blocks`` walks the first two a
-block of rows at a time with twin generators: a copy of the stream reads
-the covariates while the stream skips past them to the modifiers.
+the censoring times: ``generate_dataset`` draws each with one call.
+``SimConfig.draw_latent`` replays the same stream a block of rows at a
+time, so the calibration probe holds one block beside its index.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
 
 _PRESETS = ("paper", "constant")
 _CALIBRATION_STREAM = 0x5EEDCA1
-# Rows per block of the covariate and modifier walk: bounds what the
+# Rows per block of `SimConfig.draw_latent`: bounds what the
 # 100 000-draw calibration probe holds beside its index to one block. A
 # normal draw takes a variable number of raw outputs, so the stream cannot
 # jump past the covariates: it draws and drops them (the skip pass).
@@ -118,35 +118,23 @@ class SimConfig:
 
     def draw_latent(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Latent (uncensored) responses from the preset; used to
-        calibrate the censoring scale."""
-        index = np.empty(size)
-        for rows, x, ts in self._index_blocks(rng, size):
-            np.einsum("ij,ij->i", x, self.true_directions(ts), out=index[rows])
-        return self._draw_latent_at(rng, index, out=index)
-
-    def _index_blocks(self, rng: np.random.Generator, size: int):
-        """Yield ``(rows, x, ts)``, ``_INDEX_BLOCK`` rows at a time, with
-        the bits of one call for all covariates, then one for all
-        modifiers. The covariates come from a copy of ``rng``; ``rng``
-        first skips them, and is left where the noise starts."""
+        calibrate the censoring scale. The draws of ``generate_dataset``,
+        ``_INDEX_BLOCK`` rows at a time: a copy of ``rng`` reads the
+        covariates while ``rng`` skips past them to the modifiers."""
         covariates = copy.deepcopy(rng)
         for start in range(0, size, _INDEX_BLOCK):
             rng.standard_normal((min(_INDEX_BLOCK, size - start), self.d))
+        latent = np.empty(size)
         for start in range(0, size, _INDEX_BLOCK):
             m = min(_INDEX_BLOCK, size - start)
             x = covariates.standard_normal((m, self.d))
-            yield slice(start, start + m), x, rng.uniform(0.0, 1.0, m)
-
-    def _draw_latent_at(
-        self, rng: np.random.Generator, index: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Latent responses at the true index, noise plus link, written a
-        block at a time into ``out``, which may be ``index`` itself."""
-        for start in range(0, index.size, _INDEX_BLOCK):
+            ts = rng.uniform(0.0, 1.0, m)
+            np.einsum("ij,ij->i", x, self.true_directions(ts), out=latent[start : start + m])
+        for start in range(0, size, _INDEX_BLOCK):
             rows = slice(start, start + _INDEX_BLOCK)
-            link = self.true_link(index[rows])
-            np.add(rng.normal(0.0, self.noise_sd, link.size), link, out=out[rows])
-        return out
+            link = self.true_link(latent[rows])
+            np.add(rng.normal(0.0, self.noise_sd, link.size), link, out=latent[rows])
+        return latent
 
 
 @dataclass(frozen=True)
@@ -222,12 +210,10 @@ def generate_dataset(
     if censor_scale is None:
         censor_scale = resolve_censor_scale(config)
     rng = np.random.default_rng((config.seed, rep_index))
-    x, ts, index = np.empty((config.n, config.d)), np.empty(config.n), np.empty(config.n)
-    for rows, x_rows, ts_rows in config._index_blocks(rng, config.n):
-        np.einsum("ij,ij->i", x_rows, config.true_directions(ts_rows), out=index[rows])
-        x[rows] = x_rows
-        ts[rows] = ts_rows
-    y_star = config._draw_latent_at(rng, index, out=np.empty(config.n))
+    x = rng.standard_normal((config.n, config.d))
+    ts = rng.uniform(0.0, 1.0, config.n)
+    index = np.einsum("ij,ij->i", x, config.true_directions(ts))
+    y_star = rng.normal(0.0, config.noise_sd, config.n) + config.true_link(index)
     if config.censor_target == 0.0:
         censor_times, y, delta = None, y_star, np.ones(config.n, dtype=int)
     else:

@@ -48,10 +48,6 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:.3g}"
-
-
 def _finite_runs(*series) -> list[tuple[int, int]]:
     """Index ranges [start, stop) of at least two consecutive points at
     which every one of ``series`` is finite."""
@@ -109,6 +105,19 @@ def _band_polygons(scale: _PanelScale, xs, lo, hi) -> list[str]:
     ]
 
 
+def _tick(value: float, mark: tuple, label_at: tuple, anchor: str) -> list[str]:
+    """One axis tick: its line, ``mark`` = (x1, y1, x2, y2), and its label
+    at ``label_at`` = (x, y)."""
+    x1, y1, x2, y2 = map(_fmt, mark)
+    tx, ty = map(_fmt, label_at)
+    return [
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{_AXIS_COLOR}" stroke-width="1"/>',
+        f'<text x="{tx}" y="{ty}" font-size="11" '
+        f'text-anchor="{anchor}" fill="{_AXIS_COLOR}">{value:.3g}</text>',
+    ]
+
+
 def _axes(scale: _PanelScale, panel: Panel) -> list[str]:
     parts = []
     x0, y0 = scale.px, scale.py
@@ -119,24 +128,10 @@ def _axes(scale: _PanelScale, panel: Panel) -> list[str]:
     )
     for xv in np.linspace(scale.xlo, scale.xhi, 5):
         sx = scale.sx(xv)
-        parts.append(
-            f'<line x1="{_fmt(sx)}" y1="{_fmt(y1)}" x2="{_fmt(sx)}" y2="{_fmt(y1 + 4)}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(sx)}" y="{_fmt(y1 + 17)}" font-size="11" '
-            f'text-anchor="middle" fill="{_AXIS_COLOR}">{_tick_label(xv)}</text>'
-        )
+        parts += _tick(xv, (sx, y1, sx, y1 + 4), (sx, y1 + 17), "middle")
     for yv in np.linspace(scale.ylo, scale.yhi, 5):
         sy = scale.sy(yv)
-        parts.append(
-            f'<line x1="{_fmt(x0 - 4)}" y1="{_fmt(sy)}" x2="{_fmt(x0)}" y2="{_fmt(sy)}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 - 7)}" y="{_fmt(sy + 4)}" font-size="11" '
-            f'text-anchor="end" fill="{_AXIS_COLOR}">{_tick_label(yv)}</text>'
-        )
+        parts += _tick(yv, (x0 - 4, sy, x0, sy), (x0 - 7, sy + 4), "end")
     cx = 0.5 * (x0 + x1)
     parts.append(
         f'<text x="{_fmt(cx)}" y="{_fmt(y1 + 34)}" font-size="12" '

@@ -43,8 +43,9 @@ matrix formula, which the sorted evaluation must match to rounding.
 
 ``reference_draws`` is the reference for the draws of
 ``sivc.generate_dataset`` and ``SimConfig.draw_latent``: one call per
-kind of draw over every row, in the stream's order, which their
-block-wise walk must match bit for bit.
+kind of draw over every row, in the stream's order, which
+``generate_dataset`` takes as it is and ``draw_latent``'s block-wise walk
+must match bit for bit.
 
 ``reference_write_table`` is the reference for ``sivc.cli._write_table``:
 the ``csv`` module writing cells formatted one by one with ``str.format``,

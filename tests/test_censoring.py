@@ -86,6 +86,10 @@ class TestKaplanMeier:
         with pytest.raises(ValueError):
             SurvivalCurve(jump_times=np.array([1.0]), values=np.array([1.5]))
 
+    def test_curve_type_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="^jump_times and values must be equal-length vectors$"):
+            SurvivalCurve(jump_times=np.array([1.0, 2.0]), values=np.array([0.5]))
+
     @pytest.mark.parametrize(
         "jumps, values, message",
         [

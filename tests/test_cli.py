@@ -40,6 +40,11 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def no_scanner(path):
+    """Stands in for ``cli._scan_rows`` where a file must be read in bulk."""
+    raise AssertionError(f"row scanner used on {path}")
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
@@ -205,6 +210,20 @@ class TestFitCommand:
         row = raw[:20013].count(b"\n") - 1
         assert capsys.readouterr().err == message.format(row=row, data=data) + "\n"
         assert not out.exists()
+
+    # Spreadsheet programs save "CSV UTF-8" with a leading byte order mark.
+    @pytest.mark.parametrize("marked", ["data", "config"])
+    def test_byte_order_mark_is_skipped(self, paper_csv, tmp_path, monkeypatch, marked):
+        monkeypatch.setattr(cli, "_scan_rows", no_scanner)
+        plain = {"data": paper_csv, "config": write_config(tmp_path, {"fit": {"t_grid_size": 5}})}
+        inputs = dict(plain, **{marked: tmp_path / f"marked-{plain[marked].name}"})
+        inputs[marked].write_bytes(b"\xef\xbb\xbf" + plain[marked].read_bytes())
+        for files, out in ((plain, "plain"), (inputs, "marked")):
+            args = ["--data", str(files["data"]), "--config", str(files["config"])]
+            assert main(["fit", *args, "--out", str(tmp_path / out)]) == EXIT_OK
+        for name in ("curves.csv", "link.csv"):
+            marked_bytes = (tmp_path / "marked" / name).read_bytes()
+            assert marked_bytes == (tmp_path / "plain" / name).read_bytes()
 
     def test_curves_csv_roundtrips_to_12_digits(self, paper_csv, tmp_path):
         from sivc import FitConfig, fit_model
@@ -664,6 +683,17 @@ class TestConfigErrors:
         assert err == f"validation error: config {config}: byte 28 is not UTF-8 (invalid start byte)\n"
         assert not (tmp_path / "o").exists()
 
+    def test_bad_byte_after_a_byte_order_mark_is_counted_from_the_file_start(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'\xef\xbb\xbf{"fit": {"t_grid_size": 5}}\n\xff\n')
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"validation error: config {config}: byte 31 is not UTF-8 (invalid start byte)\n"
+        assert not (tmp_path / "o").exists()
+
     def test_fit_on_nine_rows_with_fixed_bandwidths_exits_2(self, tmp_path, capsys):
         # Fixed bandwidths skip the selection rule, which would refuse the
         # nine rows first; the direction fit refuses them instead.
@@ -888,6 +918,16 @@ ACCEPTED_CSV = {
         "y,delta,t,x1\n 1.5 ,1,\t0.5,0.2 \n2,0,0.4, 0.1\n",
         [(1.5, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
     ),
+    # A leading byte order mark is skipped by the bulk parse and, past a
+    # quote the bulk parse refuses, by the row scanner.
+    "byte-order-mark": (
+        "\ufeffy,delta,t,x1\n1,1,0.5,0.2\n2,0,0.4,0.1\n",
+        [(1.0, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
+    "byte-order-mark-quoted-field": (
+        '\ufeffy,delta,t,x1\n"1.5",1,0.5,0.2\n2,0,0.4,0.1\n',
+        [(1.5, 1, 0.5, (0.2,)), (2.0, 0, 0.4, (0.1,))],
+    ),
     "signed-zero-17-digits-subnormal": (
         "y,delta,t,x1,x2\n-0.0,1,0.30000000000000004,5e-324,-1E+300\n"
         "-2.5,1,1,0,1.7976931348623157e308\n",
@@ -989,6 +1029,10 @@ REJECTED_CSV = {
         NOT_UTF8_HEAD + "\udcff\n3,0,0.4,0.1\n",
         [(1501, f"{{path}}: byte {len(NOT_UTF8_HEAD)} is not UTF-8 (invalid start byte)")],
     ),
+    "not-utf-8-after-a-byte-order-mark": (
+        "\ufeff" + NOT_UTF8_HEAD + "\udcff\n3,0,0.4,0.1\n",
+        [(1501, f"{{path}}: byte {len(NOT_UTF8_HEAD) + 3} is not UTF-8 (invalid start byte)")],
+    ),
     "not-utf-8-in-header": (
         "y,delta,t,x\udce91\n1,1,0.5,0.2\n2,0,0.4,0.1\n",
         [(None, "{path}: byte 11 is not UTF-8 (invalid continuation byte)")],
@@ -1039,9 +1083,6 @@ class TestDatasetCsvContract:
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_written_csv_is_read_in_bulk(tmp_path, monkeypatch, d):
-    def no_scanner(path):
-        raise AssertionError(f"row scanner used on {path}")
-
     monkeypatch.setattr(cli, "_scan_rows", no_scanner)
     preset = {"preset": "paper"} if d == 2 else {
         "preset": "constant",

@@ -499,6 +499,12 @@ class TestFitDirectionAt:
         fit = fit_direction_at(ds, 0.5, FitConfig(), select_bandwidths(ds, EPAN))
         assert angular_error(fit.direction, (0.6, 0.8)) < 0.05
 
+    def test_t0_outside_the_unit_interval_rejected(self):
+        ds = constant_direction_data(seed=1, n=40, direction=(0.6, 0.8))
+        bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
+        with pytest.raises(ValueError, match=r"^t0 must lie in \[0, 1\] \(got 1.5\)$"):
+            fit_direction_at(ds, 1.5, FitConfig(), bw)
+
     def test_warm_start_never_hurts(self):
         ds = constant_direction_data(seed=2, n=120, direction=(0.6, 0.8))
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)

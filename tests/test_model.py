@@ -43,6 +43,11 @@ class TestNormalizeDirection:
         with pytest.raises(ValueError, match="unidentifiable sign: first component is zero"):
             normalize_direction([0.0, 1.0])
 
+    @pytest.mark.parametrize("make", [UnitDirection, normalize_direction])
+    def test_empty_vector_rejected(self, make):
+        with pytest.raises(ValueError, match="^direction must be a non-empty vector$"):
+            make([])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             normalize_direction([1.0, np.nan])
@@ -153,6 +158,29 @@ class TestValidateDataset:
     def test_too_few_rows(self):
         with pytest.raises(ValidationError, match="at least 2"):
             make_dataset([1.0], [1], [[0.5]], [0.1])
+
+    @pytest.mark.parametrize(
+        "columns, problem",
+        [
+            (
+                {"y": [1.0, 2.0, 3.0], "delta": [1, 0], "x": [[0.5], [0.1]], "t": [0.1, 0.5]},
+                "column arrays must share the same row count",
+            ),
+            (
+                {"y": [1.0, 2.0], "delta": [1, 0], "x": np.zeros((2, 0)), "t": [0.1, 0.5]},
+                "covariate dimension d must be at least 1",
+            ),
+            (
+                {"y": ["a", "b"], "delta": [1, 0], "x": [[0.5], [0.1]], "t": [0.1, 0.5]},
+                "column y must be numeric (could not convert string to float: 'a')",
+            ),
+        ],
+        ids=["unequal-lengths", "no-covariate", "non-numeric"],
+    )
+    def test_malformed_columns_rejected(self, columns, problem):
+        with pytest.raises(ValidationError) as err:
+            Dataset(**columns)
+        assert err.value.problems == [(None, problem)]
 
     def test_dataset_names_first_offending_rows(self):
         n = 12

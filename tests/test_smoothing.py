@@ -146,6 +146,10 @@ class TestBandwidthSelection:
         with pytest.raises(EstimationError, match="degenerate predictor: zero sample variance"):
             rule_of_thumb_bandwidth(np.full(20, 3.0))
 
+    def test_needs_two_observations(self):
+        with pytest.raises(ValueError, match="^need at least 2 observations$"):
+            rule_of_thumb_bandwidth(np.array([3.0]))
+
     def test_overflowing_sd_is_an_estimation_error(self):
         # 1e300 is finite, but its square is not; numpy must not warn.
         xs = np.linspace(0.0, 1.0, 20)

@@ -1,5 +1,6 @@
 """Tests of the SVG renderer: its text escaping and its input."""
 
+import xml.etree.ElementTree as ET
 from xml.sax import saxutils
 
 import numpy as np
@@ -76,3 +77,21 @@ def test_reproduce_figures_svgs_unchanged(tmp_path, monkeypatch):
 def test_render_figure_needs_a_panel():
     with pytest.raises(ValueError, match="^at least one panel is required$"):
         render_figure([])
+
+
+# No finite value: the y range falls back to [0, 1]. One value v: it widens
+# to [v - 0.5, v + 0.5]. Either is then padded by 6 % on each side.
+@pytest.mark.parametrize(
+    "value, labels",
+    [
+        (np.nan, ["-0.06", "0.22", "0.5", "0.78", "1.06"]),
+        (2.0, ["1.44", "1.72", "2", "2.28", "2.56"]),
+    ],
+    ids=["all-nan", "all-equal"],
+)
+def test_y_range_of_a_panel_without_spread(value, labels):
+    x = np.linspace(0.0, 1.0, 5)
+    flat = np.full(5, value)
+    svg = render_figure([Panel("p", "x", "y", x, flat, flat, flat, flat)])
+    texts = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+    assert [t.text for t in texts if t.get("text-anchor") == "end"] == labels
