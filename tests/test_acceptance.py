@@ -351,13 +351,19 @@ class TestCriterion6DirectionRecovery:
         assert norm_ok
         assert first_ok
 
-    # Worst grid-point angle over 6 replications: 0.069 / 0.109 rad at
-    # d = 3 / 5 on the acceptance seed, 0.077 / 0.123 on held-out seed 8191;
-    # no grid point is left non-converged on either seed.
+    # Worst grid-point angle over 6 replications: 0.069 / 0.109 / 0.111 rad
+    # at d = 3 / 5 / 8 on the acceptance seed, 0.077 / 0.123 / 0.153 on
+    # held-out seed 8191; no grid point is left non-converged on either
+    # seed. At d = 8 a fixed cap of 150 iterations left 1-4 points short in
+    # every replication of both seeds.
     @pytest.mark.parametrize(
         "direction, bound",
-        [((1.0, 0.5, -0.5), 0.10), ((1.0, 0.5, -0.5, 0.25, 0.25), 0.15)],
-        ids=["d3", "d5"],
+        [
+            ((1.0, 0.5, -0.5), 0.10),
+            ((1.0, 0.5, -0.5, 0.25, 0.25), 0.15),
+            ((1.0, 0.5, -0.5, 0.25, 0.25, -0.25, 0.125, 0.125), 0.16),
+        ],
+        ids=["d3", "d5", "d8"],
     )
     def test_criterion_6_constant_direction_beyond_d2(self, direction, bound):
         sim = SimConfig(
@@ -392,7 +398,6 @@ class TestCriterion7Determinism:
         "fit": {
             "t_grid_size": 5,
             "link_grid": [-0.5, 0.5, 21],
-            "max_iter": 100,
         },
     }
 

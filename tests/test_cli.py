@@ -55,7 +55,6 @@ SMALL_SIM = {
     "fit": {
         "t_grid_size": 5,
         "link_grid": [-0.5, 0.5, 21],
-        "max_iter": 100,
     },
 }
 
@@ -189,6 +188,13 @@ class TestFitCommand:
                 "estimation error: covariate x2 is constant, so the direction is not identified",
                 id="constant-x2",
             ),
+            pytest.param(
+                "dependent-x2",
+                EXIT_ESTIMATION,
+                "estimation error: covariate x2 is a linear combination of the covariates"
+                " before it, so the direction is not identified",
+                id="dependent-x2",
+            ),
         ],
     )
     def test_refused_input_exits_on_one_line(self, tmp_path, capsys, case, code, message):
@@ -198,6 +204,8 @@ class TestFitCommand:
             delta = np.zeros(dataset.n, dtype=int)
         elif case == "constant-x2":
             x[:, 1] = 0.25
+        elif case == "dependent-x2":
+            x[:, 1] = 2.0 * x[:, 0]
         data = tmp_path / "refused.csv"
         write_dataset_csv(data, Dataset(y=np.abs(dataset.y), delta=delta, x=x, t=dataset.t))
         raw = data.read_bytes()
@@ -388,8 +396,9 @@ class TestSimulateCommand:
 REJECTED_CONFIG = {
     "fit-not-an-object": ({"fit": []}, "fit config must be a JSON object (got [])"),
     "sim-not-an-object": ({"sim": "x"}, 'sim config must be a JSON object (got "x")'),
-    # max_iter is a field of the fit section; the former optimizer
-    # section is an unknown key, whatever it holds.
+    # The iteration cap is a rule of d, so max_iter is an unknown key, and
+    # so is the former optimizer section, whatever it holds.
+    "max_iter": ({"fit": {"max_iter": 150}}, "unknown fit config keys: ['max_iter']"),
     "optimizer-not-an-object": (
         {"fit": {"optimizer": 3}},
         "unknown fit config keys: ['optimizer']",
@@ -576,7 +585,6 @@ class TestConfigErrors:
             "t_grid_size": 5,
             "link_grid": [-1, 1, 11],
             "bandwidths": bandwidths,
-            "max_iter": 7,
         }
         sim = {
             "n": 50,
@@ -596,7 +604,7 @@ class TestConfigErrors:
             assert set(section) == {f.name for f in dataclasses.fields(cls)}
         parsed = cli.parse_fit_config(fit)
         assert parsed.bandwidths == Bandwidths(**bandwidths)
-        assert (parsed.t_grid_size, parsed.link_grid, parsed.max_iter) == (5, (-1.0, 1.0, 11), 7)
+        assert (parsed.t_grid_size, parsed.link_grid) == (5, (-1.0, 1.0, 11))
         assert cli.parse_sim_config(sim) == SimConfig(**dict(sim, constant_direction=(1, 0, 0)))
 
     @pytest.mark.parametrize("case", sorted(REJECTED_CONFIG))

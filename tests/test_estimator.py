@@ -42,7 +42,9 @@ from sivc.estimator import (
     _XATOL,
     _LocalObjective,
     _Simplex,
+    _first_dependent_column,
     _initial_simplex,
+    _max_iter,
     _nelder_mead,
 )
 
@@ -496,31 +498,31 @@ class TestBitIdentity:
 class TestFitDirectionAt:
     def test_recovers_constant_direction_noise_free(self):
         ds = constant_direction_data(seed=1, n=200, direction=(0.6, 0.8))
-        fit = fit_direction_at(ds, 0.5, FitConfig(), select_bandwidths(ds, EPAN))
+        fit = fit_direction_at(ds, 0.5, select_bandwidths(ds, EPAN))
         assert angular_error(fit.direction, (0.6, 0.8)) < 0.05
 
     def test_t0_outside_the_unit_interval_rejected(self):
         ds = constant_direction_data(seed=1, n=40, direction=(0.6, 0.8))
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
         with pytest.raises(ValueError, match=r"^t0 must lie in \[0, 1\] \(got 1.5\)$"):
-            fit_direction_at(ds, 1.5, FitConfig(), bw)
+            fit_direction_at(ds, 1.5, bw)
 
     def test_warm_start_never_hurts(self):
         ds = constant_direction_data(seed=2, n=120, direction=(0.6, 0.8))
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
         warm = normalize_direction([0.6, 0.8])
         warm_objective = local_objective(ds, 0.5, warm, bw, EPAN)
-        fit = fit_direction_at(ds, 0.5, FitConfig(), bw, warm_start=warm)
+        fit = fit_direction_at(ds, 0.5, bw, warm_start=warm)
         assert fit.objective <= warm_objective + 1e-15
 
     def test_objective_beats_the_centre_start(self):
         ds = constant_direction_data(seed=3, n=120, direction=(0.6, 0.8), noise_sd=0.1)
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
-        fit = fit_direction_at(ds, 0.5, FitConfig(), bw)
+        fit = fit_direction_at(ds, 0.5, bw)
         start = normalize_direction([1.0, 0.0])
         assert fit.objective < local_objective(ds, 0.5, start, bw, EPAN)
 
-    def test_nan_objective_is_reported_not_converged(self):
+    def test_nan_objective_is_reported_not_converged(self, monkeypatch):
         # Responses near the float maximum overflow the smoother, so every
         # value is NaN: the stop test never passes and the fit says so.
         rng = np.random.default_rng(0)
@@ -528,13 +530,13 @@ class TestFitDirectionAt:
         t = rng.uniform(0, 1, 40)
         y = rng.choice([-1.7e308, 1.7e308], 40)
         ds = Dataset(y=y, delta=np.ones(40, dtype=int), x=x, t=t)
-        config = FitConfig()
+        monkeypatch.setattr(estimator, "_max_iter", lambda d: 7 * d)
         with np.errstate(over="ignore", invalid="ignore"):
-            fit = fit_direction_at(ds, 0.5, config, Bandwidths(h1=0.5, h2=2.0, h_link=1.0))
+            fit = fit_direction_at(ds, 0.5, Bandwidths(h1=0.5, h2=2.0, h_link=1.0))
         assert math.isnan(fit.objective)
         assert not fit.converged
-        # The one run goes on to the cap.
-        assert fit.iterations == config.max_iter
+        # The one run goes on to the cap the rule gives for its d.
+        assert fit.iterations == 14
 
     def test_tiny_h1_with_tied_projections_stays_finite(self):
         # At h1 = 1e-300 the sorted evaluation's q overflows and its sums
@@ -559,7 +561,7 @@ class TestFitDirectionAt:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = local_objective(ds, 0.5, theta, bw, EPAN)
-            fit = fit_direction_at(ds, 0.5, FitConfig(), bw)
+            fit = fit_direction_at(ds, 0.5, bw)
         assert want == pytest.approx(0.36676, rel=1e-5)
         assert value == pytest.approx(want, rel=1e-12)
         assert math.isfinite(fit.objective) and fit.converged
@@ -589,8 +591,8 @@ class TestFitDirectionAt:
         ds = constant_direction_data(seed=4, n=100, direction=(0.8, 0.6))
         scaled = Dataset(y=2.0 * ds.y, delta=ds.delta, x=ds.x, t=ds.t)
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
-        fit_a = fit_direction_at(ds, 0.5, FitConfig(), bw)
-        fit_b = fit_direction_at(scaled, 0.5, FitConfig(), bw)
+        fit_a = fit_direction_at(ds, 0.5, bw)
+        fit_b = fit_direction_at(scaled, 0.5, bw)
         assert angular_error(fit_b.direction, fit_a.direction.components) < 1e-4
 
     def test_univariate_covariate_is_trivial(self):
@@ -603,7 +605,7 @@ class TestFitDirectionAt:
             t=rng.uniform(0, 1, n),
         )
         bw = Bandwidths(0.5, 0.5, 0.5)
-        fit = fit_direction_at(ds, 0.5, FitConfig(), bw)
+        fit = fit_direction_at(ds, 0.5, bw)
         assert fit.direction.components.tolist() == [1.0]
         # The direction is not scored: no objective, no evaluations.
         active = int(np.count_nonzero(kernel_values(EPAN, (ds.t - 0.5) / bw.h2) > 0))
@@ -627,7 +629,7 @@ class TestFitDirectionAt:
                 seed=seed, n=80, direction=(0.6, 0.8), noise_sd=0.3
             )
             bw = select_bandwidths(ds, EPAN)
-            fit = fit_direction_at(ds, float(rng.uniform(0, 1)), FitConfig(), bw)
+            fit = fit_direction_at(ds, float(rng.uniform(0, 1)), bw)
             assert abs(np.linalg.norm(fit.direction.components) - 1) <= 1e-12
             assert fit.direction.components[0] > 0
 
@@ -653,7 +655,7 @@ class TestFitCoefficientCurves:
         ds = constant_direction_data(seed=6, n=300, direction=(0.6, 0.8), noise_sd=0.05)
         bw = select_bandwidths(ds, EPAN)
         for t0 in FitConfig(t_grid_size=5).t_grid:
-            fit = fit_direction_at(ds, float(t0), FitConfig(), bw)
+            fit = fit_direction_at(ds, float(t0), bw)
             assert angular_error(fit.direction, (0.6, 0.8)) < 0.05
 
     def test_errors_carry_grid_location(self):
@@ -919,13 +921,27 @@ class TestRowOrderInvariance:
         )
 
 
+class TestCovariateShift:
+    """The link absorbs a shift of the covariates, and on this data Stage 1
+    does not see it either: the curves keep their bits. The link and the
+    objectives move, so only the curves are compared."""
+
+    @pytest.mark.parametrize("seed", [1729, 8191])
+    @pytest.mark.parametrize(
+        "sim",
+        [{}, {"preset": "constant", "constant_direction": (1.0, 0.5)}],
+        ids=["paper", "constant"],
+    )
+    def test_shifted_covariates_give_the_same_curves(self, sim, seed):
+        ds, _ = generate_dataset(SimConfig(n=500, seed=seed, **sim), 0)
+        shifted = Dataset(y=ds.y, delta=ds.delta, x=ds.x + 3.0, t=ds.t)
+        fit, refit = fit_model(ds, FitConfig()), fit_model(shifted, FitConfig())
+        assert refit.curves.matrix.tobytes() == fit.curves.matrix.tobytes()
+
+
 class TestFitModel:
     def small_config(self):
-        return FitConfig(
-            t_grid_size=5,
-            link_grid=(-0.5, 0.5, 21),
-            max_iter=100,
-        )
+        return FitConfig(t_grid_size=5, link_grid=(-0.5, 0.5, 21))
 
     def test_uncensored_synthetic_equals_response(self):
         rng = np.random.default_rng(22)
@@ -1071,6 +1087,54 @@ class TestFitModel:
         message = self.refused_before_stage_1(monkeypatch, ds, bandwidths)
         assert message == f"covariate x{column + 1} is constant, so the direction is not identified"
 
+    @pytest.mark.parametrize("bandwidths", ["auto", Bandwidths(h1=0.5, h2=0.3, h_link=0.3)])
+    @pytest.mark.parametrize(
+        "combine, column",
+        [
+            (lambda x: 2.0 * x[:, 0], 1),
+            (lambda x: x[:, 0] + x[:, 1], 2),
+            # The link absorbs a shift, so an affine combination is refused too.
+            (lambda x: 3.0 - 0.5 * x[:, 1], 2),
+        ],
+        ids=["x2=2x1", "x3=x1+x2", "x3=3-x2/2"],
+    )
+    def test_dependent_covariate_is_refused_by_name(self, monkeypatch, bandwidths, combine, column):
+        ds, _ = generate_dataset(SimConfig(n=500, seed=1729), 0)
+        x = np.column_stack([ds.x, np.random.default_rng(29).normal(size=ds.n)])
+        x[:, column] = combine(x)
+        dependent = Dataset(y=ds.y, delta=ds.delta, x=x[:, : column + 1], t=ds.t)
+        message = self.refused_before_stage_1(monkeypatch, dependent, bandwidths)
+        assert message == (
+            f"covariate x{column + 1} is a linear combination of the covariates before it,"
+            " so the direction is not identified"
+        )
+
+    def test_constant_column_is_named_before_a_dependent_one(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(40, 3))
+        x[:, 1], x[:, 2] = 2.0 * x[:, 0], 0.5
+        ds = Dataset(
+            y=rng.normal(size=40), delta=np.ones(40, dtype=int), x=x, t=rng.uniform(size=40)
+        )
+        message = self.refused_before_stage_1(monkeypatch, ds, "auto")
+        assert message == "covariate x3 is constant, so the direction is not identified"
+
+    def test_near_dependence_is_left_alone(self):
+        x = np.random.default_rng(31).normal(size=(500, 3))
+        x[:, 2] = x[:, 0] + x[:, 1] + 1e-6 * x[:, 2]
+        assert _first_dependent_column(x) is None
+        x[:, 2] = x[:, 0] + x[:, 1]
+        assert _first_dependent_column(x) == 2
+
+    @pytest.mark.parametrize("column", [[1e300, 0.0, 0.0], [5e-324, 0.0, 0.0]])
+    def test_rank_is_not_taken_on_an_sd_out_of_range(self, column):
+        # An sd that overflows, or underflows to 0, would scale the column
+        # to zeros or NaN; bandwidth selection names the overflow instead.
+        x = np.column_stack([column, [1.0, 2.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _first_dependent_column(x) is None
+
     def test_constant_modifier_keeps_its_message(self):
         rng = np.random.default_rng(28)
         ds = Dataset(
@@ -1100,11 +1164,11 @@ class TestFitConfigValidation:
             ({"link_grid": (-0.5, 0.5, True)}, "link_grid count"),
             ({"t_grid_size": 5.7}, "t_grid_size"),
             ({"t_grid_size": 21.0}, "t_grid_size"),
-            ({"max_iter": None}, "max_iter"),
+            ({"t_grid_size": None}, "t_grid_size"),
             ({"t_grid_size": True}, "t_grid_size"),
-            ({"max_iter": 20.5}, "max_iter"),
-            ({"max_iter": True}, "max_iter"),
-            ({"max_iter": "150"}, "max_iter"),
+            ({"link_grid": (-0.5, 0.5, None)}, "link_grid count"),
+            ({"t_grid_size": "21"}, "t_grid_size"),
+            ({"link_grid": (-0.5, 0.5, "100")}, "link_grid count"),
             ({"link_grid": 5}, "link_grid"),
             ({"link_grid": (0, 1)}, "link_grid"),
             ({"link_grid": ("0", 1, 5)}, "link_grid min"),
@@ -1126,14 +1190,10 @@ class TestFitConfigValidation:
         assert config.u_grid.size == 7
 
     def test_rejects_bad_optimizer(self):
-        with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
-            FitConfig(max_iter=0)
-        with pytest.raises(ValueError, match=r"^max_iter must be an integer \(got True\)$"):
-            FitConfig(max_iter=True)
-        with pytest.raises(ValueError, match=r"^max_iter must be an integer \(got 2.5\)$"):
-            FitConfig(max_iter=2.5)
         # Each grid point runs once, so there are no restarts to set, and
-        # the iteration cap has no section of its own.
+        # the iteration cap is a rule of d, not a setting.
+        with pytest.raises(TypeError, match="max_iter"):
+            FitConfig(max_iter=150)
         with pytest.raises(TypeError, match="restarts"):
             FitConfig(restarts=1)
         with pytest.raises(TypeError, match="optimizer"):
@@ -1407,9 +1467,9 @@ def direction_fit_cases():
 @pytest.mark.parametrize("case", range(len(direction_fit_cases())))
 def test_fit_direction_at_matches_the_scipy_routine(case, monkeypatch):
     dataset, t0, bw, warm = direction_fit_cases()[case]
-    ours = fit_direction_at(dataset, t0, FitConfig(), bw, warm_start=warm)
+    ours = fit_direction_at(dataset, t0, bw, warm_start=warm)
     monkeypatch.setattr(estimator, "_nelder_mead", scipy_nelder_mead)
-    ref = fit_direction_at(dataset, t0, FitConfig(), bw, warm_start=warm)
+    ref = fit_direction_at(dataset, t0, bw, warm_start=warm)
     assert ours.direction.components.tobytes() == ref.direction.components.tobytes()
     assert np.float64(ours.objective).tobytes() == np.float64(ref.objective).tobytes()
     assert (ours.iterations, ours.evaluations, ours.converged) == (
@@ -1441,7 +1501,7 @@ class TestVertexCache:
 
         monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
         monkeypatch.setattr(_LocalObjective, "value", value)
-        fit = fit_direction_at(dataset, t0, FitConfig(), bw, warm_start=warm)
+        fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
         return fit, requests, runs, computed
 
     @pytest.mark.parametrize("case", [1, 2, 4, 7])
@@ -1491,7 +1551,7 @@ class TestVertexCache:
 
         monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
         monkeypatch.setattr(_LocalObjective, "value", value)
-        fit = fit_direction_at(dataset, t0, FitConfig(), bw, warm_start=warm)
+        fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
         inside = [(v, f) for v, f in seen if all(abs(a) <= _ANGLE_BOX for a in v)]
         # Each value Nelder-Mead got for an in-box vertex is the very float
         # a call of value returned for that vertex's direction.
@@ -1503,11 +1563,7 @@ class TestVertexCache:
         assert (fit.active_rows >= 128) == sorted_path
 
     def test_diagnostics_record_objective_calls(self):
-        config = FitConfig(
-            t_grid_size=5,
-            link_grid=(-0.5, 0.5, 21),
-            max_iter=100,
-        )
+        config = FitConfig(t_grid_size=5, link_grid=(-0.5, 0.5, 21))
         ds = constant_direction_data(seed=24, n=80, direction=(0.6, 0.8), noise_sd=0.1)
         diag = fit_model(ds, config).diagnostics
         assert len(diag["objective_calls"]) == 5
@@ -1543,9 +1599,13 @@ def paper_fit_inputs():
 
 class TestRace:
     """Stage 1 runs Nelder-Mead once per grid point, to ``_XATOL`` under
-    the configured iteration cap, from the left neighbour's direction or,
+    the iteration cap for its d, from the left neighbour's direction or,
     at the first grid point, from the centre of the angle box; the fit is
     that one run's best vertex."""
+
+    def test_iteration_cap_grows_with_d(self):
+        # 150 up to d = 2, then 100 per angle.
+        assert [_max_iter(d) for d in (1, 2, 3, 5, 8)] == [150, 150, 200, 400, 700]
 
     def test_sweep_starts_the_first_point_at_the_centre(self, paper_fit_inputs, monkeypatch):
         dataset, bw = paper_fit_inputs
@@ -1557,9 +1617,9 @@ class TestRace:
             return real_nm(func, simplex, xatol, maxiter)
 
         monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
-        config = FitConfig(t_grid_size=6, max_iter=80)
-        _, fits = fit_coefficient_curves(dataset, config, bw)
-        # One run per grid point, each to _XATOL under the configured cap.
+        monkeypatch.setattr(estimator, "_max_iter", lambda d: 40 * d)
+        _, fits = fit_coefficient_curves(dataset, FitConfig(t_grid_size=6), bw)
+        # One run per grid point, each to _XATOL under the cap for its d.
         assert [run[1:] for run in runs] == [(_XATOL, 80)] * 6
         # The first starts at the centre of the angle box; every later one
         # from its left neighbour's angles.
@@ -1572,8 +1632,7 @@ class TestRace:
         # The fit is its start's uninterrupted _XATOL run: the warm start
         # if the case has one, else the centre of the angle box.
         dataset, t0, bw, warm = direction_fit_cases()[case]
-        config = FitConfig()
-        fit = fit_direction_at(dataset, t0, config, bw, warm_start=warm)
+        fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
         requested = set()
         objective = fit_objective(dataset, t0, bw)
 
@@ -1582,7 +1641,7 @@ class TestRace:
             return objective(angles)
 
         a0 = [0.0] * (dataset.d - 1) if warm is None else angles_from_direction(warm).tolist()
-        full = _nelder_mead(func, _initial_simplex(a0), _XATOL, config.max_iter)
+        full = _nelder_mead(func, _initial_simplex(a0), _XATOL, _max_iter(dataset.d))
         direction = normalize_direction(direction_from_angles(full.x))
         assert fit.direction.components.tobytes() == direction.components.tobytes()
         value = _LocalObjective(dataset, t0, bw).value(direction.components)

@@ -21,14 +21,10 @@ from sivc import (
     resolve_censor_scale,
     run_monte_carlo,
 )
-from sivc import simulate
+from sivc import estimator, simulate
 from sivc.simulate import _band
 
-SMALL_FIT = FitConfig(
-    t_grid_size=5,
-    link_grid=(-0.5, 0.5, 21),
-    max_iter=100,
-)
+SMALL_FIT = FitConfig(t_grid_size=5, link_grid=(-0.5, 0.5, 21))
 
 
 def small_sim(**overrides):
@@ -485,10 +481,12 @@ class TestRunMonteCarlo:
         assert summary.failure_log == tuple(f"rep {rep}: failed ({error})" for rep in range(3))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failure_log_lists_each_replication_in_order(self, workers):
-        # One iteration leaves every grid point short of convergence, and a
-        # link grid beyond the index's range leaves 10 points without data.
-        fit = FitConfig(max_iter=1, link_grid=(5, 6, 10))
+    def test_failure_log_lists_each_replication_in_order(self, workers, monkeypatch):
+        # A cap of one iteration leaves every grid point short of
+        # convergence (a forked pool worker inherits the patch), and a link
+        # grid beyond the index's range leaves 10 points without data.
+        monkeypatch.setattr(estimator, "_max_iter", lambda d: 1)
+        fit = FitConfig(link_grid=(5, 6, 10))
         summary = run_monte_carlo(SimConfig(n=200, reps=3, seed=5), fit, workers=workers)
         assert summary.failures == ()
         assert not summary.degraded

@@ -15,10 +15,9 @@ The matrix, for seeds 1729 and 8191:
   ties, so a sort's tie order would reach the link's sums: the d = 1
   constant preset with its covariate rounded to a multiple of 0.25, and
   d = 2 noise with every row duplicated and its response shifted by 1;
-- ``sivc simulate --raw`` (n = 200, 4 replications) with ``max_iter`` 3
-  and a link grid wider than the index, so the failure log holds
-  non-converged grid points for every replication and link points
-  without local data for some;
+- ``sivc simulate --raw`` (n = 200, 4 replications) with a link grid
+  wider than the index, so some link points have no local data and
+  ``raw_link.csv`` writes them with ``defined`` 0;
 - ``sivc reproduce-figures --reps 4``.
 
 Each checkout runs from its own ``src/`` in a fresh interpreter.
@@ -55,7 +54,7 @@ PAPER_N = (100, 500, 2000)
 CONSTANT_DIRECTIONS = ((1.0,), (1.0, 0.5, -0.5), (1.0, 0.5, -0.5, 0.25, 0.25))
 STUDY = {
     "sim": {"n": 200, "reps": 4},
-    "fit": {"link_grid": [-3.0, 3.0, 50], "max_iter": 3},
+    "fit": {"link_grid": [-3.0, 3.0, 50]},
 }
 
 TIED_STEP = 0.25
