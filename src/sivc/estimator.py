@@ -645,8 +645,20 @@ def _first_dependent_column(x: np.ndarray) -> Optional[int]:
     """Index of the first column of ``x`` (no column constant) that is a
     linear combination of the columns before it once every column is
     centred and sd-scaled; None when there is none, at d = 1, or when a
-    column's sd overflows (or underflows to 0)."""
-    d = x.shape[1]
+    column's sd overflows (or underflows to 0).
+
+    Classical Gram-Schmidt with one reorthogonalisation pass ("twice is
+    enough": Giraud, Langou & Rozloznik 2005) projects each scaled column
+    off the ones before it. A column is dependent when its residual norm
+    is at most d sqrt(n) max(n, d) eps: numpy's ``matrix_rank`` tolerance
+    for the whole n x d matrix with the largest singular value replaced by
+    its Frobenius bound sqrt(d n), times sqrt(d) for the gap between the
+    residual and the smallest singular value. One tolerance serves every
+    column because a dependence at column j also shrinks the smallest
+    singular value of every wider prefix. Only matrix products enter, so
+    the check pages in no LAPACK code.
+    """
+    n, d = x.shape
     if d == 1:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -654,7 +666,17 @@ def _first_dependent_column(x: np.ndarray) -> Optional[int]:
     if not np.all((sd > 0) & (sd < np.inf)):
         return None
     z = (x - x.mean(axis=0)) / sd
-    return next((j for j in range(1, d) if np.linalg.matrix_rank(z[:, : j + 1]) <= j), None)
+    tol = d * math.sqrt(n) * max(n, d) * _EPS
+    basis = np.empty((d, n))
+    for j in range(d):
+        v = z[:, j]
+        for _ in range(2):
+            v = v - (basis[:j] @ v) @ basis[:j]
+        norm = math.sqrt(v @ v)
+        if norm <= tol:
+            return j
+        basis[j] = v / norm
+    return None
 
 
 def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
@@ -662,18 +684,23 @@ def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
 
     Deterministic given (dataset, config): the optimizer starts from the
     centre of the angle box and then from the warm starts, so no
-    randomness enters the fit. Raises ``EstimationError`` before either
-    stage when the data cannot identify the model: no uncensored row
-    (the censoring survival then falls to 0 at the largest response, and
-    the synthetic responses say nothing of the latent ones), a constant
-    covariate column (the direction is then identified only up to that
-    column's coefficient), or a column that is a linear combination of the
-    ones before it (the link absorbs any shift, so after centring the index
-    cannot tell such columns apart). The rank is numpy's ``matrix_rank``
-    of the centred, sd-scaled columns at its default tolerance, so only
-    exact dependence up to rounding is refused. A sample sd that overflows
-    is left to bandwidth selection, which names it.
+    randomness enters the fit. Raises ``ValueError`` on fewer than 10
+    rows, before any other check, whatever the bandwidths. Then raises
+    ``EstimationError`` before either stage when the data cannot identify
+    the model: no uncensored row (the censoring survival then falls to 0
+    at the largest response, and the synthetic responses say nothing of
+    the latent ones), a constant covariate column (the direction is then
+    identified only up to that column's coefficient), or a column that is
+    a linear combination of the ones before it (the link absorbs any
+    shift, so after centring the index cannot tell such columns apart).
+    Dependence is tested on the centred, sd-scaled columns by Gram-Schmidt:
+    a column is refused when its residual norm after projecting out the
+    columns before it is at most d sqrt(n) max(n, d) eps, so only exact
+    dependence up to rounding is refused. A sample sd that overflows is
+    left to bandwidth selection, which names it.
     """
+    if dataset.n < 10:
+        raise ValueError(f"direction fitting needs n >= 10 (got {dataset.n})")
     if not np.any(dataset.delta):
         raise EstimationError("no uncensored row: every row has delta = 0")
     constant = np.flatnonzero(np.ptp(dataset.x, axis=0) == 0)

@@ -717,6 +717,29 @@ class TestConfigErrors:
         assert err == "validation error: direction fitting needs n >= 10 (got 9)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, d, events", [(5, 5, 1), (9, 2, 0)], ids=["5x5", "9-censored"])
+    def test_fit_on_fewer_than_ten_rows_exits_2_before_identification(
+        self, tmp_path, capsys, n, d, events
+    ):
+        # Five rows in five columns are always dependent, and nine fully
+        # censored rows have no event; the row count is named first.
+        rng = np.random.default_rng(34)
+        data = tmp_path / "small.csv"
+        ds = Dataset(
+            y=rng.uniform(1.0, 2.0, n),
+            delta=np.full(n, events),
+            x=rng.normal(size=(n, d)),
+            t=rng.uniform(size=n),
+        )
+        write_dataset_csv(data, ds)
+        config = write_config(tmp_path, {"fit": {}})
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"validation error: direction fitting needs n >= 10 (got {n})\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "reproduce-figures"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         if command == "simulate":
