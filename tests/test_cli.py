@@ -266,6 +266,18 @@ class TestFitCommand:
         assert code == EXIT_IO
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_missing_promised_output_exits_3(self, paper_csv, tmp_path, capsys, monkeypatch):
+        # A writer that leaves its file out: the manifest names the gap.
+        monkeypatch.setattr(cli, "write_link_csv", lambda path, fit: None)
+        config = write_config(tmp_path, {"fit": {"t_grid_size": 5}})
+        code = main(
+            ["fit", "--data", str(paper_csv), "--config", str(config), "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "i/o error: promised outputs missing after run: ['link.csv']\n"
+        )
+
     def test_bad_delta_row_named(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text(

@@ -36,7 +36,7 @@ from sivc import (
     run_monte_carlo,
     select_bandwidths,
 )
-from sivc import estimator
+from sivc import cli, estimator
 from sivc.estimator import (
     _ANGLE_BOX,
     _FLAT_TOL,
@@ -508,6 +508,13 @@ class TestFitDirectionAt:
         with pytest.raises(ValueError, match=r"^t0 must lie in \[0, 1\] \(got 1.5\)$"):
             fit_direction_at(ds, 1.5, bw)
 
+    def test_fewer_than_ten_rows_rejected(self):
+        # fit_model refuses first; the public function refuses on its own.
+        ds = constant_direction_data(seed=1, n=9, direction=(0.6, 0.8))
+        bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
+        with pytest.raises(ValueError, match=r"^direction fitting needs n >= 10 \(got 9\)$"):
+            fit_direction_at(ds, 0.5, bw)
+
     def test_warm_start_never_hurts(self):
         ds = constant_direction_data(seed=2, n=120, direction=(0.6, 0.8))
         bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
@@ -563,9 +570,12 @@ class TestFitDirectionAt:
             warnings.simplefilter("error")
             value = local_objective(ds, 0.5, theta, bw, EPAN)
             fit = fit_direction_at(ds, 0.5, bw)
+            objectives = fit_model(ds, FitConfig(bandwidths=bw)).diagnostics["objectives"]
         assert want == pytest.approx(0.36676, rel=1e-5)
         assert value == pytest.approx(want, rel=1e-12)
         assert math.isfinite(fit.objective) and fit.converged
+        # so is every grid point of a whole fit
+        assert all(map(math.isfinite, objectives))
 
     def test_vertices_outside_the_angle_box_are_penalized(self, monkeypatch):
         # A direction near (0, 1) sits at the edge of the angle box, so
@@ -1171,7 +1181,7 @@ class TestFitModel:
         # refuses: 3 881 of 4 032 cases agree on numpy 2.4.
         assert agreed >= 0.95 * cases, agreed
 
-    def test_a_fit_calls_no_lapack_routine(self, monkeypatch):
+    def test_a_fit_calls_no_lapack_routine(self, monkeypatch, tmp_path):
         def lapack(*args, **kwargs):
             raise AssertionError("a LAPACK routine was called")
 
@@ -1199,6 +1209,10 @@ class TestFitModel:
             fit_model(dependent, config)
         summary = run_monte_carlo(SimConfig(n=120, reps=2, seed=11), config, workers=1)
         assert not summary.failures
+        # The figures' study runs on a pool when there are cores for one;
+        # forked workers inherit the blocked names.
+        figures = ["reproduce-figures", "--reps", "2", "--seed", "7", "--out", str(tmp_path)]
+        assert cli.main(figures) == cli.EXIT_OK
 
     def test_constant_modifier_keeps_its_message(self):
         rng = np.random.default_rng(28)
@@ -1641,6 +1655,14 @@ class TestVertexCache:
             t=rng.uniform(0, 1, 60),
         )
         assert fit_model(flat, config).diagnostics["objective_calls"] == [0] * 5
+        # A default fit at n = 2 000 scores every grid point, and in all
+        # makes 308 distinct calls on numpy 2.4: the first grid point starts
+        # at the centre of the angle box, every later one from its left
+        # neighbour's direction.
+        paper, _ = generate_dataset(SimConfig(n=2000, seed=7), 0)
+        diag = fit_model(paper, FitConfig()).diagnostics
+        assert all(map(math.isfinite, diag["objectives"]))
+        assert sum(diag["objective_calls"]) < 400
 
 
 def fit_objective(dataset, t0, bw):

@@ -29,29 +29,40 @@ def test_module_all_resolves(module):
         getattr(mod, name)
 
 
-# Blocks scipy (any ``import scipy`` raises), then fits a small generated CSV
-# through the CLI and reports which scipy and multiprocessing modules got
-# loaded: a fit builds no process pool.
-_NO_SCIPY_FIT = """
+# Runs one sivc command in a fresh interpreter, with scipy blocked (any
+# ``import scipy`` raises) or installed, and reports which scipy and
+# multiprocessing modules got loaded. A blocked scipy alone would miss an
+# import that is only tried. The first argument says whether to block
+# scipy; the rest are the command's.
+_CLI_RUN = """
 import json, sys
-sys.modules["scipy"] = None
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
 import sivc
 from sivc.cli import main, write_dataset_csv
 write_dataset_csv("data.csv", sivc.generate_dataset(sivc.SimConfig(n=200, reps=1, seed=7), 0)[0])
 with open("config.json", "w") as handle:
     json.dump({"fit": {"t_grid_size": 5}}, handle)
-code = main(["fit", "--data", "data.csv", "--config", "config.json", "--out", "out"])
+code = main(sys.argv[2:])
 def loaded(package):
     return [m for m, mod in sys.modules.items() if m.split(".")[0] == package and mod is not None]
 print(json.dumps({"code": code, "scipy_loaded": loaded("scipy"), "multiprocessing_loaded": loaded("multiprocessing")}))
 """
 
+_FIT = ["fit", "--data", "data.csv", "--config", "config.json", "--out", "out"]
+_FIGURES = ["reproduce-figures", "--reps", "2", "--seed", "7", "--out", "out"]
 
-def test_cli_fit_runs_with_scipy_blocked(tmp_path):
+
+@pytest.mark.parametrize(
+    "scipy, argv",
+    [("blocked", _FIT), ("installed", _FIT), ("blocked", _FIGURES)],
+    ids=["fit-scipy-blocked", "fit-scipy-installed", "reproduce-figures-scipy-blocked"],
+)
+def test_cli_loads_no_scipy(tmp_path, scipy, argv):
     src = str(Path(sivc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_FIT],
+        [sys.executable, "-c", _CLI_RUN, scipy, *argv],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -59,10 +70,13 @@ def test_cli_fit_runs_with_scipy_blocked(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {
-        "code": 0,
-        "scipy_loaded": [],
-        "multiprocessing_loaded": [],
-    }
-    for name in ("curves.csv", "link.csv", "diagnostics.json", "manifest.json"):
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert (report["code"], report["scipy_loaded"]) == (0, [])
+    if argv[0] == "fit":
+        # A fit builds no process pool.
+        assert report["multiprocessing_loaded"] == []
+        outputs = ("curves.csv", "link.csv", "diagnostics.json", "manifest.json")
+    else:
+        outputs = ("summary.csv", "link_summary.csv", "fig1.svg", "fig2.svg", "manifest.json")
+    for name in outputs:
         assert (tmp_path / "out" / name).stat().st_size > 0, name
