@@ -103,6 +103,16 @@ def parse_sim_config(section: dict) -> SimConfig:
 
 def load_config(path: Path) -> dict:
     path = Path(path)
+
+    def unique_keys(pairs: list) -> dict:
+        # Left to itself, json.loads keeps the last of two equal keys.
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValidationError([(None, f"config {path}: duplicate key {key!r}")])
+            doc[key] = value
+        return doc
+
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -111,7 +121,7 @@ def load_config(path: Path) -> dict:
     try:
         # A leading byte order mark is skipped. Decoding as utf-8-sig would
         # count the offset of a bad byte after it, not from the file's start.
-        doc = json.loads(text.removeprefix("\ufeff"))
+        doc = json.loads(text.removeprefix("\ufeff"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError([(None, f"config {path}: invalid JSON ({exc})")])
     if not isinstance(doc, dict):
@@ -360,6 +370,11 @@ def write_raw_estimates_csv(
     )
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    """The one JSON writer: strict (no NaN or infinity), indented by 2, newline-ended."""
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -392,9 +407,7 @@ def _write_manifest(
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", manifest)
     missing = [name for name in outputs if not (out_dir / name).exists()]
     if missing:
         raise OSError(f"promised outputs missing after run: {missing}")
@@ -440,9 +453,7 @@ def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> list[str]:
             for v in fit.diagnostics["objectives"]
         ],
     }
-    (out_dir / "diagnostics.json").write_text(
-        json.dumps(diagnostics, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "diagnostics.json", diagnostics)
     outputs = ["curves.csv", "link.csv", "diagnostics.json"]
     return _write_manifest(out_dir, "fit", fit_config, None, outputs, started)
 
@@ -471,8 +482,8 @@ def cmd_reproduce_figures(out_dir: Path, reps: int, seed: int) -> list[str]:
     summary = _run_study(sim_config, fit_config, out_dir)
 
     truth = sim_config.true_directions(summary.t_grid)
-    fig1 = render_figure(
-        [
+    figures = {
+        "fig1.svg": [
             Panel(
                 title=f"Coefficient curve {j + 1}",
                 xlabel="t",
@@ -484,11 +495,8 @@ def cmd_reproduce_figures(out_dir: Path, reps: int, seed: int) -> list[str]:
                 truth=truth[:, j],
             )
             for j in range(summary.beta_median.shape[1])
-        ]
-    )
-    (out_dir / "fig1.svg").write_text(fig1, encoding="utf-8")
-    fig2 = render_figure(
-        [
+        ],
+        "fig2.svg": [
             Panel(
                 title="Link function",
                 xlabel="u",
@@ -499,10 +507,11 @@ def cmd_reproduce_figures(out_dir: Path, reps: int, seed: int) -> list[str]:
                 band_hi=summary.m_q95,
                 truth=sim_config.true_link(summary.u_grid),
             )
-        ]
-    )
-    (out_dir / "fig2.svg").write_text(fig2, encoding="utf-8")
-    outputs = ["summary.csv", "link_summary.csv", "fig1.svg", "fig2.svg"]
+        ],
+    }
+    for name, panels in figures.items():
+        (out_dir / name).write_text(render_figure(panels), encoding="utf-8")
+    outputs = ["summary.csv", "link_summary.csv", *figures]
     return _write_manifest(out_dir, "reproduce-figures", fit_config, sim_config, outputs, started)
 
 

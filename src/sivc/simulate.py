@@ -274,7 +274,8 @@ def run_monte_carlo(
         # Imported here: it loads multiprocessing, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Under fork, the pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
             outcomes = list(pool.map(_replicate, tasks))
     else:
         outcomes = map(_replicate, tasks)

@@ -13,6 +13,8 @@ from html import escape
 
 import numpy as np
 
+from .model import _check_ascending
+
 __all__ = ["Panel", "render_figure"]
 
 _MARGIN_LEFT = 58.0
@@ -22,17 +24,17 @@ _MARGIN_BOTTOM = 46.0
 _PANEL_WIDTH = 420.0
 _PANEL_HEIGHT = 330.0
 
-_BAND_FILL = "#bdd7ee"
-_MEDIAN_COLOR = "#1f4e79"
-_TRUTH_COLOR = "#c00000"
 _AXIS_COLOR = "#333333"
-_MEDIAN_STYLE = f'stroke="{_MEDIAN_COLOR}" stroke-width="1.8"'
-_TRUTH_STYLE = f'stroke="{_TRUTH_COLOR}" stroke-width="1.4" stroke-dasharray="6,4"'
+_AXIS_STROKE = {"stroke": _AXIS_COLOR, "stroke-width": "1"}
+_BAND_STYLE = {"fill": "#bdd7ee", "fill-opacity": "0.75"}
+_MEDIAN_STYLE = {"stroke": "#1f4e79", "stroke-width": "1.8"}
+_TRUTH_STYLE = {"stroke": "#c00000", "stroke-width": "1.4", "stroke-dasharray": "6,4"}
 
 
 @dataclass(frozen=True)
 class Panel:
-    """One chart: x values, a band, the median and the truth curve."""
+    """One chart: x values, a band, the median and the truth curve; ``x``
+    holds at least 2 finite, ascending points, each series one value per point."""
 
     title: str
     xlabel: str
@@ -43,9 +45,28 @@ class Panel:
     band_hi: np.ndarray
     truth: np.ndarray
 
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError(f"x must hold at least 2 points (got shape {x.shape})")
+        _check_ascending(x, "x")
+        if not np.isfinite(float(x[-1]) - float(x[0])):
+            raise ValueError("x must span a finite range")
+        for name in ("median", "band_lo", "band_hi", "truth"):
+            if np.shape(getattr(self, name)) != x.shape:
+                raise ValueError(f"{name} must hold one value per point of x")
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _element(tag: str, attrs: dict, text: str | None = None) -> str:
+    """The one writer of an SVG element: a float attribute value is written
+    by ``_fmt``, any other as given, and ``text`` is escaped."""
+    cells = " ".join(f'{k}="{_fmt(v) if isinstance(v, float) else v}"' for k, v in attrs.items())
+    end = "/>" if text is None else f">{escape(text, quote=False)}</{tag}>"
+    return f"<{tag} {cells}{end}"
 
 
 def _finite_runs(*series) -> list[tuple[int, int]]:
@@ -63,17 +84,14 @@ class _PanelScale:
         self.py = _MARGIN_TOP
         self.pw = _PANEL_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
         self.ph = _PANEL_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-        xs = np.asarray(panel.x, dtype=float)
-        series = (panel.median, panel.band_lo, panel.band_hi, panel.truth)
-        stacked = np.concatenate([np.asarray(s, dtype=float) for s in series])
+        series = [panel.median, panel.band_lo, panel.band_hi, panel.truth]
+        stacked = np.concatenate(series, dtype=float)
         finite = stacked[np.isfinite(stacked)]
-        if finite.size == 0:
-            finite = np.array([0.0, 1.0])
-        ylo, yhi = float(finite.min()), float(finite.max())
+        ylo, yhi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
         if yhi == ylo:
             ylo, yhi = ylo - 0.5, yhi + 0.5
         pad = 0.06 * (yhi - ylo)
-        self.xlo, self.xhi = float(xs.min()), float(xs.max())
+        self.xlo, self.xhi = float(panel.x[0]), float(panel.x[-1])
         self.ylo, self.yhi = ylo - pad, yhi + pad
 
     def sx(self, x: float) -> float:
@@ -89,91 +107,61 @@ def _points(scale: _PanelScale, xs, ys, indices) -> str:
     )
 
 
-def _polyline(scale: _PanelScale, xs, ys, style: str) -> list[str]:
-    return [
-        f'<polyline fill="none" {style} points="{_points(scale, xs, ys, range(start, stop))}"/>'
-        for start, stop in _finite_runs(ys)
-    ]
+def _polyline(scale: _PanelScale, xs, ys, style: dict) -> list[str]:
+    lines = (_points(scale, xs, ys, range(a, b)) for a, b in _finite_runs(ys))
+    return [_element("polyline", {"fill": "none", **style, "points": p}) for p in lines]
 
 
 def _band_polygons(scale: _PanelScale, xs, lo, hi) -> list[str]:
-    return [
-        f'<polygon fill="{_BAND_FILL}" fill-opacity="0.75" stroke="none" '
-        f'points="{_points(scale, xs, hi, range(start, stop))} '
-        f'{_points(scale, xs, lo, range(stop - 1, start - 1, -1))}"/>'
-        for start, stop in _finite_runs(lo, hi)
-    ]
+    outlines = (
+        f"{_points(scale, xs, hi, range(a, b))} {_points(scale, xs, lo, range(b - 1, a - 1, -1))}"
+        for a, b in _finite_runs(lo, hi)
+    )
+    return [_element("polygon", {**_BAND_STYLE, "stroke": "none", "points": p}) for p in outlines]
 
 
-def _tick(value: float, mark: tuple, label_at: tuple, anchor: str) -> list[str]:
-    """One axis tick: its line, ``mark`` = (x1, y1, x2, y2), and its label
-    at ``label_at`` = (x, y)."""
-    x1, y1, x2, y2 = map(_fmt, mark)
-    tx, ty = map(_fmt, label_at)
-    return [
-        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-        f'stroke="{_AXIS_COLOR}" stroke-width="1"/>',
-        f'<text x="{tx}" y="{ty}" font-size="11" '
-        f'text-anchor="{anchor}" fill="{_AXIS_COLOR}">{value:.3g}</text>',
-    ]
+def _tick(value: float, mark: dict, label_at: dict, anchor: str) -> list[str]:
+    """One axis tick: its line, ``mark`` holding x1, y1, x2 and y2, and its
+    label at ``label_at``, holding x and y."""
+    label = {**label_at, "font-size": "11", "text-anchor": anchor, "fill": _AXIS_COLOR}
+    return [_element("line", {**mark, **_AXIS_STROKE}), _element("text", label, f"{value:.3g}")]
 
 
 def _axes(scale: _PanelScale, panel: Panel) -> list[str]:
-    parts = []
     x0, y0 = scale.px, scale.py
     x1, y1 = scale.px + scale.pw, scale.py + scale.ph
-    parts.append(
-        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(scale.pw)}" '
-        f'height="{_fmt(scale.ph)}" fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
+    frame = {"x": x0, "y": y0, "width": scale.pw, "height": scale.ph, "fill": "none"}
+    parts = [_element("rect", {**frame, **_AXIS_STROKE})]
     for xv in np.linspace(scale.xlo, scale.xhi, 5):
         sx = scale.sx(xv)
-        parts += _tick(xv, (sx, y1, sx, y1 + 4), (sx, y1 + 17), "middle")
+        parts += _tick(xv, dict(x1=sx, y1=y1, x2=sx, y2=y1 + 4), dict(x=sx, y=y1 + 17), "middle")
     for yv in np.linspace(scale.ylo, scale.yhi, 5):
         sy = scale.sy(yv)
-        parts += _tick(yv, (x0 - 4, sy, x0, sy), (x0 - 7, sy + 4), "end")
-    cx = 0.5 * (x0 + x1)
-    parts.append(
-        f'<text x="{_fmt(cx)}" y="{_fmt(y1 + 34)}" font-size="12" '
-        f'text-anchor="middle" fill="{_AXIS_COLOR}">{escape(panel.xlabel, quote=False)}</text>'
-    )
-    cy = 0.5 * (y0 + y1)
-    parts.append(
-        f'<text x="{_fmt(x0 - 42)}" y="{_fmt(cy)}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 {_fmt(x0 - 42)} {_fmt(cy)})" '
-        f'fill="{_AXIS_COLOR}">{escape(panel.ylabel, quote=False)}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(cx)}" y="{_fmt(y0 - 10)}" font-size="13" font-weight="bold" '
-        f'text-anchor="middle" fill="{_AXIS_COLOR}">{escape(panel.title, quote=False)}</text>'
-    )
+        parts += _tick(yv, dict(x1=x0 - 4, y1=sy, x2=x0, y2=sy), dict(x=x0 - 7, y=sy + 4), "end")
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    label = {"font-size": "12", "text-anchor": "middle"}
+    rotate = f"rotate(-90 {_fmt(x0 - 42)} {_fmt(cy)})"
+    title = {"font-size": "13", "font-weight": "bold", "text-anchor": "middle"}
+    for attrs, text in [
+        ({"x": cx, "y": y1 + 34, **label}, panel.xlabel),
+        ({"x": x0 - 42, "y": cy, **label, "transform": rotate}, panel.ylabel),
+        ({"x": cx, "y": y0 - 10, **title}, panel.title),
+    ]:
+        parts.append(_element("text", {**attrs, "fill": _AXIS_COLOR}, text))
     return parts
 
 
 def _legend(scale: _PanelScale) -> list[str]:
     parts = []
-    x = scale.px + 8.0
-    y = scale.py + 14.0
-    entries = [
-        ("median", _MEDIAN_STYLE),
-        ("truth", _TRUTH_STYLE),
-        ("5%-95% band", None),
-    ]
-    for label, stroke in entries:
-        if stroke is None:
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y - 5)}" width="18" height="8" '
-                f'fill="{_BAND_FILL}" fill-opacity="0.75"/>'
-            )
+    x, y = scale.px + 8.0, scale.py + 14.0
+    for label, style in (("median", _MEDIAN_STYLE), ("truth", _TRUTH_STYLE), ("5%-95% band", None)):
+        if style:
+            swatch = _element("line", {"x1": x, "y1": y, "x2": x + 18, "y2": y, **style})
         else:
-            parts.append(
-                f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(x + 18)}" '
-                f'y2="{_fmt(y)}" {stroke}/>'
-            )
-        parts.append(
-            f'<text x="{_fmt(x + 23)}" y="{_fmt(y + 4)}" font-size="11" '
-            f'fill="{_AXIS_COLOR}">{escape(label, quote=False)}</text>'
-        )
+            box = {"x": x, "y": y - 5, "width": "18", "height": "8", **_BAND_STYLE}
+            swatch = _element("rect", box)
+        text = {"x": x + 23, "y": y + 4, "font-size": "11", "fill": _AXIS_COLOR}
+        parts += [swatch, _element("text", text, label)]
         y += 15.0
     return parts
 
@@ -182,13 +170,13 @@ def render_figure(panels: list[Panel]) -> str:
     """Render the panels side by side into one standalone SVG document."""
     if not panels:
         raise ValueError("at least one panel is required")
-    width = _PANEL_WIDTH * len(panels)
-    height = _PANEL_HEIGHT
+    width = int(_PANEL_WIDTH * len(panels))
+    height = int(_PANEL_HEIGHT)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" '
-        f'height="{int(height)}" viewBox="0 0 {int(width)} {int(height)}">',
-        f'<rect x="0" y="0" width="{int(width)}" height="{int(height)}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        _element("rect", {"x": 0, "y": 0, "width": width, "height": height, "fill": "white"}),
     ]
     for k, panel in enumerate(panels):
         scale = _PanelScale(panel, k * _PANEL_WIDTH)

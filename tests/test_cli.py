@@ -5,6 +5,7 @@ import dataclasses
 import json
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +177,14 @@ class TestFitCommand:
                 "validation error: row {row}: {data}: byte 20013 is not UTF-8 (invalid start byte)",
                 id="not-utf-8",
             ),
+            # The reader meets a byte that is not UTF-8; read again, the
+            # file holds none.
+            pytest.param(
+                "changed-while-read",
+                EXIT_VALIDATION,
+                "validation error: {data}: changed while it was read",
+                id="changed-while-read",
+            ),
             pytest.param(
                 "all-censored",
                 EXIT_ESTIMATION,
@@ -197,7 +206,9 @@ class TestFitCommand:
             ),
         ],
     )
-    def test_refused_input_exits_on_one_line(self, tmp_path, capsys, case, code, message):
+    def test_refused_input_exits_on_one_line(
+        self, tmp_path, capsys, monkeypatch, case, code, message
+    ):
         dataset, _ = generate_dataset(SimConfig(n=300, seed=1729), 0)
         delta, x = dataset.delta, dataset.x.copy()
         if case == "all-censored":
@@ -209,9 +220,11 @@ class TestFitCommand:
         data = tmp_path / "refused.csv"
         write_dataset_csv(data, Dataset(y=np.abs(dataset.y), delta=delta, x=x, t=dataset.t))
         raw = data.read_bytes()
-        if case == "not-utf-8":
+        if case in ("not-utf-8", "changed-while-read"):
             # Past the reader's first buffer; rows count from 0 after the header.
             data.write_bytes(raw[:20013] + b"\xff" + raw[20014:])
+        if case == "changed-while-read":
+            monkeypatch.setattr(Path, "read_bytes", lambda self: raw)
         config = write_config(tmp_path, {"fit": {}})
         out = tmp_path / "o"
         assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == code
@@ -589,6 +602,21 @@ REJECTED_CONFIG = {
     ),
 }
 
+# Config files no dict can hold, with the problem found in them after
+# "config <path>: ".
+DUPLICATE_KEY_CONFIG = {
+    "fit-key-twice": (
+        '{"fit": {"t_grid_size": 5, "t_grid_size": 3}}',
+        "duplicate key 't_grid_size'",
+    ),
+    "sim-key-twice": ('{"sim": {"reps": 2, "reps": 3}}', "duplicate key 'reps'"),
+    "section-twice": ('{"fit": {}, "fit": {"t_grid_size": 3}}', "duplicate key 'fit'"),
+    "bandwidths-key-twice": (
+        '{"fit": {"bandwidths": {"h1": 1, "h2": 1, "h_link": 1, "h1": 2}}}',
+        "duplicate key 'h1'",
+    ),
+}
+
 
 class TestConfigErrors:
     def test_each_section_takes_every_field_of_its_dataclass(self):
@@ -629,13 +657,14 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "command, case",
-        [("simulate", case) for case in sorted(REJECTED_CONFIG)]
+        [("simulate", case) for case in sorted(REJECTED_CONFIG) + sorted(DUPLICATE_KEY_CONFIG)]
         # sivc fit reads no sim section.
         + [
             ("fit", case)
             for case in sorted(REJECTED_CONFIG)
             if "sim" not in REJECTED_CONFIG[case][0]
-        ],
+        ]
+        + [("fit", case) for case in sorted(DUPLICATE_KEY_CONFIG) if "sim" not in case],
     )
     def test_command_exits_2(self, paper_csv, tmp_path, capsys, monkeypatch, command, case):
         # The config is refused on one line, with no numpy warning, before
@@ -645,8 +674,14 @@ class TestConfigErrors:
 
         monkeypatch.setattr(cli, "fit_model", no_fit)
         monkeypatch.setattr(cli, "run_monte_carlo", no_fit)
-        doc, message = REJECTED_CONFIG[case]
-        config = write_config(tmp_path, doc)
+        if case in DUPLICATE_KEY_CONFIG:
+            text, problem = DUPLICATE_KEY_CONFIG[case]
+            config = tmp_path / "config.json"
+            config.write_text(text, encoding="utf-8")
+            message = f"config {config}: {problem}"
+        else:
+            doc, message = REJECTED_CONFIG[case]
+            config = write_config(tmp_path, doc)
         data = ["--data", str(paper_csv)] if command == "fit" else []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -445,10 +445,17 @@ class TestRunMonteCarlo:
         pools = self.recorded_pools(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
-        summary = run_monte_carlo(small_sim(reps=2), SMALL_FIT)
+        summary = run_monte_carlo(small_sim(reps=4), SMALL_FIT)
         # one usable core runs the replications in this process, no pool
         assert pools == want
         assert len(summary.failures) == 0
+
+    @pytest.mark.parametrize("reps, workers, want", [(2, 4, [2]), (1, 4, [])])
+    def test_pool_never_outnumbers_the_replications(self, reps, workers, want, monkeypatch):
+        # Under fork, a pool starts all max_workers processes at its first submit.
+        pools = self.recorded_pools(monkeypatch)
+        run_monte_carlo(small_sim(reps=reps), SMALL_FIT, workers=workers)
+        assert pools == want
 
     def test_default_workers_without_an_affinity_mask(self, monkeypatch):
         pools = self.recorded_pools(monkeypatch)

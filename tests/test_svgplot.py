@@ -95,3 +95,35 @@ def test_y_range_of_a_panel_without_spread(value, labels):
     svg = render_figure([Panel("p", "x", "y", x, flat, flat, flat, flat)])
     texts = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
     assert [t.text for t in texts if t.get("text-anchor") == "end"] == labels
+
+
+# An x the renderer cannot scale, or a series that does not match it.
+@pytest.mark.parametrize(
+    "x, series, message",
+    [
+        ([0.5, 0.5, 0.5], 3, "^x must be strictly ascending$"),
+        ([0.5], 1, r"^x must hold at least 2 points \(got shape \(1,\)\)$"),
+        ([], 0, r"^x must hold at least 2 points \(got shape \(0,\)\)$"),
+        ([[0.0, 1.0]], 2, r"^x must hold at least 2 points \(got shape \(1, 2\)\)$"),
+        ([0.0, np.nan, 1.0], 3, "^x must be finite$"),
+        ([0.0, np.inf], 2, "^x must be finite$"),
+        ([1.0, 0.0], 2, "^x must be strictly ascending$"),
+        ([-1e308, 1e308], 2, "^x must span a finite range$"),
+        ([0.0, 0.5, 1.0], 2, "^median must hold one value per point of x$"),
+    ],
+    ids=[
+        "constant",
+        "one-point",
+        "empty",
+        "2-d",
+        "nan",
+        "infinite",
+        "descending",
+        "span-overflows",
+        "short-series",
+    ],
+)
+def test_panel_refuses_an_x_it_cannot_scale(x, series, message):
+    values = np.zeros(series)
+    with pytest.raises(ValueError, match=message):
+        Panel("p", "x", "y", np.array(x), values, values, values, values)
