@@ -14,7 +14,6 @@ from .censoring import (
     SurvivalCurve,
     calibrate_censoring,
     estimate_censoring_survival,
-    survival_at,
     synthetic_responses,
 )
 from .errors import EstimationError, SivcError, ValidationError
@@ -23,9 +22,7 @@ from .estimator import (
     FitConfig,
     LinkEstimate,
     ModelFit,
-    angles_from_direction,
     compute_index,
-    direction_from_angles,
     fit_coefficient_curves,
     fit_direction_at,
     fit_link,

@@ -30,7 +30,6 @@ from .model import Dataset, _check_ascending, _frozen
 __all__ = [
     "SurvivalCurve",
     "estimate_censoring_survival",
-    "survival_at",
     "synthetic_responses",
     "calibrate_censoring",
 ]
@@ -83,12 +82,6 @@ def estimate_censoring_survival(dataset: Dataset) -> SurvivalCurve:
     at_risk = dataset.n - np.searchsorted(y_sorted, ctimes, side="left")
     factors = 1.0 - counts / at_risk
     return SurvivalCurve(jump_times=ctimes, values=np.cumprod(factors))
-
-
-def survival_at(curve: SurvivalCurve, s: float) -> float:
-    """Left-limit evaluation: the product over jump times strictly below s."""
-    idx = int(np.searchsorted(curve.jump_times, s, side="left"))
-    return 1.0 if idx == 0 else float(curve.values[idx - 1])
 
 
 def _segment_table(curve: SurvivalCurve):

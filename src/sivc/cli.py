@@ -124,6 +124,9 @@ def load_config(path: Path) -> dict:
         doc = json.loads(text.removeprefix("\ufeff"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError([(None, f"config {path}: invalid JSON ({exc})")])
+    except ValueError as exc:
+        # An integer too long for int() to convert.
+        raise ValidationError([(None, f"config {path}: unreadable number ({exc})")]) from None
     if not isinstance(doc, dict):
         raise ValidationError([(None, f"config {path}: expected a JSON object")])
     _require_keys(doc, {"sim", "fit"}, "top-level")

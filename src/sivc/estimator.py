@@ -39,40 +39,45 @@ with numpy 2.4, which makes an n = 100 fit ~7 ms slower (15 -> 22 ms);
 the one evaluation serves every m all the same.
 
 The unit-norm, positive-first-component constraint is enforced by
-construction through a spherical-angle parameterization: the open
-hemisphere maps to the open box (-pi/2, pi/2)^(d-1) and Nelder-Mead
-runs on the angles, warm-started along the grid sweep. The Nelder-Mead
-routine is the package's own: on Python floats it takes the same steps
-as SciPy's non-adaptive ``minimize(method="Nelder-Mead")`` and returns
-the same result bit for bit (the tests compare the two).
+construction through a tangent-plane chart centred at each grid point's
+start b0: Nelder-Mead runs on s in R^(d-1), and vertex s is the direction
+b0 + T s scaled to unit norm, its sign chosen so the first component is
+positive. T, the last d - 1 columns of the Householder reflector
+I - v v' / v_1 with v = b0 + e1, is an orthonormal basis of the tangent
+space at b0. The objective is even in the direction, so the sign fold
+leaves it continuous; a zero first component scores +inf. The
+Nelder-Mead routine is the package's own: on Python floats it takes the
+same steps as SciPy's non-adaptive ``minimize(method="Nelder-Mead")`` and
+returns the same result bit for bit (the tests compare the two).
 Nelder-Mead asks again for vertices it has already scored, so at each t0
 every distinct vertex is computed once and repeats are served from a
 cache; the steps and counts it reports stay those of the uncached run.
 
-Each run stops on its angles alone, as soon as every vertex is within a
-tolerance of the best in each angle; no test on the vertex values holds
-it back. The objective is only piecewise smooth, so a value test kept
-polishing far below what the estimator resolves: with one, on seed-1729
-data at n = 500 and 2 000, 57-59% of the evaluations fell within 1e-3
-rad of where their run ended, against a per-replication angle error of
-~0.11 rad at the time. That error is ~0.05 rad now, and the runs stop
-at ``_XATOL`` = 1e-3 rad. Stopping at 1e-4 rad instead took 1.4x the
-objective calls and lowered 1 of 6 statistics of that error (its mean,
-p95 and max over 100 replications each of seeds 1729 and 8191 at
-n = 500), by 0.00002 rad.
+Each run stops on its chart coordinates alone, as soon as every vertex
+is within a tolerance of the best in each coordinate; no test on the
+vertex values holds it back. The objective is only piecewise smooth, so
+a value test kept polishing far below what the estimator resolves: with
+one, on seed-1729 data at n = 500 and 2 000, 57-59% of the evaluations
+fell within 1e-3 rad of where their run ended, against a per-replication
+angle error of ~0.11 rad at the time. That error is ~0.05 rad now, and
+the runs stop at ``_XATOL`` = 1e-3, a tangent length and so ~1e-3 rad
+near b0, as the first step ``_SIMPLEX_STEP`` = 0.1 is ~0.1 rad. Stopping
+at 1e-4 rad instead took 1.4x the objective calls and lowered 1 of 6
+statistics of that error (its mean, p95 and max over 100 replications
+each of seeds 1729 and 8191 at n = 500), by 0.00002 rad.
 
 Each grid point runs Nelder-Mead once, to ``_XATOL`` or ``_max_iter(d)``
 iterations, max(150, 100 (d - 1)): 150 up to d = 2, 700 at d = 8. A
 fixed 150 stopped 1-4 grid points short in every replication at d = 8
 (constant preset, n = 500, 6 replications each of seeds 1729 and 8191);
 700 let every one converge, within 275 iterations, for 2-5% more
-objective calls. Every grid point after the first starts from its left
-neighbour's direction: the sweep's warm start. The first grid point has
-no neighbour, so it starts from the centre of the angle box, the
-direction (1, 0, ..., 0). Racing 4 or 8 starts spread across the box
-there instead took 13% / 30% more objective calls, lowered none of those
-6 statistics by more than 0.00012 rad and raised some by up to 0.0028
-rad; racing a spread start beside each warm start took 1.85x the calls.
+objective calls. Every grid point after the first centres its chart at
+its left neighbour's direction: the sweep's warm start. The first grid
+point has no neighbour, so it starts from (1, 0, ..., 0). Racing 4 or 8
+spread starts there instead (measured with an earlier spherical-angle
+chart) took 13% / 30% more objective calls, lowered none of those 6
+statistics by more than 0.00012 rad and raised some by up to 0.0028 rad;
+racing a spread start beside each warm start took 1.85x the calls.
 
 Stage 2 computes the synthetic responses from the Kaplan-Meier censoring
 survival, projects each covariate vector onto the fitted direction at
@@ -108,7 +113,6 @@ from .model import (
     _frozen,
     _real,
     evaluate_curves,
-    normalize_direction,
 )
 from .smoothing import Bandwidths, kernel_values, select_bandwidths
 
@@ -117,8 +121,6 @@ __all__ = [
     "LinkEstimate",
     "DirectionFit",
     "ModelFit",
-    "direction_from_angles",
-    "angles_from_direction",
     "local_objective",
     "fit_direction_at",
     "fit_coefficient_curves",
@@ -127,7 +129,6 @@ __all__ = [
     "fit_model",
 ]
 
-_ANGLE_BOX = math.pi / 2 - 1e-9
 _SIMPLEX_STEP = 0.1
 _XATOL = 1e-3
 # A run that reaches its iteration cap still counts as converged when its
@@ -251,31 +252,6 @@ class ModelFit:
     synthetic: np.ndarray
     bandwidths: Bandwidths
     diagnostics: dict = field(repr=False)
-
-
-def direction_from_angles(angles: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Map d-1 angles in (-pi/2, pi/2) to a unit vector with positive
-    first component (bijective onto the open hemisphere)."""
-    v = [1.0]
-    for a in np.atleast_1d(np.asarray(angles, dtype=float)).tolist():
-        c = math.cos(a)
-        v = [x * c for x in v]
-        v.append(math.sin(a))
-    return np.array(v)
-
-
-def angles_from_direction(direction: UnitDirection) -> np.ndarray:
-    """Inverse of ``direction_from_angles``."""
-    v = np.array(direction.components, dtype=float)
-    d = v.size
-    angles = np.zeros(d - 1)
-    for k in range(d - 1, 1, -1):
-        a = math.asin(float(np.clip(v[k], -1.0, 1.0)))
-        angles[k - 1] = a
-        v = v[:k] / math.cos(a)
-    if d > 1:
-        angles[0] = math.atan2(v[1], v[0])
-    return angles
 
 
 def _local_weights(dataset: Dataset, t0: float, bw: Bandwidths):
@@ -488,18 +464,33 @@ def _nelder_mead(
     return _Simplex(tuple(verts[0][1]), nit, nfev, nit < maxiter, tuple(f for f, _ in verts))
 
 
-def _initial_simplex(a0: list[float]) -> list[list[float]]:
-    verts = [a0]
-    for k, a in enumerate(a0):
-        v = list(a0)
-        v[k] = a + _SIMPLEX_STEP if a + _SIMPLEX_STEP < _ANGLE_BOX else a - _SIMPLEX_STEP
-        verts.append(v)
-    return verts
-
-
 def _max_iter(d: int) -> int:
     """Nelder-Mead's iteration cap at each grid point for d covariates."""
     return max(150, 100 * (d - 1))
+
+
+def _tangent_basis(b0: np.ndarray) -> np.ndarray:
+    """The last d - 1 columns of the Householder reflector I - v v' / v_1,
+    v = b0 + e1, for a unit b0 with b0_1 > 0: an orthonormal basis of the
+    tangent space of the unit sphere at b0."""
+    v = b0.copy()
+    v[0] += 1.0
+    return np.eye(v.size)[:, 1:] - np.outer(v, v[1:] / v[0])
+
+
+def _chart_point(
+    b0: np.ndarray, basis: np.ndarray, s: Sequence[float]
+) -> Optional[np.ndarray]:
+    """The direction at coordinates ``s`` of the chart centred at ``b0``:
+    b0 + basis s scaled to unit norm with a positive first component, or
+    None where that component is 0 (or NaN)."""
+    # Plain numpy, in place: ``normalize_direction``'s checks would cost
+    # ~25 us a vertex, a third of an n = 500 evaluation, and np.dot
+    # converts the list s faster than @.
+    b = np.dot(basis, s)
+    b += b0
+    b /= math.copysign(math.sqrt(np.dot(b, b)), b[0])
+    return b if b[0] > 0 else None
 
 
 def fit_direction_at(
@@ -511,11 +502,11 @@ def fit_direction_at(
     """Minimize the local objective over the unit hemisphere at one t0,
     with the resolved bandwidths ``bw``.
 
-    Nelder-Mead runs once on the spherical angles, until its vertices are
-    within ``_XATOL`` of the best in every angle or for ``_max_iter(d)``
-    iterations. It starts from the warm start if one is given, and
-    otherwise from the centre of the angle box, the direction
-    (1, 0, ..., 0). Hitting the iteration cap with the final vertex values
+    Nelder-Mead runs once in the tangent-plane chart centred at the warm
+    start if one is given, and otherwise at (1, 0, ..., 0), until its
+    vertices are within ``_XATOL`` (a tangent length, ~rad near the centre)
+    of the best in every coordinate or for ``_max_iter(d)`` iterations.
+    Hitting the iteration cap with the final vertex values
     still spread wider than ``_FLAT_TOL``, or NaN (responses near 1e308),
     is flagged (not raised) in the result.
     """
@@ -530,29 +521,25 @@ def fit_direction_at(
     # same point), so each distinct vertex is computed once per t0.
     values: dict[tuple[float, ...], float] = {}
 
-    def penalized(angles: list[float]) -> float:
-        key = tuple(angles)
+    def score(s: list[float]) -> float:
+        key = tuple(s)
         value = values.get(key)
         if value is None:
-            if any(abs(a) > _ANGLE_BOX for a in angles):
-                excess = np.abs(angles) - _ANGLE_BOX
-                value = 1e12 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
-            else:
-                value = obj.value(direction_from_angles(angles))
+            theta = _chart_point(b0, basis, s)
+            value = math.inf if theta is None else obj.value(theta)
             values[key] = value
         return value
 
-    if warm_start is not None:
-        a0 = angles_from_direction(warm_start).tolist()
-    else:
-        a0 = [0.0] * (dataset.d - 1)
+    b0 = np.eye(dataset.d)[0] if warm_start is None else warm_start.components
+    basis = _tangent_basis(b0)
+    simplex = [[0.0] * (dataset.d - 1)] + (_SIMPLEX_STEP * np.eye(dataset.d - 1)).tolist()
     # A tiny fixed h1 overflows q on the way to a finite value, and
     # responses near 1e308 overflow the centring mean; numpy is told once
     # per grid point, not per evaluation, not to warn of either.
     with np.errstate(over="ignore", invalid="ignore"):
         obj = _LocalObjective(dataset, t0, bw)
-        res = _nelder_mead(penalized, _initial_simplex(a0), _XATOL, _max_iter(dataset.d))
-        direction = normalize_direction(direction_from_angles(res.x))
+        res = _nelder_mead(score, simplex, _XATOL, _max_iter(dataset.d))
+        direction = UnitDirection(components=_chart_point(b0, basis, res.x))
         value = obj.value(direction.components)
     return DirectionFit(
         direction,
@@ -575,7 +562,7 @@ def fit_coefficient_curves(
 
     The sweep walks the grid in ascending order, warm-starting each point
     from its left neighbor; the first point, which has none, starts from
-    the centre of the angle box.
+    (1, 0, ..., 0).
     """
     grid = config.t_grid
     fits: list[DirectionFit] = []
@@ -682,8 +669,8 @@ def _first_dependent_column(x: np.ndarray) -> Optional[int]:
 def fit_model(dataset: Dataset, config: FitConfig) -> ModelFit:
     """Run both stages and assemble the full estimate.
 
-    Deterministic given (dataset, config): the optimizer starts from the
-    centre of the angle box and then from the warm starts, so no
+    Deterministic given (dataset, config): the optimizer starts from
+    (1, 0, ..., 0) and then from the warm starts, so no
     randomness enters the fit. Raises ``ValueError`` on fewer than 10
     rows, before any other check, whatever the bandwidths. Then raises
     ``EstimationError`` before either stage when the data cannot identify

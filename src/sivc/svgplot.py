@@ -8,6 +8,7 @@ curves and bands into separate segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from html import escape
 
@@ -34,7 +35,8 @@ _TRUTH_STYLE = {"stroke": "#c00000", "stroke-width": "1.4", "stroke-dasharray": 
 @dataclass(frozen=True)
 class Panel:
     """One chart: x values, a band, the median and the truth curve; ``x``
-    holds at least 2 finite, ascending points, each series one value per point."""
+    holds at least 2 finite, ascending points, each series one value per
+    point, and the series a y range that ``_y_range`` can pad and scale."""
 
     title: str
     xlabel: str
@@ -55,6 +57,25 @@ class Panel:
         for name in ("median", "band_lo", "band_hi", "truth"):
             if np.shape(getattr(self, name)) != x.shape:
                 raise ValueError(f"{name} must hold one value per point of x")
+        _y_range(self)
+
+
+def _y_range(panel: Panel) -> tuple[float, float]:
+    """The y range a panel is drawn on: the finite extent of its series
+    ([0, 1] when none is finite, widened by 0.5 each way when it is one
+    value), padded by 6% each way. ``ValueError`` when the padded range is
+    zero or too wide for a float, which no scale can map."""
+    series = [panel.median, panel.band_lo, panel.band_hi, panel.truth]
+    stacked = np.concatenate(series, dtype=float)
+    finite = stacked[np.isfinite(stacked)]
+    ylo, yhi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
+    if yhi == ylo:
+        ylo, yhi = ylo - 0.5, yhi + 0.5
+    pad = 0.06 * (yhi - ylo)
+    ylo, yhi = ylo - pad, yhi + pad
+    if not 0.0 < yhi - ylo < math.inf:
+        raise ValueError(f"series must span a y range a float can scale (got {ylo} to {yhi})")
+    return ylo, yhi
 
 
 def _fmt(v: float) -> str:
@@ -84,15 +105,8 @@ class _PanelScale:
         self.py = _MARGIN_TOP
         self.pw = _PANEL_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
         self.ph = _PANEL_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-        series = [panel.median, panel.band_lo, panel.band_hi, panel.truth]
-        stacked = np.concatenate(series, dtype=float)
-        finite = stacked[np.isfinite(stacked)]
-        ylo, yhi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
-        if yhi == ylo:
-            ylo, yhi = ylo - 0.5, yhi + 0.5
-        pad = 0.06 * (yhi - ylo)
         self.xlo, self.xhi = float(panel.x[0]), float(panel.x[-1])
-        self.ylo, self.yhi = ylo - pad, yhi + pad
+        self.ylo, self.yhi = _y_range(panel)
 
     def sx(self, x: float) -> float:
         return self.px + (x - self.xlo) / (self.xhi - self.xlo) * self.pw

@@ -26,12 +26,12 @@ from oracle import (
 )
 from sivc import (
     Dataset,
+    EstimationError,
     FitConfig,
     SimConfig,
     estimate_censoring_survival,
     resolve_censor_scale,
     run_monte_carlo,
-    survival_at,
     synthetic_responses,
 )
 from sivc.cli import main as cli_main
@@ -268,24 +268,32 @@ class TestCriterion5KaplanMeierExactness:
                 t=np.linspace(0, 1, y.size),
             )
 
+        def tstar(curve, ys):
+            # Synthetic responses of uncensored rows at ys: the integral
+            # of 1 / G-hat over [0, y], which reads the curve's left limits.
+            return synthetic_responses(surv(ys, np.ones(len(ys), dtype=int)), curve).tolist()
+
         checks = []
 
+        # G-hat is 1 up to and at the jump at 2, and 0.5 after it.
         curve = estimate_censoring_survival(surv([1, 2, 3], [1, 0, 1]))
         checks.append(curve.jump_times.tolist() == [2.0])
         checks.append(curve.values.tolist() == [0.5])
-        checks.append(survival_at(curve, 2.0) == 1.0)
-        checks.append(survival_at(curve, 2.5) == 0.5)
-        checks.append(survival_at(curve, -10.0) == 1.0)
+        checks.append(tstar(curve, [2.0, 2.5, 3.0, -10.0]) == [2.0, 3.0, 4.0, -10.0])
 
         curve = estimate_censoring_survival(surv([1, 2, 3], [1, 1, 1]))
         checks.append(curve.jump_times.size == 0)
-        checks.append(all(survival_at(curve, s) == 1.0 for s in (-5.0, 2.0, 3.0)))
+        checks.append(tstar(curve, [-5.0, 2.0, 3.0]) == [-5.0, 2.0, 3.0])
 
+        # 1 up to 1, 0.5 on (1, 2], 0 after 2.
         curve = estimate_censoring_survival(surv([1, 2], [0, 0]))
         checks.append(curve.values.tolist() == [0.5, 0.0])
-        checks.append(survival_at(curve, 1.0) == 1.0)
-        checks.append(survival_at(curve, 1.5) == 0.5)
-        checks.append(survival_at(curve, 2.5) == 0.0)
+        checks.append(tstar(curve, [1.0, 1.5, 2.0]) == [1.0, 2.0, 3.0])
+        try:
+            tstar(curve, [1.0, 2.5])
+            checks.append(False)
+        except EstimationError:
+            checks.append(True)
 
         rng = np.random.default_rng(ACCEPT_SEED + 5)
         y = rng.uniform(0, 10, 500)

@@ -14,7 +14,6 @@ from sivc import (
     ValidationError,
     calibrate_censoring,
     estimate_censoring_survival,
-    survival_at,
     synthetic_responses,
 )
 
@@ -30,31 +29,35 @@ def surv_dataset(y, delta):
     )
 
 
+def synthetic_at(curve, ys):
+    """Synthetic responses of uncensored rows at ``ys``: the integral of
+    1 / G-hat over [0, y], which reads G-hat's left limits."""
+    return synthetic_responses(surv_dataset(ys, np.ones(len(ys), dtype=int)), curve).tolist()
+
+
 class TestKaplanMeier:
     def test_hand_fixture_one_censoring(self):
         # (1,1), (2,0), (3,1): at time 2 one censoring with risk set {2,3}
         curve = estimate_censoring_survival(surv_dataset([1, 2, 3], [1, 0, 1]))
         assert curve.jump_times.tolist() == [2.0]
         assert curve.values.tolist() == [0.5]
-        assert survival_at(curve, 1.7) == 1.0
-        assert survival_at(curve, 2.0) == 1.0
-        assert survival_at(curve, 2.5) == 0.5
+        # G-hat is 1 up to and at 2 (its left limit there), 0.5 after it.
+        assert synthetic_at(curve, [1.7, 2.0, 2.5, 3.0]) == [1.7, 2.0, 3.0, 4.0]
 
     def test_no_censoring_is_identically_one(self):
         curve = estimate_censoring_survival(surv_dataset([1, 2, 3], [1, 1, 1]))
         assert curve.jump_times.size == 0
-        for s in (-5.0, 0.0, 2.0, 99.0):
-            assert survival_at(curve, s) == 1.0
+        ys = [-5.0, 0.0, 2.0, 99.0]
+        assert synthetic_at(curve, ys) == ys
 
     def test_all_censored_two_rows(self):
         curve = estimate_censoring_survival(surv_dataset([1, 2], [0, 0]))
         assert curve.jump_times.tolist() == [1.0, 2.0]
         assert curve.values.tolist() == [0.5, 0.0]
-        assert survival_at(curve, 0.5) == 1.0
-        assert survival_at(curve, 1.0) == 1.0
-        assert survival_at(curve, 1.5) == 0.5
-        assert survival_at(curve, 2.0) == 0.5
-        assert survival_at(curve, 2.5) == 0.0
+        # G-hat is 1 up to and at 1, 0.5 on (1, 2] and 0 after 2.
+        assert synthetic_at(curve, [0.5, 1.0, 1.5, 2.0]) == [0.5, 1.0, 2.0, 3.0]
+        with pytest.raises(EstimationError, match="^unbounded synthetic weight at row 1$"):
+            synthetic_at(curve, [1.0, 2.5])
 
     def test_tied_event_and_censoring(self):
         # the delta=1 row at time 2 stays in the risk set for the
@@ -64,8 +67,9 @@ class TestKaplanMeier:
         assert curve.values.tolist() == [1.0 - 1.0 / 3.0]
 
     def test_before_all_jumps(self):
+        # G-hat is 1 before its first jump, so below it T* is the response.
         curve = estimate_censoring_survival(surv_dataset([1, 2, 3], [1, 0, 1]))
-        assert survival_at(curve, -10.0) == 1.0
+        assert synthetic_at(curve, [-10.0, 0.0, 1.0]) == [-10.0, 0.0, 1.0]
 
     def test_monotone_in_unit_interval_for_random_data(self):
         rng = np.random.default_rng(2)

@@ -602,9 +602,22 @@ REJECTED_CONFIG = {
     ),
 }
 
-# Config files no dict can hold, with the problem found in them after
-# "config <path>: ".
-DUPLICATE_KEY_CONFIG = {
+# More digits than Python's default limit lets int() convert.
+LONG_INTEGER = "1" * 5000
+
+
+def int_refusal(text):
+    """What int() says when it refuses ``text``."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"int() read {len(text)} digits")
+
+
+# Config files no dict can hold or Python cannot read, with the problem
+# found in them after "config <path>: ".
+UNREADABLE_CONFIG = {
     "fit-key-twice": (
         '{"fit": {"t_grid_size": 5, "t_grid_size": 3}}',
         "duplicate key 't_grid_size'",
@@ -614,6 +627,10 @@ DUPLICATE_KEY_CONFIG = {
     "bandwidths-key-twice": (
         '{"fit": {"bandwidths": {"h1": 1, "h2": 1, "h_link": 1, "h1": 2}}}',
         "duplicate key 'h1'",
+    ),
+    "fit-integer-too-long": (
+        '{"fit": {"t_grid_size": %s}}' % LONG_INTEGER,
+        f"unreadable number ({int_refusal(LONG_INTEGER)})",
     ),
 }
 
@@ -657,14 +674,14 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "command, case",
-        [("simulate", case) for case in sorted(REJECTED_CONFIG) + sorted(DUPLICATE_KEY_CONFIG)]
+        [("simulate", case) for case in sorted(REJECTED_CONFIG) + sorted(UNREADABLE_CONFIG)]
         # sivc fit reads no sim section.
         + [
             ("fit", case)
             for case in sorted(REJECTED_CONFIG)
             if "sim" not in REJECTED_CONFIG[case][0]
         ]
-        + [("fit", case) for case in sorted(DUPLICATE_KEY_CONFIG) if "sim" not in case],
+        + [("fit", case) for case in sorted(UNREADABLE_CONFIG) if "sim" not in case],
     )
     def test_command_exits_2(self, paper_csv, tmp_path, capsys, monkeypatch, command, case):
         # The config is refused on one line, with no numpy warning, before
@@ -674,8 +691,8 @@ class TestConfigErrors:
 
         monkeypatch.setattr(cli, "fit_model", no_fit)
         monkeypatch.setattr(cli, "run_monte_carlo", no_fit)
-        if case in DUPLICATE_KEY_CONFIG:
-            text, problem = DUPLICATE_KEY_CONFIG[case]
+        if case in UNREADABLE_CONFIG:
+            text, problem = UNREADABLE_CONFIG[case]
             config = tmp_path / "config.json"
             config.write_text(text, encoding="utf-8")
             message = f"config {config}: {problem}"

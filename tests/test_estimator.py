@@ -21,9 +21,7 @@ from sivc import (
     LinkEstimate,
     SimConfig,
     UnitDirection,
-    angles_from_direction,
     compute_index,
-    direction_from_angles,
     fit_coefficient_curves,
     fit_direction_at,
     fit_link,
@@ -38,15 +36,16 @@ from sivc import (
 )
 from sivc import cli, estimator
 from sivc.estimator import (
-    _ANGLE_BOX,
     _FLAT_TOL,
+    _SIMPLEX_STEP,
     _XATOL,
     _LocalObjective,
     _Simplex,
+    _chart_point,
     _first_dependent_column,
-    _initial_simplex,
     _max_iter,
     _nelder_mead,
+    _tangent_basis,
 )
 
 EPAN = FitConfig.kernel
@@ -89,38 +88,92 @@ def angular_error(direction, truth):
     return math.acos(dot)
 
 
-class TestAngleParameterization:
+def direction_at_angles(angles):
+    """The unit vector with spherical angles ``angles``: (cos a, sin a) in
+    two dimensions, grown one angle at a time."""
+    v = np.array([1.0])
+    for a in np.atleast_1d(np.asarray(angles, dtype=float)):
+        v = np.concatenate((v * math.cos(a), [math.sin(a)]))
+    return v
+
+
+class TestTangentChart:
     @given(
-        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=2, max_value=6),
         st.integers(min_value=0, max_value=2 ** 31),
     )
     @settings(max_examples=60)
-    def test_roundtrip(self, d, seed):
+    def test_basis_is_orthonormal_and_tangent(self, d, seed):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=d)
         if abs(v[0]) < 1e-6:
             return
-        u = normalize_direction(v)
-        back = direction_from_angles(angles_from_direction(u))
-        assert np.allclose(back, u.components, atol=1e-12)
+        b0 = normalize_direction(v).components
+        basis = _tangent_basis(b0)
+        assert basis.shape == (d, d - 1)
+        assert np.allclose(basis.T @ basis, np.eye(d - 1), rtol=0.0, atol=1e-14)
+        assert np.allclose(basis.T @ b0, 0.0, rtol=0.0, atol=1e-14)
+        # the centre of the chart is b0 itself
+        assert np.allclose(_chart_point(b0, basis, [0.0] * (d - 1)), b0, rtol=0.0, atol=1e-15)
+        # and every point of it a unit vector in b0's hemisphere
+        point = _chart_point(b0, basis, rng.normal(0.0, 3.0, d - 1).tolist())
+        assert np.linalg.norm(point) == pytest.approx(1.0, abs=1e-14)
+        assert point[0] > 0
 
-    @given(
-        st.lists(
-            st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    @settings(max_examples=60)
-    def test_angles_map_into_hemisphere(self, angles):
-        v = direction_from_angles(angles)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert v[0] > 0
+    def test_cold_chart_is_the_slope_chart(self):
+        # Centred at e1 the chart is (1, s) scaled, which covers the open
+        # hemisphere and never reaches a zero first component.
+        basis = _tangent_basis(np.eye(3)[0])
+        assert basis.tolist() == np.eye(3)[:, 1:].tolist()
+        s = [0.3, -2.0]
+        want = np.array([1.0, 0.3, -2.0])
+        assert np.allclose(_chart_point(np.eye(3)[0], basis, s), want / np.linalg.norm(want))
 
-    def test_two_dimensional_convention(self):
-        assert np.allclose(direction_from_angles([0.0]), [1.0, 0.0])
-        a = 0.3
-        assert np.allclose(direction_from_angles([a]), [math.cos(a), math.sin(a)])
+    def test_points_past_the_equator_fold_back(self):
+        # Past a zero first component b0 + basis s turns into the other
+        # hemisphere; its negative is the point the chart returns.
+        b0 = normalize_direction([0.6, 0.8]).components
+        basis = _tangent_basis(b0)
+        raw = b0 + basis @ [3.0]
+        assert raw[0] < 0
+        assert np.allclose(_chart_point(b0, basis, [3.0]), -raw / np.linalg.norm(raw))
+
+    def test_zero_first_component_scores_inf(self, monkeypatch):
+        warm = normalize_direction([1.0, 1.0])
+        basis = _tangent_basis(warm.components)
+        # The tangent line reaches a zero first component at s = 1 exactly.
+        assert (warm.components + basis @ [1.0])[0] == 0.0
+        assert _chart_point(warm.components, basis, [1.0]) is None
+        assert _chart_point(warm.components, basis, [math.nan]) is None
+        scores = []
+
+        def capture(func, *args):
+            scores.append(func)
+            return _nelder_mead(func, *args)
+
+        monkeypatch.setattr(estimator, "_nelder_mead", capture)
+        ds = constant_direction_data(seed=2, n=120, direction=(0.6, 0.8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_direction_at(ds, 0.5, Bandwidths(h1=0.4, h2=0.3, h_link=0.4), warm_start=warm)
+            assert scores[0]([1.0]) == math.inf
+
+
+class TestObjectiveIsEven:
+    """The chart folds -theta onto theta, which leaves the search
+    continuous only because the objective is even in theta: the
+    projections change sign, so every window holds the same rows."""
+
+    @pytest.mark.parametrize("n", [100, 500, 2000])
+    def test_value_at_minus_theta(self, n):
+        dataset, _ = generate_dataset(SimConfig(n=n, seed=1729), 0)
+        bw = select_bandwidths(dataset, EPAN)
+        for t0 in (0.0, 0.5, 1.0):
+            obj = _LocalObjective(dataset, t0, bw)
+            for angle in np.linspace(-1.4, 1.4, 29):
+                theta = direction_at_angles([angle])
+                plus, minus = obj.value(theta), obj.value(-theta)
+                assert minus == pytest.approx(plus, rel=1e-12, abs=0.0), (t0, angle)
 
 
 def three_row_dataset():
@@ -385,7 +438,7 @@ class TestSortedObjective:
         )
         bw = Bandwidths(h1=0.5, h2=10.0, h_link=0.5)
         for angle in (0.0, 0.05, -0.3):
-            theta = direction_from_angles([angle])
+            theta = direction_at_angles([angle])
             dense, dense_skipped, fast, skipped = both_evaluations(dataset, 0.5, theta, bw)
             assert fast == pytest.approx(dense, rel=1e-12, abs=0.0)
             assert skipped == dense_skipped
@@ -429,7 +482,7 @@ class TestBitIdentity:
         h_index = rule_of_thumb_bandwidth(dataset.x @ normalize_direction([1.0, 1.0]).components)
         bw = Bandwidths(h1=h_index, h2=rule_of_thumb_bandwidth(dataset.t), h_link=h_index)
         angles = np.linspace(-1.5, 1.5, 25)
-        thetas = [direction_from_angles([a]) for a in angles]
+        thetas = [direction_at_angles([a]) for a in angles]
         for t0 in (0.0, 0.5, 1.0):
             self.assert_identical(dataset, t0, bw, thetas)
 
@@ -444,7 +497,7 @@ class TestBitIdentity:
             t=rng.uniform(0, 1, n),
         )
         bw = select_bandwidths(dataset, EPAN)
-        thetas = [direction_from_angles(a) for a in rng.uniform(-1.5, 1.5, (15, 2))]
+        thetas = [direction_at_angles(a) for a in rng.uniform(-1.5, 1.5, (15, 2))]
         for t0 in (0.0, 0.5, 1.0):
             self.assert_identical(dataset, t0, bw, thetas)
 
@@ -563,7 +616,7 @@ class TestFitDirectionAt:
             t=np.concatenate([t, t]),
         )
         bw = Bandwidths(h1=1e-300, h2=2.0, h_link=1.0)
-        theta = normalize_direction(direction_from_angles([0.3]))
+        theta = normalize_direction(direction_at_angles([0.3]))
         with np.errstate(over="ignore", invalid="ignore"):
             want = ReferenceObjective(ds, 0.5, bw).dense_value(theta.components)
         with warnings.catch_warnings():
@@ -577,25 +630,24 @@ class TestFitDirectionAt:
         # so is every grid point of a whole fit
         assert all(map(math.isfinite, objectives))
 
-    def test_vertices_outside_the_angle_box_are_penalized(self, monkeypatch):
-        # A direction near (0, 1) sits at the edge of the angle box, so
-        # Nelder-Mead asks for vertices past it; the penalty must keep
-        # every fitted direction inside, with a finite objective.
-        outside = []
+    def test_a_direction_near_the_equator_keeps_its_sign(self, monkeypatch):
+        # A direction near (0, 1) has a first component near 0, so
+        # Nelder-Mead asks for vertices past it; the chart folds them back,
+        # and every fitted direction keeps a positive first component and a
+        # finite objective.
+        folded = []
+        real = estimator._chart_point
 
-        def counting(f, *args):
-            def watched(angles):
-                if any(abs(a) > _ANGLE_BOX for a in angles):
-                    outside.append(tuple(angles))
-                return f(angles)
+        def watched(b0, basis, s):
+            if (b0 + basis @ s)[0] < 0:
+                folded.append(tuple(s))
+            return real(b0, basis, s)
 
-            return _nelder_mead(watched, *args)
-
-        monkeypatch.setattr(estimator, "_nelder_mead", counting)
+        monkeypatch.setattr(estimator, "_chart_point", watched)
         sim = SimConfig(n=500, seed=3, preset="constant", constant_direction=(0.01, 1.0))
         fit = fit_model(generate_dataset(sim, 0)[0], FitConfig())
-        assert len(outside) >= 1
-        assert all(math.isfinite(v) and v < 1e12 for v in fit.diagnostics["objectives"])
+        assert len(folded) >= 1
+        assert all(map(math.isfinite, fit.diagnostics["objectives"]))
         assert np.all(fit.curves.matrix[:, 0] > 0)
 
     def test_response_scaling_leaves_argmin_unchanged(self):
@@ -1279,30 +1331,6 @@ class TestFitConfigValidation:
             FitConfig(optimizer=None)
 
 
-def concatenated_direction(angles):
-    """Reference for ``direction_from_angles``: the vector grown by
-    ``np.concatenate`` one angle at a time."""
-    v = np.array([1.0])
-    for a in np.atleast_1d(np.asarray(angles, dtype=float)):
-        v = np.concatenate((v * math.cos(a), [math.sin(a)]))
-    return v
-
-
-class TestDirectionFromAnglesBits:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_bitwise_equal_to_concatenation(self, d):
-        rng = np.random.default_rng(100 + d)
-        edge = math.pi / 2 - 1e-9
-        draws = [rng.uniform(-edge, edge, d - 1) for _ in range(200)]
-        draws += [np.full(d - 1, edge), np.full(d - 1, -edge), np.zeros(d - 1)]
-        draws += [rng.choice([edge, -edge, -0.0], d - 1) for _ in range(20)]
-        for angles in draws:
-            got = direction_from_angles(angles)
-            assert got.dtype == np.float64
-            assert got.tobytes() == concatenated_direction(angles).tobytes(), angles
-            assert direction_from_angles(list(angles)).tobytes() == got.tobytes()
-
-
 def scipy_nelder_mead(func, simplex, xatol, maxiter, fatol=math.inf):
     """``_nelder_mead`` computed by scipy, the routine it reproduces at
     ``fatol = inf``."""
@@ -1345,10 +1373,14 @@ def nm_kinked(x):
     return float(np.sum(weights * np.abs(x - 0.25)) + 2.0 * abs(np.sum(x)))
 
 
+# The edge of the box outside which nm_penalized is a plateau.
+NM_BOX = math.pi / 2 - 1e-9
+
+
 def nm_penalized(x):
-    # The fit's angle-box penalty around a bowl centred outside the box.
+    # A bowl centred outside a box, and a sloped 1e12 plateau outside it.
     x = np.asarray(x, dtype=float)
-    excess = np.abs(x) - _ANGLE_BOX
+    excess = np.abs(x) - NM_BOX
     if np.any(excess > 0):
         return 1e12 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
     return float(np.sum((x - 1.6) ** 2))
@@ -1379,8 +1411,13 @@ def nm_zero_sign(x):
     return math.copysign(1e-3, x[0]) + x[0] * x[0]
 
 
+def axis_simplex(x0, step):
+    """x0 and, for each coordinate k, x0 with ``step`` added to x0[k]."""
+    return [list(x0)] + [[a + step if j == k else a for j, a in enumerate(x0)] for k in range(len(x0))]
+
+
 def nm_start(n, seed=3):
-    return _initial_simplex(np.random.default_rng(seed).uniform(-1, 1, n).tolist())
+    return axis_simplex(np.random.default_rng(seed).uniform(-1, 1, n).tolist(), 0.1)
 
 
 def nm_cases():
@@ -1396,7 +1433,7 @@ def nm_cases():
             (f"kinked-{n}", nm_kinked, nm_start(n), 400 * n, set()),
         ]
     for n in (1, 2):
-        box_start = _initial_simplex([_ANGLE_BOX - 0.05] * n)
+        box_start = axis_simplex([NM_BOX - 0.05] * n, -0.1)
         cases += [
             (f"penalized-{n}", nm_penalized, box_start, 150, {"plateau"}),
             (f"stepped-{n}", nm_stepped, nm_start(n), 150, {"shrink", "ties"}),
@@ -1413,8 +1450,8 @@ def nm_cases():
     return cases
 
 
-# The objective shapes the fit's angle-only stop is checked on: smooth,
-# kinked and the angle-box plateau.
+# The objective shapes the fit's coordinate-only stop is checked on:
+# smooth, kinked and a plateau.
 ANGLE_ONLY_CASES = ("smooth-", "kinked-", "penalized-")
 
 
@@ -1465,7 +1502,7 @@ class TestNelderMead:
         assert ours.success
 
     def test_angle_only_stop_ends_at_the_first_narrow_simplex(self):
-        simplex = _initial_simplex([0.7])
+        simplex = axis_simplex([0.7], 0.1)
         res = _nelder_mead(nm_kinked, simplex, _XATOL, 150)
 
         def span_tested_at(k):
@@ -1496,8 +1533,8 @@ class TestNelderMead:
 
 
 def mirrored_quadratic_data():
-    """Mirrored rows: the objective is even in the angle, and a quadratic
-    link puts its two minima strictly inside the box."""
+    """Mirrored rows: the objective is even in the second component, and
+    a quadratic link puts its two minima at +-0.9 rad from (1, 0)."""
     rng = np.random.default_rng(77)
     n = 120
     x1 = rng.normal(size=n)
@@ -1567,9 +1604,9 @@ class TestVertexCache:
         real_nm, real_value = estimator._nelder_mead, _LocalObjective.value
 
         def nelder_mead(func, *args):
-            def logged(angles):
-                requests.append(tuple(angles))
-                return func(angles)
+            def logged(s):
+                requests.append(tuple(s))
+                return func(s)
 
             runs.append(real_nm(logged, *args))
             return runs[-1]
@@ -1583,16 +1620,19 @@ class TestVertexCache:
         fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
         return fit, requests, runs, computed
 
-    @pytest.mark.parametrize("case", [1, 2, 4, 7])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 7])
     def test_each_distinct_vertex_is_computed_once(self, case, monkeypatch):
         dataset, t0, bw, warm = direction_fit_cases()[case]
         fit, requests, runs, computed = self.recorded_fit(monkeypatch, dataset, t0, bw, warm)
         distinct = set(requests)
-        inside = [v for v in distinct if all(abs(a) <= _ANGLE_BOX for a in v)]
-        assert len(requests) > len(distinct)  # Nelder-Mead does repeat itself
-        # one computation per distinct vertex inside the box, plus the
+        b0, basis = chart_of(dataset, warm)
+        scored = [v for v in distinct if _chart_point(b0, basis, v) is not None]
+        # Nelder-Mead repeats itself in every case but 2, whose run asks
+        # for no vertex twice.
+        assert (len(requests) > len(distinct)) == (case != 2)
+        # one computation per distinct vertex with a direction, plus the
         # closing evaluation at the chosen direction
-        assert len(computed) == len(inside) + 1
+        assert len(computed) == len(scored) + 1
         assert fit.objective_calls == len(distinct)
         # the reported counts are Nelder-Mead's own, repeats included
         # (``test_fit_direction_at_matches_the_scipy_routine`` checks them
@@ -1617,8 +1657,8 @@ class TestVertexCache:
         real_nm, real_value = estimator._nelder_mead, _LocalObjective.value
 
         def nelder_mead(func, *args):
-            def logged(angles):
-                seen.append((tuple(angles), func(angles)))
+            def logged(s):
+                seen.append((tuple(s), func(s)))
                 return seen[-1][1]
 
             return real_nm(logged, *args)
@@ -1631,14 +1671,16 @@ class TestVertexCache:
         monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
         monkeypatch.setattr(_LocalObjective, "value", value)
         fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
-        inside = [(v, f) for v, f in seen if all(abs(a) <= _ANGLE_BOX for a in v)]
-        # Each value Nelder-Mead got for an in-box vertex is the very float
-        # a call of value returned for that vertex's direction.
-        for angles, f in inside:
-            results = returned[tuple(direction_from_angles(angles))]
-            assert any(f is r for r in results)
-        # every distinct in-box vertex, plus the closing re-evaluation
-        assert sum(map(len, returned.values())) == len({v for v, _ in inside}) + 1
+        b0, basis = chart_of(dataset, warm)
+        points = [(v, f, _chart_point(b0, basis, v)) for v, f in seen]
+        scored = [(v, f, theta) for v, f, theta in points if theta is not None]
+        # Each value Nelder-Mead got for a vertex with a direction is the
+        # very float a call of value returned for that direction.
+        for _, f, theta in scored:
+            assert any(f is r for r in returned[tuple(theta)])
+        # every distinct vertex with a direction, plus the closing
+        # re-evaluation
+        assert sum(map(len, returned.values())) == len({v for v, _, _ in scored}) + 1
         assert (fit.active_rows >= 128) == sorted_path
 
     def test_diagnostics_record_objective_calls(self):
@@ -1656,26 +1698,31 @@ class TestVertexCache:
         )
         assert fit_model(flat, config).diagnostics["objective_calls"] == [0] * 5
         # A default fit at n = 2 000 scores every grid point, and in all
-        # makes 308 distinct calls on numpy 2.4: the first grid point starts
-        # at the centre of the angle box, every later one from its left
-        # neighbour's direction.
+        # makes 302 distinct calls on numpy 2.4: the first grid point starts
+        # at (1, 0), every later one from its left neighbour's direction.
         paper, _ = generate_dataset(SimConfig(n=2000, seed=7), 0)
         diag = fit_model(paper, FitConfig()).diagnostics
         assert all(map(math.isfinite, diag["objectives"]))
         assert sum(diag["objective_calls"]) < 400
 
 
-def fit_objective(dataset, t0, bw):
-    """The penalized angle objective ``fit_direction_at`` minimizes."""
+def chart_of(dataset, warm):
+    """The centre and tangent basis of the chart ``fit_direction_at``
+    searches from the warm start ``warm`` (None at the first grid point)."""
+    b0 = np.eye(dataset.d)[0] if warm is None else warm.components
+    return b0, _tangent_basis(b0)
+
+
+def fit_objective(dataset, t0, bw, warm):
+    """The chart objective ``fit_direction_at`` minimizes."""
     obj = _LocalObjective(dataset, t0, bw)
+    b0, basis = chart_of(dataset, warm)
 
-    def penalized(angles):
-        if any(abs(a) > _ANGLE_BOX for a in angles):
-            excess = np.abs(angles) - _ANGLE_BOX
-            return 1e12 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
-        return obj.value(direction_from_angles(angles))
+    def score(s):
+        theta = _chart_point(b0, basis, s)
+        return math.inf if theta is None else obj.value(theta)
 
-    return penalized
+    return score
 
 
 @pytest.fixture(scope="module")
@@ -1686,9 +1733,9 @@ def paper_fit_inputs():
 
 class TestRace:
     """Stage 1 runs Nelder-Mead once per grid point, to ``_XATOL`` under
-    the iteration cap for its d, from the left neighbour's direction or,
-    at the first grid point, from the centre of the angle box; the fit is
-    that one run's best vertex."""
+    the iteration cap for its d, in the chart centred at the left
+    neighbour's direction or, at the first grid point, at (1, 0, ..., 0);
+    the fit is that one run's best vertex."""
 
     def test_iteration_cap_grows_with_d(self):
         # 150 up to d = 2, then 100 per angle.
@@ -1696,40 +1743,46 @@ class TestRace:
 
     def test_sweep_starts_the_first_point_at_the_centre(self, paper_fit_inputs, monkeypatch):
         dataset, bw = paper_fit_inputs
-        runs = []
-        real_nm = estimator._nelder_mead
+        runs, centres = [], []
+        real_nm, real_basis = estimator._nelder_mead, estimator._tangent_basis
 
         def nelder_mead(func, simplex, xatol, maxiter):
             runs.append(([list(v) for v in simplex], xatol, maxiter))
             return real_nm(func, simplex, xatol, maxiter)
 
+        def tangent_basis(b0):
+            centres.append(b0.tobytes())
+            return real_basis(b0)
+
         monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
+        monkeypatch.setattr(estimator, "_tangent_basis", tangent_basis)
         monkeypatch.setattr(estimator, "_max_iter", lambda d: 40 * d)
         _, fits = fit_coefficient_curves(dataset, FitConfig(t_grid_size=6), bw)
-        # One run per grid point, each to _XATOL under the cap for its d.
-        assert [run[1:] for run in runs] == [(_XATOL, 80)] * 6
-        # The first starts at the centre of the angle box; every later one
-        # from its left neighbour's angles.
-        assert [run[0] for run in runs] == [_initial_simplex([0.0] * (dataset.d - 1))] + [
-            _initial_simplex(angles_from_direction(fit.direction).tolist()) for fit in fits[:-1]
+        # One run per grid point, each to _XATOL under the cap for its d,
+        # from the chart's centre and a step along each tangent axis.
+        assert runs == [([[0.0], [_SIMPLEX_STEP]], _XATOL, 80)] * 6
+        # The first chart is centred at (1, 0); every later one at its left
+        # neighbour's direction.
+        assert centres == [np.array([1.0, 0.0]).tobytes()] + [
+            fit.direction.components.tobytes() for fit in fits[:-1]
         ]
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 7, 10])
     def test_one_start_gives_the_uninterrupted_run(self, case):
-        # The fit is its start's uninterrupted _XATOL run: the warm start
-        # if the case has one, else the centre of the angle box.
+        # The fit is the uninterrupted _XATOL run in its start's chart: the
+        # warm start if the case has one, else (1, 0, ..., 0).
         dataset, t0, bw, warm = direction_fit_cases()[case]
         fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
         requested = set()
-        objective = fit_objective(dataset, t0, bw)
+        objective = fit_objective(dataset, t0, bw, warm)
 
-        def func(angles):
-            requested.add(tuple(angles))
-            return objective(angles)
+        def func(s):
+            requested.add(tuple(s))
+            return objective(s)
 
-        a0 = [0.0] * (dataset.d - 1) if warm is None else angles_from_direction(warm).tolist()
-        full = _nelder_mead(func, _initial_simplex(a0), _XATOL, _max_iter(dataset.d))
-        direction = normalize_direction(direction_from_angles(full.x))
+        simplex = axis_simplex([0.0] * (dataset.d - 1), _SIMPLEX_STEP)
+        full = _nelder_mead(func, simplex, _XATOL, _max_iter(dataset.d))
+        direction = UnitDirection(_chart_point(*chart_of(dataset, warm), full.x))
         assert fit.direction.components.tobytes() == direction.components.tobytes()
         value = _LocalObjective(dataset, t0, bw).value(direction.components)
         assert np.float64(fit.objective).tobytes() == np.float64(value).tobytes()

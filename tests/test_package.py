@@ -19,6 +19,49 @@ def test_all_lists_resolvable_names_and_no_modules():
         assert not isinstance(getattr(sivc, name), types.ModuleType), name
 
 
+# The public surface, pinned: a change to it edits this list.
+PUBLIC_NAMES = [
+    "Bandwidths",
+    "CoefficientCurves",
+    "Dataset",
+    "DirectionFit",
+    "EstimationError",
+    "FitConfig",
+    "LinkEstimate",
+    "ModelFit",
+    "SimConfig",
+    "SimSummary",
+    "SivcError",
+    "SurvivalCurve",
+    "TruthRecord",
+    "UnitDirection",
+    "ValidationError",
+    "calibrate_censoring",
+    "censoring_rate",
+    "compute_index",
+    "estimate_censoring_survival",
+    "evaluate_curves",
+    "fit_coefficient_curves",
+    "fit_direction_at",
+    "fit_link",
+    "fit_model",
+    "generate_dataset",
+    "kernel_values",
+    "local_objective",
+    "normalize_direction",
+    "resolve_censor_scale",
+    "rule_of_thumb_bandwidth",
+    "run_monte_carlo",
+    "select_bandwidths",
+    "synthetic_responses",
+]
+
+
+def test_all_is_the_pinned_public_surface():
+    assert len(PUBLIC_NAMES) == 33
+    assert sorted(sivc.__all__) == PUBLIC_NAMES
+
+
 @pytest.mark.parametrize(
     "module",
     ["censoring", "cli", "estimator", "model", "simulate", "smoothing", "svgplot"],

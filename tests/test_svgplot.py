@@ -127,3 +127,27 @@ def test_panel_refuses_an_x_it_cannot_scale(x, series, message):
     values = np.zeros(series)
     with pytest.raises(ValueError, match=message):
         Panel("p", "x", "y", np.array(x), values, values, values, values)
+
+
+# Series whose y range, padded by 6% each way, is too wide for a float or
+# has no width left to scale.
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([-1e308, 0.0, 0.0, 0.0, 1e308], "got -inf to inf"),
+        ([0.0, 0.0, 0.0, 0.0, 1.7e308], "to inf"),
+        ([1e308] * 5, "got 1e[+]308 to 1e[+]308"),
+    ],
+    ids=["spans-both-ends", "pad-overflows", "one-value-too-large-to-widen"],
+)
+def test_panel_refuses_series_it_cannot_scale(values, message):
+    x, y = np.linspace(0.0, 1.0, 5), np.array(values)
+    with pytest.raises(ValueError, match=f"^series must span a y range a float can scale .*{message}"):
+        Panel("p", "x", "y", x, y, y, y, y)
+
+
+def test_panel_of_a_wide_but_finite_range_renders():
+    x = np.linspace(0.0, 1.0, 5)
+    median = np.array([-1e307, 0.0, 0.0, 0.0, 1e307])
+    svg = render_figure([Panel("p", "x", "y", x, median, median, median, median)])
+    assert "nan" not in svg and "inf" not in svg
