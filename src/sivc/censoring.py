@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError
 from .model import Dataset, _check_ascending, _frozen
 
 __all__ = [
@@ -106,17 +106,11 @@ def synthetic_responses(dataset: Dataset, curve: SurvivalCurve) -> np.ndarray:
     """Synthetic responses T* for every row of the dataset.
 
     T*_i integrates 1/G-hat over [0, y_i] for y_i > 0 and is y_i itself
-    for y_i <= 0. Raises ``ValidationError`` naming the first censored
-    row with y_i < 0, which no nonnegative censoring time can produce,
-    and ``EstimationError`` (naming the first offending row) when G-hat
+    for y_i <= 0 (``Dataset`` refuses a censored y_i < 0). Raises
+    ``EstimationError`` (naming the first offending row) when G-hat
     vanishes strictly inside some [0, y_i) or when T*_i overflows.
     """
     y = dataset.y
-    censored_negative = np.flatnonzero((dataset.delta == 0) & (y < 0))
-    if censored_negative.size:
-        row = int(censored_negative[0])
-        message = f"censored response {float(y[row])} is negative; censoring times are >= 0"
-        raise ValidationError([(row, message)])
     pts, seg, prefix = _segment_table(curve)
     out = np.minimum(y, 0.0)
     positive = y > 0

@@ -50,8 +50,9 @@ Nelder-Mead routine is the package's own: on Python floats it takes the
 same steps as SciPy's non-adaptive ``minimize(method="Nelder-Mead")`` and
 returns the same result bit for bit (the tests compare the two).
 Nelder-Mead asks again for vertices it has already scored, so at each t0
-every distinct vertex is computed once and repeats are served from a
-cache; the steps and counts it reports stay those of the uncached run.
+every distinct vertex, the final one included, is computed once and
+repeats are served from a cache, with no evaluation after the run; the
+steps and counts it reports stay those of the uncached run.
 
 Each run stops on its chart coordinates alone, as soon as every vertex
 is within a tolerance of the best in each coordinate; no test on the
@@ -226,7 +227,8 @@ class DirectionFit:
     function-evaluation counts of the grid point's one Nelder-Mead run
     (both 0 at d = 1);
     ``objective`` and ``skipped_rows`` (rows with no leave-one-out data)
-    are None at d = 1, where the direction is fixed and not scored;
+    are the best vertex's cached pair, None at d = 1, where the direction
+    is fixed and not scored;
     ``active_rows`` is the number of rows with modifier weight at t0;
     ``objective_calls`` is the number of distinct vertices among the
     evaluations, each computed once (``evaluations - objective_calls``
@@ -270,9 +272,9 @@ def _local_weights(dataset: Dataset, t0: float, bw: Bandwidths):
 class _LocalObjective:
     """Profile least-squares objective at one t0, vectorized over the
     rows that carry modifier weight; ``value`` is the O(m log m)
-    evaluation described in the module docstring, and it records the
-    count of rows with no leave-one-out data in ``last_skipped``. Its
-    callers silence the overflow warnings of a tiny h1, not ``value``."""
+    evaluation described in the module docstring, and it returns the
+    objective with the count of rows that have no leave-one-out data.
+    Its callers silence the overflow warnings of a tiny h1, not ``value``."""
 
     def __init__(self, dataset: Dataset, t0: float, bw: Bandwidths):
         kt, active, m = _local_weights(dataset, t0, bw)
@@ -280,7 +282,6 @@ class _LocalObjective:
         self.h1 = bw.h1
         self.norm = dataset.n * bw.h2
         self.m = m
-        self.last_skipped = 0
         # Residuals are shift-invariant in y; centring keeps the window
         # sums of kt y q^k small. The rows kt, kt yc and yc are gathered
         # into sorted order by one take.
@@ -296,7 +297,7 @@ class _LocalObjective:
         # with a False gap at each end.
         self._close = np.zeros(m + 1, dtype=bool)
 
-    def value(self, theta_components: np.ndarray) -> float:
+    def value(self, theta_components: np.ndarray) -> tuple[float, int]:
         proj = self.x @ theta_components
         order = proj.argsort(kind="stable")
         p = proj.take(order)
@@ -351,11 +352,10 @@ class _LocalObjective:
             den[i] = w.sum()
             num[i] = w @ y
         kept = int(np.count_nonzero(valid))
-        self.last_skipped = m - kept
         if kept < m:
             y, kt, num, den = y[valid], kt[valid], num[valid], den[valid]
         resid = y - num / den
-        return float(np.add.reduce(kt * resid * resid) / self.norm)
+        return float(np.add.reduce(kt * resid * resid) / self.norm), m - kept
 
 
 def local_objective(
@@ -369,10 +369,10 @@ def local_objective(
     ``spec`` is ignored.
 
     Rows whose leave-one-out smoother has no local data contribute zero;
-    their count is available through the fitting diagnostics.
+    the fit reports their count as a grid point's ``skipped_rows``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _LocalObjective(dataset, t0, bw).value(theta.components)
+        return _LocalObjective(dataset, t0, bw).value(theta.components)[0]
 
 
 class _Simplex(NamedTuple):
@@ -518,17 +518,18 @@ def fit_direction_at(
         return DirectionFit(direction, None, 0, True, None, 0, m, 0)
     # Nelder-Mead asks again for vertices it has evaluated (in one
     # dimension a failed inside contraction is followed by a shrink to the
-    # same point), so each distinct vertex is computed once per t0.
-    values: dict[tuple[float, ...], float] = {}
+    # same point), so each distinct vertex's (objective, skipped rows) is
+    # computed once per t0; a vertex with no direction holds (inf, None).
+    values: dict[tuple[float, ...], tuple[float, Optional[int]]] = {}
 
     def score(s: list[float]) -> float:
         key = tuple(s)
-        value = values.get(key)
-        if value is None:
+        scored = values.get(key)
+        if scored is None:
             theta = _chart_point(b0, basis, s)
-            value = math.inf if theta is None else obj.value(theta)
-            values[key] = value
-        return value
+            scored = (math.inf, None) if theta is None else obj.value(theta)
+            values[key] = scored
+        return scored[0]
 
     b0 = np.eye(dataset.d)[0] if warm_start is None else warm_start.components
     basis = _tangent_basis(b0)
@@ -539,14 +540,13 @@ def fit_direction_at(
     with np.errstate(over="ignore", invalid="ignore"):
         obj = _LocalObjective(dataset, t0, bw)
         res = _nelder_mead(score, simplex, _XATOL, _max_iter(dataset.d))
-        direction = UnitDirection(components=_chart_point(b0, basis, res.x))
-        value = obj.value(direction.components)
+    value, skipped = values[res.x]
     return DirectionFit(
-        direction,
+        UnitDirection(components=_chart_point(b0, basis, res.x)),
         value,
         res.nit,
         res.success or res.fsim[-1] - res.fsim[0] <= _FLAT_TOL,
-        obj.last_skipped,
+        skipped,
         res.nfev,
         obj.m,
         len(values),

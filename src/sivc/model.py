@@ -123,6 +123,10 @@ class Dataset:
         else:
             _flag_rows(problems, ~np.isfinite(y), "response must be finite")
             _flag_rows(problems, (delta != 0) & (delta != 1), "delta must be 0 or 1")
+            # No censoring time is negative; -inf is flagged above.
+            _flag_rows(
+                problems, (delta == 0) & (-np.inf < y) & (y < 0), "censored response must be >= 0"
+            )
             _flag_rows(problems, ~((t >= 0) & (t <= 1)), "modifier t must lie in [0, 1]")
             _flag_rows(problems, ~np.all(np.isfinite(x), axis=1), "covariates must be finite")
         if problems:

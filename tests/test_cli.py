@@ -185,6 +185,13 @@ class TestFitCommand:
                 "validation error: {data}: changed while it was read",
                 id="changed-while-read",
             ),
+            # Refused when the data are read, not when Stage 2 meets it.
+            pytest.param(
+                "censored-negative",
+                EXIT_VALIDATION,
+                "validation error: row {row}: censored response must be >= 0",
+                id="censored-negative",
+            ),
             pytest.param(
                 "all-censored",
                 EXIT_ESTIMATION,
@@ -220,15 +227,21 @@ class TestFitCommand:
         data = tmp_path / "refused.csv"
         write_dataset_csv(data, Dataset(y=np.abs(dataset.y), delta=delta, x=x, t=dataset.t))
         raw = data.read_bytes()
+        # Past the reader's first buffer; rows count from 0 after the header.
+        row = raw[:20013].count(b"\n") - 1
         if case in ("not-utf-8", "changed-while-read"):
-            # Past the reader's first buffer; rows count from 0 after the header.
             data.write_bytes(raw[:20013] + b"\xff" + raw[20014:])
         if case == "changed-while-read":
             monkeypatch.setattr(Path, "read_bytes", lambda self: raw)
+        if case == "censored-negative":
+            # Dataset refuses the row, so it is edited into the file.
+            row = int(np.flatnonzero(delta == 0)[0])
+            lines = raw.split(b"\r\n")
+            lines[row + 1] = b"-0.5" + lines[row + 1][lines[row + 1].index(b","):]
+            data.write_bytes(b"\r\n".join(lines))
         config = write_config(tmp_path, {"fit": {}})
         out = tmp_path / "o"
         assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == code
-        row = raw[:20013].count(b"\n") - 1
         assert capsys.readouterr().err == message.format(row=row, data=data) + "\n"
         assert not out.exists()
 

@@ -172,8 +172,9 @@ class TestObjectiveIsEven:
             obj = _LocalObjective(dataset, t0, bw)
             for angle in np.linspace(-1.4, 1.4, 29):
                 theta = direction_at_angles([angle])
-                plus, minus = obj.value(theta), obj.value(-theta)
+                (plus, plus_skipped), (minus, minus_skipped) = obj.value(theta), obj.value(-theta)
                 assert minus == pytest.approx(plus, rel=1e-12, abs=0.0), (t0, angle)
+                assert minus_skipped == plus_skipped, (t0, angle)
 
 
 def three_row_dataset():
@@ -283,9 +284,8 @@ def both_evaluations(dataset, t0, theta, bw):
     each with its skipped-row count."""
     ref = ReferenceObjective(dataset, t0, bw)
     dense = ref.dense_value(theta)
-    obj = _LocalObjective(dataset, t0, bw)
-    fast = obj.value(theta)
-    return dense, ref.last_skipped, fast, obj.last_skipped
+    fast, skipped = _LocalObjective(dataset, t0, bw).value(theta)
+    return dense, ref.last_skipped, fast, skipped
 
 
 def line_dataset(x, t=None):
@@ -464,15 +464,19 @@ class TestBitIdentity:
     WIDE = TestSortedObjective.WIDE
 
     def assert_identical(self, dataset, t0, bw, thetas):
+        """Check each theta; return the skipped-row counts."""
         new = _LocalObjective(dataset, t0, bw)
         ref = ReferenceObjective(dataset, t0, bw)
+        counts = []
         for theta in thetas:
             theta = np.asarray(theta, dtype=float)
-            assert new.value(theta) == ref.sorted_value(theta), theta
-            assert new.last_skipped == ref.last_skipped, theta
+            value, skipped = new.value(theta)
+            assert value == ref.sorted_value(theta), theta
+            assert skipped == ref.last_skipped, theta
             # the count reaches diagnostics.json, which takes no numpy ints
-            assert type(new.last_skipped) is int
-        return new
+            assert type(skipped) is int
+            counts.append(skipped)
+        return counts
 
     @pytest.mark.parametrize("n", [500, 2000])
     @pytest.mark.parametrize("seed", [1729, 8191])
@@ -510,18 +514,16 @@ class TestBitIdentity:
         core = rng.normal(0.0, 0.5, m - 10)
         tails = 3.0 * np.arange(1, 6)
         dataset = line_dataset(np.concatenate((core, 5.0 + tails, -5.0 - tails)))
-        obj = self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]])
-        assert obj.last_skipped == 10
+        assert self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]]) == [10]
 
     def test_neighbour_exactly_at_the_window_edge(self):
         dataset = line_dataset([0.0, 1.0, 3.0, 3.5, 3.75])
-        obj = self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]])
-        assert obj.last_skipped == 2
+        assert self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]]) == [2]
 
     @pytest.mark.parametrize("m", [120, 200])
     def test_every_row_skipped(self, m):
-        obj = self.assert_identical(line_dataset(2.0 * np.arange(m)), 0.5, self.WIDE, [[1.0]])
-        assert obj.last_skipped == m
+        dataset = line_dataset(2.0 * np.arange(m))
+        assert self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]]) == [m]
 
     def test_tied_projections(self):
         rng = np.random.default_rng(40)
@@ -544,8 +546,7 @@ class TestBitIdentity:
         monkeypatch.setattr(estimator, "kernel_values", counted)
         obj = _LocalObjective(dataset, 0.5, self.WIDE)
         ref = ReferenceObjective(dataset, 0.5, self.WIDE)
-        assert obj.value(np.ones(1)) == ref.sorted_value(np.ones(1))
-        assert obj.last_skipped == ref.last_skipped
+        assert obj.value(np.ones(1)) == (ref.sorted_value(np.ones(1)), ref.last_skipped)
         assert len(recomputed) >= 2
 
 
@@ -1630,9 +1631,9 @@ class TestVertexCache:
         # Nelder-Mead repeats itself in every case but 2, whose run asks
         # for no vertex twice.
         assert (len(requests) > len(distinct)) == (case != 2)
-        # one computation per distinct vertex with a direction, plus the
-        # closing evaluation at the chosen direction
-        assert len(computed) == len(scored) + 1
+        # one computation per distinct vertex with a direction, the chosen
+        # one included, and none after the run
+        assert len(computed) == len(scored)
         assert fit.objective_calls == len(distinct)
         # the reported counts are Nelder-Mead's own, repeats included
         # (``test_fit_direction_at_matches_the_scipy_routine`` checks them
@@ -1675,15 +1676,18 @@ class TestVertexCache:
         points = [(v, f, _chart_point(b0, basis, v)) for v, f in seen]
         scored = [(v, f, theta) for v, f, theta in points if theta is not None]
         # Each value Nelder-Mead got for a vertex with a direction is the
-        # very float a call of value returned for that direction.
+        # very float a call of value returned for that direction, and the
+        # fit's objective and skipped rows are the pair returned for its
+        # direction.
         for _, f, theta in scored:
-            assert any(f is r for r in returned[tuple(theta)])
-        # every distinct vertex with a direction, plus the closing
-        # re-evaluation
-        assert sum(map(len, returned.values())) == len({v for v, _, _ in scored}) + 1
+            assert any(f is r[0] for r in returned[tuple(theta)])
+        chosen = returned[tuple(fit.direction.components)]
+        assert any(fit.objective is f and fit.skipped_rows == k for f, k in chosen)
+        # one call per distinct vertex with a direction, and none after
+        assert sum(map(len, returned.values())) == len({v for v, _, _ in scored})
         assert (fit.active_rows >= 128) == sorted_path
 
-    def test_diagnostics_record_objective_calls(self):
+    def test_diagnostics_record_objective_calls(self, monkeypatch):
         config = FitConfig(t_grid_size=5, link_grid=(-0.5, 0.5, 21))
         ds = constant_direction_data(seed=24, n=80, direction=(0.6, 0.8), noise_sd=0.1)
         diag = fit_model(ds, config).diagnostics
@@ -1700,10 +1704,19 @@ class TestVertexCache:
         # A default fit at n = 2 000 scores every grid point, and in all
         # makes 302 distinct calls on numpy 2.4: the first grid point starts
         # at (1, 0), every later one from its left neighbour's direction.
+        # Those are all the objective's computations in the fit.
         paper, _ = generate_dataset(SimConfig(n=2000, seed=7), 0)
+        calls, real_value = [], _LocalObjective.value
+
+        def value(self, theta):
+            calls.append(None)
+            return real_value(self, theta)
+
+        monkeypatch.setattr(_LocalObjective, "value", value)
         diag = fit_model(paper, FitConfig()).diagnostics
         assert all(map(math.isfinite, diag["objectives"]))
         assert sum(diag["objective_calls"]) < 400
+        assert len(calls) == sum(diag["objective_calls"])
 
 
 def chart_of(dataset, warm):
@@ -1720,7 +1733,7 @@ def fit_objective(dataset, t0, bw, warm):
 
     def score(s):
         theta = _chart_point(b0, basis, s)
-        return math.inf if theta is None else obj.value(theta)
+        return math.inf if theta is None else obj.value(theta)[0]
 
     return score
 
@@ -1784,8 +1797,9 @@ class TestRace:
         full = _nelder_mead(func, simplex, _XATOL, _max_iter(dataset.d))
         direction = UnitDirection(_chart_point(*chart_of(dataset, warm), full.x))
         assert fit.direction.components.tobytes() == direction.components.tobytes()
-        value = _LocalObjective(dataset, t0, bw).value(direction.components)
+        value, skipped = _LocalObjective(dataset, t0, bw).value(direction.components)
         assert np.float64(fit.objective).tobytes() == np.float64(value).tobytes()
+        assert fit.skipped_rows == skipped
         assert fit.converged == (full.success or full.fsim[-1] - full.fsim[0] <= _FLAT_TOL)
         assert fit.objective_calls == len(requested)
         assert (fit.iterations, fit.evaluations) == (full.nit, full.nfev)

@@ -10,9 +10,16 @@ may fail without a change to the estimator. A change that moves these
 numbers regenerates the file with ``python tools/byte_gate.py --golden``
 and says so. A case with an ``x_step`` rounds its covariates to multiples
 of it, which ties the index of a d = 1 fit.
+
+The byte gate that writes the file also runs here: its whole case matrix
+must hash to one ``sha256  path`` line per file.
 """
 
+import contextlib
+import importlib.util
+import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +29,7 @@ from sivc import Dataset, fit_model, generate_dataset
 from sivc.cli import parse_fit_config, parse_sim_config
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_fits.json").read_text(encoding="utf-8"))
+BYTE_GATE = Path(__file__).parent.parent / "tools" / "byte_gate.py"
 
 
 def assert_golden(actual, expected):
@@ -44,3 +52,18 @@ def test_fit_matches_golden_values(case):
     assert_golden(fit.curves.matrix, case["curves"])
     assert_golden(fit.link.m_hat, case["link"])
     assert_golden(fit.diagnostics["objectives"], case["objectives"])
+
+
+def test_byte_gate_hashes_its_whole_case_matrix():
+    # Same-bytes changes are checked with `byte_gate.py --against` a
+    # checkout of their parent, so the gate itself must keep running.
+    spec = importlib.util.spec_from_file_location("byte_gate", BYTE_GATE)
+    byte_gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(byte_gate)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert byte_gate.main([]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 103
+    for line in lines:
+        assert re.fullmatch(r"[0-9a-f]{64}  [^ ]+", line), line

@@ -151,6 +151,10 @@ class TestValidateDataset:
         with pytest.raises(ValidationError, match="row 0: modifier t must lie in"):
             make_dataset([1.0, 2.0], [1, 0], [[0.5], [0.1]], [-0.1, 0.5])
 
+    def test_censored_negative_response_names_row(self):
+        with pytest.raises(ValidationError, match="^row 2: censored response must be >= 0$"):
+            make_dataset([1.0, -2.0, -0.5], [1, 1, 0], [[0.5], [0.1], [0.2]], [0.1, 0.5, 0.9])
+
     def test_non_finite_covariate(self):
         with pytest.raises(ValidationError, match="row 0: covariates must be finite"):
             make_dataset([1.0, 2.0], [1, 0], [[np.inf], [0.1]], [0.1, 0.5])
