@@ -2,9 +2,10 @@
 
 Three commands: ``fit`` (estimate from a CSV file), ``simulate`` (run the
 Monte Carlo study from a JSON config), and ``reproduce-figures`` (run the
-quadratic-link preset and emit the two SVG figures plus their CSV
-tables). Numbers are serialized with 17 significant digits so identical
-runs produce byte-identical outputs.
+same study on the quadratic-link preset with the default fit). Both study
+commands write the same files: band summaries, per-replication
+estimates and the two SVG figures. Numbers are serialized with 17
+significant digits so identical runs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 estimation
 failure.
@@ -40,9 +41,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_ESTIMATION = 4
-
-_DEFAULT_FIGURE_SEED = 12345
-
 
 # ---------------------------------------------------------------------------
 # config file handling
@@ -417,20 +415,58 @@ def _write_manifest(
     return outputs
 
 
-def _run_study(sim: SimConfig, fit: FitConfig, out_dir: Path) -> SimSummary:
-    """Run the Monte Carlo study, write its two summary CSVs, and warn on
-    stderr when too many replications failed."""
+def _run_study(
+    command: str, sim: SimConfig, fit: FitConfig, out_dir: Path, started: float
+) -> list[str]:
+    """Run the Monte Carlo study and write its band summaries, every
+    replication's estimates, both figures and the manifest. The figures are
+    drawn before any file is written, so a study whose figure cannot be
+    drawn writes nothing. Warns on stderr when too many replications
+    failed."""
     summary = run_monte_carlo(sim, fit)
+    truth = sim.true_directions(summary.t_grid)
+    figures = {
+        "fig1.svg": [
+            Panel(
+                title=f"Coefficient curve {j + 1}",
+                xlabel="t",
+                ylabel=f"beta_{j + 1}(t)",
+                x=summary.t_grid,
+                median=summary.beta_median[:, j],
+                band_lo=summary.beta_q05[:, j],
+                band_hi=summary.beta_q95[:, j],
+                truth=truth[:, j],
+            )
+            for j in range(summary.beta_median.shape[1])
+        ],
+        "fig2.svg": [
+            Panel(
+                title="Link function",
+                xlabel="u",
+                ylabel="m(u)",
+                x=summary.u_grid,
+                median=summary.m_median,
+                band_lo=summary.m_q05,
+                band_hi=summary.m_q95,
+                truth=sim.true_link(summary.u_grid),
+            )
+        ],
+    }
+    svgs = {name: render_figure(panels) for name, panels in figures.items()}
     out_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv(out_dir / "summary.csv", summary)
     write_link_summary_csv(out_dir / "link_summary.csv", summary)
+    write_raw_estimates_csv(out_dir / "raw_curves.csv", out_dir / "raw_link.csv", summary)
+    for name, svg in svgs.items():
+        (out_dir / name).write_text(svg, encoding="utf-8")
     if summary.degraded:
         print(
             f"warning: {len(summary.failures)} of {sim.reps} replications "
             "failed; summary is degraded",
             file=sys.stderr,
         )
-    return summary
+    outputs = ["summary.csv", "link_summary.csv", "raw_curves.csv", "raw_link.csv", *svgs]
+    return _write_manifest(out_dir, command, fit, sim, outputs, started)
 
 
 def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> list[str]:
@@ -461,61 +497,20 @@ def cmd_fit(data_path: Path, config_path: Path, out_dir: Path) -> list[str]:
     return _write_manifest(out_dir, "fit", fit_config, None, outputs, started)
 
 
-def cmd_simulate(config_path: Path, out_dir: Path, raw: bool) -> list[str]:
-    """Run the Monte Carlo study and write the band summaries."""
+def cmd_simulate(config_path: Path, out_dir: Path) -> list[str]:
+    """Run the Monte Carlo study of a JSON config."""
     started = time.monotonic()
     doc = load_config(config_path)
     sim_config = parse_sim_config(doc.get("sim", {}))
     fit_config = parse_fit_config(doc.get("fit", {}))
-    summary = _run_study(sim_config, fit_config, out_dir)
-    outputs = ["summary.csv", "link_summary.csv"]
-    if raw:
-        write_raw_estimates_csv(
-            out_dir / "raw_curves.csv", out_dir / "raw_link.csv", summary
-        )
-        outputs += ["raw_curves.csv", "raw_link.csv"]
-    return _write_manifest(out_dir, "simulate", fit_config, sim_config, outputs, started)
+    return _run_study("simulate", sim_config, fit_config, out_dir, started)
 
 
 def cmd_reproduce_figures(out_dir: Path, reps: int, seed: int) -> list[str]:
-    """Run the quadratic-link preset and render both figures as SVG."""
+    """Run the study of the quadratic-link preset with the default fit."""
     started = time.monotonic()
     sim_config = SimConfig(reps=reps, seed=seed)
-    fit_config = FitConfig()
-    summary = _run_study(sim_config, fit_config, out_dir)
-
-    truth = sim_config.true_directions(summary.t_grid)
-    figures = {
-        "fig1.svg": [
-            Panel(
-                title=f"Coefficient curve {j + 1}",
-                xlabel="t",
-                ylabel=f"beta_{j + 1}(t)",
-                x=summary.t_grid,
-                median=summary.beta_median[:, j],
-                band_lo=summary.beta_q05[:, j],
-                band_hi=summary.beta_q95[:, j],
-                truth=truth[:, j],
-            )
-            for j in range(summary.beta_median.shape[1])
-        ],
-        "fig2.svg": [
-            Panel(
-                title="Link function",
-                xlabel="u",
-                ylabel="m(u)",
-                x=summary.u_grid,
-                median=summary.m_median,
-                band_lo=summary.m_q05,
-                band_hi=summary.m_q95,
-                truth=sim_config.true_link(summary.u_grid),
-            )
-        ],
-    }
-    for name, panels in figures.items():
-        (out_dir / name).write_text(render_figure(panels), encoding="utf-8")
-    outputs = ["summary.csv", "link_summary.csv", *figures]
-    return _write_manifest(out_dir, "reproduce-figures", fit_config, sim_config, outputs, started)
+    return _run_study("reproduce-figures", sim_config, FitConfig(), out_dir, started)
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +535,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo study")
     p_sim.add_argument("--config", required=True, type=Path, help="JSON config path")
     p_sim.add_argument("--out", required=True, type=Path, help="output directory")
-    p_sim.add_argument(
-        "--raw", action="store_true", help="also write per-replication estimates"
-    )
 
     p_fig = sub.add_parser(
         "reproduce-figures", help="reproduce the two result figures"
     )
     p_fig.add_argument("--out", required=True, type=Path, help="output directory")
-    p_fig.add_argument("--reps", type=int, default=100, help="replication count")
-    p_fig.add_argument(
-        "--seed", type=int, default=_DEFAULT_FIGURE_SEED, help="master seed"
-    )
+    p_fig.add_argument("--reps", type=int, default=SimConfig.reps, help="replication count")
+    p_fig.add_argument("--seed", type=int, default=SimConfig.seed, help="master seed")
     return parser
 
 
@@ -561,7 +551,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "fit":
             outputs = cmd_fit(args.data, args.config, args.out)
         elif args.command == "simulate":
-            outputs = cmd_simulate(args.config, args.out, raw=args.raw)
+            outputs = cmd_simulate(args.config, args.out)
         else:
             outputs = cmd_reproduce_figures(args.out, reps=args.reps, seed=args.seed)
     except (ValidationError, ValueError) as exc:

@@ -192,6 +192,15 @@ class TestFitCommand:
                 "validation error: row {row}: censored response must be >= 0",
                 id="censored-negative",
             ),
+            # A study whose figure cannot be drawn writes none of its files:
+            # the truth of fig2 spans more than a float can pad.
+            pytest.param(
+                "figure-out-of-range",
+                EXIT_VALIDATION,
+                "validation error: series must span a y range a float can scale"
+                " (got 9.53866e+307 to inf)",
+                id="figure-out-of-range",
+            ),
             pytest.param(
                 "all-censored",
                 EXIT_ESTIMATION,
@@ -241,7 +250,14 @@ class TestFitCommand:
             data.write_bytes(b"\r\n".join(lines))
         config = write_config(tmp_path, {"fit": {}})
         out = tmp_path / "o"
-        assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == code
+        argv = ["fit", "--data", str(data), "--config", str(config), "--out", str(out)]
+        if case == "figure-out-of-range":
+            study = {
+                "sim": {"n": 200, "reps": 2, "seed": 3},
+                "fit": {"t_grid_size": 5, "link_grid": [1e154, 1.33e154, 3]},
+            }
+            argv = ["simulate", "--config", str(write_config(tmp_path, study)), "--out", str(out)]
+        assert main(argv) == code
         assert capsys.readouterr().err == message.format(row=row, data=data) + "\n"
         assert not out.exists()
 
@@ -397,12 +413,10 @@ class TestSimulateCommand:
             out2 / "link_summary.csv"
         ).read_bytes()
 
-    def test_raw_flag_writes_per_replication_files(self, tmp_path):
+    def test_writes_per_replication_files(self, tmp_path):
         config = write_config(tmp_path, SMALL_SIM)
         out = tmp_path / "raw"
-        assert main(
-            ["simulate", "--config", str(config), "--out", str(out), "--raw"]
-        ) == EXIT_OK
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
         raw = read_rows(out / "raw_curves.csv")
         assert len(raw) == 3 * 5
         assert {row["rep"] for row in raw} == {"0", "1", "2"}
@@ -849,6 +863,12 @@ def test_degraded_study_warns(tmp_path, capsys, monkeypatch, command):
     assert "warning: 1 of 2 replications failed; summary is degraded" in capsys.readouterr().err
 
 
+# Both study commands write one set of files.
+STUDY_OUTPUTS = [
+    "summary.csv", "link_summary.csv", "raw_curves.csv", "raw_link.csv", "fig1.svg", "fig2.svg"
+]
+
+
 @pytest.fixture(scope="module")
 def figure_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("figs")
@@ -862,13 +882,7 @@ class TestReproduceFiguresCommand:
     def test_all_outputs_present(self, figure_run):
         code, out = figure_run
         assert code == EXIT_OK
-        for name in (
-            "fig1.svg",
-            "fig2.svg",
-            "summary.csv",
-            "link_summary.csv",
-            "manifest.json",
-        ):
+        for name in [*STUDY_OUTPUTS, "manifest.json"]:
             assert (out / name).exists()
 
     def test_manifest_records_settings(self, figure_run):
@@ -902,28 +916,39 @@ class TestReproduceFiguresCommand:
         assert float(rows[0]["u"]) == -0.5
         assert float(rows[-1]["u"]) == 0.5
 
+    def test_writes_what_simulate_writes_for_its_sim_config(self, figure_run, tmp_path):
+        _, figures = figure_run
+        config = write_config(tmp_path, {"sim": {"reps": 2, "seed": 3}})
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        for name in STUDY_OUTPUTS:
+            assert (out / name).read_bytes() == (figures / name).read_bytes(), name
+        manifests = [json.loads((where / "manifest.json").read_text()) for where in (out, figures)]
+        assert [m.pop("command") for m in manifests] == ["simulate", "reproduce-figures"]
+        for manifest in manifests:
+            del manifest["duration_seconds"]
+        assert manifests[0] == manifests[1]
+
 
 MANIFEST_CASES = {
     "fit": (["curves.csv", "link.csv", "diagnostics.json"], None),
-    "simulate": (["summary.csv", "link_summary.csv"], 11),
-    "simulate --raw": (["summary.csv", "link_summary.csv", "raw_curves.csv", "raw_link.csv"], 11),
-    "reproduce-figures": (["summary.csv", "link_summary.csv", "fig1.svg", "fig2.svg"], 3),
+    "simulate": (STUDY_OUTPUTS, 11),
+    "reproduce-figures": (STUDY_OUTPUTS, 3),
 }
 
 
-@pytest.mark.parametrize("case", list(MANIFEST_CASES))
-def test_manifest_lists_every_output_last_itself(paper_csv, tmp_path, capsys, case):
-    command, *flags = case.split()
+@pytest.mark.parametrize("command", list(MANIFEST_CASES))
+def test_manifest_lists_every_output_last_itself(paper_csv, tmp_path, capsys, command):
     out = tmp_path / "out"
     if command == "fit":
         config = write_config(tmp_path, {"fit": {"t_grid_size": 5}})
         args = ["--data", str(paper_csv), "--config", str(config)]
     elif command == "simulate":
-        args = ["--config", str(write_config(tmp_path, SMALL_SIM)), *flags]
+        args = ["--config", str(write_config(tmp_path, SMALL_SIM))]
     else:
         args = ["--reps", "2", "--seed", "3"]
     assert main([command, *args, "--out", str(out)]) == EXIT_OK
-    written, seed = MANIFEST_CASES[case]
+    written, seed = MANIFEST_CASES[command]
     outputs = written + ["manifest.json"]
     assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in outputs]
     manifest = json.loads((out / "manifest.json").read_text())

@@ -20,6 +20,7 @@ import importlib.util
 import io
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +55,38 @@ def test_fit_matches_golden_values(case):
     assert_golden(fit.diagnostics["objectives"], case["objectives"])
 
 
-def test_byte_gate_hashes_its_whole_case_matrix():
-    # Same-bytes changes are checked with `byte_gate.py --against` a
-    # checkout of their parent, so the gate itself must keep running.
+def load_byte_gate():
     spec = importlib.util.spec_from_file_location("byte_gate", BYTE_GATE)
     byte_gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(byte_gate)
+    return byte_gate
+
+
+def test_byte_gate_hashes_its_whole_case_matrix():
+    # Same-bytes changes are checked with `byte_gate.py --against` a
+    # checkout of their parent, so the gate itself must keep running.
+    byte_gate = load_byte_gate()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert byte_gate.main([]) == 0
     lines = out.getvalue().splitlines()
-    assert len(lines) == 103
+    assert len(lines) == 111
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}  [^ ]+", line), line
+
+
+def test_each_checkout_writes_the_matrix_with_its_own_byte_gate(tmp_path, monkeypatch):
+    # A checkout whose commands differ from this one's writes the matrix
+    # its own byte gate names.
+    byte_gate = load_byte_gate()
+    calls = []
+
+    def run(argv, env, check):
+        calls.append((argv, env))
+
+    monkeypatch.setattr(byte_gate, "subprocess", types.SimpleNamespace(run=run))
+    checkout = (tmp_path / "parent").resolve()
+    assert byte_gate.matrix_of(checkout, tmp_path / "out") == {}
+    [(argv, env)] = calls
+    assert argv[1:] == [str(checkout / "tools" / "byte_gate.py"), "--write", str(tmp_path / "out")]
+    assert env["PYTHONPATH"] == str(checkout / "src")

@@ -15,12 +15,13 @@ The matrix, for seeds 1729 and 8191:
   ties, so a sort's tie order would reach the link's sums: the d = 1
   constant preset with its covariate rounded to a multiple of 0.25, and
   d = 2 noise with every row duplicated and its response shifted by 1;
-- ``sivc simulate --raw`` (n = 200, 4 replications) with a link grid
+- ``sivc simulate`` (n = 200, 4 replications) with a link grid
   wider than the index, so some link points have no local data and
   ``raw_link.csv`` writes them with ``defined`` 0;
 - ``sivc reproduce-figures --reps 4``.
 
-Each checkout runs from its own ``src/`` in a fresh interpreter.
+Each checkout writes the matrix with its own copy of this script and its
+own ``src/``, in a fresh interpreter.
 ``manifest.json`` is hashed without its ``duration_seconds``, the one
 field that differs between identical runs. ``--against`` lists every file
 that differs or exists on one side only, and exits 1 if there is any.
@@ -159,7 +160,7 @@ def write_matrix(out: Path) -> None:
         study = {"sim": {**STUDY["sim"], "seed": seed}, "fit": STUDY["fit"]}
         study_config = base / "simulate.json"
         study_config.write_text(json.dumps(study) + "\n", encoding="utf-8")
-        _run(["simulate", "--config", str(study_config), "--out", str(base / "simulate"), "--raw"])
+        _run(["simulate", "--config", str(study_config), "--out", str(base / "simulate")])
         # A link point without local data is written with defined = 0.
         if b",0\r\n" not in (base / "simulate" / "raw_link.csv").read_bytes():
             raise SystemExit(f"the seed-{seed} study left every link point defined")
@@ -185,9 +186,12 @@ def hash_tree(out: Path) -> dict[str, str]:
 
 
 def matrix_of(checkout: Path, out: Path) -> dict[str, str]:
-    """Write the matrix with the ``sivc`` of ``checkout`` and hash it."""
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    subprocess.run([sys.executable, __file__, "--write", str(out)], env=env, check=True)
+    """Write the matrix with the byte gate and the ``sivc`` of
+    ``checkout`` and hash it: each side runs the commands it has."""
+    checkout = checkout.resolve()
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    script = checkout / "tools" / "byte_gate.py"
+    subprocess.run([sys.executable, str(script), "--write", str(out)], env=env, check=True)
     return hash_tree(out)
 
 
