@@ -235,15 +235,14 @@ def evaluate_curves(curves: CoefficientCurves, t) -> np.ndarray:
     nearest = np.minimum(idx, grid.size - 1)
     out = matrix[nearest]
     inner = (idx > 0) & (idx < grid.size) & (grid[nearest] != flat)
-    if np.any(inner):
-        k = idx[inner]
-        w = ((flat[inner] - grid[k - 1]) / (grid[k] - grid[k - 1]))[:, None]
-        blend = (1.0 - w) * matrix[k - 1] + w * matrix[k]
-        # normalize_direction's steps, row by row. The batched matmul gives
-        # the same squared norm as its 1-D dot to the last bit, which
-        # np.linalg.norm(axis=1) and einsum do not.
-        scaled = blend / np.max(np.abs(blend), axis=1, keepdims=True)
-        out[inner] = scaled / np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0]
+    k = idx[inner]
+    w = ((flat[inner] - grid[k - 1]) / (grid[k] - grid[k - 1]))[:, None]
+    blend = (1.0 - w) * matrix[k - 1] + w * matrix[k]
+    # normalize_direction's steps, row by row. The batched matmul gives
+    # the same squared norm as its 1-D dot to the last bit, which
+    # np.linalg.norm(axis=1) and einsum do not.
+    scaled = blend / np.max(np.abs(blend), axis=1, keepdims=True)
+    out[inner] = scaled / np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0]
     return out[0] if ts.ndim == 0 else out
 
 

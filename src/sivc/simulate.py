@@ -223,17 +223,16 @@ def generate_dataset(
     return Dataset(y=y, delta=delta, x=x, t=ts), TruthRecord(y_star, censor_times, index)
 
 
-def _replicate(task) -> tuple[int, tuple | str]:
-    """One replication's outcome, ``(rep, result)``: ``result`` is the
-    fitted curves, the link, the censoring rate and the non-converged and
-    link-undefined point counts, or the error text of a failed fit."""
+def _replicate(task) -> tuple | str:
+    """One replication: fitted curves, link, censoring rate, non-converged
+    and link-undefined point counts, or a failed fit's error text."""
     config, fit_config, rep, censor_scale = task
     try:
         dataset, _ = generate_dataset(config, rep, censor_scale)
         fit = fit_model(dataset, fit_config)
     except SivcError as exc:
-        return rep, str(exc)
-    return rep, (
+        return str(exc)
+    return (
         fit.curves.matrix,
         fit.link.m_hat,
         censoring_rate(dataset),
@@ -249,10 +248,10 @@ def run_monte_carlo(
 ) -> SimSummary:
     """Generate-and-fit over all replications and aggregate the bands.
 
-    Replications run independently (optionally in a process pool);
-    results are keyed by replication index so worker count never changes
-    the outcome. A replication whose fit fails entirely is logged and
-    excluded, and the log lists replications in order; more than 20%
+    Replications run independently (optionally in a process pool), and
+    their outcomes come back in replication order, so worker count never
+    changes the result. A replication whose fit fails entirely is logged
+    and excluded, and the log lists replications in order; more than 20%
     whole-replication failures flips the ``degraded`` flag. Grid points
     left undefined by some replications are excluded pointwise, with the
     defined count reported. ``workers`` defaults to the cores this
@@ -284,7 +283,7 @@ def run_monte_carlo(
     rates = []
     failures: list[tuple[int, str]] = []
     failure_log: list[str] = []
-    for rep, result in outcomes:
+    for rep, result in enumerate(outcomes):
         if isinstance(result, str):
             failures.append((rep, result))
             failure_log.append(f"rep {rep}: failed ({result})")

@@ -15,6 +15,7 @@ from sivc import (
     estimate_censoring_survival,
     synthetic_responses,
 )
+from sivc import censoring
 
 
 def surv_dataset(y, delta):
@@ -250,6 +251,16 @@ class TestCalibrateCensoring:
         rate_small = float(np.mean(y_star >= u * c_small))
         rate_large = float(np.mean(y_star >= u * c_large))
         assert rate_large < rate_small
+
+    @pytest.mark.parametrize("target", [0.05, 0.3, 0.9])
+    def test_bisection_ends_at_the_target_rate(self, target):
+        # The calibration's own probe, redrawn from its seed. The bisection's
+        # width bounds the miss by 1e-6; it ends near 1e-13.
+        dgp = ParabolaDGP()
+        c = calibrate_censoring(target, dgp, seed=2)
+        latent = dgp.draw_latent(np.random.default_rng(2), censoring._PROBE_N)
+        achieved = float(np.mean(np.minimum(np.clip(latent, 0.0, None), c)) / c)
+        assert abs(achieved - target) <= 1e-9
 
     def test_deterministic_given_seed(self):
         dgp = ParabolaDGP()

@@ -33,13 +33,25 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_fits.json").read_text(encod
 BYTE_GATE = Path(__file__).parent.parent / "tools" / "byte_gate.py"
 
 
+# A mismatch names both numpy versions, since another numpy may move a
+# golden number without a change to the estimator.
+NUMPY_VERSIONS = (
+    f"golden_fits.json was written with numpy {GOLDEN['written_with']['numpy']}; "
+    f"this run uses numpy {np.__version__}"
+)
+
+
 def assert_golden(actual, expected):
     # null in the file is NaN; assert_allclose requires NaN at the same
     # positions on both sides.
     expected = np.array(expected, dtype=float)
     scale = np.max(np.abs(expected[np.isfinite(expected)]), initial=0.0)
     np.testing.assert_allclose(
-        np.asarray(actual, dtype=float), expected, rtol=1e-12, atol=1e-12 * scale
+        np.asarray(actual, dtype=float),
+        expected,
+        rtol=1e-12,
+        atol=1e-12 * scale,
+        err_msg=NUMPY_VERSIONS,
     )
 
 

@@ -241,8 +241,10 @@ def test_curves_grid_is_a_vector_ascending_in_the_unit_interval(grid, message):
 class TestEvaluateCurves:
     def test_exact_grid_hit(self):
         curves = curves_fixture([1.0, 0.0], [0.6, 0.8])
-        assert np.allclose(evaluate_curves(curves, 0.0), [1.0, 0.0])
-        assert np.allclose(evaluate_curves(curves, 1.0), [0.6, 0.8])
+        assert evaluate_curves(curves, 0.0).tobytes() == curves.matrix[0].tobytes()
+        assert evaluate_curves(curves, 1.0).tobytes() == curves.matrix[1].tobytes()
+        # Every row a grid hit: the interpolation runs on empty arrays.
+        assert evaluate_curves(curves, curves.grid).tobytes() == curves.matrix.tobytes()
 
     def test_constant_curve(self):
         curves = curves_fixture([1.0, 0.0], [1.0, 0.0])
