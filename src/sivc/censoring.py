@@ -89,11 +89,10 @@ def _segment_table(curve: SurvivalCurve):
     1/curve over [0, pts[k]] (inf once a zero segment is crossed, or on
     overflow).
     """
-    pos = curve.jump_times > 0
-    pts = np.concatenate(([0.0], curve.jump_times[pos]))
-    n_nonpos = int(np.count_nonzero(~pos))
-    start = 1.0 if n_nonpos == 0 else float(curve.values[n_nonpos - 1])
-    seg = np.concatenate(([start], curve.values[pos]))
+    # The first k jumps are at or below 0; seg[0] is the value after them.
+    k = np.searchsorted(curve.jump_times, 0.0, side="right")
+    pts = np.concatenate(([0.0], curve.jump_times[k:]))
+    seg = np.concatenate(([1.0], curve.values))[k:]
     with np.errstate(divide="ignore", over="ignore"):
         prefix = np.concatenate(([0.0], np.cumsum(np.diff(pts) / seg[:-1])))
     return pts, seg, prefix

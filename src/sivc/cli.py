@@ -152,8 +152,8 @@ def read_dataset_csv(path: Path) -> Dataset:
     """Parse the fixed schema ``y,delta,t,x1,...,xd`` (strict, no coercion).
 
     The data rows are parsed in bulk by numpy. A file the bulk parse refuses
-    goes through the row scanner, which decides what is accepted and
-    names every offending row. A leading UTF-8 byte order mark is skipped.
+    goes to the row scanner, which reads it once, decides what is accepted
+    and names every offending row. A leading UTF-8 byte order mark is skipped.
     """
     path = Path(path)
     rows = _bulk_rows(path)
@@ -201,56 +201,13 @@ def _bulk_rows(path: Path) -> Optional[np.ndarray]:
 def _scan_rows(path: Path) -> np.ndarray:
     """Row-by-row reader: the authority on what the CSV contract accepts.
 
+    The file is read and decoded once, so a byte that is not UTF-8 is
+    named by its offset in the file, a byte order mark counted, and by
+    the data row that holds it, numbered as ``_records`` numbers them.
     Returns the data rows as ``_bulk_rows`` does, one float array."""
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError([(None, f"{path}: empty file")])
-            except csv.Error as exc:
-                raise ValidationError([(None, f"{path}: unreadable header ({exc})")]) from None
-            d = len(header) - 3
-            if d < 1 or header != _dataset_header(d):
-                raise ValidationError(
-                    [(None, f"{path}: header must be y,delta,t,x1,...,xd (got {header})")]
-                )
-            rows = []
-            problems = []
-            for i, record in _records(reader, problems):
-                if len(record) != len(header):
-                    problems.append((i, f"expected {len(header)} fields, got {len(record)}"))
-                    continue
-                try:
-                    y = float(record[0])
-                    delta = record[1].strip()
-                    if delta not in ("0", "1"):
-                        problems.append((i, f"delta must be 0 or 1 (got {record[1]!r})"))
-                        continue
-                    rows.append([y, float(delta), *map(float, record[2:])])
-                except ValueError:
-                    problems.append((i, f"non-numeric field in {record!r}"))
-    except UnicodeDecodeError:
-        raise _undecodable_csv(path) from None
-    if problems:
-        raise ValidationError(problems)
-    return np.array(rows, dtype=float).reshape(-1, len(header))
-
-
-def _not_utf8(exc: UnicodeDecodeError) -> str:
-    return f"byte {exc.start} is not UTF-8 ({exc.reason})"
-
-
-def _undecodable_csv(path: Path) -> ValidationError:
-    """The error for a data file that is not UTF-8, naming its first byte
-    that does not decode and the data row that holds it, numbered as
-    ``_records`` numbers them. The reader decodes in buffers, so its own
-    error gives no file offset; the file is read once more, on this error
-    path only."""
     raw = path.read_bytes()
     try:
-        raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The records of the text before the bad byte, the header first;
         # one more character ends the record holding the byte, cut off or
@@ -260,8 +217,41 @@ def _undecodable_csv(path: Path) -> ValidationError:
         row = sum(1 for _ in _records(csv.reader(before), unsplit)) - 2
         # A record the csv module cannot split ends the count: no row then.
         row = row if row >= 0 and not unsplit else None
-        return ValidationError([(row, f"{path}: {_not_utf8(exc)}")])
-    return ValidationError([(None, f"{path}: changed while it was read")])
+        raise ValidationError([(row, f"{path}: {_not_utf8(exc)}")]) from None
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError([(None, f"{path}: empty file")])
+    except csv.Error as exc:
+        raise ValidationError([(None, f"{path}: unreadable header ({exc})")]) from None
+    d = len(header) - 3
+    if d < 1 or header != _dataset_header(d):
+        raise ValidationError(
+            [(None, f"{path}: header must be y,delta,t,x1,...,xd (got {header})")]
+        )
+    rows = []
+    problems = []
+    for i, record in _records(reader, problems):
+        if len(record) != len(header):
+            problems.append((i, f"expected {len(header)} fields, got {len(record)}"))
+            continue
+        try:
+            y = float(record[0])
+            delta = record[1].strip()
+            if delta not in ("0", "1"):
+                problems.append((i, f"delta must be 0 or 1 (got {record[1]!r})"))
+                continue
+            rows.append([y, float(delta), *map(float, record[2:])])
+        except ValueError:
+            problems.append((i, f"non-numeric field in {record!r}"))
+    if problems:
+        raise ValidationError(problems)
+    return np.array(rows, dtype=float).reshape(-1, len(header))
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"byte {exc.start} is not UTF-8 ({exc.reason})"
 
 
 def _records(reader, problems: list):

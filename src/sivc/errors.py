@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Errors built from fields define ``__reduce__`` so that they pickle, as
-they must to leave a worker process.
+Errors built from fields define ``__reduce__`` so that public errors stay
+picklable. No study worker sends one: a failed replication returns its text.
 """
 
 

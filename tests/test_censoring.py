@@ -142,6 +142,17 @@ class TestSyntheticResponses:
         assert out[0] == 3.0
         assert out[1] == 0.5
 
+    def test_censoring_at_zero_lowers_every_positive_weight(self):
+        # G-hat jumps at 0 to g = 1 - 1/3, so every positive interval is
+        # weighted by 1/g from its start: the first segment is the value
+        # after the jumps at or below 0, not 1.
+        ds = surv_dataset([0.0, 1.0, 2.0], [0, 1, 1])
+        curve = estimate_censoring_survival(ds)
+        g = 1.0 - 1.0 / 3.0
+        assert curve.jump_times.tolist() == [0.0]
+        assert curve.values.tolist() == [g]
+        assert synthetic_responses(ds, curve).tolist() == [0.0, 1.0 / g, 2.0 / g]
+
     def test_negative_response_keeps_its_value(self):
         # G-hat = 1 on (-inf, 1], 0.5 after: only the positive part of a
         # response is reweighted, T* = min(y, 0) + integral_0^max(y, 0)

@@ -1189,6 +1189,14 @@ class TestFitModel:
         assert _first_dependent_column(x) is None
         x[:, 2] = x[:, 0] + x[:, 1]
         assert _first_dependent_column(x) == 2
+        # Nearly parallel columns leave a residual that one Gram-Schmidt
+        # pass does not clear: a column that depends on them exactly is
+        # found only after the second pass.
+        x = np.random.default_rng(31).normal(size=(500, 3))
+        x[:, 1] = x[:, 0] + 1e-7 * x[:, 1]
+        assert _first_dependent_column(x[:, :2]) is None
+        x[:, 2] = 0.5 * x[:, 0] - 2.0 * x[:, 1]
+        assert _first_dependent_column(x) == 2
 
     @pytest.mark.parametrize("column", [[1e300, 0.0, 0.0], [5e-324, 0.0, 0.0]])
     def test_rank_is_not_taken_on_an_sd_out_of_range(self, column):

@@ -60,36 +60,34 @@ STUDY = {
 
 TIED_STEP = 0.25
 
-# Small fits pinned in tests/golden_fits.json: (name, sim config, fit
-# config, covariate rounding step or None), each fitted on replication 0.
-# The wide link grid of the second puts NaN at its ends; the rounded
-# covariate of the last ties the index.
+# Small fits pinned in tests/golden_fits.json, each fitted on replication
+# 0 of its sim config; a case with an ``x_step`` rounds its covariates to
+# multiples of it first. The wide link grid of the second puts NaN at its
+# ends; the rounded covariate of the last ties the index.
 GOLDEN_CASES = (
-    ("paper_n100_seed1729", {"n": 100, "seed": 1729}, {}, None),
-    (
-        "paper_n300_seed8191_wide_link",
-        {"n": 300, "seed": 8191},
-        {"t_grid_size": 11, "link_grid": [-3.0, 3.0, 41]},
-        None,
-    ),
-    (
-        "constant_d3_n200_seed1729",
-        {
+    {"name": "paper_n100_seed1729", "sim": {"n": 100, "seed": 1729}, "fit": {}},
+    {
+        "name": "paper_n300_seed8191_wide_link",
+        "sim": {"n": 300, "seed": 8191},
+        "fit": {"t_grid_size": 11, "link_grid": [-3.0, 3.0, 41]},
+    },
+    {
+        "name": "constant_d3_n200_seed1729",
+        "sim": {
             "n": 200,
             "d": 3,
             "seed": 1729,
             "preset": "constant",
             "constant_direction": [1.0, 0.5, -0.5],
         },
-        {"t_grid_size": 11},
-        None,
-    ),
-    (
-        "constant_d1_n300_seed1729_tied",
-        {"n": 300, "d": 1, "seed": 1729, "preset": "constant", "constant_direction": [1.0]},
-        {"t_grid_size": 11},
-        TIED_STEP,
-    ),
+        "fit": {"t_grid_size": 11},
+    },
+    {
+        "name": "constant_d1_n300_seed1729_tied",
+        "sim": {"n": 300, "d": 1, "seed": 1729, "preset": "constant", "constant_direction": [1.0]},
+        "fit": {"t_grid_size": 11},
+        "x_step": TIED_STEP,
+    },
 )
 
 
@@ -195,26 +193,30 @@ def matrix_of(checkout: Path, out: Path) -> dict[str, str]:
     return hash_tree(out)
 
 
-def write_golden(path: Path) -> None:
-    """Fit every golden case with the ``sivc`` on ``sys.path`` and write
-    the values that ``tests/test_golden.py`` compares."""
-    import numpy as np
-
+def golden_fit(case: dict):
+    """The fit of one golden case, as written to ``golden_fits.json`` or
+    read back from it, with the ``sivc`` on ``sys.path``."""
     from sivc import fit_model, generate_dataset
     from sivc.cli import parse_fit_config, parse_sim_config
+
+    dataset, _ = generate_dataset(parse_sim_config(case["sim"]), 0)
+    if "x_step" in case:
+        dataset = rounded_covariates(dataset, case["x_step"])
+    return fit_model(dataset, parse_fit_config(case["fit"]))
+
+
+def write_golden(path: Path) -> None:
+    """Fit every golden case and write the values that
+    ``tests/test_golden.py`` compares."""
+    import numpy as np
 
     def plain(values):
         # NaN, and d = 1's unscored objective, as null: strict JSON.
         return [None if v is None or v != v else v for v in values]
 
     cases = []
-    for name, sim, fit, step in GOLDEN_CASES:
-        dataset, _ = generate_dataset(parse_sim_config(sim), 0)
-        case = {"name": name, "sim": sim, "fit": fit}
-        if step is not None:
-            dataset = rounded_covariates(dataset, step)
-            case["x_step"] = step
-        result = fit_model(dataset, parse_fit_config(fit))
+    for case in GOLDEN_CASES:
+        result = golden_fit(case)
         cases.append({
             **case,
             "curves": result.curves.matrix.tolist(),
