@@ -27,7 +27,6 @@ from .estimator import (
     fit_direction_at,
     fit_link,
     fit_model,
-    local_objective,
 )
 from .model import (
     CoefficientCurves,

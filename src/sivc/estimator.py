@@ -12,7 +12,7 @@ candidate index and the modifier. Leaving row i out stops the smoother
 from collapsing onto its own response as h1 shrinks, which would make
 the objective trivially small for any direction. Because the observed
 response keeps the single-index structure of the latent one (checked
-numerically by the quadrature oracle in ``tests/oracle.py``, acceptance
+numerically by the closed-form oracle in ``tests/oracle.py``, acceptance
 criterion 3), Stage 1 runs on the observed responses directly.
 
 Only the m rows with modifier weight at t0 enter M. The Epanechnikov
@@ -122,7 +122,6 @@ __all__ = [
     "LinkEstimate",
     "DirectionFit",
     "ModelFit",
-    "local_objective",
     "fit_direction_at",
     "fit_coefficient_curves",
     "compute_index",
@@ -365,8 +364,8 @@ def local_objective(
     bw: Bandwidths,
     spec: str,
 ) -> float:
-    """Leave-one-out profile least-squares score of a candidate direction;
-    ``spec`` is ignored.
+    """Leave-one-out profile least-squares score of a candidate direction,
+    kept outside ``__all__`` for ``perfbench/run.py``; ``spec`` is ignored.
 
     Rows whose leave-one-out smoother has no local data contribute zero;
     the fit reports their count as a grid point's ``skipped_rows``.

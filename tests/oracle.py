@@ -1,33 +1,32 @@
 """Numeric oracles for the censored conditional mean and the link (test helpers).
 
-The two-stage estimator rests on one identity: conditioning on the index,
-the observed (censored) response has mean w(m(u)) where
+The two-stage estimator rests on one identity: with eps and C independent
+of x, the observed (censored) response has conditional mean w(m(u)),
+where
 
-    w(t) = E[min(t + eps, C)]
-         = integral over c of [ c - integral_{-inf}^{c-t} F(e) de ] f_C(c) dc,
+    w(t) = E[min(t + eps, C)].
 
-with F the noise distribution function (integration by parts of the
-conditional expectation, using lim_{e -> -inf} e F(e) = 0). So the
-observed response follows the same single-index structure with link
-w o m, which is what justifies fitting the direction curves on the
+So the observed response follows the same single-index structure with
+link w o m, which is what justifies fitting the direction curves on the
 observed responses directly.
 
-This module makes the identity executable two ways: nested adaptive
-quadrature of the display above, and a brute-force Monte Carlo mean of
-min(t + eps, C). The quadrature uses the equivalent form
+This module makes the identity executable two ways for the study's
+laws, gaussian noise and uniform censoring. ``censored_mean`` is w in
+closed form: min(t + eps, c) = c - (c - t - eps)+, and with s the
+noise sd, E[(u - eps)+] = u Phi(u/s) + s phi(u/s) has the antiderivative
 
-    c - integral_{-inf}^{c-t} F = t + L + integral_L^{c-t} (1 - F(e)) de
+    G(u) = (u^2 + s^2)/2 Phi(u/s) + (s u/2) phi(u/s),
 
-(for c - t >= L, else the bracket is just c), where L is the lower
-1e-12 noise quantile; this keeps every intermediate quantity small even
-when the censoring support sits far to the right. The survival-function
-integrand is truncated at the upper 1e-12 quantile, which is negligible
-for noise with sub-exponential tails such as the built-in gaussian.
+so for C uniform on (a, b)
+
+    w(t) = (a + b)/2 - [G(b - t) - G(a - t)] / (b - a).
+
+``mc_conditional_mean`` is the brute-force Monte Carlo mean of
+min(t + eps, C) that cross-checks it.
 
 No fit, study or CLI path needs the oracle, so it lives with the tests
 (``tests/test_theory.py`` and acceptance criterion 3) and ``sivc``
-itself runs on numpy alone. Quadrature that fails raises
-``RuntimeError``.
+itself runs on numpy alone.
 
 ``loop_link`` is the reference for ``sivc.fit_link``: the per-grid-point
 Nadaraya-Watson loop over every row, which the windowed smoother must
@@ -56,71 +55,41 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from sivc import Bandwidths, Dataset, FitConfig
 from sivc.estimator import _EPS, _EXPANSION_GUARD, _local_weights
 from sivc.smoothing import kernel_values
 
-TAIL_PROBABILITY = 1e-12
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Noise distribution given by its cdf and density, symmetric about 0."""
+def _tail(u: float, sd: float) -> float:
+    """G(u) less its polynomial part (u^2 + sd^2)/2 where u > 0.
 
-    cdf: Callable[[float], float]
-    density: Callable[[float], float]
-
-    def validate(self, scale: float, n_probe: int = 41) -> None:
-        """Numeric spot-check of the distribution invariants.
-
-        Verifies on a probe grid of width ``8 * scale`` that the cdf is
-        non-decreasing from ~0 to ~1, the density is nonnegative, and
-        the density is symmetric about zero.
-        """
-        xs = np.linspace(-4 * scale, 4 * scale, n_probe)
-        cdf_vals = np.array([self.cdf(x) for x in xs])
-        if np.any(np.diff(cdf_vals) < -1e-12):
-            raise ValueError("cdf must be non-decreasing")
-        if self.cdf(-40 * scale) > 1e-6 or self.cdf(40 * scale) < 1 - 1e-6:
-            raise ValueError("cdf must run from 0 to 1")
-        dens = np.array([self.density(x) for x in xs])
-        if np.any(dens < 0):
-            raise ValueError("density must be nonnegative")
-        if not np.allclose(dens, dens[::-1], atol=1e-9):
-            raise ValueError("density must be symmetric around zero")
+    There Phi(u/s) - 1 comes from ``erfc`` directly, so a censoring
+    support far to the right leaves terms that vanish rather than a
+    difference of two large numbers; u = 0 takes the Phi form."""
+    z = u / sd
+    cdf = -0.5 * math.erfc(z / _SQRT2) if u > 0 else 0.5 * math.erfc(-z / _SQRT2)
+    density = math.exp(-0.5 * z * z) / _SQRT_2PI
+    return 0.5 * (u * u + sd * sd) * cdf + 0.5 * sd * u * density
 
 
-@dataclass(frozen=True)
-class CensorModel:
-    """Censoring-time density with finite support bounds for quadrature."""
-
-    density: Callable[[float], float]
-    support: Tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.support
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("support must be a finite interval (lo, hi)")
-        mass, _ = integrate.quad(self.density, lo, hi, limit=200)
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"censor density integrates to {mass!r}, not 1")
-
-
-def gaussian_noise(sd: float) -> NoiseModel:
-    """Mean-zero gaussian noise model."""
-    if not sd > 0:
-        raise ValueError("sd must be positive")
-    return NoiseModel(
-        cdf=lambda x: float(special.ndtr(x / sd)),
-        density=lambda x: float(np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2 * math.pi))),
-    )
+def censored_mean(t: float, sd: float, upper: float, lower: float = 0.0) -> float:
+    """w(t) = E[min(t + eps, C)] for eps ~ N(0, sd^2) and C uniform on
+    (lower, upper), in closed form."""
+    width = upper - lower
+    lo, hi = lower - t, upper - t
+    tails = (_tail(hi, sd) - _tail(lo, sd)) / width
+    if lo > 0:
+        # Both polynomial parts: (hi^2 - lo^2) / (2 width) = (lower + upper)/2 - t.
+        return t - tails
+    poly = 0.5 * (hi * hi + sd * sd) if hi > 0 else 0.0
+    return 0.5 * (lower + upper) - poly / width - tails
 
 
 def gaussian_noise_sampler(sd: float) -> Callable:
@@ -129,91 +98,10 @@ def gaussian_noise_sampler(sd: float) -> Callable:
     return lambda rng, size: rng.normal(0.0, sd, size)
 
 
-def uniform_censor(upper: float, lower: float = 0.0) -> CensorModel:
-    """Censoring times uniform on (lower, upper)."""
-    if not upper > lower:
-        raise ValueError("upper must exceed lower")
-    width = upper - lower
-    return CensorModel(density=lambda c: 1.0 / width, support=(lower, upper))
-
-
 def uniform_censor_sampler(upper: float, lower: float = 0.0) -> Callable:
     if not upper > lower:
         raise ValueError("upper must exceed lower")
     return lambda rng, size: rng.uniform(lower, upper, size)
-
-
-def _quantile(cdf: Callable[[float], float], p: float) -> float:
-    """Solve cdf(x) = p by bracket expansion and Brent's method."""
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if cdf(lo) <= p:
-            break
-        lo *= 2.0
-    else:
-        raise RuntimeError(f"could not bracket the {p} noise quantile from below")
-    for _ in range(200):
-        if cdf(hi) >= p:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(f"could not bracket the {p} noise quantile from above")
-    return float(optimize.brentq(lambda x: cdf(x) - p, lo, hi, xtol=1e-12))
-
-
-def _quad(f, lo, hi, tol, points=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, abserr = integrate.quad(
-                f, lo, hi, epsabs=tol, limit=200, points=points
-            )
-        except integrate.IntegrationWarning as exc:
-            raise RuntimeError(f"quadrature did not converge: {exc}") from exc
-    if abserr > max(10.0 * tol, 1e-8 * abs(val)):
-        raise RuntimeError(
-            f"quadrature error estimate {abserr!r} exceeds tolerance {tol!r}"
-        )
-    return val
-
-
-def theoretical_mean_response(
-    m_value: float,
-    noise: NoiseModel,
-    censor: CensorModel,
-    inner_tol: float = 1e-8,
-    outer_tol: float = 1e-6,
-) -> float:
-    """E[min(m_value + eps, C)] by nested adaptive quadrature.
-
-    This is the induced link w evaluated at t = m_value. Requires noise
-    with lim_{e -> -inf} e F(e) = 0 and fast-decaying tails (the built-in
-    gaussian qualifies); the inner integral is truncated at the two-sided
-    1e-12 noise quantiles.
-    """
-    t = float(m_value)
-    lower_q = _quantile(noise.cdf, TAIL_PROBABILITY)
-    upper_q = _quantile(noise.cdf, 1.0 - TAIL_PROBABILITY)
-
-    def survival(e: float) -> float:
-        return 1.0 - noise.cdf(e)
-
-    def conditional_mean(c: float) -> float:
-        a = c - t
-        if a <= lower_q:
-            return c
-        tail = _quad(survival, lower_q, min(a, upper_q), inner_tol)
-        return t + lower_q + tail
-
-    lo, hi = censor.support
-    kinks = [p for p in (t + lower_q, t + upper_q) if lo < p < hi] or None
-    return _quad(
-        lambda c: conditional_mean(c) * censor.density(c),
-        lo,
-        hi,
-        outer_tol,
-        points=kinks,
-    )
 
 
 def mc_conditional_mean(
@@ -226,7 +114,7 @@ def mc_conditional_mean(
     """Sample mean and standard error of min(m_value + eps, C).
 
     Deterministic given the seed; the brute-force cross-check for
-    ``theoretical_mean_response``.
+    ``censored_mean``.
     """
     if draws < 1000:
         raise ValueError(f"draws must be at least 1000 (got {draws})")

@@ -17,11 +17,9 @@ import numpy as np
 import pytest
 
 from oracle import (
-    gaussian_noise,
+    censored_mean,
     gaussian_noise_sampler,
     mc_conditional_mean,
-    theoretical_mean_response,
-    uniform_censor,
     uniform_censor_sampler,
 )
 from sivc import (
@@ -183,11 +181,9 @@ class TestCriterion2LinkCurve:
 class TestCriterion3CensoredMeanOracle:
     def test_criterion_3_quadrature_matches_monte_carlo(self):
         scale = resolve_censor_scale(SimConfig(seed=ACCEPT_SEED))
-        noise = gaussian_noise(0.2)
-        censor = uniform_censor(scale)
         worst_z = 0.0
         for k, t in enumerate((-0.25, 0.0, 0.25, 0.5, 1.0)):
-            w = theoretical_mean_response(t, noise, censor)
+            w = censored_mean(t, 0.2, scale)
             mean, se = mc_conditional_mean(
                 t,
                 gaussian_noise_sampler(0.2),
@@ -196,9 +192,8 @@ class TestCriterion3CensoredMeanOracle:
                 seed=ACCEPT_SEED + k,
             )
             worst_z = max(worst_z, abs(w - mean) / se)
-        far = uniform_censor(1e6 + 0.5, 1e6 - 0.5)
         worst_identity = max(
-            abs(theoretical_mean_response(t, noise, far) - t)
+            abs(censored_mean(t, 0.2, 1e6 + 0.5, 1e6 - 0.5) - t)
             for t in (-0.25, 0.0, 0.25, 0.5, 1.0)
         )
         ok = worst_z <= 3.0 and worst_identity <= 1e-4

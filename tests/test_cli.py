@@ -307,29 +307,6 @@ class TestFitCommand:
             "i/o error: promised outputs missing after run: ['link.csv']\n"
         )
 
-    def test_bad_delta_row_named(self, tmp_path, capsys):
-        data = tmp_path / "bad.csv"
-        data.write_text(
-            "y,delta,t,x1\n1.0,1,0.5,0.2\n2.0,2,0.4,0.1\n0.5,0,0.3,0.9\n",
-            encoding="utf-8",
-        )
-        config = write_config(tmp_path, {"fit": {}})
-        code = main(
-            ["fit", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
-        )
-        assert code == EXIT_VALIDATION
-        assert "row 1" in capsys.readouterr().err
-
-    def test_wrong_header_rejected(self, tmp_path, capsys):
-        data = tmp_path / "head.csv"
-        data.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-        config = write_config(tmp_path, {"fit": {}})
-        code = main(
-            ["fit", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")]
-        )
-        assert code == EXIT_VALIDATION
-        assert "header" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "text, named",
         [
@@ -1070,6 +1047,10 @@ REJECTED_CSV = {
     "one-data-row": (
         "y,delta,t,x1\n1.5,1,0.5,0.2\n",
         [(None, "dataset needs at least 2 rows (got 1)")],
+    ),
+    "wrong-header": (
+        "a,b,c\n1,2,3\n",
+        [(None, "{path}: header must be y,delta,t,x1,...,xd (got ['a', 'b', 'c'])")],
     ),
     "blank-line-mid-file": (
         "y,delta,t,x1\n1,1,0.5,0.2\n\n2,0,0.4,0.1\n",

@@ -28,7 +28,6 @@ from sivc import (
     fit_model,
     generate_dataset,
     kernel_values,
-    local_objective,
     normalize_direction,
     rule_of_thumb_bandwidth,
     run_monte_carlo,
@@ -46,6 +45,7 @@ from sivc.estimator import (
     _max_iter,
     _nelder_mead,
     _tangent_basis,
+    local_objective,
 )
 
 EPAN = FitConfig.kernel
@@ -1291,7 +1291,7 @@ class TestFitConfigValidation:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             FitConfig(t_grid_size=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="link_grid min must be below max"):
             FitConfig(link_grid=(0.5, -0.5, 10))
         with pytest.raises(ValueError):
             FitConfig(bandwidths="magic")

@@ -178,8 +178,9 @@ class TestValidateDataset:
                 {"y": ["a", "b"], "delta": [1, 0], "x": [[0.5], [0.1]], "t": [0.1, 0.5]},
                 "column y must be numeric (could not convert string to float: 'a')",
             ),
+            ({"y": [], "delta": [], "x": [], "t": []}, "dataset needs at least 2 rows (got 0)"),
         ],
-        ids=["unequal-lengths", "no-covariate", "non-numeric"],
+        ids=["unequal-lengths", "no-covariate", "non-numeric", "empty"],
     )
     def test_malformed_columns_rejected(self, columns, problem):
         with pytest.raises(ValidationError) as err:

@@ -47,7 +47,6 @@ PUBLIC_NAMES = [
     "fit_model",
     "generate_dataset",
     "kernel_values",
-    "local_objective",
     "normalize_direction",
     "resolve_censor_scale",
     "rule_of_thumb_bandwidth",
@@ -58,7 +57,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_the_pinned_public_surface():
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 32
     assert sorted(sivc.__all__) == PUBLIC_NAMES
 
 
@@ -96,22 +95,22 @@ _FIT = ["fit", "--data", "data.csv", "--config", "config.json", "--out", "out"]
 _FIGURES = ["reproduce-figures", "--reps", "2", "--seed", "7", "--out", "out"]
 
 
+def _python(*args, cwd=None):
+    """Run a fresh interpreter on this checkout's ``sivc``."""
+    src = str(Path(sivc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 @pytest.mark.parametrize(
     "scipy, argv",
     [("blocked", _FIT), ("installed", _FIT), ("blocked", _FIGURES)],
     ids=["fit-scipy-blocked", "fit-scipy-installed", "reproduce-figures-scipy-blocked"],
 )
 def test_cli_loads_no_scipy(tmp_path, scipy, argv):
-    src = str(Path(sivc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", _CLI_RUN, scipy, *argv],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = _python("-c", _CLI_RUN, scipy, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert (report["code"], report["scipy_loaded"]) == (0, [])
@@ -123,3 +122,9 @@ def test_cli_loads_no_scipy(tmp_path, scipy, argv):
         outputs = ("summary.csv", "link_summary.csv", "fig1.svg", "fig2.svg", "manifest.json")
     for name in outputs:
         assert (tmp_path / "out" / name).stat().st_size > 0, name
+
+
+def test_cli_module_runs_as_a_script():
+    done = _python("-m", "sivc.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: sivc")
