@@ -51,11 +51,11 @@ from sivc.estimator import (
 EPAN = FitConfig.kernel
 
 
-def naive_local_objective(dataset, t0, theta, bw, spec):
+def naive_local_objective(dataset, t0, theta, bw):
     """Independent loop oracle for the leave-one-out profile objective."""
     n = dataset.n
-    proj = [float(dataset.x[i] @ theta.components) for i in range(n)]
-    kt = [float(kernel_values(spec, (dataset.t[i] - t0) / bw.h2)) for i in range(n)]
+    proj = [float(dataset.x[i] @ theta) for i in range(n)]
+    kt = [float(kernel_values(EPAN, (dataset.t[i] - t0) / bw.h2)) for i in range(n)]
     total = 0.0
     for i in range(n):
         if kt[i] == 0.0:
@@ -64,7 +64,7 @@ def naive_local_objective(dataset, t0, theta, bw, spec):
         for j in range(n):
             if j == i:
                 continue
-            w = float(kernel_values(spec, (proj[j] - proj[i]) / bw.h1)) * kt[j]
+            w = float(kernel_values(EPAN, (proj[j] - proj[i]) / bw.h1)) * kt[j]
             num += w * dataset.y[j]
             den += w
         if den < 1e-300:
@@ -186,6 +186,52 @@ def three_row_dataset():
     )
 
 
+def line_dataset(x, t=None):
+    """d = 1 rows at the given projections, responses a fixed wiggle."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    t = np.full(n, 0.5) if t is None else np.asarray(t, dtype=float)
+    y = np.sin(3.0 * np.arange(n)) + 0.1 * np.arange(n)
+    return Dataset(y=y, delta=np.ones(n, dtype=int), x=x[:, None], t=t)
+
+
+def far_out_pair_dataset(top):
+    """150 rows around -50, a lone pair at 10 and ``top`` and 50 rows
+    around 50: at h1 = 1 the pair's denominators take the expansion guard."""
+    rng = np.random.default_rng(41)
+    rows = np.concatenate((rng.normal(-50.0, 1.0, 150), [10.0, top], rng.normal(50.0, 1.0, 50)))
+    return line_dataset(rows)
+
+
+def assert_every_oracle(dataset, t0s, bw, thetas, rel=1e-9, loop=False):
+    """Check ``_LocalObjective.value`` at each t0 and theta against every
+    oracle in ``tests/oracle.py`` and return its (value, skipped) pairs.
+
+    The value equals ``ReferenceObjective.sorted_value`` to the last bit
+    and the dense kernel-matrix formula within ``rel``; with ``loop``
+    (small m) both also match the loop oracle within ``rel``. All count
+    the same skipped rows, the value's count a Python int, since
+    diagnostics.json takes no numpy ints."""
+    results = []
+    for t0 in t0s:
+        obj = _LocalObjective(dataset, t0, bw)
+        ref = ReferenceObjective(dataset, t0, bw)
+        for theta in thetas:
+            theta = np.asarray(theta, dtype=float)
+            value, skipped = obj.value(theta)
+            assert value == ref.sorted_value(theta), (t0, theta)
+            assert type(skipped) is int and skipped == ref.last_skipped, (t0, theta)
+            dense = ref.dense_value(theta)
+            assert skipped == ref.last_skipped, (t0, theta)
+            assert value == pytest.approx(dense, rel=rel, abs=0.0), (t0, theta)
+            if loop:
+                want = naive_local_objective(dataset, t0, theta, bw)
+                assert dense == pytest.approx(want, rel=rel), (t0, theta)
+                assert value == pytest.approx(want, rel=rel), (t0, theta)
+            results.append((value, skipped))
+    return results
+
+
 class TestLocalObjective:
     BW = Bandwidths(h1=1.0, h2=1.0, h_link=1.0)
 
@@ -235,27 +281,7 @@ class TestLocalObjective:
         theta = normalize_direction([1.0, 0.0])
         got = local_objective(ds, 0.5, theta, self.BW, EPAN)
         assert got == pytest.approx(expected, rel=1e-12)
-        dense, dense_skipped, fast, skipped = both_evaluations(
-            ds, 0.5, theta.components, self.BW
-        )
-        assert fast == pytest.approx(expected, rel=1e-12)
-        assert skipped == dense_skipped == 0
-
-    def test_matches_naive_oracle_on_random_fixtures(self):
-        rng = np.random.default_rng(14)
-        for _ in range(5):
-            n = 30
-            ds = Dataset(
-                y=rng.normal(size=n),
-                delta=np.ones(n, dtype=int),
-                x=rng.normal(size=(n, 2)),
-                t=rng.uniform(0, 1, n),
-            )
-            theta = normalize_direction([1.0, 0.5])
-            bw = Bandwidths(h1=0.6, h2=0.3, h_link=1.0)
-            got = local_objective(ds, 0.4, theta, bw, EPAN)
-            want = naive_local_objective(ds, 0.4, theta, bw, EPAN)
-            assert got == pytest.approx(want, rel=1e-10)
+        assert assert_every_oracle(ds, [0.5], self.BW, [theta.components]) == [(got, 0)]
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(15)
@@ -279,44 +305,15 @@ class TestLocalObjective:
             local_objective(ds, 0.31, theta, bw, EPAN)
 
 
-def both_evaluations(dataset, t0, theta, bw):
-    """The dense formula's objective value and the sorted evaluation's,
-    each with its skipped-row count."""
-    ref = ReferenceObjective(dataset, t0, bw)
-    dense = ref.dense_value(theta)
-    fast, skipped = _LocalObjective(dataset, t0, bw).value(theta)
-    return dense, ref.last_skipped, fast, skipped
-
-
-def line_dataset(x, t=None):
-    """d = 1 rows at the given projections, responses a fixed wiggle."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    t = np.full(n, 0.5) if t is None else np.asarray(t, dtype=float)
-    y = np.sin(3.0 * np.arange(n)) + 0.1 * np.arange(n)
-    return Dataset(y=y, delta=np.ones(n, dtype=int), x=x[:, None], t=t)
-
-
-def far_out_pair_dataset():
-    """150 rows around -50, a lone pair 1 - 1e-7 apart at 10 and 50 rows
-    around 50: at h1 = 1 the pair's denominators take the expansion guard."""
-    rng = np.random.default_rng(41)
-    rows = np.concatenate(
-        (rng.normal(-50.0, 1.0, 150), [10.0, 11.0 - 1e-7], rng.normal(50.0, 1.0, 50))
-    )
-    return line_dataset(rows)
-
-
 class TestSortedObjective:
-    """The sorted prefix-sum evaluation against the dense formula and the
-    loop oracle: values within rel 1e-9, identical skipped-row counts."""
+    """Random, simulated and small-m rows against every oracle."""
 
     WIDE = Bandwidths(h1=1.0, h2=10.0, h_link=1.0)
-    ONE = np.array([1.0])
 
     def test_matches_naive_oracle_at_n30(self):
         rng = np.random.default_rng(14)
         bw = Bandwidths(h1=0.6, h2=0.3, h_link=1.0)
+        fixed = normalize_direction([1.0, 0.5]).components
         for _ in range(5):
             n = 30
             ds = Dataset(
@@ -327,13 +324,8 @@ class TestSortedObjective:
             )
             for t0 in (0.0, 0.5, 1.0):
                 theta = normalize_direction(rng.normal(size=2) + [2.0, 0.0])
-                want = naive_local_objective(ds, t0, theta, bw, EPAN)
-                dense, dense_skipped, fast, skipped = both_evaluations(
-                    ds, t0, theta.components, bw
-                )
-                assert fast == pytest.approx(want, rel=1e-9)
-                assert fast == pytest.approx(dense, rel=1e-9)
-                assert skipped == dense_skipped
+                assert_every_oracle(ds, [t0], bw, [theta.components], loop=True)
+            assert_every_oracle(ds, [0.4], bw, [fixed], rel=1e-10, loop=True)
 
     @pytest.mark.parametrize(
         "sim",
@@ -351,48 +343,10 @@ class TestSortedObjective:
         bw = select_bandwidths(ds, EPAN)
         rng = np.random.default_rng(sim.n)
         for t0 in (0.0, 0.5, 1.0):
-            thetas = [normalize_direction([1.0])]
+            thetas = [[1.0]]
             if sim.d > 1:
-                thetas = [normalize_direction(v + 0.5) for v in rng.normal(size=(2, 2))]
-            for theta in thetas:
-                dense, dense_skipped, fast, skipped = both_evaluations(
-                    ds, t0, theta.components, bw
-                )
-                assert fast == pytest.approx(dense, rel=1e-9)
-                assert skipped == dense_skipped
-
-    def test_tied_projections(self):
-        rng = np.random.default_rng(40)
-        ds = line_dataset(np.round(rng.normal(size=150), 1), rng.uniform(0, 1, 150))
-        bw = Bandwidths(h1=0.3, h2=0.4, h_link=0.3)
-        for t0 in (0.0, 0.5, 1.0):
-            dense, dense_skipped, fast, skipped = both_evaluations(ds, t0, self.ONE, bw)
-            assert fast == pytest.approx(dense, rel=1e-9)
-            assert skipped == dense_skipped
-
-    def test_neighbour_exactly_at_the_window_edge_is_skipped(self):
-        # rows 0 and 1 sit exactly h1 apart: weight 0, so both are skipped
-        ds = line_dataset([0.0, 1.0, 3.0, 3.5, 3.75])
-        dense, dense_skipped, fast, skipped = both_evaluations(
-            ds, 0.5, self.ONE, self.WIDE
-        )
-        assert skipped == dense_skipped == 2
-        assert fast == pytest.approx(dense, rel=1e-9)
-
-    def test_far_out_pair_with_a_near_edge_neighbour(self):
-        # A lone pair 1 - 1e-7 bandwidths apart, 60 bandwidths above the
-        # median, with 50 rows further out: each of the pair's denominators
-        # is ~1e-7 of a weight while the prefix sums it differences carry
-        # ~1e5 weights, so it must be recomputed from its window.
-        ds = far_out_pair_dataset()
-        theta = normalize_direction([1.0])
-        want = naive_local_objective(ds, 0.5, theta, self.WIDE, EPAN)
-        dense, dense_skipped, fast, skipped = both_evaluations(
-            ds, 0.5, self.ONE, self.WIDE
-        )
-        assert fast == pytest.approx(dense, rel=1e-9)
-        assert fast == pytest.approx(want, rel=1e-9)
-        assert skipped == dense_skipped
+                thetas = [normalize_direction(v + 0.5).components for v in rng.normal(size=(2, 2))]
+            assert_every_oracle(ds, [t0], bw, thetas)
 
     def test_neighbour_below_the_rounding_of_the_own_weight_counts(self):
         # Row 1 sits at the edge of the modifier window and 1 - 1e-12
@@ -404,30 +358,20 @@ class TestSortedObjective:
             [0.0, 1.0 - 1e-12, 5.0, 5.5], [0.5, 0.5 + h2 * (1 - 1e-6), 0.5, 0.5]
         )
         bw = Bandwidths(h1=1.0, h2=h2, h_link=1.0)
-        want = naive_local_objective(ds, 0.5, normalize_direction([1.0]), bw, EPAN)
-        dense, dense_skipped, fast, skipped = both_evaluations(ds, 0.5, self.ONE, bw)
-        assert dense == pytest.approx(want, rel=1e-9)
-        assert fast == pytest.approx(want, rel=1e-9)
-        assert skipped == dense_skipped == 0
-
-    def test_every_row_skipped(self):
-        ds = line_dataset(2.0 * np.arange(120))
-        dense, dense_skipped, fast, skipped = both_evaluations(
-            ds, 0.5, self.ONE, self.WIDE
-        )
-        assert fast == dense == 0.0
-        assert skipped == dense_skipped == 120
+        [(_, skipped)] = assert_every_oracle(ds, [0.5], bw, [[1.0]], loop=True)
+        assert skipped == 0
 
     @pytest.mark.parametrize("m", [2, 3, 24, 127])
     def test_matches_dense_formula_at_small_m(self, m):
         # Ties (projections on a 0.1 lattice, the first two equal),
         # responses of both signs and, from m = 3, rows alone in their
-        # window: each row in the far tail sits 3 bandwidths from the next.
+        # window in both tails: each sits 3 bandwidths from the next row
+        # on its side.
         rng = np.random.default_rng(m)
-        lone = min(m - 2, 5)
+        lone = min(m - 2, 10)
         core = np.round(rng.normal(0.0, 0.3, m - lone), 1)
         core[1] = core[0]
-        tail = 5.0 + 1.5 * np.arange(1, lone + 1)
+        tail = (5.0 + 1.5 * np.arange(1, lone + 1)) * np.resize([1.0, -1.0], lone)
         x1 = np.concatenate((core, tail))
         x2 = 0.01 * rng.normal(size=m)
         dataset = Dataset(
@@ -437,58 +381,38 @@ class TestSortedObjective:
             t=rng.uniform(0, 1, m),
         )
         bw = Bandwidths(h1=0.5, h2=10.0, h_link=0.5)
-        for angle in (0.0, 0.05, -0.3):
-            theta = direction_at_angles([angle])
-            dense, dense_skipped, fast, skipped = both_evaluations(dataset, 0.5, theta, bw)
-            assert fast == pytest.approx(dense, rel=1e-12, abs=0.0)
-            assert skipped == dense_skipped
-            if angle == 0.0:
-                assert lone <= skipped < m and dense > 0.0
+        thetas = [direction_at_angles([angle]) for angle in (0.0, 0.05, -0.3)]
+        results = assert_every_oracle(dataset, [0.5], bw, thetas, rel=1e-12)
+        value, skipped = results[0]
+        assert lone <= skipped < m and value > 0.0
 
     @pytest.mark.parametrize("m", [127, 128])
     def test_objective_is_freed_by_reference_counting(self, m):
         # A cycle would keep every grid point's objective, with its
         # buffers, alive until the cycle collector ran.
         obj = _LocalObjective(line_dataset(np.arange(m) / m), 0.5, self.WIDE)
-        obj.value(self.ONE)
+        obj.value(np.ones(1))
         ref = weakref.ref(obj)
         del obj
         assert ref() is None
 
 
 class TestBitIdentity:
-    """``value`` against the verbatim sorted evaluation in
-    ``tests/oracle.py``: every objective value and skipped-row count equal
-    to the last bit, so cutting numpy calls changes no fixed-seed output."""
+    """Many angles, three dimensions, ties, window edges, skipped rows and
+    the expansion guard against every oracle."""
 
     WIDE = TestSortedObjective.WIDE
-
-    def assert_identical(self, dataset, t0, bw, thetas):
-        """Check each theta; return the skipped-row counts."""
-        new = _LocalObjective(dataset, t0, bw)
-        ref = ReferenceObjective(dataset, t0, bw)
-        counts = []
-        for theta in thetas:
-            theta = np.asarray(theta, dtype=float)
-            value, skipped = new.value(theta)
-            assert value == ref.sorted_value(theta), theta
-            assert skipped == ref.last_skipped, theta
-            # the count reaches diagnostics.json, which takes no numpy ints
-            assert type(skipped) is int
-            counts.append(skipped)
-        return counts
 
     @pytest.mark.parametrize("n", [500, 2000])
     @pytest.mark.parametrize("seed", [1729, 8191])
     def test_simulated_data_over_many_angles(self, n, seed):
         dataset, _ = generate_dataset(SimConfig(n=n, seed=seed), 0)
-        # The gaussian-constant rule everywhere keeps n = 500 at m < 128.
+        # The gaussian-constant rule everywhere: narrower windows than a
+        # default fit's, so more rows sit near their window's edge.
         h_index = rule_of_thumb_bandwidth(dataset.x @ normalize_direction([1.0, 1.0]).components)
         bw = Bandwidths(h1=h_index, h2=rule_of_thumb_bandwidth(dataset.t), h_link=h_index)
-        angles = np.linspace(-1.5, 1.5, 25)
-        thetas = [direction_at_angles([a]) for a in angles]
-        for t0 in (0.0, 0.5, 1.0):
-            self.assert_identical(dataset, t0, bw, thetas)
+        thetas = [direction_at_angles([a]) for a in np.linspace(-1.5, 1.5, 25)]
+        assert_every_oracle(dataset, (0.0, 0.5, 1.0), bw, thetas)
 
     def test_three_dimensional_directions(self):
         rng = np.random.default_rng(3)
@@ -502,52 +426,45 @@ class TestBitIdentity:
         )
         bw = select_bandwidths(dataset, EPAN)
         thetas = [direction_at_angles(a) for a in rng.uniform(-1.5, 1.5, (15, 2))]
-        for t0 in (0.0, 0.5, 1.0):
-            self.assert_identical(dataset, t0, bw, thetas)
-
-    # Either side of the 128 rows from which the sorted evaluation once
-    # took over from the dense formula.
-    @pytest.mark.parametrize("m", [127, 128])
-    def test_isolated_rows_either_side_of_the_crossover(self, m):
-        # a dense core with rows spread 3 bandwidths apart in both tails
-        rng = np.random.default_rng(m)
-        core = rng.normal(0.0, 0.5, m - 10)
-        tails = 3.0 * np.arange(1, 6)
-        dataset = line_dataset(np.concatenate((core, 5.0 + tails, -5.0 - tails)))
-        assert self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]]) == [10]
+        assert_every_oracle(dataset, (0.0, 0.5, 1.0), bw, thetas)
 
     def test_neighbour_exactly_at_the_window_edge(self):
+        # rows 0 and 1 sit exactly h1 apart: weight 0, so both are skipped
         dataset = line_dataset([0.0, 1.0, 3.0, 3.5, 3.75])
-        assert self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]]) == [2]
+        [(_, skipped)] = assert_every_oracle(dataset, [0.5], self.WIDE, [[1.0]])
+        assert skipped == 2
 
     @pytest.mark.parametrize("m", [120, 200])
     def test_every_row_skipped(self, m):
         dataset = line_dataset(2.0 * np.arange(m))
-        assert self.assert_identical(dataset, 0.5, self.WIDE, [[1.0]]) == [m]
+        assert assert_every_oracle(dataset, [0.5], self.WIDE, [[1.0]]) == [(0.0, m)]
 
     def test_tied_projections(self):
         rng = np.random.default_rng(40)
         dataset = line_dataset(np.round(rng.normal(size=150), 1), rng.uniform(0, 1, 150))
         bw = Bandwidths(h1=0.3, h2=0.4, h_link=0.3)
-        for t0 in (0.0, 0.5, 1.0):
-            self.assert_identical(dataset, t0, bw, [[1.0]])
+        assert_every_oracle(dataset, (0.0, 0.5, 1.0), bw, [[1.0]])
 
     def test_expansion_guard_recompute(self, monkeypatch):
-        # Both of the far-out pair's denominators are recomputed from their
-        # kernel weights, the only place the sorted path calls
-        # ``kernel_values``.
-        dataset = far_out_pair_dataset()
-        recomputed = []
+        # A lone pair, 1 - 1e-7 or 0.98 bandwidths apart and 60 bandwidths
+        # above the median, with 50 rows further out: each of its
+        # denominators is a small part of a weight while the prefix sums
+        # it differences carry ~1e5 weights, so both are recomputed from
+        # their kernel weights, the only place ``value`` calls
+        # ``kernel_values``. At 0.98 only the guard's kt q^2 sums flag them.
+        for top in (11.0 - 1e-7, 10.98):
+            dataset = far_out_pair_dataset(top)
+            assert_every_oracle(dataset, [0.5], self.WIDE, [[1.0]], loop=True)
+            obj, recomputed = _LocalObjective(dataset, 0.5, self.WIDE), []
 
-        def counted(spec, u):
-            recomputed.append(len(u))
-            return kernel_values(spec, u)
+            def counted(spec, u):
+                recomputed.extend(np.flatnonzero(u == 0).tolist())
+                return kernel_values(spec, u)
 
-        monkeypatch.setattr(estimator, "kernel_values", counted)
-        obj = _LocalObjective(dataset, 0.5, self.WIDE)
-        ref = ReferenceObjective(dataset, 0.5, self.WIDE)
-        assert obj.value(np.ones(1)) == (ref.sorted_value(np.ones(1)), ref.last_skipped)
-        assert len(recomputed) >= 2
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "kernel_values", counted)
+                obj.value(np.ones(1))
+            assert recomputed == [150, 151], top
 
 
 class TestFitDirectionAt:
@@ -1759,7 +1676,7 @@ class TestRace:
     the fit is that one run's best vertex."""
 
     def test_iteration_cap_grows_with_d(self):
-        # 150 up to d = 2, then 100 per angle.
+        # 150 up to d = 2, then 100 per tangent coordinate (d - 1 of them).
         assert [_max_iter(d) for d in (1, 2, 3, 5, 8)] == [150, 150, 200, 400, 700]
 
     def test_sweep_starts_the_first_point_at_the_centre(self, paper_fit_inputs, monkeypatch):
