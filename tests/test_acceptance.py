@@ -179,7 +179,7 @@ class TestCriterion2LinkCurve:
 
 
 class TestCriterion3CensoredMeanOracle:
-    def test_criterion_3_quadrature_matches_monte_carlo(self):
+    def test_criterion_3_closed_form_matches_monte_carlo(self):
         scale = resolve_censor_scale(SimConfig(seed=ACCEPT_SEED))
         worst_z = 0.0
         for k, t in enumerate((-0.25, 0.0, 0.25, 0.5, 1.0)):

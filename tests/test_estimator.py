@@ -517,6 +517,20 @@ class TestFitDirectionAt:
         # The one run goes on to the cap the rule gives for its d.
         assert fit.iterations == 14
 
+    def test_a_capped_run_is_converged_only_on_flat_values(self, monkeypatch):
+        # Three iterations end no run at _XATOL. Constant responses score
+        # every vertex 0, within _FLAT_TOL of each other, so the fit still
+        # counts as converged; N(0, 1) responses spread the values wider.
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(60, 2))
+        t = rng.uniform(0, 1, 60)
+        monkeypatch.setattr(estimator, "_max_iter", lambda d: 3)
+        for y, flat in ((np.full(60, 2.0), True), (rng.normal(size=60), False)):
+            ds = Dataset(y=y, delta=np.ones(60, dtype=int), x=x, t=t)
+            fit = fit_direction_at(ds, 0.5, Bandwidths(h1=0.5, h2=0.5, h_link=0.5))
+            assert (fit.iterations, fit.converged) == (3, flat)
+            assert (fit.objective == 0.0) == flat
+
     def test_tiny_h1_with_tied_projections_stays_finite(self):
         # At h1 = 1e-300 the sorted evaluation's q overflows and its sums
         # turn NaN; every row has an exact tie, so each den is recomputed
@@ -653,6 +667,37 @@ class TestFitCoefficientCurves:
         with pytest.raises(EstimationError, match="t0=0"):
             fit_coefficient_curves(ds, config, bw)
 
+    def test_iteration_cap_grows_with_d(self):
+        # 150 up to d = 2, then 100 per tangent coordinate (d - 1 of them).
+        assert [_max_iter(d) for d in (1, 2, 3, 5, 8)] == [150, 150, 200, 400, 700]
+
+    def test_sweep_starts_the_first_point_at_the_centre(self, monkeypatch):
+        dataset, _ = generate_dataset(SimConfig(n=500, seed=1729), 0)
+        runs, centres = [], []
+        real_nm, real_basis = estimator._nelder_mead, estimator._tangent_basis
+
+        def nelder_mead(func, simplex, xatol, maxiter):
+            runs.append(([list(v) for v in simplex], xatol, maxiter))
+            return real_nm(func, simplex, xatol, maxiter)
+
+        def tangent_basis(b0):
+            centres.append(b0.tobytes())
+            return real_basis(b0)
+
+        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
+        monkeypatch.setattr(estimator, "_tangent_basis", tangent_basis)
+        monkeypatch.setattr(estimator, "_max_iter", lambda d: 40 * d)
+        config = FitConfig(t_grid_size=6)
+        _, fits = fit_coefficient_curves(dataset, config, select_bandwidths(dataset, EPAN))
+        # One run per grid point, each to _XATOL under the cap for its d,
+        # from the chart's centre and a step along each tangent axis.
+        assert runs == [([[0.0], [_SIMPLEX_STEP]], _XATOL, 80)] * 6
+        # The first chart is centred at (1, 0); every later one at its left
+        # neighbour's direction.
+        assert centres == [np.array([1.0, 0.0]).tobytes()] + [
+            fit.direction.components.tobytes() for fit in fits[:-1]
+        ]
+
 
 def loop_index(dataset, curves):
     """Per-row oracle: interpolate, renormalize and project one row at a
@@ -732,7 +777,71 @@ class TestComputeIndex:
         assert np.allclose(compute_index(ds, curves), expected, atol=1e-14)
 
 
+def link_cases():
+    """(name, index, synthetic, link_grid, h): random index values and
+    adversarial ones for the sorted windows of ``fit_link``."""
+    rng = np.random.default_rng(77)
+    grid = (-0.5, 0.5, 11)
+    u0 = np.linspace(*grid)
+    h = 0.1
+    # Rows at the exact window ends u0 +- h and one float either side.
+    ends = np.concatenate([u0 + h, u0 - h])
+    edges = np.concatenate([ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+    # Far from 0 the rounding of u0 +- h is large against h.
+    far_grid = (1e6, 1e6 + 1e-6, 5)
+    far_u0 = np.linspace(*far_grid)
+    far = np.concatenate([far_u0 + 1e-9, far_u0 - 1e-9, np.nextafter(far_u0 + 1e-9, np.inf)])
+    return [
+        ("uniform", rng.uniform(-1, 1, 500), rng.uniform(0.5, 2.0, 500), (-0.5, 0.5, 100), 0.13),
+        ("normal", rng.normal(size=3000), rng.normal(size=3000) + 2.0, (-0.5, 0.5, 100), 0.09),
+        ("mixed-sign", rng.normal(size=800), rng.normal(size=800), (-1.0, 1.0, 41), 0.2),
+        ("window-ends", edges, rng.uniform(0.5, 2.0, edges.size), grid, h),
+        ("window-ends-far", far, rng.uniform(0.5, 2.0, far.size), far_grid, 1e-9),
+        ("duplicates", rng.choice(u0[::2], 200), rng.uniform(0.5, 2.0, 200), grid, h),
+        ("empty-windows", rng.uniform(-0.05, 0.05, 30), rng.uniform(0.5, 2.0, 30), grid, 0.12),
+        ("all-off-grid", np.full(20, 100.0), rng.uniform(0.5, 2.0, 20), grid, h),
+        ("past-every-window", u0[:1] + 38.0 * h + np.arange(3) * h, np.ones(3), grid, h),
+        # Every weight ~0.75: the estimate is the mean, 2.
+        ("wide-bandwidth", np.array([0.0, 1.0]), np.array([1.0, 3.0]), grid, 1e6),
+        ("n0", np.array([]), np.array([]), grid, h),
+        ("n1", np.array([0.05]), np.array([1.5]), grid, h),
+        ("n2", np.array([0.3, 0.3]), np.array([1.0, 3.0]), grid, h),
+        ("n3", np.array([-0.4, 0.0, 0.2]), np.array([1.0, 2.0, 4.0]), grid, h),
+    ]
+
+
 class TestFitLink:
+    """``fit_link`` against the per-point loop over every row, its checks,
+    and the ``LinkEstimate`` it returns."""
+
+    @pytest.mark.parametrize("case", link_cases(), ids=lambda case: case[0])
+    def test_matches_the_loop(self, case):
+        _, index, synthetic, grid, h = case
+        link = fit_link(index, synthetic, FitConfig(link_grid=grid), h)
+        want, want_defined = loop_link(index, synthetic, link.u_grid, h, EPAN)
+        assert np.array_equal(np.isnan(link.m_hat), ~want_defined)
+        # Relative to the weighted mean of |synthetic|, which is |want|
+        # where the responses are positive.
+        scale, _ = loop_link(index, np.abs(synthetic), link.u_grid, h, EPAN)
+        err = np.abs(link.m_hat - want)[want_defined]
+        assert np.all(err <= 1e-12 * scale[want_defined])
+
+    def test_tied_index_sums_in_row_order(self):
+        # 23 distinct index values over 500 rows: each window's sums run
+        # over tied rows in their row order, whatever order the CPU's
+        # default sort would leave them in.
+        rng = np.random.default_rng(5)
+        index = np.round(rng.normal(size=500) / 0.25) * 0.25
+        synthetic = rng.uniform(0.5, 2.0, 500)
+        h = 0.3
+        link = fit_link(index, synthetic, FitConfig(), h)
+        order = np.lexsort((np.arange(index.size), index))
+        p, ys = index[order], synthetic[order]
+        for u0, got in zip(link.u_grid.tolist(), link.m_hat.tolist()):
+            inside = np.abs(u0 - p) < h
+            w = kernel_values(EPAN, (u0 - p[inside]) / h)
+            assert got == float(w @ ys[inside]) / float(w.sum())
+
     def test_constant_synthetic_responses(self):
         rng = np.random.default_rng(18)
         index = rng.uniform(-1, 1, 300)
@@ -741,14 +850,6 @@ class TestFitLink:
         link = fit_link(index, synthetic, config, rule_of_thumb_bandwidth(index))
         assert not np.any(np.isnan(link.m_hat))
         assert np.allclose(link.m_hat, 4.0)
-
-    def test_marker_beyond_compact_support(self):
-        index = np.array([0.0, 0.05, 0.1])
-        synthetic = np.array([1.0, 2.0, 3.0])
-        config = FitConfig(link_grid=(-0.5, 0.5, 11))
-        link = fit_link(index, synthetic, config, 0.1)
-        assert np.isnan(link.m_hat[0])
-        assert not np.isnan(link.m_hat[5])
 
     def test_quadratic_oracle(self):
         rng = np.random.default_rng(19)
@@ -811,72 +912,6 @@ class TestFitLink:
             warnings.simplefilter("error")
             link = LinkEstimate(u_grid=np.array([-1e308, 1e308]), m_hat=np.zeros(2))
         assert link.u_grid.tolist() == [-1e308, 1e308]
-
-
-def link_cases():
-    """(name, index, synthetic, link_grid, h): random index values and
-    adversarial ones for the sorted windows of ``fit_link``."""
-    rng = np.random.default_rng(77)
-    grid = (-0.5, 0.5, 11)
-    u0 = np.linspace(*grid)
-    h = 0.1
-    # Rows at the exact window ends u0 +- h and one float either side.
-    ends = np.concatenate([u0 + h, u0 - h])
-    edges = np.concatenate([ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
-    # Far from 0 the rounding of u0 +- h is large against h.
-    far_grid = (1e6, 1e6 + 1e-6, 5)
-    far_u0 = np.linspace(*far_grid)
-    far = np.concatenate([far_u0 + 1e-9, far_u0 - 1e-9, np.nextafter(far_u0 + 1e-9, np.inf)])
-    return [
-        ("uniform", rng.uniform(-1, 1, 500), rng.uniform(0.5, 2.0, 500), (-0.5, 0.5, 100), 0.13),
-        ("normal", rng.normal(size=3000), rng.normal(size=3000) + 2.0, (-0.5, 0.5, 100), 0.09),
-        ("mixed-sign", rng.normal(size=800), rng.normal(size=800), (-1.0, 1.0, 41), 0.2),
-        ("window-ends", edges, rng.uniform(0.5, 2.0, edges.size), grid, h),
-        ("window-ends-far", far, rng.uniform(0.5, 2.0, far.size), far_grid, 1e-9),
-        ("duplicates", rng.choice(u0[::2], 200), rng.uniform(0.5, 2.0, 200), grid, h),
-        ("empty-windows", rng.uniform(-0.05, 0.05, 30), rng.uniform(0.5, 2.0, 30), grid, 0.12),
-        ("all-off-grid", np.full(20, 100.0), rng.uniform(0.5, 2.0, 20), grid, h),
-        # Named for the gaussian kernel the oracle once also ran; for the
-        # Epanechnikov kernel these rows are past every window.
-        ("gaussian-underflow", u0[:1] + 38.0 * h + np.arange(3) * h, np.ones(3), grid, h),
-        ("n0", np.array([]), np.array([]), grid, h),
-        ("n1", np.array([0.05]), np.array([1.5]), grid, h),
-        ("n2", np.array([0.3, 0.3]), np.array([1.0, 3.0]), grid, h),
-        ("n3", np.array([-0.4, 0.0, 0.2]), np.array([1.0, 2.0, 4.0]), grid, h),
-    ]
-
-
-class TestFitLinkOracle:
-    """``fit_link`` against the per-point loop over every row."""
-
-    @pytest.mark.parametrize("spec", [FitConfig.kernel])
-    @pytest.mark.parametrize("case", link_cases(), ids=lambda case: case[0])
-    def test_matches_the_loop(self, case, spec):
-        _, index, synthetic, grid, h = case
-        link = fit_link(index, synthetic, FitConfig(link_grid=grid), h)
-        want, want_defined = loop_link(index, synthetic, link.u_grid, h, spec)
-        assert np.array_equal(np.isnan(link.m_hat), ~want_defined)
-        # Relative to the weighted mean of |synthetic|, which is |want|
-        # where the responses are positive.
-        scale, _ = loop_link(index, np.abs(synthetic), link.u_grid, h, spec)
-        err = np.abs(link.m_hat - want)[want_defined]
-        assert np.all(err <= 1e-12 * scale[want_defined])
-
-    def test_tied_index_sums_in_row_order(self):
-        # 23 distinct index values over 500 rows: each window's sums run
-        # over tied rows in their row order, whatever order the CPU's
-        # default sort would leave them in.
-        rng = np.random.default_rng(5)
-        index = np.round(rng.normal(size=500) / 0.25) * 0.25
-        synthetic = rng.uniform(0.5, 2.0, 500)
-        h = 0.3
-        link = fit_link(index, synthetic, FitConfig(), h)
-        order = np.lexsort((np.arange(index.size), index))
-        p, ys = index[order], synthetic[order]
-        for u0, got in zip(link.u_grid.tolist(), link.m_hat.tolist()):
-            inside = np.abs(u0 - p) < h
-            w = kernel_values(EPAN, (u0 - p[inside]) / h)
-            assert got == float(w @ ys[inside]) / float(w.sum())
 
 
 class TestRowOrderInvariance:
@@ -1477,7 +1512,8 @@ def mirrored_quadratic_data():
 
 def direction_fit_cases():
     """The datasets, grid points, bandwidths and warm starts of
-    ``TestFitDirectionAt``, plus one d = 3 fit."""
+    ``TestFitDirectionAt``, plus one d = 3 fit and one grid point of the
+    paper's model at n = 2 000."""
     bw = Bandwidths(h1=0.4, h2=0.3, h_link=0.4)
     ds1 = constant_direction_data(seed=1, n=200, direction=(0.6, 0.8))
     ds4 = constant_direction_data(seed=4, n=100, direction=(0.8, 0.6))
@@ -1503,115 +1539,94 @@ def direction_fit_cases():
         t=rng.uniform(0, 1, 150),
     )
     cases.append((ds3, 0.4, select_bandwidths(ds3, EPAN), normalize_direction([0.6, 0.6, 0.5])))
+    paper, _ = generate_dataset(SimConfig(n=2000, seed=1729), 0)
+    cases.append((paper, 0.5, select_bandwidths(paper, EPAN), None))
     return cases
 
 
-@pytest.mark.parametrize("case", range(len(direction_fit_cases())))
-def test_fit_direction_at_matches_the_scipy_routine(case, monkeypatch):
-    dataset, t0, bw, warm = direction_fit_cases()[case]
-    ours = fit_direction_at(dataset, t0, bw, warm_start=warm)
-    monkeypatch.setattr(estimator, "_nelder_mead", scipy_nelder_mead)
-    ref = fit_direction_at(dataset, t0, bw, warm_start=warm)
-    assert ours.direction.components.tobytes() == ref.direction.components.tobytes()
-    assert np.float64(ours.objective).tobytes() == np.float64(ref.objective).tobytes()
-    assert (ours.iterations, ours.evaluations, ours.converged) == (
-        ref.iterations,
-        ref.evaluations,
-        ref.converged,
-    )
-    assert (ours.skipped_rows, ours.active_rows) == (ref.skipped_rows, ref.active_rows)
+def chart_of(dataset, warm):
+    """The centre and tangent basis of the chart ``fit_direction_at``
+    searches from the warm start ``warm`` (None at the first grid point)."""
+    b0 = np.eye(dataset.d)[0] if warm is None else warm.components
+    return b0, _tangent_basis(b0)
+
+
+def fit_objective(dataset, t0, bw, warm):
+    """The chart objective ``fit_direction_at`` minimizes."""
+    obj = _LocalObjective(dataset, t0, bw)
+    b0, basis = chart_of(dataset, warm)
+
+    def score(s):
+        theta = _chart_point(b0, basis, s)
+        return math.inf if theta is None else obj.value(theta)[0]
+
+    return score
+
+
+def assert_one_run(dataset, t0, bw, warm):
+    """Fit once, recording each vertex Nelder-Mead asks for with the value
+    it gets and each pair ``_LocalObjective.value`` returns, and check the
+    fit against scipy's uncached run on the chart objective.
+
+    ``perfbench/spans.py`` times the objective as the calls of
+    ``_LocalObjective.value``, so a value that reached Nelder-Mead another
+    way would escape that span: each must be the very float a call of
+    ``value`` returned."""
+    seen, returned = [], []
+    real_nm, real_value = estimator._nelder_mead, _LocalObjective.value
+
+    def nelder_mead(func, *args):
+        def logged(s):
+            before = len(returned)
+            seen.append((tuple(s), func(s), returned[before:]))
+            return seen[-1][1]
+
+        return real_nm(logged, *args)
+
+    def recorded_value(self, theta):
+        returned.append((tuple(theta), real_value(self, theta)))
+        return returned[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator, "_nelder_mead", nelder_mead)
+        patch.setattr(_LocalObjective, "value", recorded_value)
+        fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
+    # The fit is the uninterrupted _XATOL run in its start's chart, from
+    # the centre and a step along each tangent axis, to the cap for its d.
+    b0, basis = chart_of(dataset, warm)
+    simplex = axis_simplex([0.0] * (dataset.d - 1), _SIMPLEX_STEP)
+    objective = fit_objective(dataset, t0, bw, warm)
+    ref = scipy_nelder_mead(objective, simplex, _XATOL, _max_iter(dataset.d))
+    assert fit.direction.components.tobytes() == _chart_point(b0, basis, ref.x).tobytes()
+    assert np.float64(fit.objective).tobytes() == np.float64(ref.fsim[0]).tobytes()
+    assert (fit.iterations, fit.evaluations) == (ref.nit, ref.nfev)
+    assert fit.converged == (ref.success or ref.fsim[-1] - ref.fsim[0] <= _FLAT_TOL)
+    # A vertex's pair is computed at its first request, where it has a
+    # direction, and never again, and each value Nelder-Mead got is the
+    # float of that pair.
+    pairs = {}
+    for s, f, computed in seen:
+        if s in pairs:
+            assert computed == []
+        else:
+            theta = _chart_point(b0, basis, s)
+            assert [t for t, _ in computed] == ([] if theta is None else [tuple(theta)])
+            pairs[s] = computed[0][1] if computed else None
+        assert f == math.inf if pairs[s] is None else f is pairs[s][0]
+    # Nothing is computed but at a request: none after the run.
+    assert sum(len(computed) for _, _, computed in seen) == len(returned)
+    assert fit.objective_calls == len(pairs)
+    # The fit's objective and skipped rows are its best vertex's pair.
+    assert fit.objective is pairs[tuple(ref.x)][0]
+    assert fit.skipped_rows == pairs[tuple(ref.x)][1]
+
+
+@pytest.mark.parametrize("case", direction_fit_cases())
+def test_each_search_is_the_scipy_run_scored_once_per_vertex(case):
+    assert_one_run(*case)
 
 
 class TestVertexCache:
-    def recorded_fit(self, monkeypatch, dataset, t0, bw, warm):
-        """Fit with every vertex Nelder-Mead requests and every objective
-        computation recorded."""
-        requests, runs, computed = [], [], []
-        real_nm, real_value = estimator._nelder_mead, _LocalObjective.value
-
-        def nelder_mead(func, *args):
-            def logged(s):
-                requests.append(tuple(s))
-                return func(s)
-
-            runs.append(real_nm(logged, *args))
-            return runs[-1]
-
-        def value(self, theta):
-            computed.append(tuple(theta))
-            return real_value(self, theta)
-
-        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
-        monkeypatch.setattr(_LocalObjective, "value", value)
-        fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
-        return fit, requests, runs, computed
-
-    @pytest.mark.parametrize("case", [1, 2, 3, 4, 7])
-    def test_each_distinct_vertex_is_computed_once(self, case, monkeypatch):
-        dataset, t0, bw, warm = direction_fit_cases()[case]
-        fit, requests, runs, computed = self.recorded_fit(monkeypatch, dataset, t0, bw, warm)
-        distinct = set(requests)
-        b0, basis = chart_of(dataset, warm)
-        scored = [v for v in distinct if _chart_point(b0, basis, v) is not None]
-        # Nelder-Mead repeats itself in every case but 2, whose run asks
-        # for no vertex twice.
-        assert (len(requests) > len(distinct)) == (case != 2)
-        # one computation per distinct vertex with a direction, the chosen
-        # one included, and none after the run
-        assert len(computed) == len(scored)
-        assert fit.objective_calls == len(distinct)
-        # the reported counts are Nelder-Mead's own, repeats included
-        # (``test_fit_direction_at_matches_the_scipy_routine`` checks them
-        # against scipy's uncached run)
-        assert len(runs) == 1
-        assert fit.evaluations == len(requests) == runs[0].nfev
-        assert fit.iterations == runs[0].nit
-
-    @pytest.mark.parametrize("sorted_path", [False, True], ids=["dense", "sorted"])
-    def test_every_evaluation_goes_through_value(self, sorted_path, monkeypatch):
-        # The benchmark times the objective as the calls of
-        # ``_LocalObjective.value``; an evaluation that reached Nelder-Mead
-        # another way would escape that span. The ids name the two sides of
-        # 128 active rows, where the objective once switched from a dense
-        # kernel matrix to the sorted evaluation that now serves both.
-        if sorted_path:
-            dataset, _ = generate_dataset(SimConfig(n=2000, seed=1729), 0)
-            t0, bw, warm = 0.5, select_bandwidths(dataset, EPAN), None
-        else:
-            dataset, t0, bw, warm = direction_fit_cases()[1]
-        returned, seen = {}, []
-        real_nm, real_value = estimator._nelder_mead, _LocalObjective.value
-
-        def nelder_mead(func, *args):
-            def logged(s):
-                seen.append((tuple(s), func(s)))
-                return seen[-1][1]
-
-            return real_nm(logged, *args)
-
-        def value(self, theta):
-            result = real_value(self, theta)
-            returned.setdefault(tuple(theta), []).append(result)
-            return result
-
-        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
-        monkeypatch.setattr(_LocalObjective, "value", value)
-        fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
-        b0, basis = chart_of(dataset, warm)
-        points = [(v, f, _chart_point(b0, basis, v)) for v, f in seen]
-        scored = [(v, f, theta) for v, f, theta in points if theta is not None]
-        # Each value Nelder-Mead got for a vertex with a direction is the
-        # very float a call of value returned for that direction, and the
-        # fit's objective and skipped rows are the pair returned for its
-        # direction.
-        for _, f, theta in scored:
-            assert any(f is r[0] for r in returned[tuple(theta)])
-        chosen = returned[tuple(fit.direction.components)]
-        assert any(fit.objective is f and fit.skipped_rows == k for f, k in chosen)
-        # one call per distinct vertex with a direction, and none after
-        assert sum(map(len, returned.values())) == len({v for v, _, _ in scored})
-        assert (fit.active_rows >= 128) == sorted_path
-
     def test_diagnostics_record_objective_calls(self, monkeypatch):
         config = FitConfig(t_grid_size=5, link_grid=(-0.5, 0.5, 21))
         ds = constant_direction_data(seed=24, n=80, direction=(0.6, 0.8), noise_sd=0.1)
@@ -1642,89 +1657,3 @@ class TestVertexCache:
         assert all(map(math.isfinite, diag["objectives"]))
         assert sum(diag["objective_calls"]) < 400
         assert len(calls) == sum(diag["objective_calls"])
-
-
-def chart_of(dataset, warm):
-    """The centre and tangent basis of the chart ``fit_direction_at``
-    searches from the warm start ``warm`` (None at the first grid point)."""
-    b0 = np.eye(dataset.d)[0] if warm is None else warm.components
-    return b0, _tangent_basis(b0)
-
-
-def fit_objective(dataset, t0, bw, warm):
-    """The chart objective ``fit_direction_at`` minimizes."""
-    obj = _LocalObjective(dataset, t0, bw)
-    b0, basis = chart_of(dataset, warm)
-
-    def score(s):
-        theta = _chart_point(b0, basis, s)
-        return math.inf if theta is None else obj.value(theta)[0]
-
-    return score
-
-
-@pytest.fixture(scope="module")
-def paper_fit_inputs():
-    dataset, _ = generate_dataset(SimConfig(n=500, seed=1729), 0)
-    return dataset, select_bandwidths(dataset, EPAN)
-
-
-class TestRace:
-    """Stage 1 runs Nelder-Mead once per grid point, to ``_XATOL`` under
-    the iteration cap for its d, in the chart centred at the left
-    neighbour's direction or, at the first grid point, at (1, 0, ..., 0);
-    the fit is that one run's best vertex."""
-
-    def test_iteration_cap_grows_with_d(self):
-        # 150 up to d = 2, then 100 per tangent coordinate (d - 1 of them).
-        assert [_max_iter(d) for d in (1, 2, 3, 5, 8)] == [150, 150, 200, 400, 700]
-
-    def test_sweep_starts_the_first_point_at_the_centre(self, paper_fit_inputs, monkeypatch):
-        dataset, bw = paper_fit_inputs
-        runs, centres = [], []
-        real_nm, real_basis = estimator._nelder_mead, estimator._tangent_basis
-
-        def nelder_mead(func, simplex, xatol, maxiter):
-            runs.append(([list(v) for v in simplex], xatol, maxiter))
-            return real_nm(func, simplex, xatol, maxiter)
-
-        def tangent_basis(b0):
-            centres.append(b0.tobytes())
-            return real_basis(b0)
-
-        monkeypatch.setattr(estimator, "_nelder_mead", nelder_mead)
-        monkeypatch.setattr(estimator, "_tangent_basis", tangent_basis)
-        monkeypatch.setattr(estimator, "_max_iter", lambda d: 40 * d)
-        _, fits = fit_coefficient_curves(dataset, FitConfig(t_grid_size=6), bw)
-        # One run per grid point, each to _XATOL under the cap for its d,
-        # from the chart's centre and a step along each tangent axis.
-        assert runs == [([[0.0], [_SIMPLEX_STEP]], _XATOL, 80)] * 6
-        # The first chart is centred at (1, 0); every later one at its left
-        # neighbour's direction.
-        assert centres == [np.array([1.0, 0.0]).tobytes()] + [
-            fit.direction.components.tobytes() for fit in fits[:-1]
-        ]
-
-    @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 7, 10])
-    def test_one_start_gives_the_uninterrupted_run(self, case):
-        # The fit is the uninterrupted _XATOL run in its start's chart: the
-        # warm start if the case has one, else (1, 0, ..., 0).
-        dataset, t0, bw, warm = direction_fit_cases()[case]
-        fit = fit_direction_at(dataset, t0, bw, warm_start=warm)
-        requested = set()
-        objective = fit_objective(dataset, t0, bw, warm)
-
-        def func(s):
-            requested.add(tuple(s))
-            return objective(s)
-
-        simplex = axis_simplex([0.0] * (dataset.d - 1), _SIMPLEX_STEP)
-        full = _nelder_mead(func, simplex, _XATOL, _max_iter(dataset.d))
-        direction = UnitDirection(_chart_point(*chart_of(dataset, warm), full.x))
-        assert fit.direction.components.tobytes() == direction.components.tobytes()
-        value, skipped = _LocalObjective(dataset, t0, bw).value(direction.components)
-        assert np.float64(fit.objective).tobytes() == np.float64(value).tobytes()
-        assert fit.skipped_rows == skipped
-        assert fit.converged == (full.success or full.fsim[-1] - full.fsim[0] <= _FLAT_TOL)
-        assert fit.objective_calls == len(requested)
-        assert (fit.iterations, fit.evaluations) == (full.nit, full.nfev)

@@ -1,20 +1,18 @@
-"""Tests for kernels, the Nadaraya-Watson link smoother, and bandwidth selection."""
+"""Tests for kernels and bandwidth selection."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle import loop_link
 from sivc import (
     Bandwidths,
     Dataset,
     EstimationError,
     FitConfig,
-    fit_link,
     kernel_values,
     normalize_direction,
     rule_of_thumb_bandwidth,
@@ -22,18 +20,6 @@ from sivc import (
 )
 
 EPAN = FitConfig.kernel
-
-
-def link_at(xs, ys, x0, h, other=None):
-    """``fit_link`` on a two-point grid, x0 and ``other`` (x0 + 1 by
-    default): the estimate at x0, NaN where it is undefined."""
-    other = x0 + 1.0 if other is None else other
-    lo, hi = sorted((x0, other))
-    config = FitConfig(link_grid=(lo, hi, 2))
-    link = fit_link(np.asarray(xs, float), np.asarray(ys, float), config, h)
-    k = 0 if x0 == lo else 1
-    assert link.u_grid[k] == x0
-    return float(link.m_hat[k])
 
 
 class TestKernelWeight:
@@ -81,50 +67,6 @@ class TestKernelWeight:
         u = np.array([0.5, 2.0, -1.0])
         kernel_values(EPAN, u)
         assert u.tolist() == [0.5, 2.0, -1.0]
-
-
-class TestNWEstimate:
-    """The link smoother ``fit_link`` at one grid point."""
-
-    def test_constant_responses(self):
-        xs = np.array([0.0, 0.3, 0.7])
-        ys = np.full(3, 4.25)
-        assert link_at(xs, ys, 0.4, 0.5) == pytest.approx(4.25)
-
-    def test_single_point(self):
-        assert link_at([0.0], [5.0], 0.0, 1.0) == 5.0
-
-    def test_wide_bandwidth_limit_is_mean(self):
-        est = link_at([0.0, 1.0], [1.0, 3.0], 0.0, 1e6)
-        assert est == pytest.approx(2.0, abs=1e-6)
-
-    def test_no_local_data_carries_x0(self):
-        # The grid point with no rows in reach is marked, its neighbour
-        # with rows in reach is not.
-        assert math.isnan(link_at([0.0, 0.1], [1.0, 2.0], 9.0, 0.5, other=0.0))
-        assert link_at([0.0, 0.1], [1.0, 2.0], 0.0, 0.5, other=9.0) > 1.0
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(5)
-        xs = rng.uniform(-2, 2, 40)
-        ys = rng.normal(size=40)
-        for x0 in (-1.0, 0.0, 0.5):
-            want, _ = loop_link(xs, ys, [x0], 0.8, EPAN)
-            assert link_at(xs, ys, x0, 0.8) == pytest.approx(want[0], rel=1e-12)
-
-    @given(st.integers(min_value=0, max_value=2 ** 31), st.floats(0.2, 3.0))
-    @settings(max_examples=30, deadline=None)
-    def test_convex_combination(self, seed, h):
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-1, 1, 25)
-        ys = rng.normal(size=25)
-        x0 = float(rng.uniform(-1, 1))
-        est = link_at(xs, ys, x0, h)
-        if math.isnan(est):
-            return
-        w = kernel_values(EPAN, (x0 - xs) / h)
-        contributing = ys[w > 0]
-        assert contributing.min() - 1e-12 <= est <= contributing.max() + 1e-12
 
 
 class TestBandwidthSelection:
